@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -28,6 +27,7 @@ from .scalar import (
     ExactScalar,
     FloatScalar,
     QTuranError,
+    rational_text,
 )
 from .series import (
     g_series,
@@ -48,9 +48,12 @@ def _default_digits() -> int:
     if raw is None:
         return DEFAULT_DIGITS
     try:
-        return max(int(raw), 10)
+        digits = int(raw)
     except ValueError:
-        return DEFAULT_DIGITS
+        digits = 0
+    if digits < 10:
+        raise QTuranError(f"{ENV_DIGITS} must be an integer >= 10, got {raw!r}")
+    return digits
 
 
 def parse_rational(text: str) -> Fraction:
@@ -75,6 +78,8 @@ def parse_grid(text: str) -> list[Fraction]:
     while cur <= stop + step / 2:
         out.append(cur)
         cur += step
+    if not out:
+        raise QTuranError(f"grid {text!r} is empty")
     return out
 
 
@@ -102,7 +107,7 @@ def scalar_text(value) -> str:
     if isinstance(value, FloatScalar):
         return mpmath.nstr(value.val, value.digits)
     if isinstance(value, Fraction):
-        return str(value)
+        return rational_text(value)
     return str(value)
 
 
@@ -120,6 +125,8 @@ def report_verdict(rep: turanian.SignReport, point: dict) -> dict:
         "normalization": rep.normalization,
         "chain_case": rep.chain_case,
         "mode": rep.mode,
+        "decided_by": rep.decided_by,
+        "exact_fallbacks": rep.exact_fallbacks,
     })
     return rec
 
@@ -388,18 +395,8 @@ def cmd_scan(args) -> int:
     points = [(mu, al, be) for mu in mu_grid for al in alpha_grid
               for be in beta_grid]
 
-    def run_point(point):
-        mu, al, be = point
-        spec = _turanian_spec(args, q, mu, al, be)
-        return turanian.sign_certificate(spec)
-
-    # float mode serializes: the mpmath precision context is process-global
-    workers = args.jobs if q.is_exact else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_point, points))
-    else:
-        reports = [run_point(p) for p in points]
+    reports = [turanian.sign_certificate(_turanian_spec(args, q, mu, al, be))
+               for mu, al, be in points]
 
     verdicts = []
     rows = []
@@ -417,8 +414,6 @@ def cmd_scan(args) -> int:
         if rep.matches_expected is False:
             all_ok = False
     timing = None if q.is_exact else time.monotonic() - started
-    # pool size is an execution knob, not part of the resolved config: the
-    # report must be identical regardless of it
     cfg = _config_common(args, {"family": args.family, "mu_grid": args.mu_grid,
                                 "alpha_grid": args.alpha_grid,
                                 "beta_grid": args.beta_grid,
@@ -534,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--beta", dest="beta_grid_alias")
     p_scan.add_argument("--a")
     p_scan.add_argument("--b")
-    p_scan.add_argument("--jobs", type=int, default=1)
     _add_common(p_scan)
     p_scan.set_defaults(fn=cmd_scan)
 
@@ -547,13 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "alpha_grid_alias", None):
-        args.alpha_grid = args.alpha_grid_alias
-    if getattr(args, "beta_grid_alias", None):
-        args.beta_grid = args.beta_grid_alias
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "alpha_grid_alias", None):
+            args.alpha_grid = args.alpha_grid_alias
+        if getattr(args, "beta_grid_alias", None):
+            args.beta_grid = args.beta_grid_alias
         return args.fn(args)
     except QTuranError as exc:
         print(f"error: {exc}", file=sys.stderr)

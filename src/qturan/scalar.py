@@ -14,6 +14,7 @@ operands are refused on the exact side because they carry binary rounding.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -74,6 +75,17 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational literal: {x!r}")
+
+
+def rational_text(x: Fraction) -> str:
+    """'num/den' (or 'num') text of a rational, as ``str`` gives it.
+
+    The digits come from :class:`~decimal.Decimal`, which is exempt from
+    Python's limit on int-to-str conversion (4300 digits by default), so
+    coefficients of high-order exact series print whatever their size.
+    """
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def _exact_sqrt(r: Fraction) -> Fraction | None:
@@ -278,9 +290,10 @@ class ExactScalar:
     def canonical(self) -> str:
         """Deterministic text form: 'num/den' or 'a+b*sqrt(r)'."""
         if self.b == 0:
-            return str(self.a)
+            return rational_text(self.a)
         sign = "-" if self.b < 0 else "+"
-        return f"{self.a}{sign}{abs(self.b)}*sqrt({self.rad})"
+        return (f"{rational_text(self.a)}{sign}{rational_text(abs(self.b))}"
+                f"*sqrt({rational_text(self.rad)})")
 
     def __repr__(self):
         return f"ExactScalar({self.canonical()})"

@@ -91,16 +91,18 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(-c for c in self.coeffs), self.order,
                                self.family_label, self.tail_note)
 
+    def product_coefficient(self, other: "TruncatedSeries", n: int) -> Scalar:
+        """Coefficient n of the Cauchy product self * other, in O(n)."""
+        acc = self.coeffs[0] * other.coeffs[n]
+        for k in range(1, n + 1):
+            acc = acc + self.coeffs[k] * other.coeffs[n - k]
+        return acc
+
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated to the smaller order."""
         m = min(self.order, other.order)
-        out = []
-        for n in range(m + 1):
-            acc = self.coeffs[0] * other.coeffs[n]
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * other.coeffs[n - k]
-            out.append(acc)
-        return TruncatedSeries(tuple(out), m, self.family_label, self.tail_note)
+        out = tuple(self.product_coefficient(other, n) for n in range(m + 1))
+        return TruncatedSeries(out, m, self.family_label, self.tail_note)
 
     def scaled(self, c: Scalar) -> "TruncatedSeries":
         return TruncatedSeries(tuple(c * v for v in self.coeffs), self.order,

@@ -4,8 +4,9 @@ For a parametrized series family F the generalized Turanian is
 
     Delta(alpha, beta; x) = F(mu+alpha) F(mu+beta) - F(mu) F(mu+alpha+beta),
 
-built here from exactly one Cauchy-product kernel.  Certificates classify
-the power-series coefficients:
+built here from the Cauchy-product kernel of ``TruncatedSeries`` (exact
+certificates use its interval image).  Certificates classify the
+power-series coefficients:
 
 * Heine family ``f``: coefficients are exactly rational on the half-power
   grid, the expected verdict is strictly negative for m >= 1.
@@ -21,9 +22,15 @@ the power-series coefficients:
   comes from whichever chain condition holds (case (a): non-positive,
   case (b): non-negative).
 
-In exact mode verdicts involve no tolerance.  In float mode a strict
-verdict additionally requires every margin to exceed ten times a propagated
-rounding envelope, otherwise the verdict is INCONCLUSIVE.
+In exact mode the four shifted series are built exactly, each coefficient
+is enclosed once in an outward-rounded interval of ``_PREC`` bits, and the
+products u, v and every u_m - rho v_m are formed in interval arithmetic
+(``mpmath.libmp.libmpi`` with an explicit precision, so no global mpmath
+context is read or changed).  A coefficient whose interval contains 0 is
+recomputed exactly as an O(m) dot product of the exact series; that is how
+exact zeros are proven.  Verdicts involve no tolerance.  In float mode a
+strict verdict additionally requires every margin to exceed ten times a
+propagated rounding envelope, otherwise the verdict is INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -31,8 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 import mpmath
+from mpmath.libmp import from_man_exp, mpf_sign, to_rational
+from mpmath.libmp.libmpi import mpi_add, mpi_mul, mpi_sqrt, mpi_sub
 
 from . import conditions
 from .qcore import QBase, qgamma, qpochhammer_finite
@@ -85,6 +95,25 @@ class TuranianSpec:
 
 @dataclass(frozen=True)
 class SignReport:
+    """Verdict on the signs of the Turanian coefficients Delta_m, m >= 1.
+
+    ``min_margin`` is min over m >= 1 of |Delta_m| for a one-signed verdict
+    (None for MIXED and INCONCLUSIVE).  In exact mode it is a certified
+    lower bound, not the exact minimum: a coefficient decided by its
+    interval contributes the interval endpoint nearest zero, a dyadic
+    rational; one decided exactly contributes its exact value (or, for the
+    tilde family at half-integer shifts, the bound from the rho enclosure).
+    ``coeff0`` is computed exactly (tilde: its bound from the rho
+    enclosure).
+
+    ``decided_by`` names the path that decided the signs: ``interval``
+    (every interval excluded 0), ``interval+exact`` (``exact_fallbacks``
+    coefficients were recomputed exactly), ``float`` (float mode) or
+    ``degenerate`` (a zero shift, so the series vanishes identically); it
+    is None when no rho enclosure decided every sign (INCONCLUSIVE).  Both
+    are deterministic, so exact reports stay byte-stable.
+    """
+
     verdict: SignVerdict
     first_violation: int | None
     min_margin: Scalar | None
@@ -96,6 +125,8 @@ class SignReport:
     chain_case: str | None = None
     expected: SignVerdict | None = None
     matches_expected: bool | None = None
+    decided_by: str | None = None
+    exact_fallbacks: int = 0
 
 
 def verdict_satisfies(observed: SignVerdict, expected: SignVerdict | None) -> bool:
@@ -130,18 +161,20 @@ def _shift_series(spec: TuranianSpec, shift) -> TruncatedSeries:
     raise ValueError(f"no direct shifted series for {spec.family}")
 
 
+def _shifted(spec: TuranianSpec, series_fn) -> tuple:
+    """F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta) from series_fn(shift)."""
+    alpha = _param(spec.alpha, spec.q)
+    beta = _param(spec.beta, spec.q)
+    return tuple(series_fn(sh) for sh in (alpha, beta, alpha - alpha, alpha + beta))
+
+
 def _product_pair(spec: TuranianSpec, series_fn):
     """Delta and a same-structure absolute-value envelope.
 
     series_fn(shift) must return the shifted family series; all family
     coefficients are positive, so the envelope is the Cauchy product sum.
     """
-    alpha = _param(spec.alpha, spec.q)
-    beta = _param(spec.beta, spec.q)
-    s_a = series_fn(alpha)
-    s_b = series_fn(beta)
-    s_0 = series_fn(alpha - alpha)
-    s_ab = series_fn(alpha + beta)
+    s_a, s_b, s_0, s_ab = _shifted(spec, series_fn)
     p1 = s_a * s_b
     p2 = s_0 * s_ab
     return p1 - p2, p1 + p2
@@ -177,25 +210,167 @@ def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
 # -- classification ----------------------------------------------------------
 
 
-def _classify_exact(tail):
-    signs = [c.sign() for c in tail]
+# Bits of every outward-rounded interval in the exact certificates.  About
+# 30 digits: the smallest relative margin on the acceptance grids is ~4e-3,
+# and a coefficient whose interval still contains 0 is recomputed exactly.
+_PREC = 100
+
+
+def _rational_interval(x: Fraction):
+    """[floor, ceil] of x on a _PREC-bit mantissa grid, as an mpi interval."""
+    n, d = x.numerator, x.denominator
+    shift = _PREC + d.bit_length() - n.bit_length()
+    if shift >= 0:
+        quo, rem = divmod(n << shift, d)
+    else:
+        quo, rem = divmod(n, d << -shift)
+    return from_man_exp(quo, -shift), from_man_exp(quo + (rem != 0), -shift)
+
+
+def _intervals(values) -> list:
+    """Outward-rounded enclosures of exact scalars a + b sqrt(r)."""
+    roots = {}
+    out = []
+    for c in values:
+        iv = _rational_interval(c.a)
+        if c.b:
+            if c.rad not in roots:
+                roots[c.rad] = mpi_sqrt(_rational_interval(c.rad), _PREC)
+            iv = mpi_add(iv, mpi_mul(_rational_interval(c.b), roots[c.rad], _PREC),
+                         _PREC)
+        out.append(iv)
+    return out
+
+
+class _Interval:
+    """An mpi enclosure with the + and * that the Cauchy kernel of
+    ``TruncatedSeries`` uses, rounded outward at _PREC bits."""
+
+    __slots__ = ("iv",)
+    digits = _PREC * 3 // 10    # decimal digits of the endpoints
+
+    def __init__(self, iv):
+        self.iv = iv
+
+    def __add__(self, other: "_Interval") -> "_Interval":
+        return _Interval(mpi_add(self.iv, other.iv, _PREC))
+
+    def __mul__(self, other: "_Interval") -> "_Interval":
+        return _Interval(mpi_mul(self.iv, other.iv, _PREC))
+
+
+def _interval_cauchy(x: TruncatedSeries, y: TruncatedSeries) -> list:
+    """Enclosures of the Cauchy product coefficients of two exact series."""
+    def enclosed(s):
+        return TruncatedSeries(tuple(map(_Interval, _intervals(s.coeffs))), s.order)
+    return [c.iv for c in (enclosed(x) * enclosed(y)).coeffs]
+
+
+def _dyadic(x) -> ExactScalar:
+    return ExactScalar(Fraction(*to_rational(x)))
+
+
+def _exact_bound(series, rho_lo, rho_hi, m: int):
+    """Exact bound on u_m - rho v_m with its sign, or None if undecided.
+
+    rho lies in [rho_lo, rho_hi] and v_m >= 0 (both products have positive
+    coefficients), so u_m - rho v_m lies in [u_m - rho_hi v_m, u_m - rho_lo
+    v_m].  The bound is that interval's endpoint nearest zero; None when the
+    interval contains 0 without being the point 0.
+    """
+    s_a, s_b, s_0, s_ab = series
+    u = s_a.product_coefficient(s_b, m)
+    v = s_0.product_coefficient(s_ab, m)
+    lo, hi = u - rho_hi * v, u - rho_lo * v
+    if lo.sign() > 0 or (lo.is_zero() and hi.is_zero()):
+        return lo
+    if hi.sign() < 0:
+        return hi
+    return None
+
+
+def _exact_mode_bounds(series, rho_rounds):
+    """Certified bounds on every Delta_m = u_m - rho v_m of four exact series.
+
+    ``series`` is (F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta)), so
+    u = F(mu+alpha)F(mu+beta) and v = F(mu)F(mu+alpha+beta).  ``rho_rounds``
+    yields exact enclosures (rho_lo, rho_hi) of the prefactor ratio, each
+    tighter than the last ((1, 1) for the Heine and g families).  Both
+    products are formed once in intervals; each round encloses every
+    u_m - rho v_m, m >= 1, and recomputes exactly the coefficients whose
+    interval contains 0.  Each bound has the sign of its coefficient and at
+    most its magnitude: the interval endpoint nearest zero (a dyadic
+    rational) or the exact bound of _exact_bound.  Returns (coeff0 bound,
+    bounds for m >= 1, exact fallbacks), or None when no round decides
+    every sign.
+    """
+    u = _interval_cauchy(series[0], series[1])
+    v = _interval_cauchy(series[2], series[3])
+    for rho_lo, rho_hi in rho_rounds:
+        head = _exact_bound(series, rho_lo, rho_hi, 0)
+        if head is None:
+            continue
+        rho = (_intervals([rho_lo])[0][0], _intervals([rho_hi])[0][1])
+        bounds = []
+        fallbacks = 0
+        for m in range(1, len(u)):
+            lo, hi = mpi_sub(u[m], mpi_mul(rho, v[m], _PREC), _PREC)
+            if mpf_sign(lo) > 0:
+                bounds.append(_dyadic(lo))
+            elif mpf_sign(hi) < 0:
+                bounds.append(_dyadic(hi))
+            else:
+                fallbacks += 1
+                exact = _exact_bound(series, rho_lo, rho_hi, m)
+                if exact is None:
+                    break
+                bounds.append(exact)
+        else:
+            return head, bounds, fallbacks
+    return None
+
+
+def _classify_exact(bounds):
+    """Verdict, first violation and margin from the bounds on Delta_1..Delta_M.
+
+    Each bound has its coefficient's sign and at most its magnitude, so the
+    margin is a lower bound on min |Delta_m| (the minimum itself when the
+    bounds are the exact coefficients).
+    """
+    signs = [b.sign() for b in bounds]
     if all(s == 0 for s in signs):
-        return SignVerdict.ZERO, None, tail[0] if tail else None
-    has_pos = any(s > 0 for s in signs)
-    has_neg = any(s < 0 for s in signs)
-    if has_pos and has_neg:
+        return SignVerdict.ZERO, None, bounds[0] if bounds else None
+    if 1 in signs and -1 in signs:
         first_sign = next(s for s in signs if s != 0)
-        viol = next(i for i, s in enumerate(signs) if s == -first_sign)
-        return SignVerdict.MIXED, viol + 1, None
-    if has_pos:
+        return SignVerdict.MIXED, signs.index(-first_sign) + 1, None
+    if 1 in signs:
         verdict = (SignVerdict.ALL_STRICTLY_POS if all(s > 0 for s in signs)
                    else SignVerdict.ALL_NONNEG)
-        margin = min(tail)
+        margin = min(bounds)
     else:
         verdict = (SignVerdict.ALL_STRICTLY_NEG if all(s < 0 for s in signs)
                    else SignVerdict.ALL_NONPOS)
-        margin = min(-c for c in tail)
+        margin = min(-b for b in bounds)
     return verdict, None, margin
+
+
+def _exact_report(spec: TuranianSpec, series, rho_rounds, expected, norm,
+                  chain_case=None) -> SignReport:
+    """Exact-mode SignReport from the four shifted series (see _exact_mode_bounds)."""
+    found = _exact_mode_bounds(series, rho_rounds)
+    if found is None:
+        return SignReport(SignVerdict.INCONCLUSIVE, None, None, spec.order,
+                          None, spec.family.value, spec.q.mode, norm,
+                          chain_case=chain_case, expected=expected,
+                          matches_expected=False)
+    coeff0, bounds, fallbacks = found
+    verdict, viol, margin = _classify_exact(bounds)
+    return SignReport(verdict, viol, margin, spec.order, coeff0,
+                      spec.family.value, spec.q.mode, norm,
+                      chain_case=chain_case, expected=expected,
+                      matches_expected=verdict_satisfies(verdict, expected),
+                      decided_by="interval+exact" if fallbacks else "interval",
+                      exact_fallbacks=fallbacks)
 
 
 def _float_error_bounds(scale_coeffs, digits):
@@ -238,7 +413,19 @@ def _zero_report(spec: TuranianSpec, expected, normalization) -> SignReport:
     zero = spec.q.zero
     return SignReport(SignVerdict.ZERO, None, zero, spec.order, zero,
                       spec.family.value, spec.q.mode, normalization,
-                      expected=expected, matches_expected=True)
+                      expected=expected, matches_expected=True,
+                      decided_by="degenerate")
+
+
+def _float_report(spec: TuranianSpec, delta, scale, expected, norm,
+                  chain_case=None) -> SignReport:
+    bounds = _float_error_bounds(scale.coeffs[1:], spec.q.digits)
+    verdict, viol, margin = _classify_float(delta.coeffs[1:], bounds)
+    return SignReport(verdict, viol, margin, spec.order, delta.coeffs[0],
+                      spec.family.value, spec.q.mode, norm, chain_case=chain_case,
+                      expected=expected,
+                      matches_expected=verdict_satisfies(verdict, expected),
+                      decided_by="float")
 
 
 def _positive_hypotheses(spec: TuranianSpec):
@@ -265,20 +452,15 @@ def delta_sign_certificate(spec: TuranianSpec) -> SignReport:
     if spec.family != Family.HEINE_F:
         raise ValueError("delta_sign_certificate works on the heine-f family")
     expected = SignVerdict.ALL_STRICTLY_NEG
+    norm = "x^m coefficients"
     if _is_degenerate(spec):
-        return _zero_report(spec, expected, "x^m coefficients")
+        return _zero_report(spec, expected, norm)
     _positive_hypotheses(spec)
-    delta, scale = _product_pair(spec, lambda sh: _shift_series(spec, sh))
-    tail = delta.coeffs[1:]
+    series_fn = partial(_shift_series, spec)
     if spec.q.is_exact:
-        verdict, viol, margin = _classify_exact(tail)
-    else:
-        bounds = _float_error_bounds(scale.coeffs[1:], spec.q.digits)
-        verdict, viol, margin = _classify_float(tail, bounds)
-    return SignReport(verdict, viol, margin, spec.order, delta.coeffs[0],
-                      spec.family.value, spec.q.mode, "x^m coefficients",
-                      expected=expected,
-                      matches_expected=verdict_satisfies(verdict, expected))
+        return _exact_report(spec, _shifted(spec, series_fn), [(ex(1), ex(1))],
+                             expected, norm)
+    return _float_report(spec, *_product_pair(spec, series_fn), expected, norm)
 
 
 # -- tilde family: exact enclosure of the prefactor ratio --------------------
@@ -326,8 +508,9 @@ def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:
 
     Exact mode reports margins for the coefficients rescaled by the positive
     constant Gamma_q(mu+alpha) Gamma_q(mu+beta): the m-th rescaled
-    coefficient is u_m - rho v_m, certified through an exact interval for
-    rho, so the verdict carries no tolerance.
+    coefficient is u_m - rho v_m, certified through an exact enclosure of
+    rho (tightened by doubling its number of terms, up to 8 rounds), so the
+    verdict carries no tolerance.
     """
     if spec.family != Family.HEINE_F_TILDE:
         raise ValueError("delta_tilde_sign_certificate works on the tilde family")
@@ -343,73 +526,13 @@ def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:
         def tilde(shift):
             return heine_f_tilde_series(spec.mu + shift, q, spec.order,
                                         absolute=True)
-        delta, scale = _product_pair(spec, tilde)
-        bounds = _float_error_bounds(scale.coeffs[1:], q.digits)
-        verdict, viol, margin = _classify_float(delta.coeffs[1:], bounds)
-        return SignReport(verdict, viol, margin, spec.order, delta.coeffs[0],
-                          spec.family.value, q.mode, "absolute x^m coefficients",
-                          expected=expected,
-                          matches_expected=verdict_satisfies(verdict, expected))
+        return _float_report(spec, *_product_pair(spec, tilde), expected,
+                             "absolute x^m coefficients")
 
-    u = (heine_f_series(mu + alpha, q, spec.order) *
-         heine_f_series(mu + beta, q, spec.order))
-    v = (heine_f_series(mu, q, spec.order) *
-         heine_f_series(mu + alpha + beta, q, spec.order))
-
-    nterms = max(spec.order, 48)
-    resolved = False
-    signs: list[int] = []
-    lo_margins: list = []
-    for _ in range(8):
-        rho_lo, rho_hi = _rho_interval(mu, alpha, beta, q, nterms)
-        signs = []
-        lo_margins = []
-        resolved = True
-        for m in range(spec.order + 1):
-            lo = u.coeffs[m] - rho_hi * v.coeffs[m]
-            hi = u.coeffs[m] - rho_lo * v.coeffs[m]
-            if lo.sign() > 0:
-                signs.append(1)
-                lo_margins.append(lo)
-            elif hi.sign() < 0:
-                signs.append(-1)
-                lo_margins.append(hi)
-            elif lo.is_zero() and hi.is_zero():
-                signs.append(0)
-                lo_margins.append(lo)
-            else:
-                resolved = False
-                break
-        if resolved:
-            break
-        nterms *= 2
-    if not resolved:
-        return SignReport(SignVerdict.INCONCLUSIVE, None, None, spec.order,
-                          None, spec.family.value, q.mode, norm,
-                          expected=expected, matches_expected=False)
-
-    tail_signs = signs[1:]
-    if all(s > 0 for s in tail_signs):
-        verdict = SignVerdict.ALL_STRICTLY_POS
-        viol = None
-        margin = min(lo_margins[1:])
-    elif all(s >= 0 for s in tail_signs):
-        verdict = SignVerdict.ALL_NONNEG if any(tail_signs) else SignVerdict.ZERO
-        viol = None
-        margin = min(lo_margins[1:])
-    elif all(s < 0 for s in tail_signs):
-        verdict = SignVerdict.ALL_STRICTLY_NEG
-        viol = None
-        margin = min(-m_ for m_ in lo_margins[1:])
-    else:
-        first_sign = next(s for s in tail_signs if s != 0)
-        viol = next(i for i, s in enumerate(tail_signs) if s == -first_sign) + 1
-        verdict = SignVerdict.MIXED
-        margin = None
-    return SignReport(verdict, viol, margin, spec.order, lo_margins[0],
-                      spec.family.value, q.mode, norm,
-                      expected=expected,
-                      matches_expected=verdict_satisfies(verdict, expected))
+    series = _shifted(spec, lambda sh: heine_f_series(mu + sh, q, spec.order))
+    first = max(spec.order, 48)
+    rho_rounds = (_rho_interval(mu, alpha, beta, q, first << k) for k in range(8))
+    return _exact_report(spec, series, rho_rounds, expected, norm)
 
 
 def gamma_sign_certificate(spec: TuranianSpec, *,
@@ -468,23 +591,21 @@ def gamma_sign_certificate(spec: TuranianSpec, *,
     if _is_degenerate(spec):
         rep = _zero_report(spec, expected, norm)
         return replace(rep, chain_case=chain_case)
-    delta, scale = _product_pair(spec, lambda sh: _shift_series(spec, sh))
-    tail = delta.coeffs[1:]
+    series_fn = partial(_shift_series, spec)
     if q.is_exact:
-        verdict, viol, margin = _classify_exact(tail)
+        rep = _exact_report(spec, _shifted(spec, series_fn), [(ex(1), ex(1))],
+                            expected, norm, chain_case)
     else:
-        bounds = _float_error_bounds(scale.coeffs[1:], q.digits)
-        verdict, viol, margin = _classify_float(tail, bounds)
-    matches = verdict_satisfies(verdict, expected)
+        rep = _float_report(spec, *_product_pair(spec, series_fn), expected,
+                            norm, chain_case)
+    matches = rep.matches_expected
     if matches and expected == SignVerdict.ALL_NONNEG:
-        matches = delta.coeffs[0].sign() >= 0
+        matches = rep.coeff0.sign() >= 0
     elif matches and expected == SignVerdict.ALL_NONPOS:
-        matches = delta.coeffs[0].sign() <= 0
+        matches = rep.coeff0.sign() <= 0
     elif matches and expected == SignVerdict.ZERO:
-        matches = delta.coeffs[0].is_zero()
-    return SignReport(verdict, viol, margin, spec.order, delta.coeffs[0],
-                      spec.family.value, q.mode, norm, chain_case=chain_case,
-                      expected=expected, matches_expected=matches)
+        matches = rep.coeff0.is_zero()
+    return replace(rep, matches_expected=matches)
 
 
 def sign_certificate(spec: TuranianSpec, **kwargs) -> SignReport:

@@ -52,6 +52,8 @@ def test_scan_caseb_suite(tmp_path):
     report = read_json(out)
     assert len(report["verdicts"]) == 6
     assert all(v["matches_expected"] for v in report["verdicts"])
+    assert all(v["decided_by"] == "interval" and v["exact_fallbacks"] == 0
+               for v in report["verdicts"])
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("family,mu,alpha,beta,q,verdict")
     assert len(lines) == 7
@@ -112,15 +114,11 @@ def test_report_flattens_to_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_scan_parallel_matches_serial(tmp_path):
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
-    base = ["scan", "--family", "heine-f", "--q", "1/2",
-            "--mu-grid", "0.5:1.5:0.5", "--alpha", "1", "--beta", "1",
-            "--order", "12"]
-    run(base + ["--out", str(serial)])
-    run(base + ["--jobs", "4", "--out", str(parallel)])
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_scan_empty_grid_is_an_error(capsys):
+    code = run(["scan", "--family", "heine-f", "--q", "1/2", "--mu-grid", "3:1:1",
+                "--alpha", "1", "--beta", "1", "--order", "5"])
+    assert code == 2
+    assert "empty" in capsys.readouterr().err
 
 
 def test_env_var_sets_default_digits(monkeypatch):
@@ -128,6 +126,28 @@ def test_env_var_sets_default_digits(monkeypatch):
     monkeypatch.setenv("QTURAN_DIGITS", "35")
     args = build_parser().parse_args(["eval", "--family", "heine-f", "--mu", "1"])
     assert args.digits == 35
+
+
+def test_env_var_rejects_non_integer_digits(monkeypatch, capsys):
+    monkeypatch.setenv("QTURAN_DIGITS", "abc")
+    code = run(["eval", "--family", "heine-f", "--mu", "1", "--x", "1/4",
+                "--q", "1/2", "--mode", "float"])
+    assert code == 2
+    assert "QTURAN_DIGITS" in capsys.readouterr().err
+
+
+def test_turanian_report_with_coefficients_above_4300_digits(tmp_path):
+    out = tmp_path / "r.json"
+    csv_path = tmp_path / "r.csv"
+    code = run(["turanian", "--family", "g", "--a", "1,1,1", "--b", "2,2",
+                "--q", "3/4", "--mu", "3/2", "--alpha", "1", "--beta", "3",
+                "--order", "60", "--out", str(out), "--csv", str(csv_path)])
+    assert code == 0
+    report = read_json(out)
+    assert report["verdicts"][0]["matches_expected"] is True
+    longest = max(len(m["coefficient"]) for m in report["margins"])
+    assert longest > 4300
+    assert len(csv_path.read_text(encoding="utf-8").splitlines()) == 62
 
 
 def test_eval_exact_value(capsys, tmp_path):

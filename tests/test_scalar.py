@@ -11,6 +11,7 @@ from qturan.scalar import (
     ModeMismatchError,
     ex,
     fl,
+    rational_text,
 )
 
 
@@ -98,3 +99,20 @@ def test_negative_powers():
     assert (ex(F(2, 3)) ** -2).to_fraction() == F(9, 4)
     s = ExactScalar.sqrt_of(F(1, 2))
     assert ((s ** -2)).to_fraction() == 2
+
+
+def test_rational_text_matches_str():
+    for x in (F(0), F(-7), F(22, 7), F(-1, 3), F(10 ** 40, 3 ** 30)):
+        assert rational_text(x) == str(x)
+        assert ex(x).canonical() == str(x)
+    s = ExactScalar(F(1, 2), F(-3, 4), F(3, 4))
+    assert s.canonical() == "1/2-3/4*sqrt(3/4)"
+
+
+def test_canonical_beyond_int_str_digit_limit():
+    big = 10 ** 5000 + 7                     # 5001 digits, past the 4300 limit
+    digits = "1" + "0" * 4999 + "7"
+    assert rational_text(F(big, 3)) == digits + "/3"
+    assert rational_text(F(-1, big)) == "-1/" + digits
+    s = ExactScalar(F(1, big), F(-big, 5), F(1, 2))
+    assert s.canonical() == f"1/{digits}-{digits}/5*sqrt(1/2)"
