@@ -36,7 +36,6 @@ from .qcore import (
 from .series import (
     PhiSpec,
     TruncatedSeries,
-    cauchy_product,
     g_series,
     heine_f_series,
     heine_f_tilde_series,
@@ -44,9 +43,6 @@ from .series import (
     modified_qbessel_i1,
     qbessel_j1,
     qbessel_j2,
-    series_eval,
-    series_sub,
-    series_sum,
     tphis_series,
 )
 from .turanian import (

@@ -5,6 +5,12 @@ between series of different orders truncates to the smaller order; the
 Cauchy product is the single convolution kernel every Turanian goes
 through.
 
+The three q-hypergeometric constructors below share one
+:class:`TermRatio`: c_0 and the parameters of c_n / c_(n-1), whose
+recurrence runs in any coefficient type with *, / and ``1 - x`` (exact,
+float, or the interval enclosures of the exact sign certificates).  Each
+series it builds keeps it as ``ratio``.
+
 Constructors:
 
 * :func:`tphis_series` -- the generalized q-hypergeometric series with t
@@ -24,7 +30,8 @@ Constructors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -48,12 +55,18 @@ from .scalar import (
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients c_0..c_M of a power series in x, with a tail annotation."""
+    """Coefficients c_0..c_M of a power series in x, with a tail annotation.
+
+    ``ratio`` is the :class:`TermRatio` the coefficients were built from, if
+    any; it continues them to any order or into another coefficient type.
+    Arithmetic results carry none.
+    """
 
     coeffs: tuple
     order: int
     family_label: str = ""
     tail_note: str | None = None
+    ratio: "TermRatio | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.order + 1:
@@ -119,22 +132,6 @@ class TruncatedSeries:
         return all(c.is_zero() for c in self.coeffs)
 
 
-def series_eval(s: TruncatedSeries, x) -> Scalar:
-    return s.eval(x)
-
-
-def series_sum(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a - b
-
-
-def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
 def zero_series(q: QBase, order: int, label: str = "zero") -> TruncatedSeries:
     return TruncatedSeries(tuple(q.zero for _ in range(order + 1)), order, label)
 
@@ -159,6 +156,78 @@ class PhiSpec:
             )
 
 
+@dataclass(frozen=True)
+class TermRatio:
+    """A series given by its first coefficient and its term ratio
+
+        c_n / c_(n-1) = (s q^(n-1))^d prod_i (1 - u_i q^(n-1))
+                        / ((1 - q^n) prod_j (1 - v_j q^(n-1))),
+
+    the shape every q-hypergeometric family here shares (Gasper & Rahman,
+    *Basic Hypergeometric Series*, ch. 1).  ``c0``, ``scale`` (s, unused
+    when d = 0) and the parameters u_i (``upper``) and v_j (``lower``) are
+    scalars of ``base``.
+    """
+
+    c0: Scalar
+    upper: tuple
+    lower: tuple
+    base: QBase
+    d: int = 0
+    scale: Scalar | None = None
+    label: str = ""
+    tail_note: str | None = None
+
+    def series(self, order: int, lift=None) -> TruncatedSeries:
+        """c_0..c_order from the term-ratio recurrence.
+
+        ``lift`` maps each scalar into the coefficient type the recurrence
+        runs in (the scalars themselves by default); that type needs only
+        *, / and ``1 - x`` for an int 1.  A vanishing lower factor raises
+        CollisionError, decided on the scalars themselves.  Parameters that
+        are both upper and lower cancel, and a repeated parameter's factor
+        is formed once.
+        """
+        q = self.base
+        for v in self.lower:
+            qk = q.one
+            for n in range(1, order + 1):
+                factor = 1 - v * qk
+                if factor.is_zero():
+                    raise CollisionError(
+                        f"lower parameter hits q^(-{n - 1}); (b; q)_n vanishes at n={n}"
+                    )
+                if factor.sign() > 0:
+                    break       # v q^k < 1 from here on
+                qk = qk * q.q
+        lift = lift or (lambda x: x)
+        one, qq = lift(q.one), lift(q.q)
+        scale = lift(self.scale) if self.d else None
+        shared = Counter(self.upper) & Counter(self.lower)
+        upper = [(lift(u), k) for u, k in (Counter(self.upper) - shared).items()]
+        lower = [(lift(v), k) for v, k in (Counter(self.lower) - shared).items()]
+        c = lift(self.c0)
+        coeffs = [c]
+        qn1 = one            # q^(n-1)
+        for _ in range(order):
+            qn = qn1 * qq
+            factors = [(scale * qn1, self.d)] if self.d else []
+            factors += [(1 - u * qn1, k) for u, k in upper]
+            num = None          # the empty product
+            for factor, k in factors:
+                for _ in range(k):
+                    num = factor if num is None else num * factor
+            den = 1 - qn
+            for v, k in lower:
+                factor = 1 - v * qn1
+                for _ in range(k):
+                    den = den * factor
+            c = c / den if num is None else c * (num / den)
+            coeffs.append(c)
+            qn1 = qn
+        return TruncatedSeries(tuple(coeffs), order, self.label, self.tail_note, self)
+
+
 def tphis_series(spec: PhiSpec, order: int) -> TruncatedSeries:
     """The generalized q-hypergeometric series as a truncated series in z.
 
@@ -169,32 +238,11 @@ def tphis_series(spec: PhiSpec, order: int) -> TruncatedSeries:
     q = spec.q
     t, s = len(spec.upper), len(spec.lower)
     d = 1 + s - t
-    upper = [q.scalar(a) for a in spec.upper]
-    lower = [q.scalar(b) for b in spec.lower]
-    coeffs = [q.one]
-    c = q.one
-    qn1 = q.one          # q^(n-1)
-    qn = q.q             # q^n
-    for n in range(1, order + 1):
-        num = q.one
-        for a in upper:
-            num = num * (1 - a * qn1)
-        den = 1 - qn
-        for b in lower:
-            factor = 1 - b * qn1
-            if factor.is_zero():
-                raise CollisionError(
-                    f"lower parameter hits q^(-{n - 1}); (b; q)_n vanishes at n={n}"
-                )
-            den = den * factor
-        c = c * num / den
-        if d:
-            c = c * ((-1) ** d) * (qn1 ** d)
-        coeffs.append(c)
-        qn1 = qn1 * q.q
-        qn = qn * q.q
     tail = "converges for |z| < 1 only" if t == s + 1 else None
-    return TruncatedSeries(tuple(coeffs), order, f"tphis({t},{s})", tail)
+    ratio = TermRatio(q.one, tuple(map(q.scalar, spec.upper)),
+                      tuple(map(q.scalar, spec.lower)), q, d, q.scalar(-1),
+                      f"tphis({t},{s})", tail)
+    return ratio.series(order)
 
 
 def heine_f_series(mu, q: QBase, order: int) -> TruncatedSeries:
@@ -202,9 +250,9 @@ def heine_f_series(mu, q: QBase, order: int) -> TruncatedSeries:
     mu_cmp = as_fraction(mu) if q.is_exact else mu
     if not mu_cmp > 0:
         raise HypothesisError(f"heine_f needs mu > 0, got mu={mu}")
-    spec = PhiSpec((q.zero, q.zero), (q.q_power(mu),), q)
-    ts = tphis_series(spec, order)
-    return TruncatedSeries(ts.coeffs, order, f"heine_f(mu={mu})", ts.tail_note)
+    ratio = TermRatio(q.one, (), (q.q_power(mu),), q, label=f"heine_f(mu={mu})",
+                      tail_note="converges for |z| < 1 only")
+    return ratio.series(order)
 
 
 def heine_f_tilde_series(mu, q: QBase, order: int, *,
@@ -266,6 +314,11 @@ def g_relative_prefactor(a, b, ref_mu, sigma: int, q: QBase) -> Scalar:
         for _ in range(sigma):
             cur = cur * (1 - base * qk)
             qk = qk * q.q
+        if cur.is_zero():
+            raise CollisionError(
+                f"lower parameter collision: (q^(b+mu); q)_{sigma} vanishes at "
+                f"b={bj}, mu={ref_mu}"
+            )
         result = result / cur
     if sigma and s != t:
         result = result * ((1 - q.q) ** (sigma * (s - t)))
@@ -328,30 +381,9 @@ def g_series(a: Sequence, b: Sequence, mu, q: QBase, order: int, *,
 
     upper = tuple(q.q_power(ai + mu) for ai in a)
     lower = tuple(q.q_power(bj + mu) for bj in b)
-    coeffs = [prefactor]
-    c = prefactor
-    one_minus_q_d = (1 - q.q) ** d if d else q.one
-    qn1 = q.one
-    qn = q.q
-    for n in range(1, order + 1):
-        num = q.one
-        for u in upper:
-            num = num * (1 - u * qn1)
-        den = 1 - qn
-        for v in lower:
-            factor = 1 - v * qn1
-            if factor.is_zero():
-                raise CollisionError(f"lower parameter collision at n={n}")
-            den = den * factor
-        c = c * num / den
-        if d:
-            c = c * one_minus_q_d * (qn1 ** d)
-        coeffs.append(c)
-        qn1 = qn1 * q.q
-        qn = qn * q.q
     tail = "converges for |x| < 1 only" if t == s + 1 else None
     label = f"g(a={list(map(str, a))},b={list(map(str, b))},mu={mu})"
-    return TruncatedSeries(tuple(coeffs), order, label, tail)
+    return TermRatio(prefactor, upper, lower, q, d, 1 - q.q, label, tail).series(order)
 
 
 def geometric_tail_order(x_abs, tol, *, minimum: int = 40,

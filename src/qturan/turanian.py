@@ -22,13 +22,16 @@ power-series coefficients:
   comes from whichever chain condition holds (case (a): non-positive,
   case (b): non-negative).
 
-In exact mode the four shifted series are built exactly, each coefficient
-is enclosed once in an outward-rounded interval of ``_PREC`` bits, and the
-products u, v and every u_m - rho v_m are formed in interval arithmetic
-(``mpmath.libmp.libmpi`` with an explicit precision, so no global mpmath
-context is read or changed).  A coefficient whose interval contains 0 is
-recomputed exactly as an O(m) dot product of the exact series; that is how
-exact zeros are proven.  Verdicts involve no tolerance.  In float mode a
+In exact mode the four shifted series are built exactly to order 0 only
+(their exact leading coefficients give Delta_0).  Each series' exact
+q-power parameters are enclosed once in outward-rounded intervals of
+``_PREC`` bits, and its term-ratio recurrence runs in interval arithmetic
+to enclose every coefficient; the products u, v and every u_m - rho v_m
+are formed in intervals too (``mpmath.libmp.libmpi`` with an explicit
+precision, so no global mpmath context is read or changed).  Only when a
+coefficient's interval contains 0 are the exact series built to the full
+order, and that coefficient recomputed exactly as an O(m) dot product;
+that is how exact zeros are proven.  Verdicts involve no tolerance.  In float mode a
 strict verdict additionally requires every margin to exceed ten times a
 propagated rounding envelope, otherwise the verdict is INCONCLUSIVE.
 """
@@ -41,8 +44,8 @@ from fractions import Fraction
 from functools import partial
 
 import mpmath
-from mpmath.libmp import from_man_exp, mpf_sign, to_rational
-from mpmath.libmp.libmpi import mpi_add, mpi_mul, mpi_sqrt, mpi_sub
+from mpmath.libmp import from_int, from_man_exp, mpf_sign, to_rational
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_sqrt, mpi_sub
 
 from . import conditions
 from .qcore import QBase, qgamma, qpochhammer_finite
@@ -151,14 +154,14 @@ def _param(value, q: QBase):
     return as_fraction(value) if q.is_exact else value
 
 
-def _shift_series(spec: TuranianSpec, shift) -> TruncatedSeries:
+def _shift_series(spec: TuranianSpec, shift, order=None) -> TruncatedSeries:
+    """The family series at mu + shift (tilde: its relative form, Heine's),
+    to spec.order unless another order is given."""
     mu = _param(spec.mu, spec.q)
-    shifted = mu + shift
-    if spec.family == Family.HEINE_F:
-        return heine_f_series(shifted, spec.q, spec.order)
+    order = spec.order if order is None else order
     if spec.family == Family.G_NORMALIZED:
-        return g_series(spec.a, spec.b, shifted, spec.q, spec.order, ref_mu=mu)
-    raise ValueError(f"no direct shifted series for {spec.family}")
+        return g_series(spec.a, spec.b, mu + shift, spec.q, order, ref_mu=mu)
+    return heine_f_series(mu + shift, spec.q, order)
 
 
 def _shifted(spec: TuranianSpec, series_fn) -> tuple:
@@ -203,7 +206,7 @@ def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
             return heine_f_tilde_series(mu + shift, q, spec.order, absolute=True)
         delta, _ = _product_pair(spec, tilde)
         return TruncatedSeries(delta.coeffs, delta.order, label, delta.tail_note)
-    delta, _ = _product_pair(spec, lambda sh: _shift_series(spec, sh))
+    delta, _ = _product_pair(spec, partial(_shift_series, spec))
     return TruncatedSeries(delta.coeffs, delta.order, label, delta.tail_note)
 
 
@@ -243,8 +246,9 @@ def _intervals(values) -> list:
 
 
 class _Interval:
-    """An mpi enclosure with the + and * that the Cauchy kernel of
-    ``TruncatedSeries`` uses, rounded outward at _PREC bits."""
+    """An mpi enclosure with the arithmetic that the term-ratio recurrence of
+    ``TermRatio`` (*, / and 1 - x) and the Cauchy kernel of
+    ``TruncatedSeries`` (+ and *) use, rounded outward at _PREC bits."""
 
     __slots__ = ("iv",)
     digits = _PREC * 3 // 10    # decimal digits of the endpoints
@@ -252,18 +256,22 @@ class _Interval:
     def __init__(self, iv):
         self.iv = iv
 
+    @staticmethod
+    def of(x: ExactScalar) -> "_Interval":
+        return _Interval(_intervals([x])[0])
+
     def __add__(self, other: "_Interval") -> "_Interval":
         return _Interval(mpi_add(self.iv, other.iv, _PREC))
+
+    def __rsub__(self, other: int) -> "_Interval":
+        point = from_int(other)
+        return _Interval(mpi_sub((point, point), self.iv, _PREC))
 
     def __mul__(self, other: "_Interval") -> "_Interval":
         return _Interval(mpi_mul(self.iv, other.iv, _PREC))
 
-
-def _interval_cauchy(x: TruncatedSeries, y: TruncatedSeries) -> list:
-    """Enclosures of the Cauchy product coefficients of two exact series."""
-    def enclosed(s):
-        return TruncatedSeries(tuple(map(_Interval, _intervals(s.coeffs))), s.order)
-    return [c.iv for c in (enclosed(x) * enclosed(y)).coeffs]
+    def __truediv__(self, other: "_Interval") -> "_Interval":
+        return _Interval(mpi_div(self.iv, other.iv, _PREC))
 
 
 def _dyadic(x) -> ExactScalar:
@@ -289,25 +297,29 @@ def _exact_bound(series, rho_lo, rho_hi, m: int):
     return None
 
 
-def _exact_mode_bounds(series, rho_rounds):
-    """Certified bounds on every Delta_m = u_m - rho v_m of four exact series.
+def _exact_mode_bounds(heads, enclosures, build, rho_rounds):
+    """Certified bounds on every Delta_m = u_m - rho v_m of four shifted series.
 
-    ``series`` is (F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta)), so
-    u = F(mu+alpha)F(mu+beta) and v = F(mu)F(mu+alpha+beta).  ``rho_rounds``
-    yields exact enclosures (rho_lo, rho_hi) of the prefactor ratio, each
-    tighter than the last ((1, 1) for the Heine and g families).  Both
-    products are formed once in intervals; each round encloses every
-    u_m - rho v_m, m >= 1, and recomputes exactly the coefficients whose
-    interval contains 0.  Each bound has the sign of its coefficient and at
-    most its magnitude: the interval endpoint nearest zero (a dyadic
-    rational) or the exact bound of _exact_bound.  Returns (coeff0 bound,
-    bounds for m >= 1, exact fallbacks), or None when no round decides
-    every sign.
+    The series are (F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta)), so
+    u = F(mu+alpha)F(mu+beta) and v = F(mu)F(mu+alpha+beta).  ``heads``
+    holds them exactly to order 0 at least, ``enclosures`` as interval
+    series (of _Interval) to the full order, and ``build()`` returns them
+    exactly to the full order.  ``rho_rounds`` yields exact enclosures
+    (rho_lo, rho_hi) of the prefactor ratio, each tighter than the last
+    ((1, 1) for the Heine and g families).  Both products are formed once
+    in intervals; each round encloses every u_m - rho v_m, m >= 1, and
+    recomputes exactly the coefficients whose interval contains 0, calling
+    ``build`` at the first of them.  Each bound has the sign of its
+    coefficient and at most its magnitude: the interval endpoint nearest
+    zero (a dyadic rational) or the exact bound of _exact_bound.  Returns
+    (coeff0 bound, bounds for m >= 1, exact fallbacks), or None when no
+    round decides every sign.
     """
-    u = _interval_cauchy(series[0], series[1])
-    v = _interval_cauchy(series[2], series[3])
+    u = [c.iv for c in (enclosures[0] * enclosures[1]).coeffs]
+    v = [c.iv for c in (enclosures[2] * enclosures[3]).coeffs]
+    exact = None
     for rho_lo, rho_hi in rho_rounds:
-        head = _exact_bound(series, rho_lo, rho_hi, 0)
+        head = _exact_bound(heads, rho_lo, rho_hi, 0)
         if head is None:
             continue
         rho = (_intervals([rho_lo])[0][0], _intervals([rho_hi])[0][1])
@@ -321,10 +333,12 @@ def _exact_mode_bounds(series, rho_rounds):
                 bounds.append(_dyadic(hi))
             else:
                 fallbacks += 1
-                exact = _exact_bound(series, rho_lo, rho_hi, m)
                 if exact is None:
+                    exact = build()
+                bound = _exact_bound(exact, rho_lo, rho_hi, m)
+                if bound is None:
                     break
-                bounds.append(exact)
+                bounds.append(bound)
         else:
             return head, bounds, fallbacks
     return None
@@ -354,10 +368,20 @@ def _classify_exact(bounds):
     return verdict, None, margin
 
 
-def _exact_report(spec: TuranianSpec, series, rho_rounds, expected, norm,
+def _exact_report(spec: TuranianSpec, rho_rounds, expected, norm,
                   chain_case=None) -> SignReport:
-    """Exact-mode SignReport from the four shifted series (see _exact_mode_bounds)."""
-    found = _exact_mode_bounds(series, rho_rounds)
+    """Exact-mode SignReport of the Turanian of spec (see _exact_mode_bounds).
+
+    The four shifted series are built exactly to order 0 only.  Their term
+    ratios, run in _Interval arithmetic, enclose them to the full order;
+    exact series to the full order are built only for a coefficient whose
+    interval contains 0.
+    """
+    heads = _shifted(spec, lambda sh: _shift_series(spec, sh, 0))
+    enclosures = tuple(h.ratio.series(spec.order, lift=_Interval.of) for h in heads)
+    found = _exact_mode_bounds(heads, enclosures,
+                               lambda: _shifted(spec, partial(_shift_series, spec)),
+                               rho_rounds)
     if found is None:
         return SignReport(SignVerdict.INCONCLUSIVE, None, None, spec.order,
                           None, spec.family.value, spec.q.mode, norm,
@@ -456,11 +480,10 @@ def delta_sign_certificate(spec: TuranianSpec) -> SignReport:
     if _is_degenerate(spec):
         return _zero_report(spec, expected, norm)
     _positive_hypotheses(spec)
-    series_fn = partial(_shift_series, spec)
     if spec.q.is_exact:
-        return _exact_report(spec, _shifted(spec, series_fn), [(ex(1), ex(1))],
-                             expected, norm)
-    return _float_report(spec, *_product_pair(spec, series_fn), expected, norm)
+        return _exact_report(spec, [(ex(1), ex(1))], expected, norm)
+    return _float_report(spec, *_product_pair(spec, partial(_shift_series, spec)),
+                         expected, norm)
 
 
 # -- tilde family: exact enclosure of the prefactor ratio --------------------
@@ -529,10 +552,9 @@ def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:
         return _float_report(spec, *_product_pair(spec, tilde), expected,
                              "absolute x^m coefficients")
 
-    series = _shifted(spec, lambda sh: heine_f_series(mu + sh, q, spec.order))
     first = max(spec.order, 48)
     rho_rounds = (_rho_interval(mu, alpha, beta, q, first << k) for k in range(8))
-    return _exact_report(spec, series, rho_rounds, expected, norm)
+    return _exact_report(spec, rho_rounds, expected, norm)
 
 
 def gamma_sign_certificate(spec: TuranianSpec, *,
@@ -591,13 +613,11 @@ def gamma_sign_certificate(spec: TuranianSpec, *,
     if _is_degenerate(spec):
         rep = _zero_report(spec, expected, norm)
         return replace(rep, chain_case=chain_case)
-    series_fn = partial(_shift_series, spec)
     if q.is_exact:
-        rep = _exact_report(spec, _shifted(spec, series_fn), [(ex(1), ex(1))],
-                            expected, norm, chain_case)
+        rep = _exact_report(spec, [(ex(1), ex(1))], expected, norm, chain_case)
     else:
-        rep = _float_report(spec, *_product_pair(spec, series_fn), expected,
-                            norm, chain_case)
+        rep = _float_report(spec, *_product_pair(spec, partial(_shift_series, spec)),
+                            expected, norm, chain_case)
     matches = rep.matches_expected
     if matches and expected == SignVerdict.ALL_NONNEG:
         matches = rep.coeff0.sign() >= 0

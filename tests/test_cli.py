@@ -1,9 +1,15 @@
 """CLI behaviour: exit codes, report schema, determinism, CSV output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qturan.cli import parse_grid, parse_rational, run
 from fractions import Fraction as F
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_json(path):
@@ -119,6 +125,28 @@ def test_scan_empty_grid_is_an_error(capsys):
                 "--alpha", "1", "--beta", "1", "--order", "5"])
     assert code == 2
     assert "empty" in capsys.readouterr().err
+
+
+def test_scan_lower_parameter_collision_is_an_error(capsys):
+    # b_1 + mu = 0: (q^(b+mu); q)_n vanishes, in every shifted series
+    code = run(["scan", "--family", "g", "--a", "2,3", "--b", "0,2", "--q", "1/2",
+                "--mu-grid", "0", "--alpha-grid", "1", "--beta-grid", "1",
+                "--order", "10"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: lower parameter")
+
+
+def test_python_m_qturan_runs_the_cli(tmp_path):
+    out = tmp_path / "r.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "qturan", "scan", "--family", "heine-f", "--q", "1/2",
+         "--mu-grid", "1", "--alpha", "1", "--beta", "1", "--order", "8",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "1/1 points match" in done.stdout
+    assert read_json(out)["verdicts"][0]["verdict"] == "all-strictly-neg"
 
 
 def test_env_var_sets_default_digits(monkeypatch):

@@ -8,17 +8,22 @@ of the full exact Cauchy products instead.
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qturan import turanian
 from qturan.qcore import QBase, qpochhammer_finite
-from qturan.scalar import ex
-from qturan.series import TruncatedSeries, heine_f_series
+from qturan.scalar import CollisionError, ex
+from qturan.series import TruncatedSeries, g_series, heine_f_series
 from qturan.turanian import (
     Family,
     SignVerdict,
     TuranianSpec,
+    _dyadic,
     _exact_mode_bounds,
+    _Interval,
+    _rho_interval,
     sign_certificate,
     turanian_series,
 )
@@ -55,6 +60,21 @@ def exact_tilde_coeffs(mu, alpha, beta, q, order):
     rho = (qpochhammer_finite(qmu, q, int(alpha)) * qpochhammer_finite(qmu, q, int(beta))
            / qpochhammer_finite(qmu, q, int(alpha + beta)))
     return [a - rho * b for a, b in zip(u.coeffs, v.coeffs)]
+
+
+def tilde_far_bounds(mu, alpha, beta, q, order):
+    """Per coefficient, the endpoint farthest from 0 of the exact bounds on
+    u_m - rho v_m that the exact products u, v give against both ends of
+    _rho_interval at 4x the certificate's first number of terms; None where
+    those bounds do not decide the sign."""
+    f = [heine_f_series(mu + s, q, order) for s in (alpha, beta, 0, alpha + beta)]
+    u, v = f[0] * f[1], f[2] * f[3]
+    rho_lo, rho_hi = _rho_interval(mu, alpha, beta, q, 4 * max(order, 48))
+    far = []
+    for a, b in zip(u.coeffs, v.coeffs):
+        lo, hi = a - rho_hi * b, a - rho_lo * b
+        far.append(hi if lo.sign() > 0 else lo if hi.sign() < 0 else None)
+    return far
 
 
 @st.composite
@@ -122,7 +142,10 @@ def test_zero_straddling_interval_falls_back_to_exact_sign():
     tiny = F(1, 2 ** 200)
     one = TruncatedSeries((ex(1), ex(1)), 1)
     bumped = TruncatedSeries((ex(1), ex(1 + tiny)), 1)
-    coeff0, bounds, fallbacks = _exact_mode_bounds((one, one, one, bumped),
+    series = (one, one, one, bumped)
+    enclosures = tuple(TruncatedSeries(tuple(map(_Interval.of, s.coeffs)), 1)
+                       for s in series)
+    coeff0, bounds, fallbacks = _exact_mode_bounds(series, enclosures, lambda: series,
                                                    [(ex(1), ex(1))])
     assert coeff0.is_zero() and fallbacks == 1
     assert bounds == [ex(-tiny)]
@@ -138,3 +161,67 @@ def test_interval_decided_margin_is_a_dyadic_lower_bound():
     assert 0 < margin <= exact_min.to_fraction()
     assert margin.denominator & (margin.denominator - 1) == 0    # a power of 2
     assert exact_min.to_fraction() - margin < exact_min.to_fraction() * F(1, 2 ** 90)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]),
+       st.integers(1, 8).map(lambda k: F(k, 2)),
+       st.integers(0, 3).map(lambda k: F(2 * k + 1, 2)),
+       st.integers(1, 8).map(lambda k: F(k, 2)),
+       st.integers(1, 20))
+def test_tilde_half_integer_shifts_agree_with_rho_enclosure(qv, mu, alpha, beta, order):
+    q = QBase.exact(q=qv)
+    far = tilde_far_bounds(mu, alpha, beta, q, order)
+    assume(None not in far)
+    rep = sign_certificate(TuranianSpec(Family.HEINE_F_TILDE, mu, alpha, beta, q, order))
+    verdict, viol, bound = reference(far)
+    assert (rep.verdict, rep.first_violation) == (verdict, viol)
+    assert rep.decided_by in ("interval", "interval+exact")
+    assert rep.coeff0.sign() == far[0].sign() and abs(rep.coeff0) <= abs(far[0])
+    if bound is None:
+        assert rep.min_margin is None
+    else:
+        assert 0 < rep.min_margin <= bound
+
+
+@pytest.mark.parametrize("qv", [F(1, 4), F(1, 2), F(3, 4)])
+@pytest.mark.parametrize("build", [
+    lambda q, n: heine_f_series(F(1), q, n),
+    lambda q, n: heine_f_series(F(1, 2), q, n),
+    lambda q, n: g_series(*VECTORS["g-a"], F(5, 2), q, n, ref_mu=F(1, 2)),
+    lambda q, n: g_series(*VECTORS["g-b"], F(5, 2), q, n, ref_mu=F(1, 2)),
+], ids=["heine-1", "heine-1/2", "g-a", "g-b"])
+def test_enclosures_contain_the_exact_coefficients(build, qv):
+    # the certificate encloses each shifted series by running the term ratio
+    # of its order-0 head in intervals
+    q = QBase.exact(q=qv)
+    exact = build(q, 60)
+    enclosure = build(q, 0).ratio.series(60, lift=_Interval.of)
+    for c, iv in zip(exact.coeffs, enclosure.coeffs, strict=True):
+        lo, hi = iv.iv
+        assert _dyadic(lo) <= c <= _dyadic(hi)
+
+
+def test_interval_decided_point_builds_no_exact_series(monkeypatch):
+    orders = []
+
+    def counting(mu, q, order):
+        orders.append(order)
+        return heine_f_series(mu, q, order)
+
+    monkeypatch.setattr(turanian, "heine_f_series", counting)
+    spec = TuranianSpec(Family.HEINE_F, F(3, 2), F(1, 2), F(5, 2), QBase.exact(q=F(3, 4)), 60)
+    rep = sign_certificate(spec)
+    assert rep.decided_by == "interval" and rep.verdict == SignVerdict.ALL_STRICTLY_NEG
+    assert orders == [0, 0, 0, 0]
+
+
+def test_lower_collision_is_an_error_in_the_interval_path():
+    # b_1 + mu = 0 at mu = 0: the factor 1 - q^(b+mu) of every shifted series vanishes
+    q = QBase.exact(q=F(1, 2))
+    a, b = (F(2), F(3)), (F(0), F(2))
+    head = g_series(a, b, F(0), q, 0)
+    with pytest.raises(CollisionError):
+        head.ratio.series(10, lift=_Interval.of)
+    with pytest.raises(CollisionError):
+        sign_certificate(TuranianSpec(Family.G_NORMALIZED, F(0), F(1), F(1), q, 10, a, b))

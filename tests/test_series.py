@@ -180,6 +180,12 @@ class TestGSeries:
         got = shifted.coeffs[0].to_mpf(50)
         assert abs(got - want) < mpmath.mpf("1e-38") * abs(want)
 
+    def test_lower_exponent_zero_collides_at_every_shift(self):
+        # b_1 + mu = 0: (q^(b+mu); q)_n and the relative prefactor both vanish
+        for mu in (F(0), F(1), F(2)):
+            with pytest.raises(CollisionError):
+                g_series((F(2), F(3)), (F(0), F(2)), mu, Q12, 10, ref_mu=F(0))
+
     def test_negative_parameters_rejected(self):
         with pytest.raises(HypothesisError):
             g_series((F(-1),), (F(1),), F(1), Q12, 3)
