@@ -149,7 +149,9 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
 
     For each x the integral c_0 + integral_0^T e^(-t/x) density(t) dt is
     compared to c_0 + sum_m c_m x^m; T defaults to the first window where
-    the integrand envelope falls below the tolerance.
+    the integrand envelope falls below the tolerance.  Both sides are
+    compared at the working precision, digits + 15, so the residual shows
+    the quadrature error instead of being rounded to 0.
     """
     # 15 guard digits absorb quadrature round-off below the reported digits
     work = digits + 15
@@ -189,7 +191,6 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
                 xp = xp * x
                 v = c.to_mpf(work) if isinstance(c, ExactScalar) else c.val
                 series_side += v * xp
-            pairs.append((FloatScalar(integral, digits),
-                          FloatScalar(series_side, digits)))
+            pairs.append((FloatScalar(integral, work), FloatScalar(series_side, work)))
     from .identities import _compare
     return _compare(pairs, "float", md.order, "laplace-representation")

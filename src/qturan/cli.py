@@ -63,6 +63,14 @@ def parse_rational(text: str) -> Fraction:
         raise QTuranError(f"cannot parse rational {text!r}: {exc}") from exc
 
 
+def _required_rational(args, name: str, context: str) -> Fraction:
+    """The rational value of option --name, which context needs."""
+    text = getattr(args, name)
+    if text is None:
+        raise QTuranError(f"--{name} is required for {context}")
+    return parse_rational(text)
+
+
 def parse_grid(text: str) -> list[Fraction]:
     """'start:stop:step' inclusive of endpoints within step/2, or one value."""
     if ":" not in text:
@@ -215,27 +223,28 @@ def cmd_eval(args) -> int:
         return 0
     q = make_qbase(args)
     started = time.monotonic()
+
+    def need(name):
+        return _required_rational(args, name, f"family {args.family}")
+
     x = parse_rational(args.x) if args.x is not None else None
     point = {"family": args.family, "mu": args.mu, "x": args.x, "y": args.y}
     if args.family == "heine-f":
-        value = heine_f_series(parse_rational(args.mu), q, args.order).eval(q.scalar(x))
+        value = heine_f_series(need("mu"), q, args.order).eval(q.scalar(x))
     elif args.family == "heine-f-tilde":
-        series = heine_f_tilde_series(parse_rational(args.mu), q, args.order,
+        series = heine_f_tilde_series(need("mu"), q, args.order,
                                       absolute=(args.mode == "float"))
         value = series.eval(q.scalar(x))
     elif args.family == "g":
         value = g_series(parse_vector(args.a), parse_vector(args.b),
-                         parse_rational(args.mu), q, args.order,
+                         need("mu"), q, args.order,
                          absolute=(args.mode == "float")).eval(q.scalar(x))
     elif args.family == "qbessel-j1":
-        value = qbessel_j1(parse_rational(args.alpha), parse_rational(args.y),
-                           q, args.order)
+        value = qbessel_j1(need("alpha"), parse_rational(args.y), q, args.order)
     elif args.family == "qbessel-j2":
-        value = qbessel_j2(parse_rational(args.alpha), parse_rational(args.y),
-                           q, args.order)
+        value = qbessel_j2(need("alpha"), parse_rational(args.y), q, args.order)
     elif args.family == "qbessel-i1":
-        value = modified_qbessel_i1(parse_rational(args.nu), parse_rational(args.y),
-                                    q, args.order)
+        value = modified_qbessel_i1(need("nu"), parse_rational(args.y), q, args.order)
     else:
         raise QTuranError(f"unknown eval family {args.family!r}")
     timing = None if args.mode == "exact" else time.monotonic() - started
@@ -317,11 +326,14 @@ def cmd_verify(args) -> int:
     started = time.monotonic()
     residuals = []
     tol = mpmath.mpf(args.tol)
+
+    def need(name):
+        return _required_rational(args, name, f"--identity {args.identity}")
+
     if args.identity == "q-to-1":
         seq = [s for s in (args.q_sequence or "0.9,0.99,0.999").split(",") if s]
         results = identities.q_to_1_limit_study(
-            parse_rational(args.mu), int(args.alpha), parse_rational(args.beta),
-            parse_rational(args.x), seq, digits=args.digits)
+            need("mu"), need("alpha"), need("beta"), need("x"), seq, digits=args.digits)
         deviations = [r.max_abs.val for r in results]
         decreasing = all(b < a for a, b in zip(deviations, deviations[1:]))
         for r in results:
@@ -337,8 +349,7 @@ def cmd_verify(args) -> int:
     coeff_order = args.order if args.order is not None else 30
     if args.identity == "kummer":
         res = identities.verify_kummer_linearization(
-            parse_rational(args.mu), int(args.alpha), parse_rational(args.beta),
-            coeff_order)
+            need("mu"), need("alpha"), need("beta"), coeff_order)
         residuals.append(report_residual(res, {"identity": args.identity}))
         cfg = _config_common(args, {"identity": args.identity, "tol": args.tol})
         write_report(args.out, cfg, [], residuals, [], None)
@@ -350,21 +361,20 @@ def cmd_verify(args) -> int:
     q = make_qbase(args)
     if args.identity == "rahman":
         res = identities.verify_rahman_product(
-            parse_rational(args.nu), parse_rational(args.eta), q, coeff_order)
+            need("nu"), need("eta"), q, coeff_order)
     elif args.identity == "finite-sum":
         res = identities.verify_finite_sum_identity(
-            parse_rational(args.nu), parse_rational(args.eta), q, args.m)
+            need("nu"), need("eta"), q, args.m)
     elif args.identity == "connection":
         # default None lets the verifier size the series from the tail bound
         res = identities.verify_connection_formula(
-            parse_rational(args.alpha), parse_rational(args.y), q, args.order)
+            need("alpha"), need("y"), q, args.order)
     elif args.identity == "linearization":
         res = identities.verify_linearization(
-            parse_rational(args.mu), int(args.alpha), parse_rational(args.beta),
-            q, coeff_order)
+            need("mu"), need("alpha"), need("beta"), q, coeff_order)
     elif args.identity == "recqgamma":
         res = identities.verify_recqgamma(
-            parse_rational(args.mu), parse_rational(args.beta), q, args.m)
+            need("mu"), need("beta"), q, args.m)
     else:
         raise QTuranError(f"unknown identity {args.identity!r}")
     residuals.append(report_residual(res, {"identity": args.identity}))

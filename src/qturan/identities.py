@@ -6,24 +6,34 @@ reports a :class:`Residual`.  In exact mode the comparison is exact
 identities hold as formal power series); in float mode the residual records
 the maximum absolute and relative deviation.
 
-A representation note: the product of the four upper parameters
+The Rahman product formula and its finite-sum corollary share one
+computation: the finite-sum check at m is coefficient m of the two product
+sides, each formed in O(m) by ``TruncatedSeries.product_coefficient``.  The
+product of the four upper parameters of the 4phi3
 (+-q^((v+e-1)/2), +-q^((v+e)/2)) is evaluated through the pairing
 (a; q)_k (-a; q)_k = (a^2; q^2)_k, which keeps half-integer v, e inside the
 exact field.  When v+e = 1 the lower parameter q^(v+e-1) equals 1 and the
 coefficient is a removable 0/0 form whose limit replaces
 (1; q^2)_k / (1; q)_k by (q^2; q^2)_{k-1} / (q; q)_{k-1}.
+
+The linearization identity of the paper and its q -> 1 (Kummer) case are
+written once, in :func:`_linearization`; the q-series, confluent series and
+the two pointwise forms of the q -> 1 study supply their own F and
+Pochhammer symbol.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .qcore import QBase, pochhammer_classical, qgamma, qpochhammer_finite, shifted_factorial
+from .qcore import QBase, pochhammer_classical, qgamma, qpochhammer_finite
 from .series import (
     PhiSpec,
+    TermRatio,
     TruncatedSeries,
     geometric_tail_order,
     heine_f_series,
@@ -80,98 +90,74 @@ def _compare(pairs, mode: str, order: int, label: str, note=None) -> Residual:
                     label=label, note=note)
 
 
-def _phi43_rahman_coeffs(nu, eta, q: QBase, order: int):
-    """Coefficients of the 4phi3 factor of the Rahman product.
+def _phi43_rahman_series(nu, eta, q: QBase, order: int) -> TruncatedSeries:
+    """The 4phi3 factor of the Rahman product, from its term ratio.
 
-    Coefficient k is (q^(v+e-1); q^2)_k (q^(v+e); q^2)_k divided by
-    (q^v; q)_k (q^e; q)_k (q^(v+e-1); q)_k (q; q)_k, with the removable
-    v+e = 1 limit handled.
+    Coefficient k is (A; q^2)_k (q A; q^2)_k divided by
+    (q^v; q)_k (q^e; q)_k (A; q)_k (q; q)_k with A = q^(v+e-1), so
+
+        c_k / c_(k-1) = (1 - A q^(2k-2)) (1 - q A q^(2k-2))
+                        / ((1 - q^v q^(k-1)) (1 - q^e q^(k-1)) (1 - A q^(k-1)) (1 - q^k)).
+
+    In the removable case A = 1 the first factor pair is 1 at k = 1 and
+    (1 - q^(2k-2)) / (1 - q^(k-1)) = 1 + q^(k-1) after.
     """
     big_a = q.q_power(nu + eta - 1)
     big_b = q.q_power(nu + eta)
     q_nu = q.q_power(nu)
     q_eta = q.q_power(eta)
-    q2 = q.q * q.q
     removable = (big_a - 1).is_zero()
-    coeffs = []
-    for k in range(order + 1):
-        if removable:
-            up = shifted_factorial(q2, q2, k - 1) if k else q.one
-            lo_a = shifted_factorial(q.q, q.q, k - 1) if k else q.one
-        else:
-            up = shifted_factorial(big_a, q2, k)
-            lo_a = shifted_factorial(big_a, q.q, k)
-        up = up * shifted_factorial(big_b, q2, k)
-        den = (shifted_factorial(q_nu, q.q, k) *
-               shifted_factorial(q_eta, q.q, k) *
-               lo_a *
-               shifted_factorial(q.q, q.q, k))
+    c = q.one
+    coeffs = [c]
+    qk1 = q.one          # q^(k-1)
+    for k in range(1, order + 1):
+        qk = qk1 * q.q
+        q2k2 = qk1 * qk1
+        num = 1 - big_b * q2k2
+        den = (1 - q_nu * qk1) * (1 - q_eta * qk1) * (1 - qk)
+        if not removable:
+            num = num * (1 - big_a * q2k2)
+            den = den * (1 - big_a * qk1)
+        elif k > 1:
+            num = num * (1 + qk1)
         if den.is_zero():
             raise CollisionError(
                 f"lower parameter of the 4phi3 vanishes at k={k}"
             )
-        coeffs.append(up / den)
-    return coeffs
+        c = c * (num / den)
+        coeffs.append(c)
+        qk1 = qk
+    return TruncatedSeries(tuple(coeffs), order, f"4phi3(nu={nu},eta={eta})")
 
 
-def _check_heine_params(*params):
-    for p in params:
-        if isinstance(p, Fraction) and not p > 0:
-            raise HypothesisError(f"parameter {p} must be positive")
+def _rahman_factors(nu, eta, q: QBase, order: int):
+    """The factor pairs of the two sides of the Rahman product formula.
+
+    Left: F(nu) and F(eta), Heine's 2phi1(0, 0; q^v; x), which checks
+    nu, eta > 0.  Right: the paired 4phi3 and e_q(x), whose coefficient j
+    is 1/(q; q)_j.
+    """
+    left = (heine_f_series(nu, q, order), heine_f_series(eta, q, order))
+    e_q = TermRatio(q.one, (), (), q).series(order)
+    return left, (_phi43_rahman_series(nu, eta, q, order), e_q)
 
 
 def verify_rahman_product(nu, eta, q: QBase, order: int) -> Residual:
     """Product of two Heine series against e_q times the paired 4phi3."""
-    nu = as_fraction(nu) if q.is_exact else nu
-    eta = as_fraction(eta) if q.is_exact else eta
-    _check_heine_params(nu, eta)
-    lhs = heine_f_series(nu, q, order) * heine_f_series(eta, q, order)
-
-    phi43 = _phi43_rahman_coeffs(nu, eta, q, order)
-    # e_q(z) has coefficient j equal to 1/(q; q)_j
-    eq_coeffs = []
-    cur = q.one
-    qq_run = q.one
-    qk = q.q
-    for j in range(order + 1):
-        eq_coeffs.append(cur)
-        qq_run = qq_run * (1 - qk)
-        qk = qk * q.q
-        cur = q.one / qq_run
-    rhs = []
-    for m in range(order + 1):
-        acc = zero_like(q.one)
-        for k in range(m + 1):
-            acc = acc + phi43[k] * eq_coeffs[m - k]
-        rhs.append(acc)
-    pairs = list(zip(lhs.coeffs, rhs))
+    nu, eta = (as_fraction(nu), as_fraction(eta)) if q.is_exact else (nu, eta)
+    (f_nu, f_eta), (phi43, e_q) = _rahman_factors(nu, eta, q, order)
+    pairs = list(zip((f_nu * f_eta).coeffs, (phi43 * e_q).coeffs))
     return _compare(pairs, q.mode, order, f"rahman-product(nu={nu},eta={eta})")
 
 
 def verify_finite_sum_identity(nu, eta, q: QBase, m: int) -> Residual:
-    """The order-m coefficient identity extracted from the Rahman product."""
+    """The order-m coefficient identity: coefficient m of the Rahman product."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    nu = as_fraction(nu) if q.is_exact else nu
-    eta = as_fraction(eta) if q.is_exact else eta
-    _check_heine_params(nu, eta)
-    q_nu = q.q_power(nu)
-    q_eta = q.q_power(eta)
-    lhs = zero_like(q.one)
-    for k in range(m + 1):
-        den = (shifted_factorial(q_nu, q.q, k) *
-               shifted_factorial(q_eta, q.q, m - k) *
-               shifted_factorial(q.q, q.q, k) *
-               shifted_factorial(q.q, q.q, m - k))
-        if den.is_zero():
-            raise CollisionError(f"denominator vanishes at k={k}")
-        lhs = lhs + q.one / den
-    phi43 = _phi43_rahman_coeffs(nu, eta, q, m)
-    rhs = zero_like(q.one)
-    for k in range(m + 1):
-        rhs = rhs + phi43[k] / shifted_factorial(q.q, q.q, m - k)
-    return _compare([(lhs, rhs)], q.mode, m,
-                    f"finite-sum(nu={nu},eta={eta},m={m})")
+    nu, eta = (as_fraction(nu), as_fraction(eta)) if q.is_exact else (nu, eta)
+    (f_nu, f_eta), (phi43, e_q) = _rahman_factors(nu, eta, q, m)
+    pair = (f_nu.product_coefficient(f_eta, m), phi43.product_coefficient(e_q, m))
+    return _compare([pair], q.mode, m, f"finite-sum(nu={nu},eta={eta},m={m})")
 
 
 def verify_connection_formula(alpha, y, q: QBase, order: int | None = None) -> Residual:
@@ -197,34 +183,46 @@ def heine_phi_q0_series(c, q: QBase, order: int) -> TruncatedSeries:
     return tphis_series(spec, order)
 
 
-def linearization_sides(mu, alpha: int, beta, q: QBase, order: int):
-    """Both sides of the finite linearization of the Heine product difference."""
-    if not (isinstance(alpha, int) or (isinstance(alpha, Fraction) and alpha.denominator == 1)):
+def _linearization(mu, alpha, beta, phi, poch, scale):
+    """Both sides of the linearization identity, for alpha a positive integer:
+
+        (mu+beta)_alpha F(mu+alpha) F(mu+beta) - (mu)_alpha F(mu) F(mu+alpha+beta)
+          = sum_{j<alpha} (mu+1+j)_(alpha-1-j) (mu+alpha+beta-1-j)_(1+j) F(mu+1+j)
+                          - (mu+j)_(alpha-j) (mu+alpha+beta-j)_j F(mu+alpha+beta-j),
+
+    with F = ``phi`` and (c)_n = ``poch(c, n)``; ``scale(coef, value)`` is
+    the product of a Pochhammer coefficient and a value of phi (or a product
+    of two).  The four callers differ only in phi, poch and scale.
+    """
+    if not (isinstance(alpha, (int, Fraction)) and alpha == int(alpha) and alpha >= 1):
         raise HypothesisError(f"alpha must be a positive integer, got {alpha}")
     alpha = int(alpha)
-    if alpha < 1:
-        raise HypothesisError("alpha must be a positive integer")
-    mu = as_fraction(mu) if q.is_exact else mu
-    beta = as_fraction(beta) if q.is_exact else beta
-
-    def phi(c):
-        return heine_phi_q0_series(c, q, order)
-
-    def poch(c, n):
-        return qpochhammer_finite(q.q_power(c), q, n)
-
-    lhs = (phi(mu + alpha) * phi(mu + beta)).scaled(poch(mu + beta, alpha)) \
-        - (phi(mu) * phi(mu + alpha + beta)).scaled(poch(mu, alpha))
-
+    lhs = (scale(poch(mu + beta, alpha), phi(mu + alpha) * phi(mu + beta))
+           - scale(poch(mu, alpha), phi(mu) * phi(mu + alpha + beta)))
     rhs = None
     for j in range(alpha):
-        pos = phi(mu + 1 + j).scaled(
-            poch(mu + 1 + j, alpha - 1 - j) * poch(mu + alpha + beta - 1 - j, 1 + j))
-        neg = phi(mu + alpha + beta - j).scaled(
-            poch(mu + j, alpha - j) * poch(mu + alpha + beta - j, j))
-        bracket = pos - neg
-        rhs = bracket if rhs is None else rhs + bracket
+        term = (scale(poch(mu + 1 + j, alpha - 1 - j) * poch(mu + alpha + beta - 1 - j, 1 + j),
+                      phi(mu + 1 + j))
+                - scale(poch(mu + j, alpha - j) * poch(mu + alpha + beta - j, j),
+                        phi(mu + alpha + beta - j)))
+        rhs = term if rhs is None else rhs + term
     return lhs, rhs
+
+
+def _scaled(coef, series: TruncatedSeries) -> TruncatedSeries:
+    return series.scaled(coef)
+
+
+def _qpoch(q: QBase):
+    return lambda c, n: qpochhammer_finite(q.q_power(c), q, n)
+
+
+def linearization_sides(mu, alpha: int, beta, q: QBase, order: int):
+    """Both sides of the finite linearization of the Heine product difference."""
+    mu = as_fraction(mu) if q.is_exact else mu
+    beta = as_fraction(beta) if q.is_exact else beta
+    return _linearization(mu, alpha, beta, lambda c: heine_phi_q0_series(c, q, order),
+                          _qpoch(q), _scaled)
 
 
 def verify_linearization(mu, alpha: int, beta, q: QBase, order: int) -> Residual:
@@ -237,31 +235,9 @@ def verify_linearization(mu, alpha: int, beta, q: QBase, order: int) -> Residual
 
 def kummer_sides(mu, alpha: int, beta, order: int):
     """Both sides of the q -> 1 confluent limit of the linearization."""
-    if not (isinstance(alpha, int) or (isinstance(alpha, Fraction) and alpha.denominator == 1)):
-        raise HypothesisError(f"alpha must be a positive integer, got {alpha}")
-    alpha = int(alpha)
-    if alpha < 1:
-        raise HypothesisError("alpha must be a positive integer")
-    mu = as_fraction(mu)
-    beta = as_fraction(beta)
-
-    def f(c):
-        return kummer_1f1_unit_top(c, order)
-
-    def poch(c, n):
-        return pochhammer_classical(ex(c), n)
-
-    lhs = (f(mu + alpha) * f(mu + beta)).scaled(poch(mu + beta, alpha)) \
-        - (f(mu) * f(mu + alpha + beta)).scaled(poch(mu, alpha))
-    rhs = None
-    for j in range(alpha):
-        pos = f(mu + 1 + j).scaled(
-            poch(mu + 1 + j, alpha - 1 - j) * poch(mu + alpha + beta - 1 - j, 1 + j))
-        neg = f(mu + alpha + beta - j).scaled(
-            poch(mu + j, alpha - j) * poch(mu + alpha + beta - j, j))
-        bracket = pos - neg
-        rhs = bracket if rhs is None else rhs + bracket
-    return lhs, rhs
+    return _linearization(as_fraction(mu), alpha, as_fraction(beta),
+                          lambda c: kummer_1f1_unit_top(c, order),
+                          lambda c, n: pochhammer_classical(ex(c), n), _scaled)
 
 
 def verify_kummer_linearization(mu, alpha: int, beta, order: int) -> Residual:
@@ -274,54 +250,21 @@ def verify_kummer_linearization(mu, alpha: int, beta, order: int) -> Residual:
 
 def _linearization_sides_value(mu, alpha: int, beta, x, q: QBase):
     """Transformed q-side values: argument (1-q)x, scaled by (1-q)^(-alpha)."""
-    digits = q.digits
     z = (1 - q.q) * q.scalar(x)
-    tol = mpmath.mpf(10) ** (4 - digits)
+    tol = mpmath.mpf(10) ** (4 - q.digits)
     order = geometric_tail_order(abs(z), tol, minimum=60)
-
-    def phi_val(c):
-        return heine_phi_q0_series(c, q, order).eval(z)
-
-    def poch(c, n):
-        return qpochhammer_finite(q.q_power(c), q, n)
-
-    scale = (1 - q.q) ** (-alpha)
-    lhs = scale * (poch(mu + beta, alpha) * phi_val(mu + alpha) * phi_val(mu + beta)
-                   - poch(mu, alpha) * phi_val(mu) * phi_val(mu + alpha + beta))
-    rhs_acc = None
-    for j in range(alpha):
-        pos = (poch(mu + 1 + j, alpha - 1 - j)
-               * poch(mu + alpha + beta - 1 - j, 1 + j)
-               * phi_val(mu + 1 + j))
-        neg = (poch(mu + j, alpha - j)
-               * poch(mu + alpha + beta - j, j)
-               * phi_val(mu + alpha + beta - j))
-        term = pos - neg
-        rhs_acc = term if rhs_acc is None else rhs_acc + term
-    rhs = scale * rhs_acc
-    return lhs, rhs
+    lhs, rhs = _linearization(mu, alpha, beta,
+                              lambda c: heine_phi_q0_series(c, q, order).eval(z),
+                              _qpoch(q), operator.mul)
+    scale = (1 - q.q) ** (-int(alpha))
+    return scale * lhs, scale * rhs
 
 
 def _kummer_sides_value(mu, alpha: int, beta, x, digits: int):
-    def f_val(c):
-        return kummer_1f1_value(c, fl(x, digits), digits)
-
-    def poch(c, n):
-        return pochhammer_classical(ex(c), n).to_float_scalar(digits)
-
-    lhs = (poch(mu + beta, alpha) * f_val(mu + alpha) * f_val(mu + beta)
-           - poch(mu, alpha) * f_val(mu) * f_val(mu + alpha + beta))
-    rhs = None
-    for j in range(alpha):
-        pos = (poch(mu + 1 + j, alpha - 1 - j)
-               * poch(mu + alpha + beta - 1 - j, 1 + j)
-               * f_val(mu + 1 + j))
-        neg = (poch(mu + j, alpha - j)
-               * poch(mu + alpha + beta - j, j)
-               * f_val(mu + alpha + beta - j))
-        term = pos - neg
-        rhs = term if rhs is None else rhs + term
-    return lhs, rhs
+    return _linearization(mu, alpha, beta,
+                          lambda c: kummer_1f1_value(c, fl(x, digits), digits),
+                          lambda c, n: pochhammer_classical(ex(c), n).to_float_scalar(digits),
+                          operator.mul)
 
 
 def q_to_1_limit_study(mu, alpha: int, beta, x, q_sequence, *,
@@ -332,9 +275,6 @@ def q_to_1_limit_study(mu, alpha: int, beta, x, q_sequence, *,
     (1-q)^(-alpha); the residual records how far each side sits from the
     corresponding confluent side.  Deviations should decrease as q -> 1.
     """
-    alpha = int(alpha)
-    if alpha < 1:
-        raise HypothesisError("alpha must be a positive integer")
     mu = as_fraction(mu)
     beta = as_fraction(beta)
     base_lhs, base_rhs = _kummer_sides_value(mu, alpha, beta, x, digits)
@@ -345,7 +285,7 @@ def q_to_1_limit_study(mu, alpha: int, beta, x, q_sequence, *,
             starving = (1 - q.q.val) < mpmath.mpf(10) ** (-digits / 2)
         note = "precision exhaustion: 1-q below 10^(-digits/2)" if starving else None
         lhs_q, rhs_q = _linearization_sides_value(mu, alpha, beta, x, q)
-        res = _compare([(lhs_q, base_lhs), (rhs_q, base_rhs)], "float", alpha,
+        res = _compare([(lhs_q, base_lhs), (rhs_q, base_rhs)], "float", int(alpha),
                        f"q-to-1(q={qv})", note=note)
         out.append(res)
     return out

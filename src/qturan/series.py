@@ -5,7 +5,7 @@ between series of different orders truncates to the smaller order; the
 Cauchy product is the single convolution kernel every Turanian goes
 through.
 
-The three q-hypergeometric constructors below share one
+The q-hypergeometric constructors and the q-Bessel sums below share one
 :class:`TermRatio`: c_0 and the parameters of c_n / c_(n-1), whose
 recurrence runs in any coefficient type with *, / and ``1 - x`` (exact,
 float, or the interval enclosures of the exact sign certificates).  Each
@@ -429,20 +429,11 @@ def qbessel_j1(alpha, y, q: QBase, order: int) -> Scalar:
     with mpmath.workdps(q.digits):
         if y.val < 0 and mpmath.floor(alpha_s.val) != alpha_s.val:
             raise DomainError("negative y needs integer alpha")
-    prefactor = (half_y ** alpha_s) * qpochhammer_infinite(
-        q.q ** (alpha_s + 1), q) / qpochhammer_infinite(q.q, q)
-    z = -(y * y) / 4
     b = q.q ** (alpha_s + 1)
-    total = q.one
-    term = q.one
-    qn1 = q.one
-    qn = q.q
-    for _ in range(1, order + 1):
-        term = term * z / ((1 - b * qn1) * (1 - qn))
-        total = total + term
-        qn1 = qn1 * q.q
-        qn = qn * q.q
-    return prefactor * total
+    prefactor = (half_y ** alpha_s) * qpochhammer_infinite(
+        b, q) / qpochhammer_infinite(q.q, q)
+    terms = TermRatio(q.one, (), (b,), q).series(order)
+    return prefactor * terms.eval(-(y * y) / 4)
 
 
 def qbessel_j2(alpha, y, q: QBase, order: int) -> Scalar:
@@ -463,20 +454,9 @@ def qbessel_j2(alpha, y, q: QBase, order: int) -> Scalar:
     b = q.q ** (alpha_s + 1)
     prefactor = (half_y ** alpha_s) * qpochhammer_infinite(
         b, q) / qpochhammer_infinite(q.q, q)
-    z = -(y * y) * b / 4
-    total = q.one
-    term = q.one
-    qn1 = q.one
-    qn = q.q
-    q2 = q.q * q.q
-    qpow2 = q.one        # q^(2(n-1))
-    for _ in range(1, order + 1):
-        term = term * z * qpow2 / ((1 - b * qn1) * (1 - qn))
-        total = total + term
-        qpow2 = qpow2 * q2
-        qn1 = qn1 * q.q
-        qn = qn * q.q
-    return prefactor * total
+    # d = 2 with scale 1 gives the extra factor q^(2(n-1)) of each term ratio
+    terms = TermRatio(q.one, (), (b,), q, 2, q.one).series(order)
+    return prefactor * terms.eval(-(y * y) * b / 4)
 
 
 def modified_qbessel_i1(nu, y, q: QBase, order: int) -> Scalar:
@@ -492,19 +472,9 @@ def modified_qbessel_i1(nu, y, q: QBase, order: int) -> Scalar:
             if nv == mpmath.floor(nv):
                 raise PoleError(f"Gamma_q pole at nu={nv}")
             raise DomainError("modified_qbessel_i1 needs nu > -1")
-    x = (y / 2) ** 2
-    b = q.q ** (nu_s + 1)
-    total = q.one
-    term = q.one
-    qn1 = q.one
-    qn = q.q
-    for _ in range(1, order + 1):
-        term = term * x / ((1 - b * qn1) * (1 - qn))
-        total = total + term
-        qn1 = qn1 * q.q
-        qn = qn * q.q
+    terms = TermRatio(q.one, (), (q.q ** (nu_s + 1),), q).series(order)
     scale = ((y / 2) ** nu_s) / (((1 - q.q) ** nu_s) * qgamma(nu_s + 1, q))
-    return scale * total
+    return scale * terms.eval((y / 2) ** 2)
 
 
 def kummer_1f1_unit_top(b, order: int) -> TruncatedSeries:

@@ -405,32 +405,12 @@ def _float_error_bounds(scale_coeffs, digits):
 
 
 def _classify_float(tail, bounds):
-    signs = []
+    """_classify_exact on float coefficients, INCONCLUSIVE when a nonzero
+    coefficient lies within ten error bounds of 0."""
     for c, bnd in zip(tail, bounds):
-        v = c.val
-        if v == 0:
-            signs.append(0)
-        elif abs(v) <= 10 * bnd:
+        if c.val != 0 and abs(c.val) <= 10 * bnd:
             return SignVerdict.INCONCLUSIVE, None, None
-        else:
-            signs.append(1 if v > 0 else -1)
-    if all(s == 0 for s in signs):
-        return SignVerdict.ZERO, None, tail[0] if tail else None
-    has_pos = any(s > 0 for s in signs)
-    has_neg = any(s < 0 for s in signs)
-    if has_pos and has_neg:
-        first_sign = next(s for s in signs if s != 0)
-        viol = next(i for i, s in enumerate(signs) if s == -first_sign)
-        return SignVerdict.MIXED, viol + 1, None
-    if has_pos:
-        verdict = (SignVerdict.ALL_STRICTLY_POS if all(s > 0 for s in signs)
-                   else SignVerdict.ALL_NONNEG)
-        margin = min(tail)
-    else:
-        verdict = (SignVerdict.ALL_STRICTLY_NEG if all(s < 0 for s in signs)
-                   else SignVerdict.ALL_NONPOS)
-        margin = min(-c for c in tail)
-    return verdict, None, margin
+    return _classify_exact(tail)
 
 
 def _zero_report(spec: TuranianSpec, expected, normalization) -> SignReport:

@@ -139,6 +139,15 @@ class TestLaplaceRepresentation:
                                            digits=DIGITS, upper_limit=80)
         assert res.max_rel.val < mpmath.mpf("1e-20")
 
+    def test_residual_is_reported_at_working_precision(self):
+        # the quadrature error sits below the 50 reported digits; it must
+        # still show in the residual instead of being rounded to 0
+        md = measure_from_series(nonneg_family_turanian())
+        res = laplace_representation_check(md, [F(3, 10)], digits=DIGITS,
+                                           upper_limit=80)
+        assert res.max_rel.digits == DIGITS + 15
+        assert 0 < res.max_rel.val < mpmath.mpf("1e-50")
+
     def test_residual_shrinks_with_joint_tightening(self):
         loose_md = measure_from_series(nonneg_family_turanian(order=12))
         loose = laplace_representation_check(loose_md, [F(3, 10)], digits=20,

@@ -186,3 +186,38 @@ def test_eval_exact_value(capsys, tmp_path):
     # 1 + 4/4 + (64/9)/16 + (4096/441)/64 at x = 1/4
     expect = F(1) + F(1) + F(64, 9) / 16 + F(4096, 441) / 64
     assert printed == str(expect)
+
+
+def test_verify_non_integer_alpha_is_a_usage_error(capsys):
+    base = ["--mu", "1", "--alpha", "3/2", "--beta", "1"]
+    for argv in (["verify", "--identity", "linearization", *base, "--q", "1/2"],
+                 ["verify", "--identity", "kummer", *base],
+                 ["verify", "--identity", "q-to-1", *base, "--x", "1/2"]):
+        assert run(argv) == 2
+        assert "alpha must be a positive integer" in capsys.readouterr().err
+
+
+def test_verify_missing_parameter_names_the_option(capsys):
+    code = run(["verify", "--identity", "linearization", "--mu", "1", "--beta", "1",
+                "--q", "1/2"])
+    assert code == 2
+    assert "--alpha is required for --identity linearization" in capsys.readouterr().err
+    code = run(["verify", "--identity", "finite-sum", "--eta", "1", "--q", "1/2"])
+    assert code == 2
+    assert "--nu is required for --identity finite-sum" in capsys.readouterr().err
+
+
+def test_eval_missing_parameter_names_the_option(capsys):
+    code = run(["eval", "--family", "heine-f", "--x", "1/4", "--q", "1/2"])
+    assert code == 2
+    assert "--mu is required for family heine-f" in capsys.readouterr().err
+
+
+def test_verify_integral_alpha_text_keeps_the_report(tmp_path):
+    out = tmp_path / "k.json"
+    code = run(["verify", "--identity", "kummer", "--mu", "3/2", "--alpha", "2",
+                "--beta", "1/2", "--order", "12", "--out", str(out)])
+    assert code == 0
+    res = read_json(out)["residuals"][0]
+    assert res["exact_zero"] is True
+    assert res["label"] == "kummer-linearization(mu=3/2,alpha=2,beta=1/2)"

@@ -6,7 +6,12 @@ import mpmath
 import pytest
 
 from qturan.identities import (
+    _kummer_sides_value,
+    _linearization_sides_value,
+    _phi43_rahman_series,
+    _rahman_factors,
     heine_phi_q0_series,
+    kummer_sides,
     linearization_sides,
     q_to_1_limit_study,
     verify_connection_formula,
@@ -16,7 +21,7 @@ from qturan.identities import (
     verify_rahman_product,
     verify_recqgamma,
 )
-from qturan.qcore import QBase, qpochhammer_finite
+from qturan.qcore import QBase, qpochhammer_finite, shifted_factorial
 from qturan.scalar import DomainError, HypothesisError
 
 mpmath.mp.dps = 60
@@ -59,6 +64,37 @@ class TestRahmanProduct:
         assert a.max_rel.val < mpmath.mpf("1e-40")
 
 
+def phi43_closed_form(nu, eta, q, order):
+    """4phi3 coefficients of the Rahman product as Pochhammer quotients."""
+    big_a, big_b = q.q_power(nu + eta - 1), q.q_power(nu + eta)
+    q2 = q.q * q.q
+    removable = (big_a - 1).is_zero()
+    coeffs = []
+    for k in range(order + 1):
+        if removable:
+            up = shifted_factorial(q2, q2, k - 1) if k else q.one
+            lo_a = shifted_factorial(q.q, q.q, k - 1) if k else q.one
+        else:
+            up = shifted_factorial(big_a, q2, k)
+            lo_a = shifted_factorial(big_a, q.q, k)
+        up = up * shifted_factorial(big_b, q2, k)
+        den = (shifted_factorial(q.q_power(nu), q.q, k)
+               * shifted_factorial(q.q_power(eta), q.q, k)
+               * lo_a * shifted_factorial(q.q, q.q, k))
+        coeffs.append(up / den)
+    return coeffs
+
+
+@pytest.mark.parametrize("q", [QBase.exact(p=F(1, 2)), QBase.exact(p=F(3, 4)), Q12],
+                         ids=["p=1/2", "p=3/4", "q=1/2"])
+@pytest.mark.parametrize("nu,eta", [(F(1, 2), F(7, 2)), (F(3, 2), F(5, 2)),
+                                    (F(1, 2), F(1, 2)), (F(2), F(3, 2))])
+def test_phi43_recurrence_equals_closed_form(q, nu, eta):
+    # (1/2, 1/2) is the removable case nu + eta = 1
+    got = _phi43_rahman_series(nu, eta, q, 16).coeffs
+    assert list(got) == phi43_closed_form(nu, eta, q, 16)
+
+
 class TestFiniteSum:
     def test_m_zero(self):
         res = verify_finite_sum_identity(F(1), F(2), Q12, 0)
@@ -68,6 +104,28 @@ class TestFiniteSum:
         assert verify_finite_sum_identity(F(1), F(2), Q12, 3).exact_zero
         assert verify_finite_sum_identity(
             F(1, 2), F(1, 2), QBase.exact(q=F(1, 4)), 5).exact_zero
+
+    @pytest.mark.parametrize("q", [Q12, QF], ids=["exact", "float"])
+    def test_is_coefficient_m_of_the_rahman_sides(self, q):
+        nu, eta, order = F(1, 2), F(7, 2), 20
+        (f_nu, f_eta), (phi43, e_q) = _rahman_factors(nu, eta, q, order)
+        lhs, rhs = f_nu * f_eta, phi43 * e_q
+        q_nu, q_eta = q.q_power(nu), q.q_power(eta)
+        for m in range(order + 1):
+            res = verify_finite_sum_identity(nu, eta, q, m)
+            assert res.max_abs == abs(lhs.coeffs[m] - rhs.coeffs[m])
+            assert res.exact_zero == (q.is_exact and lhs.coeffs[m] == rhs.coeffs[m])
+            # the left side is the classical finite sum over k + l = m
+            finite_sum = sum((1 / (shifted_factorial(q_nu, q.q, k)
+                                   * shifted_factorial(q_eta, q.q, m - k)
+                                   * shifted_factorial(q.q, q.q, k)
+                                   * shifted_factorial(q.q, q.q, m - k))
+                              for k in range(m + 1)), q.zero)
+            dev = abs(finite_sum - lhs.coeffs[m])
+            if q.is_exact:
+                assert dev.is_zero() and res.exact_zero
+            else:
+                assert dev.val <= abs(lhs.coeffs[m]).val * mpmath.mpf("1e-48")
 
 
 class TestConnectionFormula:
@@ -110,6 +168,21 @@ class TestLinearization:
     def test_non_integer_alpha_rejected(self):
         with pytest.raises(HypothesisError):
             verify_linearization(F(1), F(1, 2), F(1), Q12, 10)
+
+    def test_alpha_three_halves_rejected_on_every_path(self):
+        alpha = F(3, 2)
+        q9 = QBase.floating("0.9", 50)
+        paths = [lambda: linearization_sides(F(1), alpha, F(1), Q12, 10),
+                 lambda: kummer_sides(F(1), alpha, F(1), 10),
+                 lambda: _linearization_sides_value(F(1), alpha, F(1), F(1, 2), q9),
+                 lambda: _kummer_sides_value(F(1), alpha, F(1), F(1, 2), 50),
+                 lambda: q_to_1_limit_study(F(1), alpha, F(1), F(1, 2), ["0.9"])]
+        for path in paths:
+            with pytest.raises(HypothesisError):
+                path()
+
+    def test_integral_fraction_alpha_accepted(self):
+        assert verify_linearization(F(1), F(2), F(1), Q12, 12).exact_zero
 
     def test_float_mode(self):
         res = verify_linearization(F(1), 2, F(1), QF, 25)

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from qturan.qcore import QBase, qgamma, qpochhammer_finite, qpochhammer_infinite
-from qturan.series import PhiSpec, g_series, heine_f_series, tphis_series
+from qturan.series import PhiSpec, g_series, heine_f_series, qbessel_j1, qbessel_j2, tphis_series
 from qturan.scalar import ex, fl
 
 DIGITS = 50
@@ -77,3 +77,19 @@ def test_g_series_against_mpmath_composition():
     want = pref * mpmath.qhyper([q ** 3, q ** 4], [q ** 2, q ** 3], q,
                                 (q - 1) * xv)
     assert abs(got.val - want) < mpmath.mpf("1e-38") * abs(want)
+
+
+@pytest.mark.parametrize("alpha,y", [(F(0), F(1)), (F(1, 2), F(3, 2)), (F(2), F(19, 10))])
+def test_qbessel_against_mpmath_qhyper(alpha, y):
+    # J1 = pre * 2phi1(0, 0; b; q, -y^2/4) and J2 = pre * 0phi1(-; b; q, -b y^2/4)
+    # with b = q^(alpha+1) and pre = (y/2)^alpha (b; q)_inf / (q; q)_inf
+    q = QBase.floating(F(4, 5), DIGITS)
+    qv = mpmath.mpf(4) / 5
+    av = mpmath.mpf(alpha.numerator) / alpha.denominator
+    yv = mpmath.mpf(y.numerator) / y.denominator
+    b = qv ** (av + 1)
+    pre = (yv / 2) ** av * mpmath.qp(b, qv) / mpmath.qp(qv, qv)
+    j1 = pre * mpmath.qhyper([0, 0], [b], qv, -yv ** 2 / 4)
+    j2 = pre * mpmath.qhyper([], [b], qv, -b * yv ** 2 / 4)
+    assert abs(qbessel_j1(alpha, y, q, 1500).val - j1) < mpmath.mpf("1e-40") * abs(j1)
+    assert abs(qbessel_j2(alpha, y, q, 400).val - j2) < mpmath.mpf("1e-40") * abs(j2)

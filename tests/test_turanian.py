@@ -12,6 +12,8 @@ from qturan.turanian import (
     Family,
     SignVerdict,
     TuranianSpec,
+    _classify_exact,
+    _classify_float,
     delta_sign_certificate,
     delta_tilde_sign_certificate,
     gamma_sign_certificate,
@@ -21,7 +23,7 @@ from qturan.turanian import (
     turanian_series,
     verdict_satisfies,
 )
-from qturan.scalar import ExactModeError, HypothesisError
+from qturan.scalar import ExactModeError, HypothesisError, ex, fl
 
 mpmath.mp.dps = 60
 
@@ -250,3 +252,27 @@ def test_proof_inequality_q_powers():
                 lhs = q.q_power(al) + q.q_power(be)
                 rhs = 1 + q.q_power(al + be)
                 assert (rhs - lhs).sign() > 0
+
+
+@pytest.mark.parametrize("values,verdict,viol", [
+    ([0, 0, 0], SignVerdict.ZERO, None),
+    ([F(1, 3), 0, 2, 0], SignVerdict.ALL_NONNEG, None),
+    ([F(-1, 3), -2, F(-5, 7)], SignVerdict.ALL_STRICTLY_NEG, None),
+    ([0, F(-1, 2), 0, 3, -1], SignVerdict.MIXED, 4),
+])
+def test_float_and_exact_classifiers_agree(values, verdict, viol):
+    exact = [ex(v) for v in values]
+    floats = [fl(v, 50) for v in values]
+    got_exact = _classify_exact(exact)
+    got_float = _classify_float(floats, [mpmath.mpf("1e-45")] * len(values))
+    assert got_exact[:2] == got_float[:2] == (verdict, viol)
+    if got_exact[2] is None:
+        assert got_float[2] is None
+    else:
+        assert got_exact[2].to_mpf(50) == got_float[2].val
+
+
+def test_float_classifier_gate_is_inconclusive_near_zero():
+    tail = [fl(1, 50), fl("5e-45", 50)]
+    verdict, viol, margin = _classify_float(tail, [mpmath.mpf("1e-45")] * 2)
+    assert (verdict, viol, margin) == (SignVerdict.INCONCLUSIVE, None, None)
