@@ -63,6 +63,7 @@ from .turanian import (
 from .conditions import (
     ChainVerdict,
     RtsDirection,
+    chain_case,
     chain_condition_a,
     chain_condition_b,
     derive_cd,

@@ -24,6 +24,7 @@ from . import conditions, identities, turanian
 from .qcore import QBase
 from .scalar import (
     DEFAULT_DIGITS,
+    ExactModeError,
     ExactScalar,
     FloatScalar,
     QTuranError,
@@ -210,6 +211,11 @@ def cmd_eval(args) -> int:
         raise QTuranError(f"--x is required for family {args.family}")
     if not needs_x and args.y is None:
         raise QTuranError(f"--y is required for family {args.family}")
+    if args.mode == "exact" and args.family in ("heine-f-tilde", "g"):
+        raise ExactModeError(
+            f"family {args.family} carries a Gamma_q prefactor that has no exact "
+            f"value; use --mode float"
+        )
     if args.family == "kummer":
         if args.b_param is None:
             raise QTuranError("--b-param is required for the kummer family")
@@ -232,13 +238,13 @@ def cmd_eval(args) -> int:
     if args.family == "heine-f":
         value = heine_f_series(need("mu"), q, args.order).eval(q.scalar(x))
     elif args.family == "heine-f-tilde":
-        series = heine_f_tilde_series(need("mu"), q, args.order,
-                                      absolute=(args.mode == "float"))
-        value = series.eval(q.scalar(x))
+        value = heine_f_tilde_series(need("mu"), q, args.order,
+                                     absolute=True).eval(q.scalar(x))
     elif args.family == "g":
+        if args.a is None or args.b is None:
+            raise QTuranError("--a and --b are required for family g")
         value = g_series(parse_vector(args.a), parse_vector(args.b),
-                         need("mu"), q, args.order,
-                         absolute=(args.mode == "float")).eval(q.scalar(x))
+                         need("mu"), q, args.order, absolute=True).eval(q.scalar(x))
     elif args.family == "qbessel-j1":
         value = qbessel_j1(need("alpha"), parse_rational(args.y), q, args.order)
     elif args.family == "qbessel-j2":
@@ -315,84 +321,73 @@ def cmd_conditions(args) -> int:
     }
     cfg = _config_common(args, {"a": args.a, "b": args.b})
     write_report(args.out, cfg, [rec], [], [], None if q.is_exact else 0.0)
-    case = ("a+b" if verdict.applies_case_a and verdict.applies_case_b else
-            "a" if verdict.applies_case_a else
-            "b" if verdict.applies_case_b else "none")
-    print(f"chain case: {case}; majorization witness: {verdict.via_majorization}")
-    return 0 if (verdict.applies_case_a or verdict.applies_case_b) else 1
+    case = conditions.chain_case(c, d)
+    print(f"chain case: {case or 'none'}; majorization witness: "
+          f"{verdict.via_majorization}")
+    return 0 if case else 1
 
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    residuals = []
-    tol = mpmath.mpf(args.tol)
+    try:
+        tol = mpmath.mpf(args.tol)
+    except ValueError:
+        raise QTuranError(f"--tol must be a number, got {args.tol!r}") from None
 
     def need(name):
         return _required_rational(args, name, f"--identity {args.identity}")
 
+    extra = {"identity": args.identity, "tol": args.tol}
+    verdicts = []
     if args.identity == "q-to-1":
         seq = [s for s in (args.q_sequence or "0.9,0.99,0.999").split(",") if s]
         results = identities.q_to_1_limit_study(
             need("mu"), need("alpha"), need("beta"), need("x"), seq, digits=args.digits)
         deviations = [r.max_abs.val for r in results]
-        decreasing = all(b < a for a, b in zip(deviations, deviations[1:]))
-        for r in results:
-            residuals.append(report_residual(r, {"identity": args.identity}))
-        cfg = _config_common(args, {"identity": args.identity,
-                                    "q_sequence": seq, "x": args.x})
-        write_report(args.out, cfg, [{"kind": "limit-study",
-                                      "deviations_decreasing": decreasing}],
-                     residuals, [], time.monotonic() - started)
-        print(f"q->1 deviations decreasing: {decreasing}")
-        return 0 if decreasing else 1
-
-    coeff_order = args.order if args.order is not None else 30
-    if args.identity == "kummer":
-        res = identities.verify_kummer_linearization(
-            need("mu"), need("alpha"), need("beta"), coeff_order)
-        residuals.append(report_residual(res, {"identity": args.identity}))
-        cfg = _config_common(args, {"identity": args.identity, "tol": args.tol})
-        write_report(args.out, cfg, [], residuals, [], None)
-        print(f"{args.identity}: "
-              + ("exact-zero" if res.exact_zero else "nonzero")
-              + f" -> {'ok' if res.exact_zero else 'FAIL'}")
-        return 0 if res.exact_zero else 1
-
-    q = make_qbase(args)
-    if args.identity == "rahman":
-        res = identities.verify_rahman_product(
-            need("nu"), need("eta"), q, coeff_order)
-    elif args.identity == "finite-sum":
-        res = identities.verify_finite_sum_identity(
-            need("nu"), need("eta"), q, args.m)
-    elif args.identity == "connection":
-        # default None lets the verifier size the series from the tail bound
-        res = identities.verify_connection_formula(
-            need("alpha"), need("y"), q, args.order)
-    elif args.identity == "linearization":
-        res = identities.verify_linearization(
-            need("mu"), need("alpha"), need("beta"), q, coeff_order)
-    elif args.identity == "recqgamma":
-        res = identities.verify_recqgamma(
-            need("mu"), need("beta"), q, args.m)
+        ok = all(b < a for a, b in zip(deviations, deviations[1:]))
+        extra = {"identity": args.identity, "q_sequence": seq, "x": args.x}
+        verdicts = [{"kind": "limit-study", "deviations_decreasing": ok}]
+        message = f"q->1 deviations decreasing: {ok}"
     else:
-        raise QTuranError(f"unknown identity {args.identity!r}")
-    residuals.append(report_residual(res, {"identity": args.identity}))
-    if res.mode == "exact":
-        ok = res.exact_zero
-    else:
-        ok = res.max_rel.val < tol
-    timing = None if res.mode == "exact" else time.monotonic() - started
-    cfg = _config_common(args, {"identity": args.identity, "tol": args.tol})
-    write_report(args.out, cfg, [], residuals, [], timing)
+        coeff_order = args.order if args.order is not None else 30
+        if args.identity == "kummer":
+            res = identities.verify_kummer_linearization(
+                need("mu"), need("alpha"), need("beta"), coeff_order)
+        else:
+            q = make_qbase(args)
+            if args.identity == "rahman":
+                res = identities.verify_rahman_product(
+                    need("nu"), need("eta"), q, coeff_order)
+            elif args.identity == "finite-sum":
+                res = identities.verify_finite_sum_identity(
+                    need("nu"), need("eta"), q, args.m)
+            elif args.identity == "connection":
+                # default None lets the verifier size the series from the tail bound
+                res = identities.verify_connection_formula(
+                    need("alpha"), need("y"), q, args.order)
+            elif args.identity == "linearization":
+                res = identities.verify_linearization(
+                    need("mu"), need("alpha"), need("beta"), q, coeff_order)
+            elif args.identity == "recqgamma":
+                res = identities.verify_recqgamma(
+                    need("mu"), need("beta"), q, args.m)
+            else:
+                raise QTuranError(f"unknown identity {args.identity!r}")
+        results = [res]
+        ok = res.exact_zero if res.mode == "exact" else res.max_rel.val < tol
+        status = "exact-zero" if res.exact_zero else f"max_rel={scalar_text(res.max_rel)}"
+        message = f"{args.identity}: {status} -> {'ok' if ok else 'FAIL'}"
+    residuals = [report_residual(r, {"identity": args.identity}) for r in results]
+    exact = all(r.mode == "exact" for r in results)
+    timing = None if exact else time.monotonic() - started
+    write_report(args.out, _config_common(args, extra), verdicts, residuals, [], timing)
     if args.csv:
         rows = [[r["identity"], r["label"], r["mode"], r["exact_zero"],
                  r["max_abs"], r["max_rel"], r["order_checked"]]
                 for r in residuals]
         write_csv(args.csv, ["identity", "label", "mode", "exact_zero",
                              "max_abs", "max_rel", "order_checked"], rows)
-    status = "exact-zero" if res.exact_zero else f"max_rel={scalar_text(res.max_rel)}"
-    print(f"{args.identity}: {status} -> {'ok' if ok else 'FAIL'}")
+    print(message)
     return 0 if ok else 1
 
 
@@ -460,15 +455,20 @@ def cmd_report(args) -> int:
 # -- argument wiring ----------------------------------------------------------
 
 
-def _add_common(sub, *, order_default: int | None = 60):
+def _add_common(sub):
     sub.add_argument("--q", help="base q as a rational, e.g. 1/2")
     sub.add_argument("--p", help="half-power base p (q = p^2), guarantees the half grid")
     sub.add_argument("--mode", choices=["exact", "float"], default="exact")
     sub.add_argument("--digits", type=int, default=_default_digits(),
                      help=f"float precision in digits (env {ENV_DIGITS})")
-    sub.add_argument("--order", type=int, default=order_default,
-                     help="truncation order M")
     sub.add_argument("--out", help="write the JSON report here")
+
+
+def _add_order(sub, default: int | None):
+    sub.add_argument("--order", type=int, default=default, help="truncation order M")
+
+
+def _add_csv(sub):
     sub.add_argument("--csv", help="write a flat CSV table here")
 
 
@@ -491,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--b-param", help="bottom parameter of 1F1")
     p_eval.add_argument("--x")
     p_eval.add_argument("--y")
-    _add_common(p_eval, order_default=100)
+    _add_common(p_eval)
+    _add_order(p_eval, 100)
     p_eval.set_defaults(fn=cmd_eval)
 
     p_tur = subs.add_parser("turanian", help="certify one Turanian sign point")
@@ -503,6 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tur.add_argument("--a")
     p_tur.add_argument("--b")
     _add_common(p_tur)
+    _add_order(p_tur, 60)
+    _add_csv(p_tur)
     p_tur.set_defaults(fn=cmd_turanian)
 
     p_cond = subs.add_parser("conditions", help="chain conditions and majorization")
@@ -526,7 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--tol", default="1e-30",
                        help="float-mode relative tolerance")
     p_ver.add_argument("--q-sequence", help="comma-separated q values for q-to-1")
-    _add_common(p_ver, order_default=None)
+    _add_common(p_ver)
+    _add_order(p_ver, None)
+    _add_csv(p_ver)
     p_ver.set_defaults(fn=cmd_verify)
 
     p_scan = subs.add_parser("scan", help="sweep certificates over parameter grids")
@@ -540,6 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--a")
     p_scan.add_argument("--b")
     _add_common(p_scan)
+    _add_order(p_scan, 60)
+    _add_csv(p_scan)
     p_scan.set_defaults(fn=cmd_scan)
 
     p_rep = subs.add_parser("report", help="flatten a JSON report to CSV")
@@ -557,6 +564,10 @@ def run(argv=None) -> int:
             args.alpha_grid = args.alpha_grid_alias
         if getattr(args, "beta_grid_alias", None):
             args.beta_grid = args.beta_grid_alias
+        for name, low in (("order", 0), ("m", 0), ("digits", 10)):
+            value = getattr(args, name, None)
+            if value is not None and value < low:
+                raise QTuranError(f"--{name} must be an integer >= {low}, got {value}")
         return args.fn(args)
     except QTuranError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ chain conditions decide the sign regime of the normalized Turanian:
 
 Both are evaluated by cross-multiplication so vanishing symmetric
 polynomials (possible only when a parameter is 0) never divide; ties count
-as satisfying the non-strict chain.
+as satisfying the non-strict chain.  ``chain_case`` is the one place that
+decides which of them applies.
 
 A weak-supermajorization witness on a subvector is a sufficient condition
 for the corresponding chain; the search is exhaustive over subvectors.  The
@@ -96,6 +97,20 @@ def chain_condition_b(c: Sequence[Scalar], d: Sequence[Scalar]) -> bool:
     return True
 
 
+def chain_case(c: Sequence[Scalar], d: Sequence[Scalar]) -> str | None:
+    """Which chain conditions hold: "a+b", "a", "b", or None for neither.
+
+    A chain counts only where its dimensional hypothesis holds (s <= t <= s+1
+    for case (a), t <= s for case (b)).
+    """
+    t, s = len(c), len(d)
+    case_a = s <= t <= s + 1 and chain_condition_a(c, d)
+    case_b = t <= s and chain_condition_b(c, d)
+    if case_a and case_b:
+        return "a+b"
+    return "a" if case_a else "b" if case_b else None
+
+
 def majorization_sufficiency(c: Sequence[Scalar], d: Sequence[Scalar]) -> ChainVerdict:
     """Search subvectors for a weak-supermajorization witness.
 
@@ -116,14 +131,14 @@ def majorization_sufficiency(c: Sequence[Scalar], d: Sequence[Scalar]) -> ChainV
     else:
         for idx in combinations(range(s), t):
             sub = [d[i] for i in idx]
-            if weak_supermajorizes(sub, c):
+            if weak_supermajorizes(c, sub):
                 witness, via = idx, True
                 break
 
-    case_a = s <= t <= s + 1 and chain_condition_a(c, d)
-    case_b = t <= s and chain_condition_b(c, d)
+    case = chain_case(c, d)
+    case_a, case_b = case in ("a", "a+b"), case in ("b", "a+b")
 
-    if via:
+    if via and t <= s + 1:
         implied = case_a if t >= s else case_b
         if not implied:
             raise QTuranError(
@@ -176,11 +191,11 @@ def rts_monotonicity_probe(c: Sequence[Scalar], d: Sequence[Scalar],
     else:
         direction = RtsDirection.CONSTANT
 
-    t, s = len(c), len(d)
-    if t >= s and s <= t <= s + 1 and chain_condition_a(c, d):
+    case = chain_case(c, d)
+    if case in ("a", "a+b"):
         if direction == RtsDirection.DECREASING or direction == RtsDirection.NON_MONOTONE:
             raise QTuranError("chain (a) holds but R is not increasing")
-    if t <= s and chain_condition_b(c, d):
+    if case in ("b", "a+b"):
         if direction == RtsDirection.INCREASING or direction == RtsDirection.NON_MONOTONE:
             raise QTuranError("chain (b) holds but R is not decreasing")
     return direction

@@ -127,7 +127,7 @@ def _phi43_rahman_series(nu, eta, q: QBase, order: int) -> TruncatedSeries:
         c = c * (num / den)
         coeffs.append(c)
         qk1 = qk
-    return TruncatedSeries(tuple(coeffs), order, f"4phi3(nu={nu},eta={eta})")
+    return TruncatedSeries(tuple(coeffs), order)
 
 
 def _rahman_factors(nu, eta, q: QBase, order: int):

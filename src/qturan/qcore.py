@@ -313,8 +313,3 @@ def pochhammer_classical(mu, n: int) -> Scalar:
     for k in range(n):
         result = result * (m + k)
     return result
-
-
-def binom2(n: int) -> int:
-    """n choose 2."""
-    return n * (n - 1) // 2

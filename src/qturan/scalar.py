@@ -232,9 +232,6 @@ class ExactScalar:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def is_nonpositive_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1 and self.a <= 0
-
     def to_fraction(self) -> Fraction:
         if self.b != 0:
             raise ExactModeError(f"{self} is irrational")

@@ -64,7 +64,6 @@ class TruncatedSeries:
 
     coeffs: tuple
     order: int
-    family_label: str = ""
     tail_note: str | None = None
     ratio: "TermRatio | None" = field(default=None, compare=False, repr=False)
 
@@ -74,9 +73,6 @@ class TruncatedSeries:
                 f"order {self.order} needs {self.order + 1} coefficients, "
                 f"got {len(self.coeffs)}"
             )
-
-    def coefficient(self, n: int) -> Scalar:
-        return self.coeffs[n]
 
     def eval(self, x) -> Scalar:
         """Horner evaluation at x; a tail note marks an |x| < 1 domain."""
@@ -93,16 +89,16 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         m = min(self.order, other.order)
         coeffs = tuple(self.coeffs[i] + other.coeffs[i] for i in range(m + 1))
-        return TruncatedSeries(coeffs, m, self.family_label, self.tail_note)
+        return TruncatedSeries(coeffs, m, self.tail_note)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         m = min(self.order, other.order)
         coeffs = tuple(self.coeffs[i] - other.coeffs[i] for i in range(m + 1))
-        return TruncatedSeries(coeffs, m, self.family_label, self.tail_note)
+        return TruncatedSeries(coeffs, m, self.tail_note)
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(tuple(-c for c in self.coeffs), self.order,
-                               self.family_label, self.tail_note)
+                               self.tail_note)
 
     def product_coefficient(self, other: "TruncatedSeries", n: int) -> Scalar:
         """Coefficient n of the Cauchy product self * other, in O(n)."""
@@ -115,25 +111,25 @@ class TruncatedSeries:
         """Cauchy product, truncated to the smaller order."""
         m = min(self.order, other.order)
         out = tuple(self.product_coefficient(other, n) for n in range(m + 1))
-        return TruncatedSeries(out, m, self.family_label, self.tail_note)
+        return TruncatedSeries(out, m, self.tail_note)
 
     def scaled(self, c: Scalar) -> "TruncatedSeries":
         return TruncatedSeries(tuple(c * v for v in self.coeffs), self.order,
-                               self.family_label, self.tail_note)
+                               self.tail_note)
 
     def to_float(self, digits: int) -> "TruncatedSeries":
         coeffs = tuple(
             c.to_float_scalar(digits) if isinstance(c, ExactScalar) else c
             for c in self.coeffs
         )
-        return TruncatedSeries(coeffs, self.order, self.family_label, self.tail_note)
+        return TruncatedSeries(coeffs, self.order, self.tail_note)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
 
-def zero_series(q: QBase, order: int, label: str = "zero") -> TruncatedSeries:
-    return TruncatedSeries(tuple(q.zero for _ in range(order + 1)), order, label)
+def zero_series(q: QBase, order: int) -> TruncatedSeries:
+    return TruncatedSeries(tuple(q.zero for _ in range(order + 1)), order)
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,6 @@ class TermRatio:
     base: QBase
     d: int = 0
     scale: Scalar | None = None
-    label: str = ""
     tail_note: str | None = None
 
     def series(self, order: int, lift=None) -> TruncatedSeries:
@@ -225,7 +220,7 @@ class TermRatio:
             c = c / den if num is None else c * (num / den)
             coeffs.append(c)
             qn1 = qn
-        return TruncatedSeries(tuple(coeffs), order, self.label, self.tail_note, self)
+        return TruncatedSeries(tuple(coeffs), order, self.tail_note, self)
 
 
 def tphis_series(spec: PhiSpec, order: int) -> TruncatedSeries:
@@ -240,8 +235,7 @@ def tphis_series(spec: PhiSpec, order: int) -> TruncatedSeries:
     d = 1 + s - t
     tail = "converges for |z| < 1 only" if t == s + 1 else None
     ratio = TermRatio(q.one, tuple(map(q.scalar, spec.upper)),
-                      tuple(map(q.scalar, spec.lower)), q, d, q.scalar(-1),
-                      f"tphis({t},{s})", tail)
+                      tuple(map(q.scalar, spec.lower)), q, d, q.scalar(-1), tail)
     return ratio.series(order)
 
 
@@ -250,7 +244,7 @@ def heine_f_series(mu, q: QBase, order: int) -> TruncatedSeries:
     mu_cmp = as_fraction(mu) if q.is_exact else mu
     if not mu_cmp > 0:
         raise HypothesisError(f"heine_f needs mu > 0, got mu={mu}")
-    ratio = TermRatio(q.one, (), (q.q_power(mu),), q, label=f"heine_f(mu={mu})",
+    ratio = TermRatio(q.one, (), (q.q_power(mu),), q,
                       tail_note="converges for |z| < 1 only")
     return ratio.series(order)
 
@@ -266,13 +260,11 @@ def heine_f_tilde_series(mu, q: QBase, order: int, *,
     """
     base = heine_f_series(mu, q, order)
     if not absolute:
-        return TruncatedSeries(base.coeffs, order,
-                               f"heine_f_tilde(mu={mu})/rel", base.tail_note)
+        return base
     if q.is_exact:
         raise ExactModeError("absolute tilde normalization needs float mode")
     scale = 1 / qgamma(mu, q)
-    return TruncatedSeries(tuple(scale * c for c in base.coeffs), order,
-                           f"heine_f_tilde(mu={mu})", base.tail_note)
+    return TruncatedSeries(tuple(scale * c for c in base.coeffs), order, base.tail_note)
 
 
 def _validate_g_params(a, b, mu, q):
@@ -382,8 +374,7 @@ def g_series(a: Sequence, b: Sequence, mu, q: QBase, order: int, *,
     upper = tuple(q.q_power(ai + mu) for ai in a)
     lower = tuple(q.q_power(bj + mu) for bj in b)
     tail = "converges for |x| < 1 only" if t == s + 1 else None
-    label = f"g(a={list(map(str, a))},b={list(map(str, b))},mu={mu})"
-    return TermRatio(prefactor, upper, lower, q, d, 1 - q.q, label, tail).series(order)
+    return TermRatio(prefactor, upper, lower, q, d, 1 - q.q, tail).series(order)
 
 
 def geometric_tail_order(x_abs, tol, *, minimum: int = 40,
@@ -490,7 +481,7 @@ def kummer_1f1_unit_top(b, order: int) -> TruncatedSeries:
             raise PoleError(f"(b)_n vanishes at n={n} for b={bf}")
         c = c / ex(factor)
         coeffs.append(c)
-    return TruncatedSeries(tuple(coeffs), order, f"1F1(1;{bf};x)")
+    return TruncatedSeries(tuple(coeffs), order)
 
 
 def kummer_1f1_value(b, x, digits: int, order: int | None = None) -> FloatScalar:

@@ -19,8 +19,15 @@ power-series coefficients:
   the verdict stays unconditional.  Expected: strictly positive.
 * Normalized ``g`` family: prefactor ratios combine exactly through the
   finite Gamma-ratio identity before multiplication; the expected direction
-  comes from whichever chain condition holds (case (a): non-positive,
-  case (b): non-negative).
+  comes from whichever chain condition holds (``conditions.chain_case``;
+  case (a): non-positive, case (b): non-negative, both: zero).  Under a
+  non-strict expectation Delta_0 must have the expected sign too.
+
+The three family certificates check only their own hypotheses and choose
+the expectation, the normalization and (tilde) the rho enclosures; one
+routine, ``_certify``, turns the spec into its report in every family and
+mode.  A zero shift gives the identically zero series, and a certificate
+needs order >= 1, so a verdict always rests on some coefficient m >= 1.
 
 In exact mode the four shifted series are built exactly to order 0 only
 (their exact leading coefficients give Delta_0).  Each series' exact
@@ -31,8 +38,9 @@ are formed in intervals too (``mpmath.libmp.libmpi`` with an explicit
 precision, so no global mpmath context is read or changed).  Only when a
 coefficient's interval contains 0 are the exact series built to the full
 order, and that coefficient recomputed exactly as an O(m) dot product;
-that is how exact zeros are proven.  Verdicts involve no tolerance.  In float mode a
-strict verdict additionally requires every margin to exceed ten times a
+that is how exact zeros are proven.  Verdicts involve no tolerance.  In
+float mode (the tilde series with their true 1/Gamma_q scale) a strict
+verdict additionally requires every margin to exceed ten times a
 propagated rounding envelope, otherwise the verdict is INCONCLUSIVE.
 """
 
@@ -54,6 +62,7 @@ from .series import (
     g_series,
     geometric_tail_order,
     heine_f_series,
+    heine_f_tilde_series,
     zero_series,
 )
 from .scalar import (
@@ -155,13 +164,17 @@ def _param(value, q: QBase):
 
 
 def _shift_series(spec: TuranianSpec, shift, order=None) -> TruncatedSeries:
-    """The family series at mu + shift (tilde: its relative form, Heine's),
-    to spec.order unless another order is given."""
-    mu = _param(spec.mu, spec.q)
+    """The family series at mu + shift, to spec.order unless another order is
+    given.  The exact tilde series is its relative form (Heine's); the float
+    one carries its 1/Gamma_q(mu + shift) scale."""
+    q = spec.q
+    mu = _param(spec.mu, q)
     order = spec.order if order is None else order
     if spec.family == Family.G_NORMALIZED:
-        return g_series(spec.a, spec.b, mu + shift, spec.q, order, ref_mu=mu)
-    return heine_f_series(mu + shift, spec.q, order)
+        return g_series(spec.a, spec.b, mu + shift, q, order, ref_mu=mu)
+    if spec.family == Family.HEINE_F_TILDE and not q.is_exact:
+        return heine_f_tilde_series(mu + shift, q, order, absolute=True)
+    return heine_f_series(mu + shift, q, order)
 
 
 def _shifted(spec: TuranianSpec, series_fn) -> tuple:
@@ -171,18 +184,6 @@ def _shifted(spec: TuranianSpec, series_fn) -> tuple:
     return tuple(series_fn(sh) for sh in (alpha, beta, alpha - alpha, alpha + beta))
 
 
-def _product_pair(spec: TuranianSpec, series_fn):
-    """Delta and a same-structure absolute-value envelope.
-
-    series_fn(shift) must return the shifted family series; all family
-    coefficients are positive, so the envelope is the Cauchy product sum.
-    """
-    s_a, s_b, s_0, s_ab = _shifted(spec, series_fn)
-    p1 = s_a * s_b
-    p2 = s_0 * s_ab
-    return p1 - p2, p1 + p2
-
-
 def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
     """F(mu+a)F(mu+b) - F(mu)F(mu+a+b), truncated to the requested order.
 
@@ -190,24 +191,15 @@ def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
     family is float-only here (its exact sign analysis, which must track a
     non-rational prefactor ratio, lives in the certificate).
     """
-    q = spec.q
-    label = f"turanian[{spec.family.value}]"
     if _is_degenerate(spec):
-        return zero_series(q, spec.order, label)
-    if spec.family == Family.HEINE_F_TILDE:
-        if q.is_exact:
-            raise ExactModeError(
-                "the tilde Turanian has no exact absolute representation; "
-                "use delta_tilde_sign_certificate"
-            )
-        mu = spec.mu
-        from .series import heine_f_tilde_series
-        def tilde(shift):
-            return heine_f_tilde_series(mu + shift, q, spec.order, absolute=True)
-        delta, _ = _product_pair(spec, tilde)
-        return TruncatedSeries(delta.coeffs, delta.order, label, delta.tail_note)
-    delta, _ = _product_pair(spec, partial(_shift_series, spec))
-    return TruncatedSeries(delta.coeffs, delta.order, label, delta.tail_note)
+        return zero_series(spec.q, spec.order)
+    if spec.family == Family.HEINE_F_TILDE and spec.q.is_exact:
+        raise ExactModeError(
+            "the tilde Turanian has no exact absolute representation; "
+            "use delta_tilde_sign_certificate"
+        )
+    s_a, s_b, s_0, s_ab = _shifted(spec, partial(_shift_series, spec))
+    return s_a * s_b - s_0 * s_ab
 
 
 # -- classification ----------------------------------------------------------
@@ -368,35 +360,6 @@ def _classify_exact(bounds):
     return verdict, None, margin
 
 
-def _exact_report(spec: TuranianSpec, rho_rounds, expected, norm,
-                  chain_case=None) -> SignReport:
-    """Exact-mode SignReport of the Turanian of spec (see _exact_mode_bounds).
-
-    The four shifted series are built exactly to order 0 only.  Their term
-    ratios, run in _Interval arithmetic, enclose them to the full order;
-    exact series to the full order are built only for a coefficient whose
-    interval contains 0.
-    """
-    heads = _shifted(spec, lambda sh: _shift_series(spec, sh, 0))
-    enclosures = tuple(h.ratio.series(spec.order, lift=_Interval.of) for h in heads)
-    found = _exact_mode_bounds(heads, enclosures,
-                               lambda: _shifted(spec, partial(_shift_series, spec)),
-                               rho_rounds)
-    if found is None:
-        return SignReport(SignVerdict.INCONCLUSIVE, None, None, spec.order,
-                          None, spec.family.value, spec.q.mode, norm,
-                          chain_case=chain_case, expected=expected,
-                          matches_expected=False)
-    coeff0, bounds, fallbacks = found
-    verdict, viol, margin = _classify_exact(bounds)
-    return SignReport(verdict, viol, margin, spec.order, coeff0,
-                      spec.family.value, spec.q.mode, norm,
-                      chain_case=chain_case, expected=expected,
-                      matches_expected=verdict_satisfies(verdict, expected),
-                      decided_by="interval+exact" if fallbacks else "interval",
-                      exact_fallbacks=fallbacks)
-
-
 def _float_error_bounds(scale_coeffs, digits):
     # crude forward-error envelope: each coefficient is a convolution of
     # positive terms, so scale * (terms) * ulp bounds the accumulated error
@@ -413,23 +376,57 @@ def _classify_float(tail, bounds):
     return _classify_exact(tail)
 
 
-def _zero_report(spec: TuranianSpec, expected, normalization) -> SignReport:
-    zero = spec.q.zero
-    return SignReport(SignVerdict.ZERO, None, zero, spec.order, zero,
-                      spec.family.value, spec.q.mode, normalization,
-                      expected=expected, matches_expected=True,
-                      decided_by="degenerate")
+# The signs of Delta_0 that a non-strict expectation allows; a strict one
+# says nothing about m = 0.
+_HEAD_SIGNS = {SignVerdict.ALL_NONNEG: (0, 1), SignVerdict.ALL_NONPOS: (-1, 0),
+               SignVerdict.ZERO: (0,)}
 
 
-def _float_report(spec: TuranianSpec, delta, scale, expected, norm,
-                  chain_case=None) -> SignReport:
-    bounds = _float_error_bounds(scale.coeffs[1:], spec.q.digits)
-    verdict, viol, margin = _classify_float(delta.coeffs[1:], bounds)
-    return SignReport(verdict, viol, margin, spec.order, delta.coeffs[0],
-                      spec.family.value, spec.q.mode, norm, chain_case=chain_case,
-                      expected=expected,
-                      matches_expected=verdict_satisfies(verdict, expected),
-                      decided_by="float")
+def _certify(spec: TuranianSpec, expected, norm, rho_rounds=((ex(1), ex(1)),),
+             chain_case=None) -> SignReport:
+    """The SignReport of the Turanian of spec, in every family and mode.
+
+    A zero shift makes the Turanian vanish identically.  In exact mode the
+    four shifted series are built exactly to order 0 only; their term
+    ratios, run in _Interval arithmetic, enclose them to the full order, and
+    exact series to the full order are built only for a coefficient whose
+    interval contains 0 (see _exact_mode_bounds for ``rho_rounds``).  In
+    float mode the coefficients are classified against a rounding envelope.
+    """
+    if spec.order < 1:
+        raise HypothesisError(
+            f"a sign certificate needs order >= 1 (coefficients m >= 1), "
+            f"got {spec.order}"
+        )
+    verdict, viol, margin, coeff0 = SignVerdict.INCONCLUSIVE, None, None, None
+    decided_by, fallbacks = None, 0
+    if _is_degenerate(spec):
+        verdict, decided_by = SignVerdict.ZERO, "degenerate"
+        margin = coeff0 = spec.q.zero
+    elif spec.q.is_exact:
+        heads = _shifted(spec, lambda sh: _shift_series(spec, sh, 0))
+        enclosures = tuple(h.ratio.series(spec.order, lift=_Interval.of) for h in heads)
+        found = _exact_mode_bounds(heads, enclosures,
+                                   lambda: _shifted(spec, partial(_shift_series, spec)),
+                                   rho_rounds)
+        if found is not None:
+            coeff0, bounds, fallbacks = found
+            verdict, viol, margin = _classify_exact(bounds)
+            decided_by = "interval+exact" if fallbacks else "interval"
+    else:
+        s_a, s_b, s_0, s_ab = _shifted(spec, partial(_shift_series, spec))
+        u, v = s_a * s_b, s_0 * s_ab
+        delta = u - v
+        bounds = _float_error_bounds((u + v).coeffs[1:], spec.q.digits)
+        verdict, viol, margin = _classify_float(delta.coeffs[1:], bounds)
+        coeff0, decided_by = delta.coeffs[0], "float"
+    matches = decided_by == "degenerate" or (
+        decided_by is not None and verdict_satisfies(verdict, expected)
+        and coeff0.sign() in _HEAD_SIGNS.get(expected, (-1, 0, 1)))
+    return SignReport(verdict, viol, margin, spec.order, coeff0, spec.family.value,
+                      spec.q.mode, norm, chain_case=chain_case, expected=expected,
+                      matches_expected=matches, decided_by=decided_by,
+                      exact_fallbacks=fallbacks)
 
 
 def _positive_hypotheses(spec: TuranianSpec):
@@ -455,15 +452,9 @@ def delta_sign_certificate(spec: TuranianSpec) -> SignReport:
     """Sign certificate for the Heine-f Turanian (expected strictly negative)."""
     if spec.family != Family.HEINE_F:
         raise ValueError("delta_sign_certificate works on the heine-f family")
-    expected = SignVerdict.ALL_STRICTLY_NEG
-    norm = "x^m coefficients"
-    if _is_degenerate(spec):
-        return _zero_report(spec, expected, norm)
-    _positive_hypotheses(spec)
-    if spec.q.is_exact:
-        return _exact_report(spec, [(ex(1), ex(1))], expected, norm)
-    return _float_report(spec, *_product_pair(spec, partial(_shift_series, spec)),
-                         expected, norm)
+    if not _is_degenerate(spec):
+        _positive_hypotheses(spec)
+    return _certify(spec, SignVerdict.ALL_STRICTLY_NEG, "x^m coefficients")
 
 
 # -- tilde family: exact enclosure of the prefactor ratio --------------------
@@ -517,24 +508,20 @@ def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:
     """
     if spec.family != Family.HEINE_F_TILDE:
         raise ValueError("delta_tilde_sign_certificate works on the tilde family")
-    expected = SignVerdict.ALL_STRICTLY_POS
-    norm = "scaled by Gamma_q(mu+alpha)*Gamma_q(mu+beta); x^m basis"
-    if _is_degenerate(spec):
-        return _zero_report(spec, expected, norm)
-    mu, alpha, beta = _positive_hypotheses(spec)
-    q = spec.q
+    rho_rounds = ()
+    if not _is_degenerate(spec):
+        mu, alpha, beta = _positive_hypotheses(spec)
+        first = max(spec.order, 48)
+        rho_rounds = (_rho_interval(mu, alpha, beta, spec.q, first << k)
+                      for k in range(8))
+    norm = ("scaled by Gamma_q(mu+alpha)*Gamma_q(mu+beta); x^m basis" if spec.q.is_exact
+            else "absolute x^m coefficients")
+    return _certify(spec, SignVerdict.ALL_STRICTLY_POS, norm, rho_rounds)
 
-    if not q.is_exact:
-        from .series import heine_f_tilde_series
-        def tilde(shift):
-            return heine_f_tilde_series(spec.mu + shift, q, spec.order,
-                                        absolute=True)
-        return _float_report(spec, *_product_pair(spec, tilde), expected,
-                             "absolute x^m coefficients")
 
-    first = max(spec.order, 48)
-    rho_rounds = (_rho_interval(mu, alpha, beta, q, first << k) for k in range(8))
-    return _exact_report(spec, rho_rounds, expected, norm)
+# The sign direction each chain case predicts for the g Turanian.
+_CASE_EXPECTED = {"a+b": SignVerdict.ZERO, "a": SignVerdict.ALL_NONPOS,
+                  "b": SignVerdict.ALL_NONNEG}
 
 
 def gamma_sign_certificate(spec: TuranianSpec, *,
@@ -566,46 +553,20 @@ def gamma_sign_certificate(spec: TuranianSpec, *,
     if not mu >= 0:
         raise HypothesisError(f"mu must be nonnegative, got {mu}")
 
-    c, d = conditions.derive_cd(spec.a, spec.b, q)
-    t, s = len(c), len(d)
-    case_a = s <= t <= s + 1 and conditions.chain_condition_a(c, d)
-    case_b = t <= s and conditions.chain_condition_b(c, d)
-    if case_a and case_b:
-        expected, chain_case = SignVerdict.ZERO, "a+b"
-    elif case_a:
-        expected, chain_case = SignVerdict.ALL_NONPOS, "a"
-    elif case_b:
-        expected, chain_case = SignVerdict.ALL_NONNEG, "b"
-    else:
-        if require_theorem:
-            raise HypothesisError("neither chain condition holds; no sign claim applies")
-        expected, chain_case = None, None
-    coefficientwise_ok = alpha <= beta + 1
-    if expected is not None and not coefficientwise_ok:
+    chain_case = conditions.chain_case(*conditions.derive_cd(spec.a, spec.b, q))
+    if chain_case is None and require_theorem:
+        raise HypothesisError("neither chain condition holds; no sign claim applies")
+    expected = _CASE_EXPECTED.get(chain_case)
+    if expected is not None and not alpha <= beta + 1:
         if require_theorem:
             raise HypothesisError(
                 f"coefficientwise claim needs alpha <= beta+1, got "
                 f"alpha={alpha}, beta={beta}"
             )
         expected = None
-
-    norm = "relative to (Gamma_q(a+mu)/Gamma_q(b+mu))^2; x^m basis"
-    if _is_degenerate(spec):
-        rep = _zero_report(spec, expected, norm)
-        return replace(rep, chain_case=chain_case)
-    if q.is_exact:
-        rep = _exact_report(spec, [(ex(1), ex(1))], expected, norm, chain_case)
-    else:
-        rep = _float_report(spec, *_product_pair(spec, partial(_shift_series, spec)),
-                            expected, norm, chain_case)
-    matches = rep.matches_expected
-    if matches and expected == SignVerdict.ALL_NONNEG:
-        matches = rep.coeff0.sign() >= 0
-    elif matches and expected == SignVerdict.ALL_NONPOS:
-        matches = rep.coeff0.sign() <= 0
-    elif matches and expected == SignVerdict.ZERO:
-        matches = rep.coeff0.is_zero()
-    return replace(rep, matches_expected=matches)
+    return _certify(spec, expected,
+                    "relative to (Gamma_q(a+mu)/Gamma_q(b+mu))^2; x^m basis",
+                    chain_case=chain_case)
 
 
 def sign_certificate(spec: TuranianSpec, **kwargs) -> SignReport:

@@ -1,10 +1,13 @@
 """CLI behaviour: exit codes, report schema, determinism, CSV output."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from qturan.cli import parse_grid, parse_rational, run
 from fractions import Fraction as F
@@ -211,6 +214,10 @@ def test_eval_missing_parameter_names_the_option(capsys):
     code = run(["eval", "--family", "heine-f", "--x", "1/4", "--q", "1/2"])
     assert code == 2
     assert "--mu is required for family heine-f" in capsys.readouterr().err
+    code = run(["eval", "--family", "g", "--mu", "1", "--x", "1/4", "--q", "1/2",
+                "--mode", "float"])
+    assert code == 2
+    assert "--a and --b are required for family g" in capsys.readouterr().err
 
 
 def test_verify_integral_alpha_text_keeps_the_report(tmp_path):
@@ -221,3 +228,79 @@ def test_verify_integral_alpha_text_keeps_the_report(tmp_path):
     res = read_json(out)["residuals"][0]
     assert res["exact_zero"] is True
     assert res["label"] == "kummer-linearization(mu=3/2,alpha=2,beta=1/2)"
+
+
+def test_order_zero_certificate_is_a_usage_error(capsys):
+    # no coefficient m >= 1 to certify: the verdict would be vacuous
+    code = run(["scan", "--family", "g", "--a", "2,3", "--b", "1,2", "--q", "1/2",
+                "--mu-grid", "1", "--alpha", "1", "--beta", "1", "--order", "0"])
+    assert code == 2
+    assert "order >= 1" in capsys.readouterr().err
+    code = run(["turanian", "--family", "heine-f", "--mu", "1", "--alpha", "1",
+                "--beta", "1", "--q", "1/2", "--order", "0"])
+    assert code == 2
+    assert "order >= 1" in capsys.readouterr().err
+
+
+def test_bad_numeric_options_name_the_option(capsys):
+    point = ["--mu", "1", "--alpha", "1", "--beta", "1", "--q", "1/2"]
+    for argv in (["turanian", "--family", "heine-f", *point, "--order", "-3"],
+                 ["scan", "--family", "heine-f", "--mu-grid", "1", "--q", "1/2",
+                  "--order", "-3"],
+                 ["eval", "--family", "heine-f", "--mu", "1", "--x", "1/2", "--q", "1/2",
+                  "--order", "-3"],
+                 ["verify", "--identity", "linearization", *point, "--order", "-3"]):
+        assert run(argv) == 2
+        assert "--order must be an integer >= 0, got -3" in capsys.readouterr().err
+    assert run(["verify", "--identity", "finite-sum", "--nu", "1", "--eta", "2",
+                "--q", "1/2", "--m", "-1"]) == 2
+    assert "--m must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert run(["eval", "--family", "heine-f", "--mu", "1", "--x", "1/2", "--q", "1/2",
+                "--mode", "float", "--digits", "3"]) == 2
+    assert "--digits must be an integer >= 10, got 3" in capsys.readouterr().err
+    assert run(["verify", "--identity", "connection", "--alpha", "0", "--y", "1",
+                "--q", "1/2", "--mode", "float", "--tol", "abc"]) == 2
+    assert "--tol must be a number, got 'abc'" in capsys.readouterr().err
+
+
+def test_options_a_subcommand_never_reads_are_refused(tmp_path, capsys):
+    for argv in (["eval", "--family", "heine-f", "--mu", "1", "--x", "1/2", "--q", "1/2",
+                  "--csv", str(tmp_path / "e.csv")],
+                 ["conditions", "--a", "2,3", "--b", "1,2", "--q", "1/2",
+                  "--csv", str(tmp_path / "c.csv")],
+                 ["conditions", "--a", "2,3", "--b", "1,2", "--q", "1/2",
+                  "--order", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_writes_csv_for_every_identity(tmp_path):
+    header = ["identity", "label", "mode", "exact_zero", "max_abs", "max_rel",
+              "order_checked"]
+    kummer, limit = tmp_path / "k.csv", tmp_path / "q.csv"
+    assert run(["verify", "--identity", "kummer", "--mu", "1", "--alpha", "1",
+                "--beta", "1", "--order", "8", "--csv", str(kummer)]) == 0
+    rows = list(csv.reader(kummer.read_text(encoding="utf-8").splitlines()))
+    assert rows[0] == header and len(rows) == 2
+    assert rows[1][:4] == ["kummer", "kummer-linearization(mu=1,alpha=1,beta=1)",
+                           "exact", "True"]
+    code = run(["verify", "--identity", "q-to-1", "--mu", "1", "--alpha", "1",
+                "--beta", "1", "--x", "1/2", "--mode", "float", "--q-sequence", "0.9,0.99",
+                "--csv", str(limit)])
+    assert code == 0
+    rows = list(csv.reader(limit.read_text(encoding="utf-8").splitlines()))
+    assert rows[0] == header and len(rows) == 3
+    assert all(r[0] == "q-to-1" and r[2] == "float" for r in rows[1:])
+
+
+def test_exact_eval_of_gamma_normalized_families_is_refused(capsys):
+    for argv in (["eval", "--family", "heine-f-tilde", "--mu", "1", "--x", "1/2"],
+                 ["eval", "--family", "g", "--a", "2,3", "--b", "1,2", "--mu", "1",
+                  "--x", "1/2"]):
+        assert run([*argv, "--q", "1/2", "--mode", "exact"]) == 2
+        assert "use --mode float" in capsys.readouterr().err
+        assert run([*argv, "--q", "1/2", "--mode", "float"]) == 0
+        capsys.readouterr()

@@ -7,6 +7,7 @@ import pytest
 
 from qturan.conditions import (
     RtsDirection,
+    chain_case,
     chain_condition_a,
     chain_condition_b,
     derive_cd,
@@ -87,6 +88,38 @@ class TestChainConditions:
             assert got == by_division
 
 
+class TestChainCase:
+    @pytest.mark.parametrize("a, b, case", [
+        ((F(1), F(3)), (F(1), F(3)), "a+b"),
+        ((F(1), F(1), F(1)), (F(2), F(2)), "a"),
+        ((F(2), F(3)), (F(1), F(2)), "b"),
+        ((F(1), F(3)), (F(2), F(2)), None),
+    ])
+    def test_four_outcomes_agree_with_majorization_flags(self, a, b, case):
+        c, d = derive_cd(a, b, Q12)
+        assert chain_case(c, d) == case
+        verdict = majorization_sufficiency(c, d)
+        assert verdict.applies_case_a == (case in ("a", "a+b"))
+        assert verdict.applies_case_b == (case in ("b", "a+b"))
+
+    def test_dimensional_hypotheses_are_part_of_the_case(self):
+        # t = s + 2 fits neither chain; t = s + 1 fits only case (a)
+        assert chain_case(exv(1, 1, 1), exv(1)) is None
+        assert chain_case(exv(1, 2, 10), exv(2, 3)) == "a"
+
+    def test_agrees_with_majorization_flags_on_random_suite(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            s = rng.randint(1, 3)
+            t = max(1, s + rng.randint(-1, 1))
+            c = [ex(F(rng.randint(1, 9))) for _ in range(t)]
+            d = [ex(F(rng.randint(1, 9))) for _ in range(s)]
+            case = chain_case(c, d)
+            verdict = majorization_sufficiency(c, d)
+            assert verdict.applies_case_a == (case in ("a", "a+b"))
+            assert verdict.applies_case_b == (case in ("b", "a+b"))
+
+
 class TestMajorizationSufficiency:
     def test_equality_witness(self):
         c = exv(1, 3)
@@ -107,6 +140,22 @@ class TestMajorizationSufficiency:
         assert verdict.via_majorization
         assert verdict.witness_subvector == (0, 1)
         assert verdict.applies_case_a
+
+    def test_case_b_witness_is_supermajorized_by_c(self):
+        # d' = (3) of d = (3, 7) lies below c = (5): chain (b) holds
+        verdict = majorization_sufficiency(exv(5), exv(3, 7))
+        assert verdict.via_majorization and verdict.witness_subvector == (0,)
+        assert verdict.applies_case_b
+        # c = (1) lies below every d': no witness, and no chain holds
+        verdict = majorization_sufficiency(exv(1), exv(3, 7))
+        assert not verdict.via_majorization
+        assert chain_case(exv(1), exv(3, 7)) is None
+
+    def test_witness_outside_the_chain_dimensions_asserts_nothing(self):
+        # t = s + 2: a witness exists, but no chain applies to these sizes
+        verdict = majorization_sufficiency(exv(1, 1, 1), exv(1))
+        assert verdict.via_majorization
+        assert not verdict.applies_case_a and not verdict.applies_case_b
 
     def test_witness_implies_chain_on_random_suite(self):
         # witness found implies the chain holds: no counterexample in 500 draws

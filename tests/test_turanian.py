@@ -19,6 +19,7 @@ from qturan.turanian import (
     gamma_sign_certificate,
     integer_shift_reduction_check,
     logconcavity_grid_check,
+    sign_certificate,
     turan_point_inequality,
     turanian_series,
     verdict_satisfies,
@@ -73,6 +74,21 @@ def test_degenerate_shifts_give_zero_series():
         assert turanian_series(heine_spec(F(1), al, be)).is_zero()
     spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(0), F(1), Q12, 10, **CASE_B)
     assert turanian_series(spec).is_zero()
+
+
+@pytest.mark.parametrize("q", [Q12, QF], ids=["exact", "float"])
+def test_certificates_need_order_at_least_one(q):
+    # below order 1 there is no Delta_m with m >= 1: any verdict would be vacuous
+    for order in (0, -3):
+        for spec in (heine_spec(F(1), F(1), F(1), q, order),
+                     heine_spec(F(1), F(0), F(1), q, order),
+                     TuranianSpec(Family.HEINE_F_TILDE, F(1), F(1), F(1), q, order),
+                     TuranianSpec(Family.G_NORMALIZED, F(1), F(1), F(1), q, order,
+                                  **CASE_B)):
+            with pytest.raises(HypothesisError, match="order >= 1"):
+                sign_certificate(spec)
+    rep = sign_certificate(heine_spec(F(1), F(1), F(1), q, 1))
+    assert rep.verdict == SignVerdict.ALL_STRICTLY_NEG and rep.order_checked == 1
 
 
 class TestDeltaCertificate:
