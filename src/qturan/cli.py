@@ -178,17 +178,6 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _family(text: str) -> Family:
-    mapping = {
-        "heine-f": Family.HEINE_F,
-        "heine-f-tilde": Family.HEINE_F_TILDE,
-        "g": Family.G_NORMALIZED,
-    }
-    if text not in mapping:
-        raise QTuranError(f"unknown family {text!r}")
-    return mapping[text]
-
-
 def _config_common(args, extra: dict) -> dict:
     cfg = {
         "command": args.command,
@@ -262,10 +251,9 @@ def cmd_eval(args) -> int:
 
 
 def _turanian_spec(args, q, mu, alpha, beta) -> TuranianSpec:
-    fam = _family(args.family)
     a = parse_vector(args.a) if args.a else ()
     b = parse_vector(args.b) if args.b else ()
-    return TuranianSpec(fam, mu, alpha, beta, q, args.order, a, b)
+    return TuranianSpec(Family(args.family), mu, alpha, beta, q, args.order, a, b)
 
 
 def cmd_turanian(args) -> int:
@@ -303,6 +291,7 @@ def cmd_turanian(args) -> int:
 
 def cmd_conditions(args) -> int:
     q = make_qbase(args)
+    started = time.monotonic()
     a = parse_vector(args.a)
     b = parse_vector(args.b)
     c, d = conditions.derive_cd(a, b, q)
@@ -320,7 +309,8 @@ def cmd_conditions(args) -> int:
         if verdict.witness_subvector else None,
     }
     cfg = _config_common(args, {"a": args.a, "b": args.b})
-    write_report(args.out, cfg, [rec], [], [], None if q.is_exact else 0.0)
+    timing = None if q.is_exact else time.monotonic() - started
+    write_report(args.out, cfg, [rec], [], [], timing)
     case = conditions.chain_case(c, d)
     print(f"chain case: {case or 'none'}; majorization witness: "
           f"{verdict.via_majorization}")
@@ -337,6 +327,15 @@ def cmd_verify(args) -> int:
     def need(name):
         return _required_rational(args, name, f"--identity {args.identity}")
 
+    if args.identity in ("q-to-1", "kummer"):
+        # the q -> 1 study sets its own bases, and Kummer's identity has none
+        for name in ("q", "p"):
+            if getattr(args, name) is not None:
+                raise QTuranError(
+                    f"--{name} does not apply to --identity {args.identity}")
+        if args.identity == "kummer" and args.mode == "float":
+            raise QTuranError("--identity kummer is checked exactly; --mode float "
+                              "does not apply")
     extra = {"identity": args.identity, "tol": args.tol}
     verdicts = []
     if args.identity == "q-to-1":
@@ -345,7 +344,8 @@ def cmd_verify(args) -> int:
             need("mu"), need("alpha"), need("beta"), need("x"), seq, digits=args.digits)
         deviations = [r.max_abs.val for r in results]
         ok = all(b < a for a, b in zip(deviations, deviations[1:]))
-        extra = {"identity": args.identity, "q_sequence": seq, "x": args.x}
+        extra = {"identity": args.identity, "q_sequence": seq, "x": args.x,
+                 "mode": "float", "digits": args.digits}
         verdicts = [{"kind": "limit-study", "deviations_decreasing": ok}]
         message = f"q->1 deviations decreasing: {ok}"
     else:
@@ -374,6 +374,7 @@ def cmd_verify(args) -> int:
             else:
                 raise QTuranError(f"unknown identity {args.identity!r}")
         results = [res]
+        extra["order"] = res.order_checked
         ok = res.exact_zero if res.mode == "exact" else res.max_rel.val < tol
         status = "exact-zero" if res.exact_zero else f"max_rel={scalar_text(res.max_rel)}"
         message = f"{args.identity}: {status} -> {'ok' if ok else 'FAIL'}"
@@ -538,10 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--family", required=True,
                         choices=["heine-f", "heine-f-tilde", "g"])
     p_scan.add_argument("--mu-grid", required=True, help="value or start:stop:step")
-    p_scan.add_argument("--alpha-grid", default="1")
-    p_scan.add_argument("--beta-grid", default="1")
-    p_scan.add_argument("--alpha", dest="alpha_grid_alias")
-    p_scan.add_argument("--beta", dest="beta_grid_alias")
+    p_scan.add_argument("--alpha-grid", "--alpha", default="1")
+    p_scan.add_argument("--beta-grid", "--beta", default="1")
     p_scan.add_argument("--a")
     p_scan.add_argument("--b")
     _add_common(p_scan)
@@ -560,10 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "alpha_grid_alias", None):
-            args.alpha_grid = args.alpha_grid_alias
-        if getattr(args, "beta_grid_alias", None):
-            args.beta_grid = args.beta_grid_alias
         for name, low in (("order", 0), ("m", 0), ("digits", 10)):
             value = getattr(args, name, None)
             if value is not None and value < low:

@@ -67,19 +67,22 @@ def derive_cd(a: Sequence, b: Sequence, q: QBase):
     return one_vec(a), one_vec(b)
 
 
+def _chain(x: Sequence[Scalar], y: Sequence[Scalar]) -> bool:
+    """e_n(x)/e_k(y) <= e_(n-1)(x)/e_(k-1)(y) <= ... <= e_(n-k)(x) with
+    n = |x| >= k = |y|, cross-multiplied: case (a) with x = c, y = d, and
+    case (b) with the roles exchanged."""
+    n, k = len(x), len(y)
+    e_x, e_y = elementary_symmetric(x), elementary_symmetric(y)
+    return all(e_x[n - j] * e_y[k - j - 1] <= e_x[n - j - 1] * e_y[k - j]
+               for j in range(k))
+
+
 def chain_condition_a(c: Sequence[Scalar], d: Sequence[Scalar]) -> bool:
     """The case-(a) chain, cross-multiplied; requires s <= t <= s+1."""
     t, s = len(c), len(d)
     if not s <= t <= s + 1:
         raise DimensionError(f"case (a) needs s <= t <= s+1, got t={t}, s={s}")
-    ec = elementary_symmetric(c)
-    ed = elementary_symmetric(d)
-    for j in range(s):
-        lhs = ec[t - j] * ed[s - j - 1]
-        rhs = ec[t - j - 1] * ed[s - j]
-        if not lhs <= rhs:
-            return False
-    return True
+    return _chain(c, d)
 
 
 def chain_condition_b(c: Sequence[Scalar], d: Sequence[Scalar]) -> bool:
@@ -87,14 +90,7 @@ def chain_condition_b(c: Sequence[Scalar], d: Sequence[Scalar]) -> bool:
     t, s = len(c), len(d)
     if not t <= s:
         raise DimensionError(f"case (b) needs t <= s, got t={t}, s={s}")
-    ec = elementary_symmetric(c)
-    ed = elementary_symmetric(d)
-    for j in range(t):
-        lhs = ed[s - j] * ec[t - j - 1]
-        rhs = ed[s - j - 1] * ec[t - j]
-        if not lhs <= rhs:
-            return False
-    return True
+    return _chain(d, c)
 
 
 def chain_case(c: Sequence[Scalar], d: Sequence[Scalar]) -> str | None:
@@ -120,20 +116,10 @@ def majorization_sufficiency(c: Sequence[Scalar], d: Sequence[Scalar]) -> ChainV
     hypothesis holds, the implication is asserted.
     """
     t, s = len(c), len(d)
-    witness = None
-    via = False
-    if t >= s:
-        for idx in combinations(range(t), s):
-            sub = [c[i] for i in idx]
-            if weak_supermajorizes(d, sub):
-                witness, via = idx, True
-                break
-    else:
-        for idx in combinations(range(s), t):
-            sub = [d[i] for i in idx]
-            if weak_supermajorizes(c, sub):
-                witness, via = idx, True
-                break
+    big, small = (c, d) if t >= s else (d, c)
+    witness = next((idx for idx in combinations(range(len(big)), len(small))
+                    if weak_supermajorizes(small, [big[i] for i in idx])), None)
+    via = witness is not None
 
     case = chain_case(c, d)
     case_a, case_b = case in ("a", "a+b"), case in ("b", "a+b")

@@ -291,46 +291,46 @@ def q_to_1_limit_study(mu, alpha: int, beta, x, q_sequence, *,
     return out
 
 
-def verify_recqgamma(mu, beta, q: QBase, m: int) -> Residual:
-    """The Gamma_q summation identity at order m.
+def _qpoch_prefixes(x, q: QBase, n: int) -> list:
+    """(q^x; q)_j for j = 0..n, as running prefix products."""
+    out = [q.one]
+    t = q.q_power(x)
+    for _ in range(n):
+        out.append(out[-1] * (1 - t))
+        t = t * q.q
+    return out
 
-    In exact mode both sides are multiplied by Gamma_q(mu) Gamma_q(mu+beta)
-    and every Gamma ratio is rewritten through the finite ratio identity, so
-    the comparison is rational.  Float mode evaluates the Gammas directly.
+
+def verify_recqgamma(mu, beta, q: QBase, m: int) -> Residual:
+    """The Gamma_q summation identity at order m, in one formula for both
+    modes.  Write G_j = Gamma_q(mu+j) (1-q)^j / c and H_j =
+    Gamma_q(mu+beta+j) (1-q)^j / c'.  Multiplied through by c c', the
+    identity reads
+
+        (1-q)^(m+1) sum_{k<=m} (1/(G_(k+1) H_(m-k)) - 1/(G_k H_(m-k+1)))
+          = ((q^(mu+beta); q)_(m+1) - (q^mu; q)_(m+1)) (1-q)^(m+1) / (G_(m+1) H_(m+1)).
+
+    Exact mode takes c = Gamma_q(mu) and c' = Gamma_q(mu+beta), which by the
+    finite Gamma-ratio identity makes G_j and H_j the prefix products
+    (q^mu; q)_j and (q^(mu+beta); q)_j, so the comparison is rational; float
+    mode takes c = c' = 1 and evaluates the Gammas directly.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if q.is_exact:
-        mu = as_fraction(mu)
-        beta = as_fraction(beta)
-        qmu = q.q_power(mu)
-        qmb = q.q_power(mu + beta)
-        one_minus = 1 - q.q
-        # A_j = (q^mu; q)_j, B_j = (q^(mu+beta); q)_j, precomputed
-        A = [q.one]
-        B = [q.one]
-        qk = q.one
-        for j in range(m + 2):
-            A.append(A[-1] * (1 - qmu * qk))
-            B.append(B[-1] * (1 - qmb * qk))
-            qk = qk * q.q
-        for j in range(1, m + 2):
-            if A[j].is_zero() or B[j].is_zero():
-                raise CollisionError("Gamma_q pole encountered in the summation")
-        lhs = zero_like(q.one)
-        for k in range(m + 1):
-            lhs = lhs + (q.one / (A[k + 1] * B[m - k]) - q.one / (A[k] * B[m - k + 1]))
-        lhs = lhs * one_minus ** (m + 1)
-        rhs = (B[m + 1] - A[m + 1]) * one_minus ** (m + 1) / (A[m + 1] * B[m + 1])
-        return _compare([(lhs, rhs)], "exact", m,
-                        f"recqgamma(mu={mu},beta={beta},m={m})")
+        mu, beta = as_fraction(mu), as_fraction(beta)
+    poch, poch_b = (_qpoch_prefixes(x, q, m + 1) for x in (mu, mu + beta))
+    one_minus = 1 - q.q
+    if q.is_exact:
+        G, H = poch, poch_b
+        if any(v.is_zero() for v in G[1:] + H[1:]):
+            raise CollisionError("Gamma_q pole encountered in the summation")
+    else:
+        G, H = ([qgamma(x + j, q) * one_minus ** j for j in range(m + 2)]
+                for x in (mu, mu + beta))
     lhs = zero_like(q.one)
     for k in range(m + 1):
-        lhs = lhs + (1 / (qgamma(mu + k + 1, q) * qgamma(mu + beta + m - k, q))
-                     - 1 / (qgamma(mu + k, q) * qgamma(mu + beta + m - k + 1, q)))
-    num = (qpochhammer_finite(q.q_power(mu + beta), q, m + 1)
-           - qpochhammer_finite(q.q_power(mu), q, m + 1))
-    rhs = num / (qgamma(mu + m + 1, q) * qgamma(mu + beta + m + 1, q)
-                 * (1 - q.q) ** (m + 1))
-    return _compare([(lhs, rhs)], "float", m,
-                    f"recqgamma(mu={mu},beta={beta},m={m})")
+        lhs = lhs + (q.one / (G[k + 1] * H[m - k]) - q.one / (G[k] * H[m - k + 1]))
+    lhs = lhs * one_minus ** (m + 1)
+    rhs = (poch_b[m + 1] - poch[m + 1]) * one_minus ** (m + 1) / (G[m + 1] * H[m + 1])
+    return _compare([(lhs, rhs)], q.mode, m, f"recqgamma(mu={mu},beta={beta},m={m})")

@@ -10,8 +10,10 @@ This module provides the q-shifted factorial (finite and infinite), the
 q-Gamma function and its finite ratio, the q-exponential, elementary
 symmetric polynomials, weak supermajorization, and the classical Pochhammer
 symbol.  Infinite products are float-mode only and come with an explicit
-geometric tail bound; exact mode must route Gamma ratios through
-:func:`qgamma_ratio` so it never touches an infinite product.
+geometric tail bound.  A finite Gamma ratio Gamma_q(x+k)/Gamma_q(x) is the
+finite product of :func:`qgamma_ratio` in either mode: the relative
+prefactor of the g family and the tilde family's rho at integer shifts are
+built from it, so exact mode never touches an infinite product.
 """
 
 from __future__ import annotations

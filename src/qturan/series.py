@@ -37,7 +37,7 @@ from typing import Sequence
 
 import mpmath
 
-from .qcore import QBase, qgamma, qpochhammer_infinite
+from .qcore import QBase, qgamma, qgamma_ratio, qpochhammer_infinite
 from .scalar import (
     CollisionError,
     DomainError,
@@ -282,38 +282,25 @@ def _validate_g_params(a, b, mu, q):
 
 def g_relative_prefactor(a, b, ref_mu, sigma: int, q: QBase) -> Scalar:
     """Gamma_q(a+ref+sigma)/Gamma_q(b+ref+sigma) relative to the same ratio
-    at ref, rewritten through the finite Gamma-ratio identity.
+    at ref: the product of qgamma_ratio(a_i+ref, sigma) over the product of
+    qgamma_ratio(b_j+ref, sigma).
 
     Exact whenever the exponents sit on the half-integer grid and sigma is a
-    nonnegative integer.
+    nonnegative integer.  A lower exponent b_j+ref = 0 (with sigma > 0) is a
+    lower-parameter collision, as in the series itself.
     """
     if sigma < 0:
         raise ValueError("sigma must be a nonnegative integer")
-    t, s = len(a), len(b)
     result = q.one
     for ai in a:
-        base = q.q_power(ai + ref_mu)
-        cur = q.one
-        qk = q.one
-        for _ in range(sigma):
-            cur = cur * (1 - base * qk)
-            qk = qk * q.q
-        result = result * cur
+        result = result * qgamma_ratio(ai + ref_mu, sigma, q)
     for bj in b:
-        base = q.q_power(bj + ref_mu)
-        cur = q.one
-        qk = q.one
-        for _ in range(sigma):
-            cur = cur * (1 - base * qk)
-            qk = qk * q.q
-        if cur.is_zero():
+        if sigma and bj + ref_mu == 0:      # caught before qgamma_ratio's pole
             raise CollisionError(
                 f"lower parameter collision: (q^(b+mu); q)_{sigma} vanishes at "
                 f"b={bj}, mu={ref_mu}"
             )
-        result = result / cur
-    if sigma and s != t:
-        result = result * ((1 - q.q) ** (sigma * (s - t)))
+        result = result / qgamma_ratio(bj + ref_mu, sigma, q)
     return result
 
 
@@ -403,51 +390,44 @@ def _float_only(q: QBase, what: str):
         raise ExactModeError(f"{what} evaluates infinite products; use float mode")
 
 
-def qbessel_j1(alpha, y, q: QBase, order: int) -> Scalar:
-    """First Jackson q-Bessel function at y, for |y| < 2 (float mode)."""
-    _float_only(q, "qbessel_j1")
+def _jackson_qbessel(name: str, alpha, y, q: QBase, order: int, d: int) -> Scalar:
+    """The body both Jackson q-Bessel functions share:
+
+        (y/2)^alpha (b; q)_infty / (q; q)_infty * sum_n c_n z^n,  b = q^(alpha+1),
+
+    where c_n / c_(n-1) = q^(d(n-1)) / ((1 - q^n)(1 - b q^(n-1))) and
+    z = -y^2/4, times b when d = 2 (float mode).
+    """
+    _float_only(q, name)
     y = q.scalar(y)
-    if not abs(y) < FloatScalar(2, q.digits):
-        raise DomainError("qbessel_j1 needs |y| < 2")
+    if d == 0 and not abs(y) < FloatScalar(2, q.digits):     # J1's sum needs |z| < 1
+        raise DomainError(f"{name} needs |y| < 2")
     alpha_s = q.scalar(alpha)
-    half_y = y / 2
     if y.is_zero():
         if alpha_s.is_zero():
             return q.one
         if alpha_s > 0:
             return q.zero
-        raise DomainError("qbessel_j1 diverges at y=0 for alpha < 0")
+        raise DomainError(f"{name} diverges at y=0 for alpha < 0")
     with mpmath.workdps(q.digits):
         if y.val < 0 and mpmath.floor(alpha_s.val) != alpha_s.val:
             raise DomainError("negative y needs integer alpha")
     b = q.q ** (alpha_s + 1)
-    prefactor = (half_y ** alpha_s) * qpochhammer_infinite(
+    prefactor = ((y / 2) ** alpha_s) * qpochhammer_infinite(
         b, q) / qpochhammer_infinite(q.q, q)
-    terms = TermRatio(q.one, (), (b,), q).series(order)
-    return prefactor * terms.eval(-(y * y) / 4)
+    terms = TermRatio(q.one, (), (b,), q, d, q.one).series(order)
+    z = -(y * y) * b / 4 if d else -(y * y) / 4
+    return prefactor * terms.eval(z)
+
+
+def qbessel_j1(alpha, y, q: QBase, order: int) -> Scalar:
+    """First Jackson q-Bessel function at y, for |y| < 2 (float mode)."""
+    return _jackson_qbessel("qbessel_j1", alpha, y, q, order, 0)
 
 
 def qbessel_j2(alpha, y, q: QBase, order: int) -> Scalar:
     """Second Jackson q-Bessel function at y (entire in y; float mode)."""
-    _float_only(q, "qbessel_j2")
-    y = q.scalar(y)
-    alpha_s = q.scalar(alpha)
-    half_y = y / 2
-    if y.is_zero():
-        if alpha_s.is_zero():
-            return q.one
-        if alpha_s > 0:
-            return q.zero
-        raise DomainError("qbessel_j2 diverges at y=0 for alpha < 0")
-    with mpmath.workdps(q.digits):
-        if y.val < 0 and mpmath.floor(alpha_s.val) != alpha_s.val:
-            raise DomainError("negative y needs integer alpha")
-    b = q.q ** (alpha_s + 1)
-    prefactor = (half_y ** alpha_s) * qpochhammer_infinite(
-        b, q) / qpochhammer_infinite(q.q, q)
-    # d = 2 with scale 1 gives the extra factor q^(2(n-1)) of each term ratio
-    terms = TermRatio(q.one, (), (b,), q, 2, q.one).series(order)
-    return prefactor * terms.eval(-(y * y) * b / 4)
+    return _jackson_qbessel("qbessel_j2", alpha, y, q, order, 2)
 
 
 def modified_qbessel_i1(nu, y, q: QBase, order: int) -> Scalar:

@@ -49,14 +49,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 
 import mpmath
 from mpmath.libmp import from_int, from_man_exp, mpf_sign, to_rational
 from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_sqrt, mpi_sub
 
 from . import conditions
-from .qcore import QBase, qgamma, qpochhammer_finite
+from .qcore import QBase, qgamma_ratio, qpochhammer_finite
 from .series import (
     TruncatedSeries,
     g_series,
@@ -163,25 +162,28 @@ def _param(value, q: QBase):
     return as_fraction(value) if q.is_exact else value
 
 
-def _shift_series(spec: TuranianSpec, shift, order=None) -> TruncatedSeries:
-    """The family series at mu + shift, to spec.order unless another order is
-    given.  The exact tilde series is its relative form (Heine's); the float
-    one carries its 1/Gamma_q(mu + shift) scale."""
-    q = spec.q
-    mu = _param(spec.mu, q)
-    order = spec.order if order is None else order
-    if spec.family == Family.G_NORMALIZED:
-        return g_series(spec.a, spec.b, mu + shift, q, order, ref_mu=mu)
-    if spec.family == Family.HEINE_F_TILDE and not q.is_exact:
+def _shift_series(family: Family, mu, shift, q: QBase, order: int, a=(),
+                  b=()) -> TruncatedSeries:
+    """The family series F(mu + shift): the one map from a family to its
+    series, for the certificates and the pointwise checks alike.  The g
+    series carries its Gamma_q prefactor relative to mu.  The exact tilde
+    series is its relative form (Heine's); the float one carries its
+    1/Gamma_q(mu + shift) scale."""
+    if family == Family.G_NORMALIZED:
+        return g_series(a, b, mu + shift, q, order, ref_mu=mu)
+    if family == Family.HEINE_F_TILDE and not q.is_exact:
         return heine_f_tilde_series(mu + shift, q, order, absolute=True)
     return heine_f_series(mu + shift, q, order)
 
 
-def _shifted(spec: TuranianSpec, series_fn) -> tuple:
-    """F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta) from series_fn(shift)."""
-    alpha = _param(spec.alpha, spec.q)
-    beta = _param(spec.beta, spec.q)
-    return tuple(series_fn(sh) for sh in (alpha, beta, alpha - alpha, alpha + beta))
+def _shifted(spec: TuranianSpec, order=None) -> tuple:
+    """F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta), to spec.order unless
+    another order is given."""
+    q = spec.q
+    mu, alpha, beta = (_param(v, q) for v in (spec.mu, spec.alpha, spec.beta))
+    order = spec.order if order is None else order
+    return tuple(_shift_series(spec.family, mu, sh, q, order, spec.a, spec.b)
+                 for sh in (alpha, beta, alpha - alpha, alpha + beta))
 
 
 def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
@@ -198,7 +200,7 @@ def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
             "the tilde Turanian has no exact absolute representation; "
             "use delta_tilde_sign_certificate"
         )
-    s_a, s_b, s_0, s_ab = _shifted(spec, partial(_shift_series, spec))
+    s_a, s_b, s_0, s_ab = _shifted(spec)
     return s_a * s_b - s_0 * s_ab
 
 
@@ -404,17 +406,15 @@ def _certify(spec: TuranianSpec, expected, norm, rho_rounds=((ex(1), ex(1)),),
         verdict, decided_by = SignVerdict.ZERO, "degenerate"
         margin = coeff0 = spec.q.zero
     elif spec.q.is_exact:
-        heads = _shifted(spec, lambda sh: _shift_series(spec, sh, 0))
+        heads = _shifted(spec, 0)
         enclosures = tuple(h.ratio.series(spec.order, lift=_Interval.of) for h in heads)
-        found = _exact_mode_bounds(heads, enclosures,
-                                   lambda: _shifted(spec, partial(_shift_series, spec)),
-                                   rho_rounds)
+        found = _exact_mode_bounds(heads, enclosures, lambda: _shifted(spec), rho_rounds)
         if found is not None:
             coeff0, bounds, fallbacks = found
             verdict, viol, margin = _classify_exact(bounds)
             decided_by = "interval+exact" if fallbacks else "interval"
     else:
-        s_a, s_b, s_0, s_ab = _shifted(spec, partial(_shift_series, spec))
+        s_a, s_b, s_0, s_ab = _shifted(spec)
         u, v = s_a * s_b, s_0 * s_ab
         delta = u - v
         bounds = _float_error_bounds((u + v).coeffs[1:], spec.q.digits)
@@ -478,15 +478,12 @@ def _qpoch_inf_interval(a: ExactScalar, q: QBase, nterms: int):
 def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
     """Enclosure of Gamma_q(mu+a)Gamma_q(mu+b) / (Gamma_q(mu)Gamma_q(mu+a+b)).
 
-    Exact (zero-width) for integer alpha, beta via the finite Gamma-ratio
-    identity; otherwise a product of four infinite-product enclosures.
+    Exact (zero-width) for integer alpha, beta: rho is the finite ratio
+    Gamma_q(mu+a)/Gamma_q(mu) over Gamma_q(mu+b+a)/Gamma_q(mu+b); otherwise a
+    product of four infinite-product enclosures.
     """
     if alpha.denominator == 1 and beta.denominator == 1:
-        a_int, b_int = int(alpha), int(beta)
-        qmu = q.q_power(mu)
-        rho = (qpochhammer_finite(qmu, q, a_int) *
-               qpochhammer_finite(qmu, q, b_int) /
-               qpochhammer_finite(qmu, q, a_int + b_int))
+        rho = qgamma_ratio(mu, int(alpha), q) / qgamma_ratio(mu + beta, int(alpha), q)
         return rho, rho
     n1 = _qpoch_inf_interval(q.q_power(mu), q, nterms)
     n2 = _qpoch_inf_interval(q.q_power(mu + alpha + beta), q, nterms)
@@ -581,16 +578,6 @@ def sign_certificate(spec: TuranianSpec, **kwargs) -> SignReport:
 # -- pointwise inequality and grid checks ------------------------------------
 
 
-def _family_value(family: Family, mu, x: FloatScalar, q: QBase, order: int,
-                  a=(), b=(), ref_mu=None):
-    if family == Family.HEINE_F:
-        return heine_f_series(mu, q, order).eval(x)
-    if family == Family.HEINE_F_TILDE:
-        return heine_f_series(mu, q, order).eval(x) / qgamma(mu, q)
-    ref = mu if ref_mu is None else ref_mu
-    return g_series(a, b, mu, q, order, ref_mu=ref).eval(x)
-
-
 def _auto_order(family: Family, x_abs, q: QBase, a=(), b=()):
     entire = family == Family.G_NORMALIZED and len(a) <= len(b)
     if entire:
@@ -616,10 +603,8 @@ def turan_point_inequality(family: Family, mu, x, q: QBase, direction: str, *,
             raise DomainError("evaluation point outside |x| < 1")
     if order is None:
         order = _auto_order(family, abs(x), q, a, b)
-    vals = [
-        _family_value(family, mu + shift, x, q, order, a, b, ref_mu=mu)
-        for shift in (0, 1, 2)
-    ]
+    vals = [_shift_series(family, mu, shift, q, order, a, b).eval(x)
+            for shift in (0, 1, 2)]
     lhs = vals[1] * vals[1]
     rhs = vals[0] * vals[2]
     margin = (lhs - rhs) if direction == "direct" else (rhs - lhs)
@@ -643,7 +628,7 @@ def logconcavity_grid_check(family: Family, mu_grid, x, q: QBase, *,
         raise DomainError("the scan needs 0 < x < 1")
     if order is None:
         order = _auto_order(family, abs(x), q)
-    values = [_family_value(family, m, x, q, order) for m in mu_grid]
+    values = [_shift_series(family, m, 0, q, order).eval(x) for m in mu_grid]
     margins = []
     for i in range(len(values) - 2):
         outer = values[i] * values[i + 2]

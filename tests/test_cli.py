@@ -304,3 +304,68 @@ def test_exact_eval_of_gamma_normalized_families_is_refused(capsys):
         assert "use --mode float" in capsys.readouterr().err
         assert run([*argv, "--q", "1/2", "--mode", "float"]) == 0
         capsys.readouterr()
+
+
+def test_verify_config_reports_the_mode_digits_and_order_that_ran(tmp_path):
+    out = tmp_path / "v.json"
+    base = ["--mu", "1", "--alpha", "1", "--beta", "1"]
+    # kummer is exact rational arithmetic, at the default order 30
+    assert run(["verify", "--identity", "kummer", *base, "--out", str(out)]) == 0
+    cfg = read_json(out)["config"]
+    assert (cfg["mode"], cfg["digits"], cfg["q"], cfg["order"]) == ("exact", None, None, 30)
+    # the q -> 1 study runs in float mode at --digits whatever --mode says
+    assert run(["verify", "--identity", "q-to-1", *base, "--x", "1/2", "--digits", "30",
+                "--q-sequence", "0.9,0.99", "--out", str(out)]) == 0
+    cfg = read_json(out)["config"]
+    assert (cfg["mode"], cfg["digits"], cfg["q"]) == ("float", 30, None)
+    # coefficient identities write the order they checked
+    for argv, order in ((["--identity", "linearization", *base], 30),
+                        (["--identity", "rahman", "--nu", "1", "--eta", "2", "--order", "7"], 7),
+                        (["--identity", "finite-sum", "--nu", "1", "--eta", "2", "--m", "5"], 5),
+                        (["--identity", "recqgamma", "--mu", "1", "--beta", "2", "--m", "4"], 4)):
+        assert run(["verify", *argv, "--q", "1/2", "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["config"]["order"] == order == report["residuals"][0]["order_checked"]
+
+
+def test_verify_refuses_options_q_to_1_and_kummer_do_not_use(tmp_path, capsys):
+    base = ["--mu", "1", "--alpha", "1", "--beta", "1"]
+    for identity, extra in (("kummer", []), ("q-to-1", ["--x", "1/2", "--mode", "float"])):
+        for option, value in (("--q", "1/2"), ("--p", "1/2")):
+            assert run(["verify", "--identity", identity, *base, *extra, option, value]) == 2
+            assert f"{option} does not apply to --identity {identity}" in capsys.readouterr().err
+    assert run(["verify", "--identity", "kummer", *base, "--mode", "float",
+                "--out", str(tmp_path / "k.json")]) == 2
+    assert "--mode float does not apply" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_scan_alpha_and_beta_name_the_grid_options(tmp_path):
+    # the README's scan command spells the grids --alpha and --beta
+    point = ["scan", "--family", "g", "--a", "2,3", "--b", "1,2", "--q", "1/2",
+             "--mu-grid", "0.5:1:0.5", "--order", "10"]
+    short, long = tmp_path / "short.json", tmp_path / "long.json"
+    assert run([*point, "--alpha", "1", "--beta", "2", "--out", str(short)]) == 0
+    assert run([*point, "--alpha-grid", "1", "--beta-grid", "2", "--out", str(long)]) == 0
+    report = read_json(short)
+    assert short.read_bytes() == long.read_bytes()
+    assert (report["config"]["alpha_grid"], report["config"]["beta_grid"]) == ("1", "2")
+    assert [(v["alpha"], v["beta"]) for v in report["verdicts"]] == [("1", "2")] * 2
+
+
+def test_conditions_timing_is_measured_in_float_mode(tmp_path):
+    out = tmp_path / "c.json"
+    argv = ["conditions", "--a", "1,1,1", "--b", "2,2", "--q", "1/2", "--out", str(out)]
+    assert run([*argv, "--mode", "float"]) == 0
+    timing = read_json(out)["timing"]
+    assert isinstance(timing, float) and timing > 0
+    assert run([*argv, "--mode", "exact"]) == 0
+    assert read_json(out)["timing"] is None
+
+
+def test_scan_at_an_upper_gamma_pole_is_an_error(capsys):
+    # a + mu = 0 puts Gamma_q(a + mu) at its pole; the Turanian has no value to certify
+    code = run(["scan", "--family", "g", "--a", "0", "--b", "1", "--q", "1/2",
+                "--mu-grid", "0", "--alpha", "1", "--beta", "1", "--order", "10"])
+    assert code == 2
+    assert "Gamma_q pole" in capsys.readouterr().err

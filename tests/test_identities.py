@@ -22,7 +22,7 @@ from qturan.identities import (
     verify_recqgamma,
 )
 from qturan.qcore import QBase, qpochhammer_finite, shifted_factorial
-from qturan.scalar import DomainError, HypothesisError
+from qturan.scalar import CollisionError, DomainError, HypothesisError, PoleError
 
 mpmath.mp.dps = 60
 
@@ -236,3 +236,12 @@ class TestRecQGamma:
     def test_float_mode_agrees(self):
         res = verify_recqgamma(F(1), F(1), QF, 2)
         assert res.max_rel.val < mpmath.mpf("1e-38")
+
+    @pytest.mark.parametrize("mu, beta", [(F(0), F(1)), (F(1), F(-1)), (F(1, 2), F(-1, 2))])
+    def test_gamma_pole_is_an_error_in_both_modes(self, mu, beta):
+        # mu = 0 or mu + beta = 0: a Gamma_q pole inside the summation
+        for m in (0, 3):
+            with pytest.raises(CollisionError):
+                verify_recqgamma(mu, beta, Q12, m)
+            with pytest.raises(PoleError):
+                verify_recqgamma(mu, beta, QF, m)

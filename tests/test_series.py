@@ -6,10 +6,11 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from qturan.qcore import QBase, qgamma, qpochhammer_finite, qpochhammer_infinite
+from qturan.qcore import QBase, qgamma, qgamma_ratio, qpochhammer_finite, qpochhammer_infinite
 from qturan.series import (
     PhiSpec,
     TruncatedSeries,
+    g_relative_prefactor,
     g_series,
     heine_f_series,
     heine_f_tilde_series,
@@ -185,6 +186,37 @@ class TestGSeries:
         for mu in (F(0), F(1), F(2)):
             with pytest.raises(CollisionError):
                 g_series((F(2), F(3)), (F(0), F(2)), mu, Q12, 10, ref_mu=F(0))
+
+    def test_lower_exponent_zero_is_a_collision_before_the_gamma_pole(self):
+        # qgamma_ratio alone calls b + mu = 0 a pole; the prefactor names it a collision
+        with pytest.raises(PoleError):
+            qgamma_ratio(F(0), 2, Q12)
+        for q in (Q12, QF):
+            with pytest.raises(CollisionError):
+                g_relative_prefactor((F(2), F(3)), (F(0), F(2)), F(0), 2, q)
+            with pytest.raises(CollisionError):
+                g_series((F(2), F(3)), (F(0), F(2)), F(2), q, 10, ref_mu=F(0))
+
+    def test_upper_exponent_zero_is_a_gamma_pole(self):
+        # Gamma_q(a + mu) is infinite at a + mu = 0: no relative prefactor exists
+        with pytest.raises(PoleError):
+            g_relative_prefactor((F(0), F(3)), (F(1), F(2)), F(0), 1, Q12)
+        assert g_relative_prefactor((F(0), F(3)), (F(1), F(2)), F(0), 0, Q12).to_fraction() == 1
+
+    @pytest.mark.parametrize("qv", [F(1, 2), F(3, 4)])
+    @pytest.mark.parametrize("a, b, ref", [((F(1, 2),), (F(1), F(3, 2)), F(0)),
+                                           ((F(1, 2), F(3, 2)), (F(1),), F(1, 2)),
+                                           ((F(1, 2), F(1), F(5, 2)), (F(3, 2), F(2)), F(1))])
+    def test_prefactor_t_ne_s_matches_float_gamma_quotient(self, qv, a, b, ref):
+        # half-integer exponents put the exact prefactor in Q(sqrt q) at both bases
+        q, qf = QBase.exact(q=qv), QBase.floating(qv, 50)
+        for sigma in range(4):
+            got = g_relative_prefactor(a, b, ref, sigma, q)
+            want = mpmath.mpf(1)
+            for x, power in [(x, 1) for x in a] + [(x, -1) for x in b]:
+                want *= (qgamma(x + ref + sigma, qf).val / qgamma(x + ref, qf).val) ** power
+            assert abs(got.to_mpf(50) - want) < mpmath.mpf("1e-40") * abs(want)
+            assert sigma == 0 or not got.is_rational()
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(HypothesisError):

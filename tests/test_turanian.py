@@ -14,6 +14,7 @@ from qturan.turanian import (
     TuranianSpec,
     _classify_exact,
     _classify_float,
+    _shift_series,
     delta_sign_certificate,
     delta_tilde_sign_certificate,
     gamma_sign_certificate,
@@ -235,6 +236,34 @@ class TestLogConcavityScan:
         ok, _ = logconcavity_grid_check(Family.HEINE_F_TILDE, self.GRID,
                                         F(1, 4), QF)
         assert ok
+
+
+@pytest.mark.parametrize("x", [F(1, 10), F(1, 2), F(9, 10)])
+def test_pointwise_tilde_values_are_heine_over_gamma(x):
+    # the one family-series map applies the 1/Gamma_q(mu) scale of the tilde family;
+    # both sides truncate at the same order, so they agree to rounding
+    order = 200
+    xs = fl(x, 50)
+
+    def reference(mu):
+        return heine_f_series(mu, QF, order).eval(xs) / qgamma(mu, QF)
+
+    grid = [F(k, 2) for k in range(1, 8)]
+    for mu in grid:
+        for shift in (0, 1, 2):
+            got = _shift_series(Family.HEINE_F_TILDE, mu, shift, QF, order).eval(xs)
+            want = reference(mu + shift)
+            assert abs((got - want).val) <= mpmath.mpf("1e-45") * abs(want.val)
+    ok, margin = turan_point_inequality(Family.HEINE_F_TILDE, F(3, 2), x, QF,
+                                        "direct", order=order)
+    vals = [reference(F(3, 2) + k) for k in range(3)]
+    assert ok and abs((margin - (vals[1] * vals[1] - vals[0] * vals[2])).val) \
+        <= mpmath.mpf("1e-45") * abs((vals[1] * vals[1]).val)
+    ok, margins = logconcavity_grid_check(Family.HEINE_F_TILDE, grid, x, QF, order=order)
+    vals = [reference(mu) for mu in grid]
+    for i, m in enumerate(margins):
+        want = vals[i + 1] * vals[i + 1] - vals[i] * vals[i + 2]
+        assert abs((m - want).val) <= mpmath.mpf("1e-45") * abs((vals[i + 1] ** 2).val)
 
 
 class TestIntegerShiftReduction:
