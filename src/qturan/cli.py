@@ -333,9 +333,15 @@ def cmd_verify(args) -> int:
             if getattr(args, name) is not None:
                 raise QTuranError(
                     f"--{name} does not apply to --identity {args.identity}")
-        if args.identity == "kummer" and args.mode == "float":
-            raise QTuranError("--identity kummer is checked exactly; --mode float "
-                              "does not apply")
+        if args.identity == "kummer":
+            refused = ("--mode float" if args.mode == "float"
+                       else "--digits" if "digits" in args.given else None)
+            kind = "is checked exactly"
+        else:
+            refused = "--mode exact" if "mode" in args.given and args.mode == "exact" else None
+            kind = "runs in float mode"
+        if refused:
+            raise QTuranError(f"--identity {args.identity} {kind}; {refused} does not apply")
     extra = {"identity": args.identity, "tol": args.tol}
     verdicts = []
     if args.identity == "q-to-1":
@@ -459,9 +465,11 @@ def cmd_report(args) -> int:
 def _add_common(sub):
     sub.add_argument("--q", help="base q as a rational, e.g. 1/2")
     sub.add_argument("--p", help="half-power base p (q = p^2), guarantees the half grid")
-    sub.add_argument("--mode", choices=["exact", "float"], default="exact")
-    sub.add_argument("--digits", type=int, default=_default_digits(),
-                     help=f"float precision in digits (env {ENV_DIGITS})")
+    sub.add_argument("--mode", choices=["exact", "float"],
+                     help="arithmetic mode (default exact)")
+    sub.add_argument("--digits", type=int,
+                     help=f"float precision in digits (default: env {ENV_DIGITS}, "
+                          f"then {DEFAULT_DIGITS})")
     sub.add_argument("--out", help="write the JSON report here")
 
 
@@ -556,6 +564,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve_precision(args) -> None:
+    """Fill in --mode (exact) and --digits (env QTURAN_DIGITS, then 50) where
+    they were not given; ``args.given`` keeps the names that were typed."""
+    args.given = {name for name in ("mode", "digits")
+                  if getattr(args, name, None) is not None}
+    if "mode" in vars(args) and args.mode is None:
+        args.mode = "exact"
+    if "digits" in vars(args) and args.digits is None:
+        args.digits = _default_digits()
+
+
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -563,6 +582,7 @@ def run(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < low:
                 raise QTuranError(f"--{name} must be an integer >= {low}, got {value}")
+        _resolve_precision(args)
         return args.fn(args)
     except QTuranError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 import mpmath
@@ -99,6 +99,30 @@ def _exact_sqrt(r: Fraction) -> Fraction | None:
     return None
 
 
+def _fraction_sum(terms) -> Fraction:
+    """Sum of the fractions n/d given as integer pairs (n, d), d > 0: the
+    numerators summed over the lcm of the denominators, reduced once.
+
+    The terms are merged pairwise in a balanced tree, each merge over the
+    lcm of its two denominators, so most lcm steps are on short
+    denominators even when they do not nest.
+    """
+    if not terms:
+        return _ZERO
+    while len(terms) > 1:
+        merged = []
+        for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2]):
+            if d1 == d2:
+                merged.append((n1 + n2, d1))
+            else:
+                g = gcd(d1, d2)
+                merged.append((n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2))
+        if len(terms) % 2:
+            merged.append(terms[-1])
+        terms = merged
+    return Fraction(*terms[0])
+
+
 class ExactScalar:
     """Exact value a + b*sqrt(rad); rad is None iff the value is rational."""
 
@@ -130,7 +154,8 @@ class ExactScalar:
 
     # -- coercion helpers ----------------------------------------------
 
-    def _coerce(self, other) -> "ExactScalar":
+    @staticmethod
+    def _coerce(other) -> "ExactScalar":
         if isinstance(other, ExactScalar):
             return other
         if isinstance(other, (int, Fraction)):
@@ -177,6 +202,46 @@ class ExactScalar:
         return ExactScalar(a, b, rad)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(xs, ys) -> "ExactScalar":
+        """Sum of x*y over the pairs of xs and ys, reduced once.
+
+        The rational and sqrt(rad) parts of every product are kept as
+        unreduced integer fractions; each part's numerators are summed over
+        the lcm of its denominators and the sum is reduced by one gcd.  When
+        the products' sqrt parts share one radicand, the result equals the
+        left-to-right sum of the products; products with sqrt parts over
+        different radicands raise ModeMismatchError, as ``*`` does for
+        factors over different radicands.
+        """
+        rad = None
+        a_terms, b_terms = [], []
+        for x, y in zip(xs, ys):
+            if type(x) is not ExactScalar or type(y) is not ExactScalar:
+                x, y = ExactScalar._coerce(x), ExactScalar._coerce(y)
+            xa, ya, xb, yb = x.a, y.a, x.b, y.b
+            if xa and ya:
+                a_terms.append((xa.numerator * ya.numerator,
+                                xa.denominator * ya.denominator))
+            if not ((xb and (ya or yb)) or (yb and xa)):
+                continue                # the product is rational
+            r = x._join_rad(y)
+            if rad is None:
+                rad = r
+            elif r != rad:
+                raise ModeMismatchError(
+                    f"incompatible radicands sqrt({rad}) and sqrt({r})")
+            if xb and yb:
+                a_terms.append((xb.numerator * yb.numerator * r.numerator,
+                                xb.denominator * yb.denominator * r.denominator))
+            if xb and ya:
+                b_terms.append((xb.numerator * ya.numerator,
+                                xb.denominator * ya.denominator))
+            if xa and yb:
+                b_terms.append((xa.numerator * yb.numerator,
+                                xa.denominator * yb.denominator))
+        return ExactScalar(_fraction_sum(a_terms), _fraction_sum(b_terms), rad)
 
     def inverse(self) -> "ExactScalar":
         if self.b == 0:
@@ -351,6 +416,14 @@ class FloatScalar:
 
     def __rtruediv__(self, other):
         return self._bin(other, lambda x, y: y / x)
+
+    @staticmethod
+    def dot(xs, ys) -> "FloatScalar":
+        """Sum of x*y over the pairs of xs and ys, left to right."""
+        acc = xs[0] * ys[0]
+        for x, y in zip(xs[1:], ys[1:]):
+            acc = acc + x * y
+        return acc
 
     def __neg__(self):
         return FloatScalar(-self.val, self.digits)

@@ -3,7 +3,11 @@
 A :class:`TruncatedSeries` holds coefficients c_0..c_M in x.  Arithmetic
 between series of different orders truncates to the smaller order; the
 Cauchy product is the single convolution kernel every Turanian goes
-through.
+through.  It hands each output coefficient's whole sum to the coefficient
+type's ``dot(xs, ys)``: exact sums add integer numerators over the lcm of
+the term denominators and reduce once, float sums run left to right, and
+the interval enclosures of the exact sign certificates sum exact dyadic
+products and round once.
 
 The q-hypergeometric constructors and the q-Bessel sums below share one
 :class:`TermRatio`: c_0 and the parameters of c_n / c_(n-1), whose
@@ -101,11 +105,9 @@ class TruncatedSeries:
                                self.tail_note)
 
     def product_coefficient(self, other: "TruncatedSeries", n: int) -> Scalar:
-        """Coefficient n of the Cauchy product self * other, in O(n)."""
-        acc = self.coeffs[0] * other.coeffs[n]
-        for k in range(1, n + 1):
-            acc = acc + self.coeffs[k] * other.coeffs[n - k]
-        return acc
+        """Coefficient n of the Cauchy product self * other, in O(n): the
+        coefficient type's ``dot`` of c_0..c_n with other's c_n..c_0."""
+        return self.coeffs[0].dot(self.coeffs[:n + 1], other.coeffs[n::-1])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated to the smaller order."""

@@ -31,17 +31,19 @@ needs order >= 1, so a verdict always rests on some coefficient m >= 1.
 
 In exact mode the four shifted series are built exactly to order 0 only
 (their exact leading coefficients give Delta_0).  Each series' exact
-q-power parameters are enclosed once in outward-rounded intervals of
-``_PREC`` bits, and its term-ratio recurrence runs in interval arithmetic
-to enclose every coefficient; the products u, v and every u_m - rho v_m
-are formed in intervals too (``mpmath.libmp.libmpi`` with an explicit
-precision, so no global mpmath context is read or changed).  Only when a
-coefficient's interval contains 0 are the exact series built to the full
-order, and that coefficient recomputed exactly as an O(m) dot product;
-that is how exact zeros are proven.  Verdicts involve no tolerance.  In
-float mode (the tilde series with their true 1/Gamma_q scale) a strict
-verdict additionally requires every margin to exceed ten times a
-propagated rounding envelope, otherwise the verdict is INCONCLUSIVE.
+q-power parameters are enclosed once in ``_Interval``s, nonnegative
+dyadic enclosures on Python ints with mantissas of ``_PREC`` bits, and its
+term-ratio recurrence runs in that arithmetic to enclose every
+coefficient.  The products u, v go through the one Cauchy kernel, whose
+``_Interval.dot`` rounds each coefficient once, and every u_m - rho v_m is
+formed exactly on the integer mantissas.  Only when a coefficient's
+enclosure contains 0, or cannot stay nonnegative, are the exact series
+built to the full order, and that coefficient recomputed exactly as an
+O(m) dot product; that is how exact zeros are proven.  Verdicts involve no
+tolerance.  In float mode (the tilde series with their true 1/Gamma_q
+scale) a strict verdict additionally requires every margin to exceed ten
+times a propagated rounding envelope, otherwise the verdict is
+INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
-from mpmath.libmp import from_int, from_man_exp, mpf_sign, to_rational
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_sqrt, mpi_sub
 
 from . import conditions
 from .qcore import QBase, qgamma_ratio, qpochhammer_finite
@@ -111,9 +112,11 @@ class SignReport:
     ``min_margin`` is min over m >= 1 of |Delta_m| for a one-signed verdict
     (None for MIXED and INCONCLUSIVE).  In exact mode it is a certified
     lower bound, not the exact minimum: a coefficient decided by its
-    interval contributes the interval endpoint nearest zero, a dyadic
-    rational; one decided exactly contributes its exact value (or, for the
-    tilde family at half-integer shifts, the bound from the rho enclosure).
+    enclosure contributes that enclosure's endpoint nearest zero, formed
+    exactly on the integer mantissas and rounded toward zero to a _PREC-bit
+    dyadic rational; one decided exactly contributes its exact value (or,
+    for the tilde family at half-integer shifts, the bound from the rho
+    enclosure).
     ``coeff0`` is computed exactly (tilde: its bound from the rho
     enclosure).
 
@@ -207,69 +210,141 @@ def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
 # -- classification ----------------------------------------------------------
 
 
-# Bits of every outward-rounded interval in the exact certificates.  About
-# 30 digits: the smallest relative margin on the acceptance grids is ~4e-3,
-# and a coefficient whose interval still contains 0 is recomputed exactly.
+# Bits of the mantissas of every outward-rounded enclosure in the exact
+# certificates.  About 30 digits: the smallest relative margin on the
+# acceptance grids is ~4e-3, and a coefficient whose enclosure still contains
+# 0 is recomputed exactly.
 _PREC = 100
 
 
-def _rational_interval(x: Fraction):
-    """[floor, ceil] of x on a _PREC-bit mantissa grid, as an mpi interval."""
-    n, d = x.numerator, x.denominator
-    shift = _PREC + d.bit_length() - n.bit_length()
-    if shift >= 0:
-        quo, rem = divmod(n << shift, d)
-    else:
-        quo, rem = divmod(n, d << -shift)
-    return from_man_exp(quo, -shift), from_man_exp(quo + (rem != 0), -shift)
-
-
-def _intervals(values) -> list:
-    """Outward-rounded enclosures of exact scalars a + b sqrt(r)."""
-    roots = {}
-    out = []
-    for c in values:
-        iv = _rational_interval(c.a)
-        if c.b:
-            if c.rad not in roots:
-                roots[c.rad] = mpi_sqrt(_rational_interval(c.rad), _PREC)
-            iv = mpi_add(iv, mpi_mul(_rational_interval(c.b), roots[c.rad], _PREC),
-                         _PREC)
-        out.append(iv)
-    return out
-
-
 class _Interval:
-    """An mpi enclosure with the arithmetic that the term-ratio recurrence of
-    ``TermRatio`` (*, / and 1 - x) and the Cauchy kernel of
-    ``TruncatedSeries`` (+ and *) use, rounded outward at _PREC bits."""
+    """A nonnegative enclosure [lm 2^le, hm 2^he] on Python ints, with the
+    arithmetic that the term-ratio recurrence of ``TermRatio`` (*, / and
+    1 - x) and the Cauchy kernel of ``TruncatedSeries`` (``dot``) use.
 
-    __slots__ = ("iv",)
+    Every arithmetic result is rounded outward once, to mantissas of at
+    most _PREC bits: * and / round their exact result, and ``dot`` sums
+    its exact dyadic products at their smallest exponent before rounding,
+    so no common grid is imposed on coefficients that decay like
+    q^(n^2/2).  An
+    enclosure that cannot stay nonnegative (1 - x with x reaching past 1, a
+    division by an enclosure reaching 0, a negative value) is ``UNBOUNDED``
+    (lm = -1), and so is every result it enters.
+    """
+
+    __slots__ = ("lm", "le", "hm", "he")
     digits = _PREC * 3 // 10    # decimal digits of the endpoints
 
-    def __init__(self, iv):
-        self.iv = iv
+    def __init__(self, lm: int, le: int, hm: int, he: int):
+        self.lm, self.le, self.hm, self.he = lm, le, hm, he
+
+    @staticmethod
+    def rounded(lm: int, le: int, hm: int, he: int) -> "_Interval":
+        """[lm 2^le, hm 2^he] with lm rounded down and hm rounded up to _PREC
+        bits (toward 0 for a positive lm or a negative hm)."""
+        shift = lm.bit_length() - _PREC
+        if shift > 0:
+            lm, le = lm >> shift, le + shift
+        shift = hm.bit_length() - _PREC
+        if shift > 0:
+            hm, he = -(-hm >> shift), he + shift
+        return _Interval(lm, le, hm, he)
 
     @staticmethod
     def of(x: ExactScalar) -> "_Interval":
-        return _Interval(_intervals([x])[0])
+        """Enclosure of an exact scalar x = a + b sqrt(r) on the grid 2^-k:
+        a 2^k and |b| sqrt(r) 2^k are each enclosed within one unit, and k
+        grows until the lower end has more than _PREC + 8 bits, so the
+        enclosure is far tighter than x's _PREC-bit ulp.  Zero gives [0, 0]
+        and a negative x UNBOUNDED."""
+        a, b = x.a, x.b
+        size = a.numerator.bit_length() - a.denominator.bit_length()
+        if b:
+            r = x.rad
+            bb = (b.numerator ** 2 * r.numerator, b.denominator ** 2 * r.denominator)
+            size = max(size, (bb[0].bit_length() - bb[1].bit_length()) // 2)
+        k = max(_PREC + 10 - size, 0)
+        while True:
+            lo, rem = divmod(a.numerator << k, a.denominator)
+            hi = lo + (rem != 0)
+            if b:
+                y, rem = divmod(bb[0] << 2 * k, bb[1])
+                root = isqrt(y)                 # floor(|b| sqrt(r) 2^k)
+                up = root + (rem != 0 or root * root != y)
+                lo, hi = (lo + root, hi + up) if b > 0 else (lo - up, hi - root)
+            if lo > 0 and lo.bit_length() > _PREC + 8:
+                return _Interval(lo, -k, hi, -k)
+            sign = 1 if lo > 0 else x.sign()
+            if sign <= 0:
+                return _Interval(0, 0, 0, 0) if sign == 0 else _Interval.UNBOUNDED
+            k += _PREC + 10 - lo.bit_length() if lo > 0 else k + _PREC
 
-    def __add__(self, other: "_Interval") -> "_Interval":
-        return _Interval(mpi_add(self.iv, other.iv, _PREC))
+    @staticmethod
+    def exact(man: int, exp: int) -> ExactScalar:
+        """The dyadic rational man 2^exp."""
+        return ExactScalar(Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp))
 
     def __rsub__(self, other: int) -> "_Interval":
-        point = from_int(other)
-        return _Interval(mpi_sub((point, point), self.iv, _PREC))
+        # [other - hm 2^he, other - lm 2^le], exact at exponent min(e, 0)
+        if self.lm < 0:
+            return self
+        lo = (other << -self.he) - self.hm if self.he < 0 else other - (self.hm << self.he)
+        hi = (other << -self.le) - self.lm if self.le < 0 else other - (self.lm << self.le)
+        if lo < 0:
+            return _Interval.UNBOUNDED
+        return _Interval.rounded(lo, min(self.he, 0), hi, min(self.le, 0))
 
     def __mul__(self, other: "_Interval") -> "_Interval":
-        return _Interval(mpi_mul(self.iv, other.iv, _PREC))
+        if self.lm < 0 or other.lm < 0:
+            return _Interval.UNBOUNDED
+        return _Interval.rounded(self.lm * other.lm, self.le + other.le,
+                                 self.hm * other.hm, self.he + other.he)
 
     def __truediv__(self, other: "_Interval") -> "_Interval":
-        return _Interval(mpi_div(self.iv, other.iv, _PREC))
+        if self.lm < 0 or other.lm <= 0:
+            return _Interval.UNBOUNDED
+        # shift the dividends so that each quotient keeps >= _PREC bits; a
+        # dividend already that much longer than its divisor needs no shift
+        k = max(_PREC + 1 + other.hm.bit_length() - self.lm.bit_length(), 0)
+        lo = (self.lm << k) // other.hm
+        j = max(_PREC + 1 + other.lm.bit_length() - self.hm.bit_length(), 0)
+        hi = -(-(self.hm << j) // other.lm)
+        return _Interval.rounded(lo, self.le - other.he - k, hi, self.he - other.le - j)
+
+    @staticmethod
+    def dot(xs, ys) -> "_Interval":
+        """Enclosure of the sum of x*y over the pairs: the exact sums of the
+        endpoint products, each at its smallest exponent, rounded once."""
+        lo, hi = [], []
+        for x, y in zip(xs, ys):
+            if x.lm < 0 or y.lm < 0:
+                return _Interval.UNBOUNDED
+            lo.append((x.lm * y.lm, x.le + y.le))
+            hi.append((x.hm * y.hm, x.he + y.he))
+        le, he = min(e for _, e in lo), min(e for _, e in hi)
+        return _Interval.rounded(sum(m << (e - le) for m, e in lo), le,
+                                 sum(m << (e - he) for m, e in hi), he)
+
+    def bound_minus(self, rho: "_Interval", v: "_Interval") -> ExactScalar | None:
+        """The endpoint nearest 0 of the enclosure of self - rho v, formed
+        exactly on the mantissas and rounded toward 0 to _PREC bits; None
+        when that enclosure contains 0 or an operand is unbounded."""
+        if self.lm < 0 or rho.lm < 0 or v.lm < 0:
+            return None
+        ends = []
+        for um, ue, pm, pe in ((self.lm, self.le, rho.hm * v.hm, rho.he + v.he),
+                               (self.hm, self.he, rho.lm * v.lm, rho.le + v.le)):
+            e = min(ue, pe)
+            ends += [(um << (ue - e)) - (pm << (pe - e)), e]
+        d = _Interval.rounded(*ends)
+        if d.lm > 0:
+            return _Interval.exact(d.lm, d.le)
+        if d.hm < 0:
+            return _Interval.exact(d.hm, d.he)
+        return None
 
 
-def _dyadic(x) -> ExactScalar:
-    return ExactScalar(Fraction(*to_rational(x)))
+_Interval.UNBOUNDED = _Interval(-1, 0, -1, 0)
 
 
 def _exact_bound(series, rho_lo, rho_hi, m: int):
@@ -302,37 +377,34 @@ def _exact_mode_bounds(heads, enclosures, build, rho_rounds):
     (rho_lo, rho_hi) of the prefactor ratio, each tighter than the last
     ((1, 1) for the Heine and g families).  Both products are formed once
     in intervals; each round encloses every u_m - rho v_m, m >= 1, and
-    recomputes exactly the coefficients whose interval contains 0, calling
-    ``build`` at the first of them.  Each bound has the sign of its
-    coefficient and at most its magnitude: the interval endpoint nearest
-    zero (a dyadic rational) or the exact bound of _exact_bound.  Returns
-    (coeff0 bound, bounds for m >= 1, exact fallbacks), or None when no
-    round decides every sign.
+    recomputes exactly the coefficients whose enclosure contains 0 or is
+    unbounded, calling ``build`` at the first of them.  Each bound has the
+    sign of its coefficient and at most its magnitude: the endpoint of
+    _Interval.bound_minus (a dyadic rational) or the exact bound of
+    _exact_bound.  Returns (coeff0 bound, bounds for m >= 1, exact
+    fallbacks), or None when no round decides every sign.
     """
-    u = [c.iv for c in (enclosures[0] * enclosures[1]).coeffs]
-    v = [c.iv for c in (enclosures[2] * enclosures[3]).coeffs]
+    u = (enclosures[0] * enclosures[1]).coeffs
+    v = (enclosures[2] * enclosures[3]).coeffs
     exact = None
     for rho_lo, rho_hi in rho_rounds:
         head = _exact_bound(heads, rho_lo, rho_hi, 0)
         if head is None:
             continue
-        rho = (_intervals([rho_lo])[0][0], _intervals([rho_hi])[0][1])
+        lo, hi = _Interval.of(rho_lo), _Interval.of(rho_hi)
+        rho = _Interval(lo.lm, lo.le, hi.hm, hi.he)
         bounds = []
         fallbacks = 0
         for m in range(1, len(u)):
-            lo, hi = mpi_sub(u[m], mpi_mul(rho, v[m], _PREC), _PREC)
-            if mpf_sign(lo) > 0:
-                bounds.append(_dyadic(lo))
-            elif mpf_sign(hi) < 0:
-                bounds.append(_dyadic(hi))
-            else:
+            bound = u[m].bound_minus(rho, v[m])
+            if bound is None:
                 fallbacks += 1
                 if exact is None:
                     exact = build()
                 bound = _exact_bound(exact, rho_lo, rho_hi, m)
                 if bound is None:
                     break
-                bounds.append(bound)
+            bounds.append(bound)
         else:
             return head, bounds, fallbacks
     return None

@@ -152,11 +152,18 @@ def test_python_m_qturan_runs_the_cli(tmp_path):
     assert read_json(out)["verdicts"][0]["verdict"] == "all-strictly-neg"
 
 
-def test_env_var_sets_default_digits(monkeypatch):
-    from qturan.cli import build_parser
+def test_env_var_sets_default_digits(monkeypatch, tmp_path):
+    out = tmp_path / "e.json"
+    argv = ["eval", "--family", "heine-f", "--mu", "1", "--x", "1/4", "--q", "1/2",
+            "--mode", "float", "--out", str(out)]
     monkeypatch.setenv("QTURAN_DIGITS", "35")
-    args = build_parser().parse_args(["eval", "--family", "heine-f", "--mu", "1"])
-    assert args.digits == 35
+    assert run(argv) == 0
+    assert read_json(out)["config"]["digits"] == 35
+    assert run([*argv, "--digits", "20"]) == 0          # a typed value wins
+    assert read_json(out)["config"]["digits"] == 20
+    monkeypatch.delenv("QTURAN_DIGITS")
+    assert run(argv) == 0
+    assert read_json(out)["config"]["digits"] == 50
 
 
 def test_env_var_rejects_non_integer_digits(monkeypatch, capsys):
@@ -338,6 +345,25 @@ def test_verify_refuses_options_q_to_1_and_kummer_do_not_use(tmp_path, capsys):
                 "--out", str(tmp_path / "k.json")]) == 2
     assert "--mode float does not apply" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_verify_refuses_a_typed_mode_or_digits_the_identity_ignores(tmp_path, capsys):
+    base = ["--mu", "1", "--alpha", "1", "--beta", "1"]
+    q_to_1 = ["verify", "--identity", "q-to-1", *base, "--x", "1/2",
+              "--q-sequence", "0.9,0.99"]
+    assert run([*q_to_1, "--mode", "exact"]) == 2
+    assert ("--identity q-to-1 runs in float mode; --mode exact does not apply"
+            in capsys.readouterr().err)
+    assert run(["verify", "--identity", "kummer", *base, "--digits", "30"]) == 2
+    assert ("--identity kummer is checked exactly; --digits does not apply"
+            in capsys.readouterr().err)
+    # what each identity does run in stays accepted when typed
+    out = tmp_path / "v.json"
+    assert run(["verify", "--identity", "kummer", *base, "--mode", "exact",
+                "--out", str(out)]) == 0
+    assert read_json(out)["config"]["mode"] == "exact"
+    assert run([*q_to_1, "--mode", "float", "--digits", "30", "--out", str(out)]) == 0
+    assert (read_json(out)["config"]["mode"], read_json(out)["config"]["digits"]) == ("float", 30)
 
 
 def test_scan_alpha_and_beta_name_the_grid_options(tmp_path):

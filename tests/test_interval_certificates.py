@@ -20,7 +20,6 @@ from qturan.turanian import (
     Family,
     SignVerdict,
     TuranianSpec,
-    _dyadic,
     _exact_mode_bounds,
     _Interval,
     _rho_interval,
@@ -184,22 +183,38 @@ def test_tilde_half_integer_shifts_agree_with_rho_enclosure(qv, mu, alpha, beta,
         assert 0 < rep.min_margin <= bound
 
 
+def contains(enclosure, exact):
+    """Every coefficient of exact, truncated to the enclosure's order, lies
+    in its bounded enclosure."""
+    for iv, c in zip(enclosure.coeffs, exact.coeffs[:enclosure.order + 1], strict=True):
+        assert iv.lm >= 0
+        assert _Interval.exact(iv.lm, iv.le) <= c <= _Interval.exact(iv.hm, iv.he)
+
+
 @pytest.mark.parametrize("qv", [F(1, 4), F(1, 2), F(3, 4)])
 @pytest.mark.parametrize("build", [
-    lambda q, n: heine_f_series(F(1), q, n),
-    lambda q, n: heine_f_series(F(1, 2), q, n),
-    lambda q, n: g_series(*VECTORS["g-a"], F(5, 2), q, n, ref_mu=F(1, 2)),
-    lambda q, n: g_series(*VECTORS["g-b"], F(5, 2), q, n, ref_mu=F(1, 2)),
+    lambda q, s, n: heine_f_series(F(1) + s, q, n),
+    lambda q, s, n: heine_f_series(F(1, 2) + s, q, n),
+    lambda q, s, n: g_series(*VECTORS["g-a"], F(5, 2) + s, q, n, ref_mu=F(1, 2)),
+    lambda q, s, n: g_series(*VECTORS["g-b"], F(5, 2) + s, q, n, ref_mu=F(1, 2)),
 ], ids=["heine-1", "heine-1/2", "g-a", "g-b"])
 def test_enclosures_contain_the_exact_coefficients(build, qv):
     # the certificate encloses each shifted series by running the term ratio
-    # of its order-0 head in intervals
+    # of its order-0 head in intervals, and forms u = F(mu+1)F(mu+2) and
+    # v = F(mu)F(mu+3) with the interval Cauchy kernel; g-b at q = 1/4 has
+    # coefficients near 2^-3600 at order 60
     q = QBase.exact(q=qv)
-    exact = build(q, 60)
-    enclosure = build(q, 0).ratio.series(60, lift=_Interval.of)
-    for c, iv in zip(exact.coeffs, enclosure.coeffs, strict=True):
-        lo, hi = iv.iv
-        assert _dyadic(lo) <= c <= _dyadic(hi)
+    shifts = (1, 2, 0, 3)
+    exact = [build(q, s, 90) for s in shifts]
+    products = (exact[0] * exact[1], exact[2] * exact[3])
+    # order 60 is covered as a prefix: the term-ratio recurrence and the
+    # truncated Cauchy product give coefficient n from coefficients 0..n only
+    enclosures = [build(q, s, 0).ratio.series(90, lift=_Interval.of) for s in shifts]
+    for enclosure, series in zip(enclosures, exact):
+        contains(enclosure, series)
+    for enclosure, product in zip((enclosures[0] * enclosures[1],
+                                   enclosures[2] * enclosures[3]), products):
+        contains(enclosure, product)
 
 
 def test_interval_decided_point_builds_no_exact_series(monkeypatch):
@@ -225,3 +240,46 @@ def test_lower_collision_is_an_error_in_the_interval_path():
         head.ratio.series(10, lift=_Interval.of)
     with pytest.raises(CollisionError):
         sign_certificate(TuranianSpec(Family.G_NORMALIZED, F(0), F(1), F(1), q, 10, a, b))
+
+
+@pytest.mark.parametrize("qv", [1 - F(1, 2 ** 101), F(10 ** 40 - 1, 10 ** 40)],
+                         ids=["1-2^-101", "1-10^-40"])
+def test_enclosure_reaching_zero_sends_every_coefficient_to_exact(qv):
+    # at _PREC bits q rounds up to 1, so 1 - q^n reaches 0 and the enclosures
+    # cannot stay nonnegative: every coefficient m >= 1 is recomputed exactly
+    spec = TuranianSpec(Family.HEINE_F, F(1, 2), F(1), F(1), QBase.exact(q=qv), 4)
+    rep = sign_certificate(spec)
+    coeffs = turanian_series(spec).coeffs
+    assert rep == turanian.SignReport(
+        SignVerdict.ALL_STRICTLY_NEG, None, min(-c for c in coeffs[1:]), 4, coeffs[0],
+        "heine-f", "exact", "x^m coefficients", expected=SignVerdict.ALL_STRICTLY_NEG,
+        matches_expected=True, decided_by="interval+exact", exact_fallbacks=4)
+    head = heine_f_series(F(1, 2), QBase.exact(q=qv), 0)
+    assert head.ratio.series(4, lift=_Interval.of).coeffs[1] is _Interval.UNBOUNDED
+
+
+@pytest.mark.parametrize("family, k, decided_by, fallbacks", [
+    (Family.HEINE_F, 96, "interval", 0),
+    (Family.HEINE_F_TILDE, 96, "interval", 0),
+    (Family.HEINE_F, 98, "interval+exact", 2),
+    (Family.HEINE_F_TILDE, 98, "interval+exact", 2),
+    (Family.HEINE_F, 100, "interval+exact", 4),
+    (Family.HEINE_F_TILDE, 100, "interval+exact", 3),
+])
+def test_divisors_with_short_mantissas_near_q_1(family, k, decided_by, fallbacks):
+    # for 1 - q = 2^-k near 2^-_PREC the enclosure of 1 - q^n has a mantissa
+    # of a few bits, so a dividend can outgrow its divisor by more than
+    # _PREC bits; the expected paths are those of an mpmath interval
+    # certificate at the same precision
+    q = QBase.exact(q=1 - F(1, 2 ** k))
+    spec = TuranianSpec(family, F(1), F(1), F(1), q, 4)
+    rep = sign_certificate(spec)
+    if family == Family.HEINE_F:
+        coeffs = turanian_series(spec).coeffs
+    else:
+        coeffs = exact_tilde_coeffs(F(1), F(1), F(1), q, 4)
+    verdict, viol, min_margin = reference(coeffs)
+    assert (rep.verdict, rep.first_violation) == (verdict, viol)
+    assert rep.matches_expected and rep.coeff0 == coeffs[0]
+    assert (rep.decided_by, rep.exact_fallbacks) == (decided_by, fallbacks)
+    assert 0 < rep.min_margin <= min_margin

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qturan.scalar import (
     DEFAULT_DIGITS,
@@ -116,3 +118,68 @@ def test_canonical_beyond_int_str_digit_limit():
     assert rational_text(F(-1, big)) == "-1/" + digits
     s = ExactScalar(F(1, big), F(-big, 5), F(1, 2))
     assert s.canonical() == f"1/{digits}-{digits}/5*sqrt(1/2)"
+
+
+# -- ExactScalar.dot: one reduction per sum, equal to the left-to-right sum --
+
+
+def _left_to_right(xs, ys):
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
+
+
+_parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _dot_vectors(draw):
+    """Equal-length vectors of rationals and, unless ``rational``, elements
+    of one Q(sqrt r); the parts a and b take either sign."""
+    n = draw(st.integers(1, 8))
+    rad = draw(st.sampled_from([F(2), F(3, 4), F(1, 2)]))
+    rational = draw(st.booleans())
+
+    def entry():
+        b = F(0) if rational or draw(st.booleans()) else draw(_parts)
+        return ExactScalar(draw(_parts), b, rad if b else None)
+
+    return [entry() for _ in range(n)], [entry() for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dot_vectors())
+def test_exact_dot_equals_the_left_to_right_sum(vectors):
+    xs, ys = vectors
+    got, want = ExactScalar.dot(xs, ys), _left_to_right(xs, ys)
+    assert (got.a, got.b, got.rad) == (want.a, want.b, want.rad)
+
+
+def test_exact_dot_edge_cases():
+    s = ExactScalar(F(-1, 3), F(5, 7), F(3, 4))
+    # length 1
+    got = ExactScalar.dot([s], [s])
+    assert (got.a, got.b, got.rad) == ((s * s).a, (s * s).b, F(3, 4))
+    # a sum that cancels to 0 is the rational 0
+    zero = ExactScalar.dot([s, s, ex(2)], [s, -s, ex(0)])
+    assert zero.a == 0 and zero.b == 0 and zero.rad is None
+    # irrational parts that cancel leave a rational
+    r = ExactScalar.dot([s, ExactScalar(F(1), F(-5, 7), F(3, 4))], [ex(1), ex(1)])
+    assert r.rad is None and r == ex(F(2, 3))
+    # a sqrt factor times 0 fixes no radicand
+    r2, r3 = ExactScalar.sqrt_of(F(2)), ExactScalar.sqrt_of(F(3))
+    got = ExactScalar.dot([r2, r3], [ex(0), ex(1)])
+    assert (got.a, got.b, got.rad) == (F(0), F(1), F(3))
+    # rationals only
+    assert ExactScalar.dot([ex(F(1, 2)), ex(F(-2, 3))], [ex(4), ex(F(3, 5))]) == ex(F(8, 5))
+
+
+def test_exact_dot_refuses_incompatible_radicands():
+    r2, r3 = ExactScalar.sqrt_of(F(2)), ExactScalar.sqrt_of(F(3))
+    with pytest.raises(ModeMismatchError):
+        ExactScalar.dot([r2], [r3])
+    with pytest.raises(ModeMismatchError):
+        ExactScalar.dot([r2, ex(1)], [ex(1), r3])
+    with pytest.raises(ModeMismatchError):
+        ExactScalar.dot([r2], [fl(1)])
