@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
+from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
 
 from .identities import Residual
 from .scalar import (
@@ -118,12 +119,19 @@ def _density_mpf(md: MeasureDensity, digits: int):
         for m, c in enumerate(md.density_coeffs, start=1):
             v = c.to_mpf(digits) if isinstance(c, ExactScalar) else c.val
             coeffs.append(v / mpmath.mpf(factorial(m - 1)))
+    ctx = mpmath.mp
+    raw = [v._mpf_ for v in reversed(coeffs)]
 
     def rho(t):
-        acc = mpmath.mpf(0)
-        for v in reversed(coeffs):
-            acc = acc * t + v
-        return acc
+        """Horner's rule acc * t + v on raw mpf tuples, each step rounded to
+        nearest at the working precision in effect, as mpf arithmetic does;
+        ``mpmath.quad`` raises that precision around its integrand."""
+        prec = ctx._prec_rounding[0]
+        t = t._mpf_
+        acc = fzero
+        for v in raw:
+            acc = mpf_add(mpf_mul(acc, t, prec, round_nearest), v, prec, round_nearest)
+        return ctx.make_mpf(acc)
 
     return rho, [abs(v) for v in coeffs]
 

@@ -5,6 +5,11 @@ Every numeric quantity in this package is either an :class:`ExactScalar`
 rational radicand r) or a :class:`FloatScalar` (an arbitrary-precision
 mpmath float tagged with its working precision in decimal digits).
 
+Float arithmetic calls ``mpmath.libmp`` on the raw ``_mpf_`` tuples at
+``dps_to_prec(max digits)`` bits, rounding to nearest, which gives the same
+bits as mpmath's context arithmetic under ``workdps(max digits)`` without
+entering a context per operation.
+
 The two backends never mix: combining an exact value with a float value in
 one operation raises :class:`ModeMismatchError` instead of silently
 demoting.  Plain ``int`` and :class:`~fractions.Fraction` operands are
@@ -14,12 +19,25 @@ operands are refused on the exact side because they carry binary rounding.
 
 from __future__ import annotations
 
+import functools
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
 import mpmath
+from mpmath.libmp import (
+    ComplexResult,
+    dps_to_prec,
+    from_int,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+)
 
 DEFAULT_DIGITS = 50
 
@@ -366,7 +384,19 @@ class ExactScalar:
 
 
 class FloatScalar:
-    """Arbitrary-precision float tagged with its precision in decimal digits."""
+    """Arbitrary-precision float tagged with its precision in decimal digits.
+
+    ``val`` is an mpmath ``mpf``.  ``+ - * /``, their reflected forms,
+    integer ``**``, ``sqrt`` and ``dot`` call ``mpmath.libmp`` on the raw
+    ``_mpf_`` tuples at ``dps_to_prec(max digits)`` bits, rounding to
+    nearest: the same bits as mpmath's context arithmetic under
+    ``workdps(max digits)``, without entering a context per operation.  An
+    ``int`` operand is rounded to that precision first, as ``mpf(n)`` is;
+    other literals go through the constructor at the scalar's digits.
+    Unary ``-`` and ``abs`` negate the ``mpf`` at the working precision in
+    effect, as ``-mpf`` does, so outside a ``workdps`` block at least as
+    wide as ``digits`` they round to it.
+    """
 
     __slots__ = ("val", "digits")
 
@@ -389,43 +419,74 @@ class FloatScalar:
             raise ModeMismatchError("cannot combine float and exact scalars")
         return FloatScalar(other, self.digits)
 
-    def _bin(self, other, op):
+    def _raw(self, other):
+        """(raw mpf, digits) of an operand; a literal coerces at self.digits."""
+        if type(other) is FloatScalar:
+            return other.val._mpf_, other.digits
+        if type(other) is int:
+            return from_int(other, _prec(self.digits), round_nearest), self.digits
         o = self._coerce(other)
-        d = max(self.digits, o.digits)
-        with mpmath.workdps(d):
-            return FloatScalar(op(self.val, o.val), d)
+        return o.val._mpf_, o.digits
+
+    def _bin(self, other, op, reflected=False):
+        t, d = self._raw(other)
+        if self.digits > d:
+            d = self.digits
+        s = self.val._mpf_
+        if reflected:
+            s, t = t, s
+        return _float(op(s, t, _prec(d), round_nearest), d)
 
     def __add__(self, other):
-        return self._bin(other, lambda x, y: x + y)
+        return self._bin(other, mpf_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._bin(other, lambda x, y: x - y)
+        return self._bin(other, mpf_sub)
 
     def __rsub__(self, other):
-        return self._bin(other, lambda x, y: y - x)
+        return self._bin(other, mpf_sub, reflected=True)
 
     def __mul__(self, other):
-        return self._bin(other, lambda x, y: x * y)
+        return self._bin(other, mpf_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._bin(other, lambda x, y: x / y)
+        return self._bin(other, mpf_div)
 
     def __rtruediv__(self, other):
-        return self._bin(other, lambda x, y: y / x)
+        return self._bin(other, mpf_div, reflected=True)
 
     @staticmethod
     def dot(xs, ys) -> "FloatScalar":
-        """Sum of x*y over the pairs of xs and ys, left to right."""
-        acc = xs[0] * ys[0]
-        for x, y in zip(xs[1:], ys[1:]):
-            acc = acc + x * y
-        return acc
+        """Sum of x*y over the pairs of xs and ys, left to right.
+
+        Each product rounds at the larger digits of its factors and each
+        partial sum at the running maximum, as ``acc + x*y`` does.
+        """
+        acc = None
+        for x, y in zip(xs, ys):
+            if type(x) is not FloatScalar:
+                x = y._coerce(x)
+            elif type(y) is not FloatScalar:
+                y = x._coerce(y)
+            dx, dy = x.digits, y.digits
+            d = dx if dx >= dy else dy
+            p = mpf_mul(x.val._mpf_, y.val._mpf_, _prec(d), round_nearest)
+            if acc is None:
+                acc, digits = p, d
+            else:
+                if d > digits:
+                    digits = d
+                acc = mpf_add(acc, p, _prec(digits), round_nearest)
+        if acc is None:
+            raise ValueError("dot of empty vectors")
+        return _float(acc, digits)
 
     def __neg__(self):
+        # rounds at the working precision in effect (see the class docstring)
         return FloatScalar(-self.val, self.digits)
 
     def __abs__(self):
@@ -433,13 +494,19 @@ class FloatScalar:
 
     def __pow__(self, n):
         if isinstance(n, int):
-            with mpmath.workdps(self.digits):
-                return FloatScalar(self.val ** n, self.digits)
-        return self._bin(n, lambda x, y: mpmath.power(x, y))
+            return _float(mpf_pow_int(self.val._mpf_, n, _prec(self.digits), round_nearest),
+                          self.digits)
+        o = self._coerce(n)
+        d = max(self.digits, o.digits)
+        with mpmath.workdps(d):
+            return FloatScalar(mpmath.power(self.val, o.val), d)
 
     def sqrt(self) -> "FloatScalar":
-        with mpmath.workdps(self.digits):
-            return FloatScalar(mpmath.sqrt(self.val), self.digits)
+        try:
+            t = mpf_sqrt(self.val._mpf_, _prec(self.digits), round_nearest)
+        except ComplexResult:
+            raise DomainError(f"square root of a negative float {self!r}") from None
+        return _float(t, self.digits)
 
     def exp(self) -> "FloatScalar":
         with mpmath.workdps(self.digits):
@@ -495,6 +562,19 @@ class FloatScalar:
     @property
     def mode(self) -> str:
         return "float"
+
+
+_prec = functools.cache(dps_to_prec)   # binary precision of a digits count
+_make_mpf = mpmath.mp.make_mpf
+_new = object.__new__
+
+
+def _float(t, digits: int) -> FloatScalar:
+    """FloatScalar of the raw mpf t, already rounded at dps_to_prec(digits)."""
+    s = _new(FloatScalar)
+    s.val = _make_mpf(t)
+    s.digits = digits
+    return s
 
 
 Scalar = Union[ExactScalar, FloatScalar]

@@ -399,21 +399,29 @@ def _jackson_qbessel(name: str, alpha, y, q: QBase, order: int, d: int) -> Scala
 
     where c_n / c_(n-1) = q^(d(n-1)) / ((1 - q^n)(1 - b q^(n-1))) and
     z = -y^2/4, times b when d = 2 (float mode).
+
+    At alpha = -k, k >= 1 an integer, (b; q)_infty vanishes where the sum's
+    lower factor does; the limit is (-1)^k times the value at alpha = k
+    (shift the index n = k + j).
     """
     _float_only(q, name)
     y = q.scalar(y)
     if d == 0 and not abs(y) < FloatScalar(2, q.digits):     # J1's sum needs |z| < 1
         raise DomainError(f"{name} needs |y| < 2")
     alpha_s = q.scalar(alpha)
+    with mpmath.workdps(q.digits):
+        integer_alpha = mpmath.floor(alpha_s.val) == alpha_s.val
+    if integer_alpha and alpha_s.val < 0:
+        k = -int(alpha_s.val)
+        return _jackson_qbessel(name, k, y, q, order, d) * (-1) ** k
     if y.is_zero():
         if alpha_s.is_zero():
             return q.one
         if alpha_s > 0:
             return q.zero
         raise DomainError(f"{name} diverges at y=0 for alpha < 0")
-    with mpmath.workdps(q.digits):
-        if y.val < 0 and mpmath.floor(alpha_s.val) != alpha_s.val:
-            raise DomainError("negative y needs integer alpha")
+    if y.val < 0 and not integer_alpha:
+        raise DomainError("negative y needs integer alpha")
     b = q.q ** (alpha_s + 1)
     prefactor = ((y / 2) ** alpha_s) * qpochhammer_infinite(
         b, q) / qpochhammer_infinite(q.q, q)

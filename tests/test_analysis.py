@@ -5,9 +5,12 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qturan.analysis import (
     MeasureDensity,
+    _density_mpf,
     complete_monotonicity_check,
     laplace_representation_check,
     measure_from_series,
@@ -132,6 +135,29 @@ class TestLaplaceRepresentation:
         assert tau_density(md, fl(3, DIGITS)).val == 1
         res = laplace_representation_check(md, [F(1, 2), F(2)], digits=DIGITS)
         assert res.max_rel.val < mpmath.mpf("1e-40")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                           max_denominator=10 ** 12),
+                              st.sampled_from([0, 0, 0, -200, 150, -1500])),
+                    min_size=1, max_size=45),
+           st.sampled_from([15, 30, 50, 65]), st.sampled_from([10, 15, 30, 50, 71, 120]),
+           st.fractions(min_value=-80, max_value=80, max_denominator=10 ** 9),
+           st.sampled_from([0, 0, -30, -700, 3]))
+    def test_density_rounds_as_mpmath_horner_at_the_precision_of_each_call(
+            self, terms, digits, dps, t_frac, t_shift):
+        # mpmath.quad raises the working precision around its integrand, and
+        # rho must give the bits of mpf Horner steps at that precision
+        coeffs = tuple(fl(c * F(2) ** k, digits) for c, k in terms)
+        rho, _ = _density_mpf(MeasureDensity(fl(0, digits), coeffs, len(coeffs)), digits)
+        with mpmath.workdps(digits):
+            scaled = [c.val / mpmath.factorial(m) for m, c in enumerate(coeffs)]
+        with mpmath.workdps(dps):
+            t = mpmath.mpf(t_frac.numerator) / t_frac.denominator * mpmath.mpf(2) ** t_shift
+            want = mpmath.mpf(0)
+            for v in reversed(scaled):
+                want = want * t + v
+            assert rho(t)._mpf_ == want._mpf_
 
     def test_nonneg_family_agreement(self):
         md = measure_from_series(nonneg_family_turanian())

@@ -85,6 +85,34 @@ def test_off_grid_parameter_rejected(capsys):
     assert "half-integer grid" in err
 
 
+def test_non_contracting_rho_tail_names_q_the_terms_and_float_mode(capsys, tmp_path):
+    argv = ["turanian", "--family", "heine-f-tilde", "--q", "99/100", "--mu", "1/2",
+            "--alpha", "1/2", "--beta", "1", "--order", "4"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "q = 99/100" in err and "N = 459" in err and "--mode float" in err
+    out = tmp_path / "t.json"
+    assert run([*argv, "--mode", "float", "--out", str(out)]) == 0
+    assert read_json(out)["verdicts"][0]["verdict"] == "all-strictly-pos"
+
+
+def test_rho_rounds_start_at_the_terms_the_tail_bound_needs(tmp_path):
+    # q = 19/20 needs 59 terms: more than the default 48, few enough to certify exactly
+    out = tmp_path / "t.json"
+    assert run(["turanian", "--family", "heine-f-tilde", "--q", "19/20", "--mu", "1/2",
+                "--alpha", "1/2", "--beta", "1", "--order", "4", "--out", str(out)]) == 0
+    report = read_json(out)["verdicts"][0]
+    assert report["verdict"] == "all-strictly-pos" and report["decided_by"] == "interval"
+
+
+def test_qbessel_at_a_negative_integer_alpha(capsys):
+    for family, value in (("qbessel-j1", "-0.52676273878616330360624808208758829118579530828333"),
+                          ("qbessel-j2", "-0.83728271116767853310187283040730718004777001947001")):
+        assert run(["eval", "--family", family, "--alpha", "-1", "--y", "1", "--q", "1/2",
+                    "--mode", "float"]) == 0
+        assert capsys.readouterr().out.strip() == value
+
+
 def test_p_form_guarantees_half_grid(tmp_path):
     code = run(["verify", "--identity", "finite-sum", "--nu", "1/2",
                 "--eta", "3/2", "--p", "3/4", "--m", "8", "--mode", "exact"])

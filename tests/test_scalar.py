@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from qturan.scalar import (
     DEFAULT_DIGITS,
+    DomainError,
     ExactScalar,
+    FloatScalar,
     ModeMismatchError,
     ex,
     fl,
@@ -183,3 +185,128 @@ def test_exact_dot_refuses_incompatible_radicands():
         ExactScalar.dot([r2, ex(1)], [ex(1), r3])
     with pytest.raises(ModeMismatchError):
         ExactScalar.dot([r2], [fl(1)])
+
+
+# -- FloatScalar: the same bits as mpmath's arithmetic at the max digits ------
+
+_DIGITS = st.sampled_from([15, 30, 50, 65, 120])
+_wide_ints = st.one_of(st.integers(-12, 12), st.integers(-2 ** 600, 2 ** 600))
+_ratios = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
+
+
+@st.composite
+def _floats(draw):
+    """A FloatScalar at one of the tested digits: zero, or an integer or a
+    rational with a full mantissa, of either sign."""
+    value = draw(st.one_of(st.just(F(0)), _ratios, _wide_ints.map(F)))
+    return FloatScalar(value, draw(_DIGITS))
+
+
+def _literal_mpf(lit):
+    """mpf(lit) at the working precision in effect, as FloatScalar(lit) makes it."""
+    if isinstance(lit, F):
+        return mpmath.mpf(lit.numerator) / lit.denominator
+    return mpmath.mpf(lit)
+
+
+_OPS = {
+    "+": (lambda x, y: x + y),
+    "-": (lambda x, y: x - y),
+    "*": (lambda x, y: x * y),
+    "/": (lambda x, y: x / y),
+}
+
+
+def _same_bits(got, want, digits):
+    assert got.digits == digits
+    assert got.val._mpf_ == want._mpf_
+
+
+def _check_binary(op, x, other, reflected):
+    """x op other (or other op x) against mpmath under workdps(max digits)."""
+    fn = _OPS[op]
+    d = max(x.digits, other.digits) if isinstance(other, FloatScalar) else x.digits
+    with mpmath.workdps(d):
+        o = other.val if isinstance(other, FloatScalar) else _literal_mpf(other)
+        divisor = x.val if reflected else o
+        if op == "/" and divisor == 0:
+            with pytest.raises(ZeroDivisionError):
+                fn(other, x) if reflected else fn(x, other)
+            return
+        want = fn(o, x.val) if reflected else fn(x.val, o)
+    # the result does not depend on the working precision in effect
+    with mpmath.workdps(7):
+        got = fn(other, x) if reflected else fn(x, other)
+    _same_bits(got, want, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_floats(), st.one_of(_floats(), _wide_ints, _ratios,
+                            st.sampled_from(["0", "-0.75", "1e-20", "3/7", "2." + "7" * 60])),
+       st.sampled_from(sorted(_OPS)), st.booleans())
+def test_float_binary_ops_match_mpmath(x, other, op, reflected):
+    _check_binary(op, x, other, reflected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_floats(), st.integers(-4, 6))
+def test_float_unary_ops_match_mpmath(x, n):
+    d = x.digits
+    with mpmath.workdps(d):
+        # - and abs round at the working precision in effect, as -mpf does
+        _same_bits(-x, -x.val, d)
+        _same_bits(abs(x), abs(x.val), d)
+    if x.val == 0 and n < 0:
+        with pytest.raises(ZeroDivisionError):
+            x ** n
+    else:
+        with mpmath.workdps(d):
+            want = x.val ** n
+        _same_bits(x ** n, want, d)
+    root = abs(x)
+    with mpmath.workdps(d):
+        want = mpmath.sqrt(root.val)
+    _same_bits(root.sqrt(), want, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_floats(), _floats()), min_size=1, max_size=12))
+def test_float_dot_is_the_left_to_right_sum(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    acc = None
+    for x, y in pairs:
+        d = max(x.digits, y.digits)
+        with mpmath.workdps(d):
+            p = x.val * y.val
+        if acc is None:
+            acc, digits = p, d
+        else:
+            digits = max(digits, d)
+            with mpmath.workdps(digits):
+                acc = acc + p
+    _same_bits(FloatScalar.dot(xs, ys), acc, digits)
+
+
+def test_float_dot_coerces_literals_and_refuses_exact():
+    a, b = fl(F(1, 3), 30), fl(F(-2, 7), 65)
+    want = a * 3 + b * F(1, 5) + 2 * a
+    _same_bits(FloatScalar.dot([a, b, 2], [3, F(1, 5), a]), want.val, 65)
+    with pytest.raises(ModeMismatchError):
+        FloatScalar.dot([a], [ex(1)])
+    with pytest.raises(ModeMismatchError):
+        FloatScalar.dot([ex(1)], [a])
+
+
+def test_float_sqrt_of_a_negative_is_a_domain_error():
+    with pytest.raises(DomainError):
+        fl(-2).sqrt()
+
+
+def test_float_int_operands_wider_than_the_precision_round_first():
+    # mpf(n) rounds n to the working precision before the operation does
+    for digits in (15, 50, 120):
+        x = fl(F(-22, 7), digits)
+        for n in (3 ** 400 + 1, -(7 ** 300) - 2, 2 ** 500 - 1):
+            for op in sorted(_OPS):
+                for reflected in (False, True):
+                    _check_binary(op, x, n, reflected)

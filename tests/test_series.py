@@ -244,6 +244,23 @@ class TestQBessel:
         with pytest.raises(PoleError):
             modified_qbessel_i1(F(-2), F(1), QF, 40)
 
+    @pytest.mark.parametrize("fn", [qbessel_j1, qbessel_j2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_negative_integer_alpha_is_the_removable_limit(self, fn, k):
+        q = QBase.floating(F(1, 2), 80)
+        at = fn(F(-k), F(1), q, 200)
+        near = fn(F(-k) + F(1, 10 ** 30), F(1), q, 200)
+        # compared at the working precision: the first-order term is ~1e-29
+        rel = (near - at) / at
+        assert abs(rel.val) < mpmath.mpf("1e-27")
+        assert at == fn(F(k), F(1), q, 200) * (-1) ** k
+        # the limit at y = 0 is 0; a non-integer negative alpha still diverges
+        assert fn(F(-k), F(0), q, 40).is_zero()
+        with pytest.raises(DomainError):
+            fn(F(-k) + F(1, 2), F(0), q, 40)
+        with pytest.raises(DomainError):
+            fn(F(-k) + F(1, 2), F(-1), q, 40)
+
     def test_connection_spot_value(self):
         j1 = qbessel_j1(F(1, 2), F(1), QF, 400)
         j2 = qbessel_j2(F(1, 2), F(1), QF, 400)

@@ -15,6 +15,7 @@ from qturan.turanian import (
     _classify_exact,
     _classify_float,
     _shift_series,
+    _tail_terms,
     delta_sign_certificate,
     delta_tilde_sign_certificate,
     gamma_sign_certificate,
@@ -321,3 +322,11 @@ def test_float_classifier_gate_is_inconclusive_near_zero():
     tail = [fl(1, 50), fl("5e-45", 50)]
     verdict, viol, margin = _classify_float(tail, [mpmath.mpf("1e-45")] * 2)
     assert (verdict, viol, margin) == (SignVerdict.INCONCLUSIVE, None, None)
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(3, 4), F(9, 10), F(19, 20), F(24, 25),
+                               F(99, 100), F(2, 3), F(1, 100)])
+def test_tail_terms_is_the_smallest_n_with_q_to_the_n_below_1_minus_q(q):
+    n = _tail_terms(q)
+    assert q ** n < 1 - q <= q ** (n - 1)
+
