@@ -24,6 +24,7 @@ Pochhammer symbol.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,11 +193,14 @@ def _linearization(mu, alpha, beta, phi, poch, scale):
 
     with F = ``phi`` and (c)_n = ``poch(c, n)``; ``scale(coef, value)`` is
     the product of a Pochhammer coefficient and a value of phi (or a product
-    of two).  The four callers differ only in phi, poch and scale.
+    of two).  The four callers differ only in phi, poch and scale.  Each
+    distinct F(c) is built once: c = mu+alpha, mu+alpha+beta and, for an
+    integer beta, the shifts mu+1+j recur among the terms.
     """
     if not (isinstance(alpha, (int, Fraction)) and alpha == int(alpha) and alpha >= 1):
         raise HypothesisError(f"alpha must be a positive integer, got {alpha}")
     alpha = int(alpha)
+    phi = functools.cache(phi)
     lhs = (scale(poch(mu + beta, alpha), phi(mu + alpha) * phi(mu + beta))
            - scale(poch(mu, alpha), phi(mu) * phi(mu + alpha + beta)))
     rhs = None

@@ -5,6 +5,13 @@ Every numeric quantity in this package is either an :class:`ExactScalar`
 rational radicand r) or a :class:`FloatScalar` (an arbitrary-precision
 mpmath float tagged with its working precision in decimal digits).
 
+An exact value is held on Python integers, (n + m*sqrt(rad)) / d in lowest
+terms, not as Fraction objects, and each operation reduces once: a product
+with a rational factor by the two cross gcds (as ``Fraction`` does); a sum,
+a product of two irrationals and an inverse by one gcd of three integers;
+adding an ``int`` not at all; ``dot`` once per sum.  ``sign`` compares n^2
+with m^2 rad in integers.
+
 Float arithmetic calls ``mpmath.libmp`` on the raw ``_mpf_`` tuples at
 ``dps_to_prec(max digits)`` bits, rounding to nearest, which gives the same
 bits as mpmath's context arithmetic under ``workdps(max digits)`` without
@@ -22,7 +29,7 @@ from __future__ import annotations
 import functools
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Union
 
 import mpmath
@@ -41,8 +48,7 @@ from mpmath.libmp import (
 
 DEFAULT_DIGITS = 50
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_new = object.__new__
 
 
 class QTuranError(Exception):
@@ -117,49 +123,131 @@ def _exact_sqrt(r: Fraction) -> Fraction | None:
     return None
 
 
-def _fraction_sum(terms) -> Fraction:
-    """Sum of the fractions n/d given as integer pairs (n, d), d > 0: the
-    numerators summed over the lcm of the denominators, reduced once.
+def _join(r1, r2):
+    """The radicand of a result whose operands carry r1 and r2 (None for a
+    rational operand); two different radicands raise ModeMismatchError."""
+    if r1 is None or r1 is r2:
+        return r2
+    if r2 is None or r1 == r2:
+        return r1
+    raise ModeMismatchError(f"incompatible radicands sqrt({r1}) and sqrt({r2})")
+
+
+def _exact(n: int, m: int, d: int, rad) -> "ExactScalar":
+    """(n + m sqrt(rad)) / d from integers already in lowest terms, d > 0."""
+    s = _new(ExactScalar)
+    s.n, s.m, s.d, s.rad = n, m, d, rad if m else None
+    return s
+
+
+def _reduced(n: int, m: int, d: int, rad) -> "ExactScalar":
+    """(n + m sqrt(rad)) / d for any d != 0, reduced by one gcd of the three."""
+    g = gcd(d, n, m)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n, m, d = n // g, m // g, d // g
+    return _exact(n, m, d, rad)
+
+
+def _sum(x: "ExactScalar", n2: int, m2: int, d2: int, r2) -> "ExactScalar":
+    """x + (n2 + m2 sqrt(r2)) / d2 over the lcm of the denominators.
+
+    With g = gcd(d1, d2), a prime that divides the sum's numerators and
+    denominator divides g, so g (not the lcm) is what the one gcd runs on.
+    """
+    rad = _join(x.rad, r2)
+    n1, m1, d1 = x.n, x.m, x.d
+    g = gcd(d1, d2)
+    s, u = d1 // g, d2 // g
+    n, m = n1 * u + n2 * s, m1 * u + m2 * s
+    h = gcd(g, n, m)
+    if h != 1:
+        n, m, g = n // h, m // h, g // h
+    return _exact(n, m, s * u * g, rad)
+
+
+def _scale(n: int, m: int, d: int, k: int, e: int, rad) -> "ExactScalar":
+    """(n + m sqrt(rad)) / d times the rational k / e (e > 0, both in lowest
+    terms), reduced by the two cross gcds, as ``Fraction`` reduces a
+    product."""
+    if not k:
+        return _exact(0, 0, 1, None)
+    g = gcd(k, d)
+    if g != 1:
+        k, d = k // g, d // g
+    g = gcd(e, n, m)
+    if g != 1:
+        e, n, m = e // g, n // g, m // g
+    return _exact(n * k, m * k, d * e, rad)
+
+
+def _common_sum(terms: list) -> tuple:
+    """(N, M, D) with N/D and M/D the sums of the terms (n, m, d), d > 0: the
+    numerators summed over the lcm of the denominators, unreduced.
 
     The terms are merged pairwise in a balanced tree, each merge over the
     lcm of its two denominators, so most lcm steps are on short
     denominators even when they do not nest.
     """
-    if not terms:
-        return _ZERO
     while len(terms) > 1:
         merged = []
-        for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2]):
+        for (n1, m1, d1), (n2, m2, d2) in zip(terms[::2], terms[1::2]):
             if d1 == d2:
-                merged.append((n1 + n2, d1))
+                merged.append((n1 + n2, m1 + m2, d1))
             else:
                 g = gcd(d1, d2)
-                merged.append((n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2))
+                s, u = d1 // g, d2 // g
+                merged.append((n1 * u + n2 * s, m1 * u + m2 * s, s * d2))
         if len(terms) % 2:
             merged.append(terms[-1])
         terms = merged
-    return Fraction(*terms[0])
+    return terms[0]
 
 
 class ExactScalar:
-    """Exact value a + b*sqrt(rad); rad is None iff the value is rational."""
+    """Exact value (n + m*sqrt(rad)) / d on Python integers.
 
-    __slots__ = ("a", "b", "rad")
+    The fields are in lowest terms: d > 0, gcd(n, m, d) = 1, and the
+    radicand ``rad`` (a positive Fraction) is None iff m = 0, so each value
+    has one representation.  ``a`` = n/d and ``b`` = m/d are its rational
+    and sqrt(rad) parts as reduced Fractions.
+    """
 
-    def __init__(self, a: Fraction, b: Fraction = _ZERO, rad: Fraction | None = None):
+    __slots__ = ("n", "m", "d", "rad")
+
+    def __init__(self, a: RationalLike, b: RationalLike = 0,
+                 rad: RationalLike | None = None):
+        a, b = as_fraction(a), as_fraction(b)
         if b == 0:
             rad = None
         elif rad is None:
             raise ValueError("irrational part without a radicand")
-        self.a = a
-        self.b = b
+        else:
+            rad = as_fraction(rad)
+        # over the lcm of two reduced denominators the three ints are coprime
+        d = lcm(a.denominator, b.denominator)
+        self.n = a.numerator * (d // a.denominator)
+        self.m = b.numerator * (d // b.denominator)
+        self.d = d
         self.rad = rad
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part n/d."""
+        return Fraction(self.n, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient m/d of sqrt(rad)."""
+        return Fraction(self.m, self.d)
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def from_rational(x: RationalLike) -> "ExactScalar":
-        return ExactScalar(as_fraction(x))
+        x = as_fraction(x)
+        return _exact(x.numerator, 0, x.denominator, None)
 
     @staticmethod
     def sqrt_of(r: RationalLike) -> "ExactScalar":
@@ -167,8 +255,8 @@ class ExactScalar:
         rf = as_fraction(r)
         root = _exact_sqrt(rf)
         if root is not None:
-            return ExactScalar(root)
-        return ExactScalar(_ZERO, _ONE, rf)
+            return ExactScalar.from_rational(root)
+        return _exact(0, 1, 1, rf)
 
     # -- coercion helpers ----------------------------------------------
 
@@ -177,47 +265,52 @@ class ExactScalar:
         if isinstance(other, ExactScalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return ExactScalar(as_fraction(other))
+            return ExactScalar.from_rational(other)
         if isinstance(other, FloatScalar):
             raise ModeMismatchError("cannot combine exact and float scalars")
         if isinstance(other, float):
             raise ModeMismatchError("refusing a binary float in exact arithmetic")
         raise TypeError(f"unsupported operand {other!r}")
 
-    def _join_rad(self, other: "ExactScalar") -> Fraction | None:
-        if self.rad is None:
-            return other.rad
-        if other.rad is None or other.rad == self.rad:
-            return self.rad
-        raise ModeMismatchError(
-            f"incompatible radicands sqrt({self.rad}) and sqrt({other.rad})"
-        )
-
     # -- ring operations -----------------------------------------------
+    # Adding an int keeps gcd(n, m, d) = 1, so it needs no reduction.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return ExactScalar(self.a + o.a, self.b + o.b, self._join_rad(o))
+        if type(other) is int:
+            return _exact(self.n + other * self.d, self.m, self.d, self.rad)
+        o = other if type(other) is ExactScalar else self._coerce(other)
+        return _sum(self, o.n, o.m, o.d, o.rad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(-self.a, -self.b, self.rad)
+        return _exact(-self.n, -self.m, self.d, self.rad)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if type(other) is int:
+            return _exact(self.n - other * self.d, self.m, self.d, self.rad)
+        o = other if type(other) is ExactScalar else self._coerce(other)
+        return _sum(self, -o.n, -o.m, o.d, o.rad)
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        if type(other) is int:
+            return _exact(other * self.d - self.n, -self.m, self.d, self.rad)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        rad = self._join_rad(o)
-        a = self.a * o.a
-        if self.b != 0 and o.b != 0:
-            a += self.b * o.b * rad
-        b = self.a * o.b + self.b * o.a
-        return ExactScalar(a, b, rad)
+        if type(other) is int:
+            return _scale(self.n, self.m, self.d, other, 1, self.rad)
+        o = other if type(other) is ExactScalar else self._coerce(other)
+        n1, m1, d1 = self.n, self.m, self.d
+        n2, m2, d2 = o.n, o.m, o.d
+        if not m2:
+            return _scale(n1, m1, d1, n2, d2, self.rad)
+        if not m1:
+            return _scale(n2, m2, d2, n1, d1, o.rad)
+        rad = _join(self.rad, o.rad)
+        rn, rd = rad.numerator, rad.denominator
+        return _reduced(n1 * n2 * rd + m1 * m2 * rn, (n1 * m2 + m1 * n2) * rd,
+                        d1 * d2 * rd, rad)
 
     __rmul__ = __mul__
 
@@ -225,51 +318,51 @@ class ExactScalar:
     def dot(xs, ys) -> "ExactScalar":
         """Sum of x*y over the pairs of xs and ys, reduced once.
 
-        The rational and sqrt(rad) parts of every product are kept as
-        unreduced integer fractions; each part's numerators are summed over
-        the lcm of its denominators and the sum is reduced by one gcd.  When
-        the products' sqrt parts share one radicand, the result equals the
-        left-to-right sum of the products; products with sqrt parts over
-        different radicands raise ModeMismatchError, as ``*`` does for
-        factors over different radicands.
+        Every product stays an unreduced triple of integers (n, m, d); the
+        triples are summed over the lcm of their denominators and the sum is
+        reduced by one gcd.  When the products' sqrt parts share one
+        radicand, the result equals the left-to-right sum of the products;
+        products with sqrt parts over different radicands raise
+        ModeMismatchError, as ``*`` does for factors over different
+        radicands.
         """
         rad = None
-        a_terms, b_terms = [], []
+        terms = []
         for x, y in zip(xs, ys):
             if type(x) is not ExactScalar or type(y) is not ExactScalar:
                 x, y = ExactScalar._coerce(x), ExactScalar._coerce(y)
-            xa, ya, xb, yb = x.a, y.a, x.b, y.b
-            if xa and ya:
-                a_terms.append((xa.numerator * ya.numerator,
-                                xa.denominator * ya.denominator))
-            if not ((xb and (ya or yb)) or (yb and xa)):
-                continue                # the product is rational
-            r = x._join_rad(y)
+            xn, xm, yn, ym = x.n, x.m, y.n, y.m
+            if not ((xm and (yn or ym)) or (ym and xn)):
+                if xn and yn:           # the product is rational
+                    terms.append((xn * yn, 0, x.d * y.d))
+                continue
+            r = _join(x.rad, y.rad)
             if rad is None:
                 rad = r
-            elif r != rad:
+                rn, rd = r.numerator, r.denominator
+            elif r is not rad and r != rad:
                 raise ModeMismatchError(
                     f"incompatible radicands sqrt({rad}) and sqrt({r})")
-            if xb and yb:
-                a_terms.append((xb.numerator * yb.numerator * r.numerator,
-                                xb.denominator * yb.denominator * r.denominator))
-            if xb and ya:
-                b_terms.append((xb.numerator * ya.numerator,
-                                xb.denominator * ya.denominator))
-            if xa and yb:
-                b_terms.append((xa.numerator * yb.numerator,
-                                xa.denominator * yb.denominator))
-        return ExactScalar(_fraction_sum(a_terms), _fraction_sum(b_terms), rad)
+            terms.append((xn * yn * rd + xm * ym * rn, (xn * ym + xm * yn) * rd,
+                          x.d * y.d * rd))
+        if not terms:
+            return _exact(0, 0, 1, None)
+        return _reduced(*_common_sum(terms), rad)
 
     def inverse(self) -> "ExactScalar":
-        if self.b == 0:
-            if self.a == 0:
+        n, m, d = self.n, self.m, self.d
+        if not m:
+            if not n:
                 raise ZeroDivisionError("inverse of exact zero")
-            return ExactScalar(1 / self.a)
-        norm = self.a * self.a - self.b * self.b * self.rad
-        if norm == 0:
+            return _exact(d, 0, n, None) if n > 0 else _exact(-d, 0, -n, None)
+        # d / (n + m sqrt(r)) = d rd (n - m sqrt(r)) / (n^2 rd - m^2 rn)
+        rad = self.rad
+        rn, rd = rad.numerator, rad.denominator
+        norm = n * n * rd - m * m * rn
+        if not norm:
             raise ZeroDivisionError("inverse of exact zero")
-        return ExactScalar(self.a / norm, -self.b / norm, self.rad)
+        k = d * rd
+        return _reduced(k * n, -k * m, norm, rad)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -282,7 +375,7 @@ class ExactScalar:
             raise TypeError("exact powers take integer exponents")
         if n < 0:
             return self.inverse() ** (-n)
-        result = ExactScalar(_ONE)
+        result = _exact(1, 0, 1, None)
         base = self
         while n:
             if n & 1:
@@ -294,31 +387,28 @@ class ExactScalar:
     # -- order and predicates --------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        # a and b*sqrt(rad) compete; compare squared magnitudes
-        aa, bb = a * a, b * b * self.rad
-        if aa == bb:
+        n, m = self.n, self.m
+        if not m:
+            return (n > 0) - (n < 0)
+        if not n or (n > 0) == (m > 0):
+            return 1 if m > 0 else -1
+        # n and m*sqrt(rad) compete: compare n^2 rd with m^2 rn
+        rad = self.rad
+        nn, mm = n * n * rad.denominator, m * m * rad.numerator
+        if nn == mm:
             return 0
-        return sa if aa > bb else sb
+        return (1 if n > 0 else -1) if nn > mm else (1 if m > 0 else -1)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.n and not self.m
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.m
 
     def to_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.m:
             raise ExactModeError(f"{self} is irrational")
-        return self.a
+        return Fraction(self.n, self.d)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -330,9 +420,9 @@ class ExactScalar:
             o = self._coerce(other)
         except (TypeError, ModeMismatchError):
             return NotImplemented
-        if self.b != 0 and o.b != 0 and self.rad != o.rad:
+        if self.m and o.m and self.rad != o.rad:
             return False
-        return self.a == o.a and self.b == o.b
+        return self.n == o.n and self.m == o.m and self.d == o.d
 
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
@@ -347,9 +437,9 @@ class ExactScalar:
         return (self - self._coerce(other)).sign() >= 0
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.rad))
+        if not self.m:                  # equal to the hash of the Fraction n/d
+            return hash(self.n) if self.d == 1 else hash(Fraction(self.n, self.d))
+        return hash((self.n, self.m, self.d, self.rad))
 
     def __bool__(self):
         return not self.is_zero()
@@ -357,11 +447,13 @@ class ExactScalar:
     # -- export ----------------------------------------------------------
 
     def to_mpf(self, digits: int = DEFAULT_DIGITS):
+        a = self.a
         with mpmath.workdps(digits):
-            val = mpmath.mpf(self.a.numerator) / self.a.denominator
-            if self.b != 0:
-                rt = mpmath.sqrt(mpmath.mpf(self.rad.numerator) / self.rad.denominator)
-                val += (mpmath.mpf(self.b.numerator) / self.b.denominator) * rt
+            val = mpmath.mpf(a.numerator) / a.denominator
+            if self.m:
+                b, rad = self.b, self.rad
+                rt = mpmath.sqrt(mpmath.mpf(rad.numerator) / rad.denominator)
+                val += (mpmath.mpf(b.numerator) / b.denominator) * rt
         return val
 
     def to_float_scalar(self, digits: int = DEFAULT_DIGITS) -> "FloatScalar":
@@ -369,10 +461,11 @@ class ExactScalar:
 
     def canonical(self) -> str:
         """Deterministic text form: 'num/den' or 'a+b*sqrt(r)'."""
-        if self.b == 0:
+        if not self.m:
             return rational_text(self.a)
-        sign = "-" if self.b < 0 else "+"
-        return (f"{rational_text(self.a)}{sign}{rational_text(abs(self.b))}"
+        b = self.b
+        sign = "-" if b < 0 else "+"
+        return (f"{rational_text(self.a)}{sign}{rational_text(abs(b))}"
                 f"*sqrt({rational_text(self.rad)})")
 
     def __repr__(self):
@@ -566,7 +659,6 @@ class FloatScalar:
 
 _prec = functools.cache(dps_to_prec)   # binary precision of a digits count
 _make_mpf = mpmath.mp.make_mpf
-_new = object.__new__
 
 
 def _float(t, digits: int) -> FloatScalar:

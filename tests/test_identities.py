@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from qturan import identities
 from qturan.identities import (
     _kummer_sides_value,
     _linearization_sides_value,
@@ -164,6 +165,15 @@ class TestLinearization:
         manual = phi(mu + 1).scaled(poch(mu + beta, 1)) \
             - phi(mu + 1 + beta).scaled(poch(mu, 1))
         assert all((a - b).is_zero() for a, b in zip(rhs.coeffs, manual.coeffs))
+
+    def test_each_distinct_phi_is_built_once(self, monkeypatch):
+        built, build = [], identities.heine_phi_q0_series
+        monkeypatch.setattr(identities, "heine_phi_q0_series",
+                            lambda c, q, order: built.append(c) or build(c, q, order))
+        assert verify_linearization(F(1, 2), 3, F(2), Q12, 12).exact_zero
+        # ten terms, whose shifts mu + alpha, mu + alpha + beta, mu + 1 + j and
+        # mu + alpha + beta - j take six values
+        assert sorted(built) == [F(k, 2) for k in (1, 3, 5, 7, 9, 11)]
 
     def test_non_integer_alpha_rejected(self):
         with pytest.raises(HypothesisError):

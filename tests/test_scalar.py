@@ -1,5 +1,6 @@
 """Backend behaviour: exactness, quadratic-field arithmetic, mode isolation."""
 
+import math
 from fractions import Fraction as F
 
 import mpmath
@@ -185,6 +186,203 @@ def test_exact_dot_refuses_incompatible_radicands():
         ExactScalar.dot([r2, ex(1)], [ex(1), r3])
     with pytest.raises(ModeMismatchError):
         ExactScalar.dot([r2], [fl(1)])
+
+
+# -- ExactScalar on integers against the Fraction-pair formulas it replaced ---
+
+
+class _Pair:
+    """Reference a + b*sqrt(rad) on two Fractions: the formulas ExactScalar
+    used before it held integers, one Fraction operation at a time."""
+
+    def __init__(self, a, b=F(0), rad=None):
+        self.a, self.b = F(a), F(b)
+        self.rad = None if self.b == 0 else rad
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, _Pair) else _Pair(x)
+
+    def _join(self, o):
+        if self.rad is None:
+            return o.rad
+        if o.rad is None or o.rad == self.rad:
+            return self.rad
+        raise ModeMismatchError("incompatible radicands")
+
+    def __add__(self, other):
+        o = _Pair.of(other)
+        return _Pair(self.a + o.a, self.b + o.b, self._join(o))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Pair(-self.a, -self.b, self.rad)
+
+    def __sub__(self, other):
+        return self + (-_Pair.of(other))
+
+    def __rsub__(self, other):
+        return (-self) + _Pair.of(other)
+
+    def __mul__(self, other):
+        o = _Pair.of(other)
+        rad = self._join(o)
+        a = self.a * o.a
+        if self.b != 0 and o.b != 0:
+            a += self.b * o.b * rad
+        return _Pair(a, self.a * o.b + self.b * o.a, rad)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.b == 0:
+            return _Pair(1 / self.a)
+        norm = self.a * self.a - self.b * self.b * self.rad
+        return _Pair(self.a / norm, -self.b / norm, self.rad)
+
+    def __truediv__(self, other):
+        return self * _Pair.of(other).inverse()
+
+    def __rtruediv__(self, other):
+        return _Pair.of(other) * self.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = _Pair(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def sign(self):
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return 1 if b > 0 else -1
+        sa, sb = (1 if a > 0 else -1), (1 if b > 0 else -1)
+        if sa == sb:
+            return sa
+        aa, bb = a * a, b * b * self.rad
+        return 0 if aa == bb else (sa if aa > bb else sb)
+
+    def canonical(self):
+        if self.b == 0:
+            return rational_text(self.a)
+        sign = "-" if self.b < 0 else "+"
+        return (f"{rational_text(self.a)}{sign}{rational_text(abs(self.b))}"
+                f"*sqrt({rational_text(self.rad)})")
+
+    def to_mpf(self, digits):
+        with mpmath.workdps(digits):
+            val = mpmath.mpf(self.a.numerator) / self.a.denominator
+            if self.b != 0:
+                rt = mpmath.sqrt(mpmath.mpf(self.rad.numerator) / self.rad.denominator)
+                val += (mpmath.mpf(self.b.numerator) / self.b.denominator) * rt
+        return val
+
+
+def _agrees(got, want):
+    """got is a well-formed ExactScalar with want's value."""
+    assert type(got) is ExactScalar
+    assert got.d > 0 and math.gcd(got.n, got.m, got.d) == 1
+    assert (got.m == 0) == (got.rad is None)
+    assert (got.a, got.b, got.rad) == (want.a, want.b, want.rad)
+    assert got.canonical() == want.canonical()
+    if got.rad is None:
+        assert hash(got) == hash(got.a)
+
+
+_RADICANDS = st.sampled_from([F(2), F(3, 4), F(1, 2), F(7, 5), F(12)])
+_BITS = st.sampled_from([1, 3, 20, 200, 1000, 8000])
+
+
+@st.composite
+def _big_fractions(draw):
+    """A rational whose numerator and denominator have up to about 8k bits;
+    the denominator often shares small factors with others drawn."""
+    top = 1 << draw(_BITS)
+    num = draw(st.integers(-top, top))
+    den = draw(st.integers(1, top)) * draw(st.sampled_from([1, 2, 6, 4 * 3 ** 5, 2 ** 64]))
+    return F(num, den)
+
+
+@st.composite
+def _pairs_over(draw, rad):
+    """(ExactScalar, _Pair) of one value, rational or in Q(sqrt rad)."""
+    a = draw(_big_fractions())
+    b = draw(st.one_of(st.just(F(0)), _big_fractions()))
+    r = rad if b else None
+    return ExactScalar(a, b, r), _Pair(a, b, r)
+
+
+_literals = st.one_of(st.integers(-10 ** 30, 10 ** 30), _big_fractions())
+
+
+@st.composite
+def _operands(draw):
+    rad = draw(_RADICANDS)
+    return draw(_pairs_over(rad)), draw(_pairs_over(rad)), draw(_literals)
+
+
+_BINARY = [
+    ("+", lambda x, y: x + y), ("-", lambda x, y: x - y),
+    ("*", lambda x, y: x * y), ("/", lambda x, y: x / y),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands(), st.integers(-3, 3))
+def test_exact_scalar_matches_the_fraction_pair_formulas(operands, e):
+    (x, rx), (y, ry), k = operands
+    rk = _Pair(k)
+    for name, op in _BINARY:
+        for left, right, rleft, rright in ((x, y, rx, ry), (x, k, rx, rk), (k, x, rk, rx)):
+            if name == "/" and not (rright.a or rright.b):
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            _agrees(op(left, right), op(rleft, rright))
+    _agrees(-x, -rx)
+    _agrees(abs(x), -rx if rx.sign() < 0 else rx)
+    if rx.a or rx.b:
+        _agrees(x.inverse(), rx.inverse())
+        _agrees(x ** e, rx ** e)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        _agrees(x ** abs(e), rx ** abs(e))
+    assert x.sign() == rx.sign()
+    assert (x == y) == ((rx - ry).sign() == 0)
+    assert (x < y) == ((rx - ry).sign() < 0)
+    assert (x <= k) == ((rx - rk).sign() <= 0)
+    assert (x == k) == ((rx - rk).sign() == 0)
+    assert (x == y) <= (hash(x) == hash(y))
+    assert x.to_mpf(40)._mpf_ == rx.to_mpf(40)._mpf_
+    assert ExactScalar(k) == k and hash(ExactScalar(k)) == hash(k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_RADICANDS.flatmap(lambda rad: st.lists(
+    st.tuples(_pairs_over(rad), _pairs_over(rad)), min_size=1, max_size=8)))
+def test_exact_dot_matches_the_fraction_pair_sum(pairs):
+    want = _Pair(0)
+    for (_, rx), (_, ry) in pairs:
+        want = want + rx * ry
+    _agrees(ExactScalar.dot([x for (x, _), _ in pairs], [y for _, (y, _) in pairs]), want)
+
+
+def test_exact_mixed_radicands_raise():
+    x = ExactScalar(F(1, 3), F(2, 5), F(2))
+    y = ExactScalar(F(-7), F(1, 9), F(3, 4))
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+               lambda: y / x, lambda: x < y, lambda: ExactScalar.dot([x], [y])):
+        with pytest.raises(ModeMismatchError):
+            op()
+    assert x != y
+    # a rational operand fixes no radicand
+    assert (x * 0).rad is None and ((x * 0) + y).rad == F(3, 4)
 
 
 # -- FloatScalar: the same bits as mpmath's arithmetic at the max digits ------
