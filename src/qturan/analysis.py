@@ -22,7 +22,7 @@ from math import factorial
 import mpmath
 from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
 
-from .identities import Residual
+from .identities import Residual, _compare
 from .scalar import (
     DimensionError,
     DomainError,
@@ -200,5 +200,4 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
                 v = c.to_mpf(work) if isinstance(c, ExactScalar) else c.val
                 series_side += v * xp
             pairs.append((FloatScalar(integral, work), FloatScalar(series_side, work)))
-    from .identities import _compare
     return _compare(pairs, "float", md.order, "laplace-representation")

@@ -191,6 +191,24 @@ def _config_common(args, extra: dict) -> dict:
     return cfg
 
 
+def _refuse_base(args, subject: str, *, exact: bool, verb: str = "checked") -> None:
+    """Refuse the options that a computation without a base q would ignore:
+    --q and --p, and --mode float or --digits when it is exact, or a typed
+    --mode exact when it runs in float mode."""
+    for name in ("q", "p"):
+        if getattr(args, name) is not None:
+            raise QTuranError(f"--{name} does not apply to {subject}")
+    if exact:
+        refused = ("--mode float" if args.mode == "float"
+                   else "--digits" if "digits" in args.given else None)
+        kind = f"is {verb} exactly"
+    else:
+        refused = "--mode exact" if "mode" in args.given and args.mode == "exact" else None
+        kind = "runs in float mode"
+    if refused:
+        raise QTuranError(f"{subject} {kind}; {refused} does not apply")
+
+
 # -- subcommand implementations ----------------------------------------------
 
 
@@ -206,6 +224,7 @@ def cmd_eval(args) -> int:
             f"value; use --mode float"
         )
     if args.family == "kummer":
+        _refuse_base(args, "--family kummer", exact=True, verb="evaluated")
         if args.b_param is None:
             raise QTuranError("--b-param is required for the kummer family")
         value = kummer_1f1_unit_top(parse_rational(args.b_param), args.order).eval(
@@ -329,19 +348,7 @@ def cmd_verify(args) -> int:
 
     if args.identity in ("q-to-1", "kummer"):
         # the q -> 1 study sets its own bases, and Kummer's identity has none
-        for name in ("q", "p"):
-            if getattr(args, name) is not None:
-                raise QTuranError(
-                    f"--{name} does not apply to --identity {args.identity}")
-        if args.identity == "kummer":
-            refused = ("--mode float" if args.mode == "float"
-                       else "--digits" if "digits" in args.given else None)
-            kind = "is checked exactly"
-        else:
-            refused = "--mode exact" if "mode" in args.given and args.mode == "exact" else None
-            kind = "runs in float mode"
-        if refused:
-            raise QTuranError(f"--identity {args.identity} {kind}; {refused} does not apply")
+        _refuse_base(args, f"--identity {args.identity}", exact=args.identity == "kummer")
     extra = {"identity": args.identity, "tol": args.tol}
     verdicts = []
     if args.identity == "q-to-1":

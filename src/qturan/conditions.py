@@ -58,7 +58,7 @@ def derive_cd(a: Sequence, b: Sequence, q: QBase):
     def one_vec(vec):
         out = []
         for entry in vec:
-            e = as_fraction(entry) if q.is_exact else entry
+            e = as_fraction(entry)
             if not e >= 0:
                 raise QTuranError(f"parameter {entry} must be nonnegative")
             out.append(q.q_power(-e) - 1)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -145,7 +144,7 @@ def _rahman_factors(nu, eta, q: QBase, order: int):
 
 def verify_rahman_product(nu, eta, q: QBase, order: int) -> Residual:
     """Product of two Heine series against e_q times the paired 4phi3."""
-    nu, eta = (as_fraction(nu), as_fraction(eta)) if q.is_exact else (nu, eta)
+    nu, eta = as_fraction(nu), as_fraction(eta)
     (f_nu, f_eta), (phi43, e_q) = _rahman_factors(nu, eta, q, order)
     pairs = list(zip((f_nu * f_eta).coeffs, (phi43 * e_q).coeffs))
     return _compare(pairs, q.mode, order, f"rahman-product(nu={nu},eta={eta})")
@@ -155,7 +154,7 @@ def verify_finite_sum_identity(nu, eta, q: QBase, m: int) -> Residual:
     """The order-m coefficient identity: coefficient m of the Rahman product."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    nu, eta = (as_fraction(nu), as_fraction(eta)) if q.is_exact else (nu, eta)
+    nu, eta = as_fraction(nu), as_fraction(eta)
     (f_nu, f_eta), (phi43, e_q) = _rahman_factors(nu, eta, q, m)
     pair = (f_nu.product_coefficient(f_eta, m), phi43.product_coefficient(e_q, m))
     return _compare([pair], q.mode, m, f"finite-sum(nu={nu},eta={eta},m={m})")
@@ -197,7 +196,8 @@ def _linearization(mu, alpha, beta, phi, poch, scale):
     distinct F(c) is built once: c = mu+alpha, mu+alpha+beta and, for an
     integer beta, the shifts mu+1+j recur among the terms.
     """
-    if not (isinstance(alpha, (int, Fraction)) and alpha == int(alpha) and alpha >= 1):
+    alpha = as_fraction(alpha)
+    if alpha.denominator != 1 or alpha < 1:
         raise HypothesisError(f"alpha must be a positive integer, got {alpha}")
     alpha = int(alpha)
     phi = functools.cache(phi)
@@ -223,8 +223,7 @@ def _qpoch(q: QBase):
 
 def linearization_sides(mu, alpha: int, beta, q: QBase, order: int):
     """Both sides of the finite linearization of the Heine product difference."""
-    mu = as_fraction(mu) if q.is_exact else mu
-    beta = as_fraction(beta) if q.is_exact else beta
+    mu, beta = as_fraction(mu), as_fraction(beta)
     return _linearization(mu, alpha, beta, lambda c: heine_phi_q0_series(c, q, order),
                           _qpoch(q), _scaled)
 
@@ -321,8 +320,7 @@ def verify_recqgamma(mu, beta, q: QBase, m: int) -> Residual:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if q.is_exact:
-        mu, beta = as_fraction(mu), as_fraction(beta)
+    mu, beta = as_fraction(mu), as_fraction(beta)
     poch, poch_b = (_qpoch_prefixes(x, q, m + 1) for x in (mu, mu + beta))
     one_minus = 1 - q.q
     if q.is_exact:

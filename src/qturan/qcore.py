@@ -248,22 +248,13 @@ def qgamma_ratio(x, k: int, q: QBase) -> Scalar:
 
 
 def q_exponential(z, q: QBase, order: int) -> Scalar:
-    """Truncated q-exponential sum_{k<=order} z^k / (q; q)_k, valid for |z| < 1."""
+    """Truncated q-exponential sum_{k<=order} z^k / (q; q)_k, valid for |z| < 1:
+    the series of the term ratio 1 / (1 - q^k), evaluated at z."""
+    from .series import TermRatio       # series imports this module
     z = q.scalar(z)
     if not abs(z) < q.one:
         raise DomainError("q-exponential series diverges for |z| >= 1")
-    total = q.one
-    term = q.one
-    zk = q.one
-    qq = q.one
-    qk = q.q
-    for _ in range(1, order + 1):
-        zk = zk * z
-        qq = qq * (1 - qk)
-        qk = qk * q.q
-        term = zk / qq
-        total = total + term
-    return total
+    return TermRatio(q.one, (), (), q).series(order).eval(z)
 
 
 def elementary_symmetric(values: Sequence[Scalar]) -> list[Scalar]:

@@ -500,8 +500,6 @@ class FloatScalar:
         with mpmath.workdps(digits):
             if isinstance(value, Fraction):
                 self.val = mpmath.mpf(value.numerator) / value.denominator
-            elif isinstance(value, str):
-                self.val = mpmath.mpf(value)
             else:
                 self.val = mpmath.mpf(value)
 

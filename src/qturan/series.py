@@ -243,8 +243,8 @@ def tphis_series(spec: PhiSpec, order: int) -> TruncatedSeries:
 
 def heine_f_series(mu, q: QBase, order: int) -> TruncatedSeries:
     """Heine's 2phi1(0, 0; q^mu; x): coefficient n = 1/((q^mu; q)_n (q; q)_n)."""
-    mu_cmp = as_fraction(mu) if q.is_exact else mu
-    if not mu_cmp > 0:
+    mu = as_fraction(mu)
+    if not mu > 0:
         raise HypothesisError(f"heine_f needs mu > 0, got mu={mu}")
     ratio = TermRatio(q.one, (), (q.q_power(mu),), q,
                       tail_note="converges for |z| < 1 only")
@@ -269,10 +269,8 @@ def heine_f_tilde_series(mu, q: QBase, order: int, *,
     return TruncatedSeries(tuple(scale * c for c in base.coeffs), order, base.tail_note)
 
 
-def _validate_g_params(a, b, mu, q):
-    a = tuple(as_fraction(v) if q.is_exact else v for v in a)
-    b = tuple(as_fraction(v) if q.is_exact else v for v in b)
-    mu = as_fraction(mu) if q.is_exact else mu
+def _validate_g_params(a, b, mu):
+    a, b, mu = tuple(map(as_fraction, a)), tuple(map(as_fraction, b)), as_fraction(mu)
     if len(a) > len(b) + 1:
         raise DomainError(f"t={len(a)} needs t <= s+1 (s={len(b)})")
     if any(not v >= 0 for v in a) or any(not v >= 0 for v in b):
@@ -319,12 +317,13 @@ def g_series(a: Sequence, b: Sequence, mu, q: QBase, order: int, *,
     so for nonnegative a, b, mu all raw coefficients are positive and the
     natural evaluation points are x >= 0.
 
-    In exact mode the Gamma prefactor is carried relative to the reference
-    shift ``ref_mu`` (default: mu itself, making the prefactor 1); mu must
-    exceed the reference by a nonnegative integer.  ``absolute=True``
-    computes the true Gamma ratio and needs float mode.
+    a, b, mu and ``ref_mu`` are exact rationals in both modes.  The Gamma
+    prefactor is carried relative to the reference shift ``ref_mu``
+    (default: mu itself, making the prefactor 1); mu must exceed the
+    reference by a nonnegative integer.  ``absolute=True`` computes the true
+    Gamma ratio and needs float mode.
     """
-    a, b, mu = _validate_g_params(a, b, mu, q)
+    a, b, mu = _validate_g_params(a, b, mu)
     t, s = len(a), len(b)
     d = 1 + s - t
 
@@ -340,25 +339,13 @@ def g_series(a: Sequence, b: Sequence, mu, q: QBase, order: int, *,
         for bj in b:
             prefactor = prefactor / qgamma(bj + mu, q)
     else:
-        ref = mu if ref_mu is None else (as_fraction(ref_mu) if q.is_exact else ref_mu)
-        sigma_raw = mu - ref
-        if q.is_exact:
-            if sigma_raw.denominator != 1 or sigma_raw < 0:
-                raise HypothesisError(
-                    f"mu must exceed ref_mu by a nonnegative integer, "
-                    f"got shift {sigma_raw}"
-                )
-            sigma = int(sigma_raw)
-        else:
-            shift = float(sigma_raw.val if isinstance(sigma_raw, FloatScalar)
-                          else sigma_raw)
-            sigma = round(shift)
-            if sigma < 0 or abs(shift - sigma) > 1e-9:
-                raise HypothesisError(
-                    f"mu must exceed ref_mu by a nonnegative integer, "
-                    f"got shift {shift}"
-                )
-        prefactor = g_relative_prefactor(a, b, ref, sigma, q)
+        ref = mu if ref_mu is None else as_fraction(ref_mu)
+        sigma = mu - ref
+        if sigma.denominator != 1 or sigma < 0:
+            raise HypothesisError(
+                f"mu must exceed ref_mu by a nonnegative integer, got shift {sigma}"
+            )
+        prefactor = g_relative_prefactor(a, b, ref, int(sigma), q)
 
     upper = tuple(q.q_power(ai + mu) for ai in a)
     lower = tuple(q.q_power(bj + mu) for bj in b)

@@ -96,14 +96,24 @@ class SignVerdict(Enum):
 
 @dataclass(frozen=True)
 class TuranianSpec:
+    """One Turanian point.  The shifts mu, alpha, beta and the entries of a
+    and b are exact rationals (int, Fraction or "num/den") in both modes,
+    stored as Fractions."""
+
     family: Family
-    mu: object
-    alpha: object
-    beta: object
+    mu: Fraction
+    alpha: Fraction
+    beta: Fraction
     q: QBase
     order: int
     a: tuple = ()
     b: tuple = ()
+
+    def __post_init__(self):
+        for name in ("mu", "alpha", "beta"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+        for name in ("a", "b"):
+            object.__setattr__(self, name, tuple(map(as_fraction, getattr(self, name))))
 
 
 @dataclass(frozen=True)
@@ -162,10 +172,6 @@ def verdict_satisfies(observed: SignVerdict, expected: SignVerdict | None) -> bo
     return observed == expected
 
 
-def _param(value, q: QBase):
-    return as_fraction(value) if q.is_exact else value
-
-
 def _shift_series(family: Family, mu, shift, q: QBase, order: int, a=(),
                   b=()) -> TruncatedSeries:
     """The family series F(mu + shift): the one map from a family to its
@@ -183,11 +189,9 @@ def _shift_series(family: Family, mu, shift, q: QBase, order: int, a=(),
 def _shifted(spec: TuranianSpec, order=None) -> tuple:
     """F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta), to spec.order unless
     another order is given."""
-    q = spec.q
-    mu, alpha, beta = (_param(v, q) for v in (spec.mu, spec.alpha, spec.beta))
     order = spec.order if order is None else order
-    return tuple(_shift_series(spec.family, mu, sh, q, order, spec.a, spec.b)
-                 for sh in (alpha, beta, alpha - alpha, alpha + beta))
+    return tuple(_shift_series(spec.family, spec.mu, sh, spec.q, order, spec.a, spec.b)
+                 for sh in (spec.alpha, spec.beta, 0, spec.alpha + spec.beta))
 
 
 def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
@@ -503,9 +507,7 @@ def _certify(spec: TuranianSpec, expected, norm, rho_rounds=((ex(1), ex(1)),),
 
 
 def _positive_hypotheses(spec: TuranianSpec):
-    mu = _param(spec.mu, spec.q)
-    alpha = _param(spec.alpha, spec.q)
-    beta = _param(spec.beta, spec.q)
+    mu, alpha, beta = spec.mu, spec.alpha, spec.beta
     if not (mu > 0 and alpha > 0 and beta > 0):
         raise HypothesisError(
             f"mu, alpha, beta must be positive, got ({mu}, {alpha}, {beta})"
@@ -514,11 +516,7 @@ def _positive_hypotheses(spec: TuranianSpec):
 
 
 def _is_degenerate(spec: TuranianSpec) -> bool:
-    alpha = _param(spec.alpha, spec.q)
-    beta = _param(spec.beta, spec.q)
-    if spec.q.is_exact:
-        return alpha == 0 or beta == 0
-    return spec.q.scalar(alpha).is_zero() or spec.q.scalar(beta).is_zero()
+    return spec.alpha == 0 or spec.beta == 0
 
 
 def delta_sign_certificate(spec: TuranianSpec) -> SignReport:
@@ -642,30 +640,26 @@ def gamma_sign_certificate(spec: TuranianSpec, *,
 
     The expected direction is decided by the chain conditions on the derived
     vectors: case (b) predicts non-negative coefficients, case (a)
-    non-positive; both holding forces the zero series.  The coefficientwise
-    claim needs integer alpha with alpha <= beta + 1; with
-    ``require_theorem`` a violated hypothesis (or no applicable chain)
-    raises instead of returning an expectation-free report.
+    non-positive; both holding forces the zero series.  In both modes alpha
+    and beta must be nonnegative integers (the g series carries its Gamma_q
+    prefactor relative to mu), else HypothesisError.  The coefficientwise
+    claim needs alpha <= beta + 1; with ``require_theorem`` a violated
+    hypothesis (or no applicable chain) raises instead of returning an
+    expectation-free report.
     """
     if spec.family != Family.G_NORMALIZED:
         raise ValueError("gamma_sign_certificate works on the g family")
-    q = spec.q
     if not spec.a or not spec.b:
         raise HypothesisError("the g family needs parameter vectors a and b")
-    mu = _param(spec.mu, q)
-    alpha = _param(spec.alpha, q)
-    beta = _param(spec.beta, q)
-    if q.is_exact:
-        if alpha.denominator != 1 or alpha < 0:
-            raise HypothesisError(f"alpha must be a nonnegative integer, got {alpha}")
-        if beta.denominator != 1 or beta < 0:
-            raise HypothesisError(
-                f"exact-mode g certificates need integer beta >= 0, got {beta}"
-            )
+    mu, alpha, beta = spec.mu, spec.alpha, spec.beta
+    if alpha.denominator != 1 or alpha < 0:
+        raise HypothesisError(f"alpha must be a nonnegative integer, got {alpha}")
+    if beta.denominator != 1 or beta < 0:
+        raise HypothesisError(f"g certificates need integer beta >= 0, got {beta}")
     if not mu >= 0:
         raise HypothesisError(f"mu must be nonnegative, got {mu}")
 
-    chain_case = conditions.chain_case(*conditions.derive_cd(spec.a, spec.b, q))
+    chain_case = conditions.chain_case(*conditions.derive_cd(spec.a, spec.b, spec.q))
     if chain_case is None and require_theorem:
         raise HypothesisError("neither chain condition holds; no sign claim applies")
     expected = _CASE_EXPECTED.get(chain_case)
@@ -758,13 +752,12 @@ def integer_shift_reduction_check(spec: TuranianSpec, alpha_max: int):
     For the g family the coefficientwise claim is only tested within
     alpha <= beta + 1.  Returns (consistent, reports by alpha).
     """
-    beta = _param(spec.beta, spec.q)
     reports = {}
     base = None
     for a_val in range(1, alpha_max + 1):
-        if spec.family == Family.G_NORMALIZED and not a_val <= beta + 1:
+        if spec.family == Family.G_NORMALIZED and not a_val <= spec.beta + 1:
             break
-        cur = replace(spec, alpha=Fraction(a_val) if spec.q.is_exact else a_val)
+        cur = replace(spec, alpha=a_val)
         rep = sign_certificate(cur)
         reports[a_val] = rep
         if base is None:

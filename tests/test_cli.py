@@ -394,6 +394,30 @@ def test_verify_refuses_a_typed_mode_or_digits_the_identity_ignores(tmp_path, ca
     assert (read_json(out)["config"]["mode"], read_json(out)["config"]["digits"]) == ("float", 30)
 
 
+def test_eval_kummer_refuses_a_base_mode_or_digits(tmp_path, capsys):
+    # the 1F1 series is exact rational and has no base q
+    kummer = ["eval", "--family", "kummer", "--b-param", "2", "--x", "1/2", "--order", "10"]
+    for extra, message in ((["--q", "1/2"], "--q does not apply to --family kummer"),
+                           (["--p", "1/2"], "--p does not apply to --family kummer"),
+                           (["--mode", "float"], "--mode float does not apply"),
+                           (["--digits", "30"], "--digits does not apply")):
+        assert run([*kummer, *extra, "--out", str(tmp_path / "k.json")]) == 2
+        assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    out = tmp_path / "k.json"
+    assert run([*kummer, "--mode", "exact", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "53032708543/40874803200\n"
+    assert (read_json(out)["config"]["mode"], read_json(out)["config"]["digits"]) == ("exact", None)
+
+
+def test_near_integer_float_g_shift_is_a_usage_error(capsys):
+    point = ["turanian", "--family", "g", "--a", "2,3", "--b", "1,2", "--q", "1/2",
+             "--mu", "1", "--beta", "1", "--order", "10", "--mode", "float"]
+    assert run([*point, "--alpha", "1/100000000000"]) == 2
+    assert "alpha must be a nonnegative integer" in capsys.readouterr().err
+    assert run([*point, "--alpha", "1"]) == 0
+
+
 def test_scan_alpha_and_beta_name_the_grid_options(tmp_path):
     # the README's scan command spells the grids --alpha and --beta
     point = ["scan", "--family", "g", "--a", "2,3", "--b", "1,2", "--q", "1/2",

@@ -155,6 +155,7 @@ class TestLinearization:
     def test_reference_points(self):
         assert verify_linearization(F(1), 1, F(1), Q12, 30).exact_zero
         assert verify_linearization(F(1, 2), 3, F(2), Q12, 30).exact_zero
+        assert verify_linearization("1/2", "3", "2", Q12, 30).exact_zero
 
     def test_alpha_one_matches_manual_single_bracket(self):
         # general j-sum specialized to alpha = 1 against the hand-built bracket

@@ -163,6 +163,13 @@ class TestQExponential:
         got = q_exponential(fl(z), QF, 75)
         assert abs(got.val - inv.val) < mpmath.mpf("1e-40") * abs(inv.val)
 
+    @pytest.mark.parametrize("qv", [F(1, 2), F(3, 4)])
+    @pytest.mark.parametrize("z", [F(1, 4), F(-1, 3), F(0)])
+    def test_exact_value_is_the_direct_sum(self, qv, z):
+        q = QBase.exact(q=qv)
+        want = sum(z ** k / direct_product(qv, qv, k) for k in range(31))
+        assert q_exponential(ex(z), q, 30).to_fraction() == want
+
     def test_divergence_error(self):
         with pytest.raises(DomainError):
             q_exponential(ex(1), Q12, 10)

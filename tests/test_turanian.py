@@ -1,6 +1,7 @@
 """Turanian construction and sign certificates."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -69,6 +70,21 @@ def test_turanian_symmetry_in_alpha_beta():
         s1 = turanian_series(heine_spec(mu, al, be, order=12))
         s2 = turanian_series(heine_spec(mu, be, al, order=12))
         assert all((a - b).is_zero() for a, b in zip(s1.coeffs, s2.coeffs))
+
+
+def test_spec_stores_shifts_as_fractions():
+    spec = TuranianSpec(Family.G_NORMALIZED, 1, "1/2", F(2), QF, 10, (2, "3"), ("1", F(2)))
+    assert (spec.mu, spec.alpha, spec.beta, spec.a, spec.b) == (
+        F(1), F(1, 2), F(2), (F(2), F(3)), (F(1), F(2)))
+    assert all(type(v) is F for v in (spec.mu, spec.alpha, spec.beta, *spec.a, *spec.b))
+
+
+def test_float_valued_shift_raises_type_error():
+    for mu in (fl(1, 50), mpmath.mpf(1), 1.0):
+        with pytest.raises(TypeError):
+            TuranianSpec(Family.HEINE_F, mu, F(1), F(1), QF, 10)
+        with pytest.raises(TypeError):
+            heine_f_series(mu, QF, 4)
 
 
 def test_degenerate_shifts_give_zero_series():
@@ -197,6 +213,16 @@ class TestGammaCertificate:
         spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(1, 2), F(1), Q12, 10, **CASE_B)
         with pytest.raises(HypothesisError):
             gamma_sign_certificate(spec)
+
+    @pytest.mark.parametrize("q", [Q12, QF], ids=["exact", "float"])
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(1, 10**11)], ids=["half", "1e-11"])
+    def test_non_integer_alpha_rejected_in_both_modes(self, q, alpha):
+        # a shift within 1e-9 of an integer is not that integer in float mode either
+        spec = TuranianSpec(Family.G_NORMALIZED, F(1), alpha, F(1), q, 10, **CASE_B)
+        with pytest.raises(HypothesisError, match="alpha must be a nonnegative integer"):
+            gamma_sign_certificate(spec)
+        with pytest.raises(HypothesisError, match="integer beta >= 0"):
+            gamma_sign_certificate(replace(spec, alpha=1, beta=1 + alpha))
 
     def test_neither_chain_raises_unless_loosened(self):
         # a=(1,4), b=(3,3) at q=1/2: c=(1,15), d=(7,7) fails both chains
