@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
@@ -155,6 +157,18 @@ def report_residual(res: identities.Residual, point: dict) -> dict:
     return rec
 
 
+@contextmanager
+def _file(path: str, mode: str, **kwargs):
+    """open(path, mode) in UTF-8, with an OSError while opening, reading or
+    writing it turned into a QTuranError that names the path."""
+    try:
+        with open(path, mode, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        verb = "read" if mode == "r" else "write"
+        raise QTuranError(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
+
+
 def write_report(path: str | None, config: dict, verdicts, residuals, margins,
                  timing) -> dict:
     report = {
@@ -166,13 +180,13 @@ def write_report(path: str | None, config: dict, verdicts, residuals, margins,
     }
     if path:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _file(path, "w", newline="\n") as fh:
             fh.write(text)
     return report
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _file(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -448,15 +462,24 @@ def cmd_scan(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        report = json.load(fh)
+    with _file(args.input, "r") as fh:
+        try:
+            report = json.load(fh)
+        except ValueError as exc:       # JSONDecodeError or UnicodeDecodeError
+            raise QTuranError(f"{args.input} is not a JSON report: {exc}") from exc
+    if not (isinstance(report, dict)
+            and all(isinstance(report.get(key), list)
+                    and all(isinstance(rec, dict) for rec in report[key])
+                    for key in ("verdicts", "residuals"))):
+        raise QTuranError(f"{args.input} is not a qturan report: it needs "
+                          f"'verdicts' and 'residuals' lists of records")
     rows = []
-    for rec in report.get("verdicts", []):
+    for rec in report["verdicts"]:
         rows.append(["verdict", rec.get("family", rec.get("kind", "")),
                      rec.get("mu", ""), rec.get("alpha", ""), rec.get("beta", ""),
                      rec.get("q", ""), rec.get("verdict", rec.get("value", "")),
                      rec.get("matches_expected", "")])
-    for rec in report.get("residuals", []):
+    for rec in report["residuals"]:
         rows.append(["residual", rec.get("label", ""), "", "", "",
                      rec.get("mode", ""), rec.get("max_rel", ""),
                      rec.get("exact_zero", "")])
@@ -488,7 +511,10 @@ def _add_csv(sub):
     sub.add_argument("--csv", help="write a flat CSV table here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qturan argument parser, built once per process: parsing leaves it
+    unchanged, and every run parses its argv afresh into a new namespace."""
     parser = argparse.ArgumentParser(
         prog="qturan",
         description="q-hypergeometric Turanian certification and identity checks",

@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath
 
@@ -73,6 +73,7 @@ from .scalar import (
     HypothesisError,
     Scalar,
     as_fraction,
+    _exact,
     ex,
     rational_text,
 )
@@ -262,21 +263,26 @@ class _Interval:
         grows until the lower end has more than _PREC + 8 bits, so the
         enclosure is far tighter than x's _PREC-bit ulp.  Zero gives [0, 0]
         and a negative x UNBOUNDED."""
-        a, b = x.a, x.b
-        size = a.numerator.bit_length() - a.denominator.bit_length()
-        if b:
+        an, ad, m = x.n, x.d, x.m
+        if m:
+            # a = n/d and b = m/d in lowest terms, whose bit lengths set the
+            # first k (n/d itself is in lowest terms when m = 0)
+            g, h = gcd(an, ad), gcd(m, ad)
             r = x.rad
-            bb = (b.numerator ** 2 * r.numerator, b.denominator ** 2 * r.denominator)
+            bb = ((m // h) ** 2 * r.numerator, (ad // h) ** 2 * r.denominator)
+            an, ad = an // g, ad // g
+        size = an.bit_length() - ad.bit_length()
+        if m:
             size = max(size, (bb[0].bit_length() - bb[1].bit_length()) // 2)
         k = max(_PREC + 10 - size, 0)
         while True:
-            lo, rem = divmod(a.numerator << k, a.denominator)
+            lo, rem = divmod(an << k, ad)
             hi = lo + (rem != 0)
-            if b:
+            if m:
                 y, rem = divmod(bb[0] << 2 * k, bb[1])
                 root = isqrt(y)                 # floor(|b| sqrt(r) 2^k)
                 up = root + (rem != 0 or root * root != y)
-                lo, hi = (lo + root, hi + up) if b > 0 else (lo - up, hi - root)
+                lo, hi = (lo + root, hi + up) if m > 0 else (lo - up, hi - root)
             if lo > 0 and lo.bit_length() > _PREC + 8:
                 return _Interval(lo, -k, hi, -k)
             sign = 1 if lo > 0 else x.sign()
@@ -287,7 +293,11 @@ class _Interval:
     @staticmethod
     def exact(man: int, exp: int) -> ExactScalar:
         """The dyadic rational man 2^exp."""
-        return ExactScalar(Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp))
+        if exp >= 0:
+            return _exact(man << exp, 0, 1, None)
+        # lowest terms: cancel the factors 2 that man shares with 2^-exp
+        t = min((man & -man).bit_length() - 1, -exp) if man else -exp
+        return _exact(man >> t, 0, 1 << (-exp - t), None)
 
     def __rsub__(self, other: int) -> "_Interval":
         # [other - hm 2^he, other - lm 2^le], exact at exponent min(e, 0)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qturan.cli import parse_grid, parse_rational, run
+from qturan.cli import build_parser, parse_grid, parse_rational, run
 from fractions import Fraction as F
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -447,3 +447,74 @@ def test_scan_at_an_upper_gamma_pole_is_an_error(capsys):
                 "--mu-grid", "0", "--alpha", "1", "--beta", "1", "--order", "10"])
     assert code == 2
     assert "Gamma_q pole" in capsys.readouterr().err
+
+
+# -- one parser per process --------------------------------------------------
+
+LINEARIZATION = ["verify", "--identity", "linearization", "--mu", "1", "--alpha", "2",
+                 "--beta", "1", "--q", "1/2", "--order", "10", "--mode", "exact"]
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_runs_share_the_parser_and_nothing_else(tmp_path, capsys):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert run([*LINEARIZATION, "--out", str(first)]) == 0
+    # a run that argparse rejects, then one that fails in qturan
+    with pytest.raises(SystemExit) as exc:
+        run(["turanian", "--mu", "1", "--alpha", "1", "--beta", "1", "--q", "1/2"])
+    assert exc.value.code == 2
+    assert run(["verify", "--identity", "linearization", "--mu", "1", "--alpha", "1/2",
+                "--beta", "1", "--q", "1/2", "--order", "10"]) == 2
+    capsys.readouterr()
+    assert run([*LINEARIZATION, "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_options_of_one_run_do_not_leak_into_the_next(tmp_path):
+    out = tmp_path / "s.json"
+    scan = ["scan", "--family", "heine-f", "--q", "1/2", "--mu-grid", "1", "--alpha", "1",
+            "--beta", "1", "--order", "8", "--out", str(out)]
+    assert run([*scan, "--mode", "float", "--digits", "30"]) == 0
+    assert (read_json(out)["config"]["mode"], read_json(out)["config"]["digits"]) == ("float", 30)
+    assert run(scan) == 0
+    assert (read_json(out)["config"]["mode"], read_json(out)["config"]["digits"]) == ("exact", None)
+
+
+# -- file errors are usage errors (exit 2), not failed verdicts (exit 1) ------
+
+
+def test_missing_report_input_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run(["report", "--input", str(missing), "--csv", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {missing}: No such file or directory\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "is not a JSON report"),
+    ('{"verdicts": 3}', "is not a qturan report"),
+    ('{"verdicts": [], "residuals": [1]}', "is not a qturan report"),
+    ("[]", "is not a qturan report"),
+])
+def test_malformed_report_input_is_an_error(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    assert run(["report", "--input", str(bad), "--csv", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} {message}") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_unwritable_out_and_csv_are_errors(tmp_path, capsys):
+    nowhere = tmp_path / "no" / "r.json"
+    point = ["turanian", "--family", "heine-f", "--mu", "1", "--alpha", "1", "--beta", "1",
+             "--q", "1/2", "--order", "5"]
+    assert run([*point, "--out", str(nowhere)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {nowhere}: No such file or directory\n")
+    assert run([*point, "--csv", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")

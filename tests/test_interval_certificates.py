@@ -7,6 +7,7 @@ of the full exact Cauchy products instead.
 """
 
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,11 +15,12 @@ from hypothesis import strategies as st
 
 from qturan import turanian
 from qturan.qcore import QBase, qpochhammer_finite
-from qturan.scalar import CollisionError, ex
+from qturan.scalar import CollisionError, ExactScalar, ex
 from qturan.series import TruncatedSeries, g_series, heine_f_series
 from qturan.turanian import (
     Family,
     SignVerdict,
+    _PREC,
     TuranianSpec,
     _exact_mode_bounds,
     _Interval,
@@ -283,3 +285,64 @@ def test_divisors_with_short_mantissas_near_q_1(family, k, decided_by, fallbacks
     assert rep.matches_expected and rep.coeff0 == coeffs[0]
     assert (rep.decided_by, rep.exact_fallbacks) == (decided_by, fallbacks)
     assert 0 < rep.min_margin <= min_margin
+
+
+def view_enclosure(x):
+    """_Interval.of as written on the Fraction views a and b of x: the
+    reference that the field-reading version must match bit for bit."""
+    a, b = x.a, x.b
+    size = a.numerator.bit_length() - a.denominator.bit_length()
+    if b:
+        r = x.rad
+        bb = (b.numerator ** 2 * r.numerator, b.denominator ** 2 * r.denominator)
+        size = max(size, (bb[0].bit_length() - bb[1].bit_length()) // 2)
+    k = max(_PREC + 10 - size, 0)
+    while True:
+        lo, rem = divmod(a.numerator << k, a.denominator)
+        hi = lo + (rem != 0)
+        if b:
+            y, rem = divmod(bb[0] << 2 * k, bb[1])
+            root = isqrt(y)
+            up = root + (rem != 0 or root * root != y)
+            lo, hi = (lo + root, hi + up) if b > 0 else (lo - up, hi - root)
+        if lo > 0 and lo.bit_length() > _PREC + 8:
+            return (lo, -k, hi, -k)
+        sign = 1 if lo > 0 else x.sign()
+        if sign <= 0:
+            return (0, 0, 0, 0) if sign == 0 else (-1, 0, -1, 0)
+        k += _PREC + 10 - lo.bit_length() if lo > 0 else k + _PREC
+
+
+RADICANDS = [F(2), F(1, 2), F(3, 4), F(5, 3), F(99, 100)]
+rationals = st.builds(F, st.integers(-2 ** 300, 2 ** 300), st.integers(1, 2 ** 300))
+
+
+@st.composite
+def quadratic_scalars(draw):
+    """a + b sqrt(r) in Q and Q(sqrt r), with b > 0, b < 0 or b = 0 and the
+    value 0 among the rationals; a may be -b sqrt(r) rounded to k bits, so
+    that the enclosure needs more than one k to tell the sign."""
+    r = draw(st.sampled_from(RADICANDS))
+    b = draw(st.one_of(st.just(F(0)), rationals))
+    if b and draw(st.booleans()):
+        k = draw(st.integers(0, 600))
+        scaled = b.numerator ** 2 * r.numerator * 4 ** k
+        root = isqrt(scaled // (b.denominator ** 2 * r.denominator))
+        a = F(-root if b > 0 else root, 2 ** k) + draw(st.integers(-2, 2)) * F(1, 2 ** k)
+    else:
+        a = draw(st.one_of(st.just(F(0)), rationals))
+    return ExactScalar(a, b, r if b else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadratic_scalars())
+def test_enclosure_of_an_exact_scalar_matches_the_view_based_reference(x):
+    iv = _Interval.of(x)
+    assert (iv.lm, iv.le, iv.hm, iv.he) == view_enclosure(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2 ** 200, 2 ** 200), st.integers(-400, 400))
+def test_exact_dyadic_is_man_times_two_to_the_exp(man, exp):
+    x, want = _Interval.exact(man, exp), F(man) * F(2) ** exp
+    assert (x.n, x.m, x.d, x.rad) == (want.numerator, 0, want.denominator, None)
