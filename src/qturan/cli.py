@@ -99,17 +99,22 @@ def parse_vector(text: str) -> tuple[Fraction, ...]:
 
 
 def make_qbase(args) -> QBase:
-    if getattr(args, "p", None):
-        if args.mode == "exact":
-            return QBase.exact(p=parse_rational(args.p))
+    if args.q is not None and args.p is not None:
+        raise QTuranError("give the base via --q or --p, not both")
+    if args.p is not None:
         p = parse_rational(args.p)
-        return QBase.floating(p * p, args.digits)
-    if not getattr(args, "q", None):
+        return QBase.exact(p=p) if args.mode == "exact" else QBase.floating(p * p, args.digits)
+    if args.q is None:
         raise QTuranError("give the base via --q or --p")
     qv = parse_rational(args.q)
-    if args.mode == "exact":
-        return QBase.exact(q=qv)
-    return QBase.floating(qv, args.digits)
+    return QBase.exact(q=qv) if args.mode == "exact" else QBase.floating(qv, args.digits)
+
+
+def _q_text(args) -> str:
+    """The base q of a run: the --q text as given, or p^2 for --p."""
+    if args.p is None:
+        return args.q
+    return rational_text(parse_rational(args.p) ** 2)
 
 
 def scalar_text(value) -> str:
@@ -284,6 +289,10 @@ def cmd_eval(args) -> int:
 
 
 def _turanian_spec(args, q, mu, alpha, beta) -> TuranianSpec:
+    if args.family != "g":
+        for name in ("a", "b"):
+            if getattr(args, name) is not None:
+                raise QTuranError(f"--{name} does not apply to --family {args.family}")
     a = parse_vector(args.a) if args.a else ()
     b = parse_vector(args.b) if args.b else ()
     return TuranianSpec(Family(args.family), mu, alpha, beta, q, args.order, a, b)
@@ -296,7 +305,7 @@ def cmd_turanian(args) -> int:
                           parse_rational(args.alpha), parse_rational(args.beta))
     rep = turanian.sign_certificate(spec)
     point = {"family": args.family, "mu": args.mu, "alpha": args.alpha,
-             "beta": args.beta, "q": args.q or args.p}
+             "beta": args.beta, "q": _q_text(args)}
     verdicts = [report_verdict(rep, point)]
     margins = []
     csv_rows = []
@@ -306,7 +315,7 @@ def cmd_turanian(args) -> int:
         for m, c in enumerate(series.coeffs):
             margins.append({"m": m, "coefficient": scalar_text(c)})
             csv_rows.append([args.family, args.mu, args.alpha, args.beta,
-                             args.q or args.p, m, scalar_text(c)])
+                             point["q"], m, scalar_text(c)])
     timing = None if q.is_exact else time.monotonic() - started
     cfg = _config_common(args, {"family": args.family, "mu": args.mu,
                                 "alpha": args.alpha, "beta": args.beta,
@@ -367,6 +376,8 @@ def cmd_verify(args) -> int:
     verdicts = []
     if args.identity == "q-to-1":
         seq = [s for s in (args.q_sequence or "0.9,0.99,0.999").split(",") if s]
+        for text in seq:
+            parse_rational(text)
         results = identities.q_to_1_limit_study(
             need("mu"), need("alpha"), need("beta"), need("x"), seq, digits=args.digits)
         deviations = [r.max_abs.val for r in results]
@@ -434,11 +445,12 @@ def cmd_scan(args) -> int:
     verdicts = []
     rows = []
     all_ok = True
+    q_text = _q_text(args)
     for (mu, al, be), rep in zip(points, reports):
         point = {"family": args.family, "mu": str(mu), "alpha": str(al),
-                 "beta": str(be), "q": args.q or args.p}
+                 "beta": str(be), "q": q_text}
         verdicts.append(report_verdict(rep, point))
-        rows.append([args.family, str(mu), str(al), str(be), args.q or args.p,
+        rows.append([args.family, str(mu), str(al), str(be), q_text,
                      rep.verdict.value,
                      rep.expected.value if rep.expected else "",
                      rep.matches_expected,

@@ -15,8 +15,9 @@ power-series coefficients:
   (Gamma_q(mu)Gamma_q(mu+a+b)) is the single non-rational constant.  The
   exact certificate compares u_m against rho * v_m where u, v are the two
   product coefficient sequences; rho is exact for integer shifts and
-  otherwise enclosed in an adaptively tightened exact rational interval, so
-  the verdict stays unconditional.  Expected: strictly positive.
+  otherwise enclosed once, through interval enclosures of its four
+  q-Pochhammer infinite products with their geometric tail bound, so the
+  verdict stays unconditional.  Expected: strictly positive.
 * Normalized ``g`` family: prefactor ratios combine exactly through the
   finite Gamma-ratio identity before multiplication; the expected direction
   comes from whichever chain condition holds (``conditions.chain_case``;
@@ -24,7 +25,7 @@ power-series coefficients:
   non-strict expectation Delta_0 must have the expected sign too.
 
 The three family certificates check only their own hypotheses and choose
-the expectation, the normalization and (tilde) the rho enclosures; one
+the expectation, the normalization and (tilde) the rho enclosure; one
 routine, ``_certify``, turns the spec into its report in every family and
 mode.  A zero shift gives the identically zero series, and a certificate
 needs order >= 1, so a verdict always rests on some coefficient m >= 1.
@@ -51,12 +52,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt, log
 
 import mpmath
 
 from . import conditions
-from .qcore import QBase, qgamma_ratio, qpochhammer_finite
+from .qcore import QBase, qgamma_ratio
 from .series import (
     TruncatedSeries,
     g_series,
@@ -136,7 +137,7 @@ class SignReport:
     (every interval excluded 0), ``interval+exact`` (``exact_fallbacks``
     coefficients were recomputed exactly), ``float`` (float mode) or
     ``degenerate`` (a zero shift, so the series vanishes identically); it
-    is None when no rho enclosure decided every sign (INCONCLUSIVE).  Both
+    is None when the rho enclosure leaves a sign undecided (INCONCLUSIVE).  Both
     are deterministic, so exact reports stay byte-stable.
     """
 
@@ -229,39 +230,39 @@ class _Interval:
     1 - x) and the Cauchy kernel of ``TruncatedSeries`` (``dot``) use.
 
     Every arithmetic result is rounded outward once, to mantissas of at
-    most _PREC bits: * and / round their exact result, and ``dot`` sums
-    its exact dyadic products at their smallest exponent before rounding,
-    so no common grid is imposed on coefficients that decay like
-    q^(n^2/2).  An
-    enclosure that cannot stay nonnegative (1 - x with x reaching past 1, a
+    most ``prec`` = _PREC bits: * and / round their exact result, and
+    ``dot`` sums its exact dyadic products at their smallest exponent
+    before rounding, so no common grid is imposed on coefficients that
+    decay like q^(n^2/2).  An enclosure that cannot stay nonnegative (1 - x with x reaching past 1, a
     division by an enclosure reaching 0, a negative value) is ``UNBOUNDED``
     (lm = -1), and so is every result it enters.
     """
 
     __slots__ = ("lm", "le", "hm", "he")
+    prec = _PREC
     digits = _PREC * 3 // 10    # decimal digits of the endpoints
 
     def __init__(self, lm: int, le: int, hm: int, he: int):
         self.lm, self.le, self.hm, self.he = lm, le, hm, he
 
-    @staticmethod
-    def rounded(lm: int, le: int, hm: int, he: int) -> "_Interval":
-        """[lm 2^le, hm 2^he] with lm rounded down and hm rounded up to _PREC
-        bits (toward 0 for a positive lm or a negative hm)."""
-        shift = lm.bit_length() - _PREC
+    @classmethod
+    def rounded(cls, lm: int, le: int, hm: int, he: int) -> "_Interval":
+        """[lm 2^le, hm 2^he] with lm rounded down and hm rounded up to
+        cls.prec bits (toward 0 for a positive lm or a negative hm)."""
+        shift = lm.bit_length() - cls.prec
         if shift > 0:
             lm, le = lm >> shift, le + shift
-        shift = hm.bit_length() - _PREC
+        shift = hm.bit_length() - cls.prec
         if shift > 0:
             hm, he = -(-hm >> shift), he + shift
-        return _Interval(lm, le, hm, he)
+        return cls(lm, le, hm, he)
 
-    @staticmethod
-    def of(x: ExactScalar) -> "_Interval":
+    @classmethod
+    def of(cls, x: ExactScalar) -> "_Interval":
         """Enclosure of an exact scalar x = a + b sqrt(r) on the grid 2^-k:
         a 2^k and |b| sqrt(r) 2^k are each enclosed within one unit, and k
-        grows until the lower end has more than _PREC + 8 bits, so the
-        enclosure is far tighter than x's _PREC-bit ulp.  Zero gives [0, 0]
+        grows until the lower end has more than prec + 8 bits, so the
+        enclosure is far tighter than x's prec-bit ulp.  Zero gives [0, 0]
         and a negative x UNBOUNDED."""
         an, ad, m = x.n, x.d, x.m
         if m:
@@ -274,7 +275,7 @@ class _Interval:
         size = an.bit_length() - ad.bit_length()
         if m:
             size = max(size, (bb[0].bit_length() - bb[1].bit_length()) // 2)
-        k = max(_PREC + 10 - size, 0)
+        k = max(cls.prec + 10 - size, 0)
         while True:
             lo, rem = divmod(an << k, ad)
             hi = lo + (rem != 0)
@@ -283,12 +284,12 @@ class _Interval:
                 root = isqrt(y)                 # floor(|b| sqrt(r) 2^k)
                 up = root + (rem != 0 or root * root != y)
                 lo, hi = (lo + root, hi + up) if m > 0 else (lo - up, hi - root)
-            if lo > 0 and lo.bit_length() > _PREC + 8:
-                return _Interval(lo, -k, hi, -k)
+            if lo > 0 and lo.bit_length() > cls.prec + 8:
+                return cls(lo, -k, hi, -k)
             sign = 1 if lo > 0 else x.sign()
             if sign <= 0:
-                return _Interval(0, 0, 0, 0) if sign == 0 else _Interval.UNBOUNDED
-            k += _PREC + 10 - lo.bit_length() if lo > 0 else k + _PREC
+                return cls(0, 0, 0, 0) if sign == 0 else _Interval.UNBOUNDED
+            k += cls.prec + 10 - lo.bit_length() if lo > 0 else k + cls.prec
 
     @staticmethod
     def exact(man: int, exp: int) -> ExactScalar:
@@ -307,24 +308,24 @@ class _Interval:
         hi = (other << -self.le) - self.lm if self.le < 0 else other - (self.lm << self.le)
         if lo < 0:
             return _Interval.UNBOUNDED
-        return _Interval.rounded(lo, min(self.he, 0), hi, min(self.le, 0))
+        return self.rounded(lo, min(self.he, 0), hi, min(self.le, 0))
 
     def __mul__(self, other: "_Interval") -> "_Interval":
         if self.lm < 0 or other.lm < 0:
             return _Interval.UNBOUNDED
-        return _Interval.rounded(self.lm * other.lm, self.le + other.le,
-                                 self.hm * other.hm, self.he + other.he)
+        return self.rounded(self.lm * other.lm, self.le + other.le,
+                            self.hm * other.hm, self.he + other.he)
 
     def __truediv__(self, other: "_Interval") -> "_Interval":
         if self.lm < 0 or other.lm <= 0:
             return _Interval.UNBOUNDED
-        # shift the dividends so that each quotient keeps >= _PREC bits; a
+        # shift the dividends so that each quotient keeps >= prec bits; a
         # dividend already that much longer than its divisor needs no shift
-        k = max(_PREC + 1 + other.hm.bit_length() - self.lm.bit_length(), 0)
+        k = max(self.prec + 1 + other.hm.bit_length() - self.lm.bit_length(), 0)
         lo = (self.lm << k) // other.hm
-        j = max(_PREC + 1 + other.lm.bit_length() - self.hm.bit_length(), 0)
+        j = max(self.prec + 1 + other.lm.bit_length() - self.hm.bit_length(), 0)
         hi = -(-(self.hm << j) // other.lm)
-        return _Interval.rounded(lo, self.le - other.he - k, hi, self.he - other.le - j)
+        return self.rounded(lo, self.le - other.he - k, hi, self.he - other.le - j)
 
     @staticmethod
     def dot(xs, ys) -> "_Interval":
@@ -381,48 +382,44 @@ def _exact_bound(series, rho_lo, rho_hi, m: int):
     return None
 
 
-def _exact_mode_bounds(heads, enclosures, build, rho_rounds):
+def _exact_mode_bounds(heads, enclosures, build, rho):
     """Certified bounds on every Delta_m = u_m - rho v_m of four shifted series.
 
     The series are (F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta)), so
     u = F(mu+alpha)F(mu+beta) and v = F(mu)F(mu+alpha+beta).  ``heads``
     holds them exactly to order 0 at least, ``enclosures`` as interval
     series (of _Interval) to the full order, and ``build()`` returns them
-    exactly to the full order.  ``rho_rounds`` yields exact enclosures
-    (rho_lo, rho_hi) of the prefactor ratio, each tighter than the last
-    ((1, 1) for the Heine and g families).  Both products are formed once
-    in intervals; each round encloses every u_m - rho v_m, m >= 1, and
-    recomputes exactly the coefficients whose enclosure contains 0 or is
-    unbounded, calling ``build`` at the first of them.  Each bound has the
-    sign of its coefficient and at most its magnitude: the endpoint of
-    _Interval.bound_minus (a dyadic rational) or the exact bound of
-    _exact_bound.  Returns (coeff0 bound, bounds for m >= 1, exact
-    fallbacks), or None when no round decides every sign.
+    exactly to the full order.  ``rho`` is an exact enclosure (rho_lo,
+    rho_hi) of the prefactor ratio ((1, 1) for the Heine and g families).
+    Both products are formed once in intervals, every u_m - rho v_m, m >= 1,
+    is enclosed, and the coefficients whose enclosure contains 0 or is
+    unbounded are recomputed exactly, calling ``build`` at the first of
+    them.  Each bound has the sign of its coefficient and at most its
+    magnitude: the endpoint of _Interval.bound_minus (a dyadic rational) or
+    the exact bound of _exact_bound.  Returns (coeff0 bound, bounds for
+    m >= 1, exact fallbacks), or None when the rho enclosure leaves a sign
+    undecided.
     """
+    rho_lo, rho_hi = rho
+    head = _exact_bound(heads, rho_lo, rho_hi, 0)
+    if head is None:
+        return None
+    lo, hi = _Interval.of(rho_lo), _Interval.of(rho_hi)
+    rho = _Interval(lo.lm, lo.le, hi.hm, hi.he)
     u = (enclosures[0] * enclosures[1]).coeffs
     v = (enclosures[2] * enclosures[3]).coeffs
-    exact = None
-    for rho_lo, rho_hi in rho_rounds:
-        head = _exact_bound(heads, rho_lo, rho_hi, 0)
-        if head is None:
-            continue
-        lo, hi = _Interval.of(rho_lo), _Interval.of(rho_hi)
-        rho = _Interval(lo.lm, lo.le, hi.hm, hi.he)
-        bounds = []
-        fallbacks = 0
-        for m in range(1, len(u)):
-            bound = u[m].bound_minus(rho, v[m])
+    exact, bounds, fallbacks = None, [], 0
+    for m in range(1, len(u)):
+        bound = u[m].bound_minus(rho, v[m])
+        if bound is None:
+            fallbacks += 1
+            if exact is None:
+                exact = build()
+            bound = _exact_bound(exact, rho_lo, rho_hi, m)
             if bound is None:
-                fallbacks += 1
-                if exact is None:
-                    exact = build()
-                bound = _exact_bound(exact, rho_lo, rho_hi, m)
-                if bound is None:
-                    break
-            bounds.append(bound)
-        else:
-            return head, bounds, fallbacks
-    return None
+                return None
+        bounds.append(bound)
+    return head, bounds, fallbacks
 
 
 def _classify_exact(bounds):
@@ -471,7 +468,7 @@ _HEAD_SIGNS = {SignVerdict.ALL_NONNEG: (0, 1), SignVerdict.ALL_NONPOS: (-1, 0),
                SignVerdict.ZERO: (0,)}
 
 
-def _certify(spec: TuranianSpec, expected, norm, rho_rounds=((ex(1), ex(1)),),
+def _certify(spec: TuranianSpec, expected, norm, rho=(ex(1), ex(1)),
              chain_case=None) -> SignReport:
     """The SignReport of the Turanian of spec, in every family and mode.
 
@@ -479,7 +476,7 @@ def _certify(spec: TuranianSpec, expected, norm, rho_rounds=((ex(1), ex(1)),),
     four shifted series are built exactly to order 0 only; their term
     ratios, run in _Interval arithmetic, enclose them to the full order, and
     exact series to the full order are built only for a coefficient whose
-    interval contains 0 (see _exact_mode_bounds for ``rho_rounds``).  In
+    interval contains 0 (see _exact_mode_bounds for ``rho``).  In
     float mode the coefficients are classified against a rounding envelope.
     """
     if spec.order < 1:
@@ -495,7 +492,7 @@ def _certify(spec: TuranianSpec, expected, norm, rho_rounds=((ex(1), ex(1)),),
     elif spec.q.is_exact:
         heads = _shifted(spec, 0)
         enclosures = tuple(h.ratio.series(spec.order, lift=_Interval.of) for h in heads)
-        found = _exact_mode_bounds(heads, enclosures, lambda: _shifted(spec), rho_rounds)
+        found = _exact_mode_bounds(heads, enclosures, lambda: _shifted(spec), rho)
         if found is not None:
             coeff0, bounds, fallbacks = found
             verdict, viol, margin = _classify_exact(bounds)
@@ -538,85 +535,69 @@ def delta_sign_certificate(spec: TuranianSpec) -> SignReport:
     return _certify(spec, SignVerdict.ALL_STRICTLY_NEG, "x^m coefficients")
 
 
-# -- tilde family: exact enclosure of the prefactor ratio --------------------
+# -- tilde family: interval enclosure of the prefactor ratio -----------------
 
 
-def _qpoch_inf_interval(a: ExactScalar, q: QBase, nterms: int):
-    """Exact rational interval for (a; q)_infty with 0 <= a < 1.
+class _GuardedInterval(_Interval):
+    """_Interval with 32 guard bits for the (a; q)_inf products, which round
+    about N + 1/(1-q)^2 times over N factors (at _PREC bits, a relative
+    width of 2^-83 at q = 99/100 instead of their 2^-_PREC tail)."""
 
-    Finite product times the tail interval [1 - a q^N / (1-q), 1].
-    """
-    if a.sign() < 0 or not a < ex(1):
-        raise DomainError("enclosure needs 0 <= a < 1")
-    finite = qpochhammer_finite(a, q, nterms)
-    tail_deficit = a * (q.q ** nterms) / (1 - q.q)
-    lo_tail = 1 - tail_deficit
-    if not lo_tail.sign() > 0:
-        raise DomainError("tail bound not contracting; increase nterms")
-    return finite * lo_tail, finite
+    __slots__ = ()
+    prec = _PREC + 32
 
 
-# The most product terms a first exact rho round may take: the cost of an
-# enclosure grows about as nterms^4 (at q = 19/20 on a 2-CPU x86 host, 0.05 s
-# at 59 terms, 0.8 s at 118, 14 s at 236), and later rounds double the terms.
-_MAX_FIRST_TERMS = 96
+# The most factors an (a; q)_inf enclosure may take.  N grows like 1/(1-q):
+# about 7400 at q = 99/100, 76200 at q = 999/1000, the cap near q = 0.99941.
+_MAX_PRODUCT_TERMS = 1 << 17
 
 
-def _tail_terms(q: Fraction) -> int:
-    """The smallest N with q^N < 1 - q: from N terms on, the tail bound of
-    every (a; q)_infty enclosure with 0 <= a < 1 contracts.  Counted exactly
-    up to _MAX_FIRST_TERMS; a larger N, reported only, comes from logarithms
-    at the bit width of q plus 64 bits."""
-    gap, power = 1 - q, q
-    for n in range(1, _MAX_FIRST_TERMS + 1):
-        if power < gap:
-            return n
-        power *= q
-    with mpmath.workprec(q.numerator.bit_length() + q.denominator.bit_length() + 64):
-        log_gap, log_q = (mpmath.log(mpmath.mpf(f.numerator) / f.denominator)
-                          for f in (gap, q))
-        return int(mpmath.floor(log_gap / log_q)) + 1
-
-
-def _rho_rounds(mu, alpha, beta, q: QBase, order: int):
-    """Enclosures of rho over 8 rounds, doubling the number of terms.
-
-    The first round takes max(order, 48, N) terms, N from _tail_terms, so
-    that every tail bound contracts; a q that needs more than
-    _MAX_FIRST_TERMS raises, pointing to float mode.
-    """
-    first = max(order, 48)
-    if alpha.denominator != 1 or beta.denominator != 1:
-        qf = q.q.to_fraction()
-        needed = _tail_terms(qf)
-        if needed > _MAX_FIRST_TERMS:
-            raise DomainError(
-                f"the infinite-product tail bound at q = {rational_text(qf)} needs "
-                f"q^N < 1 - q, N = {needed} exact product terms (at most "
-                f"{_MAX_FIRST_TERMS} are tried); certify this point in float mode "
-                f"(--mode float)")
-        first = max(first, needed)
-    for k in range(8):
-        yield _rho_interval(mu, alpha, beta, q, first << k)
+def _qpoch_inf_interval(a: _Interval, q: _Interval, gap: _Interval,
+                        nterms: int) -> _Interval:
+    """Enclosure of (a; q)_infty, 0 < a < 1, given a, q and gap = 1 - q: the
+    product of 1 - a q^k over k < N times the tail factor in
+    [1 - a q^N / (1-q), 1] (Gasper & Rahman, ch. 1), N >= nterms the first
+    count whose tail deficit is below 2^-_PREC."""
+    # 2^stop <= (1-q) 2^-_PREC, so a q^N below 2^stop bounds the deficit
+    stop = gap.lm.bit_length() - 1 + gap.le - _PREC
+    prod, t, n = _GuardedInterval(1, 0, 1, 0), a, 0
+    while n < nterms or t.hm.bit_length() + t.he > stop:
+        prod, t, n = prod * (1 - t), t * q, n + 1
+    tail = 1 - t / gap
+    return prod * _GuardedInterval(tail.lm, tail.le, 1, 0)
 
 
 def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
-    """Enclosure of Gamma_q(mu+a)Gamma_q(mu+b) / (Gamma_q(mu)Gamma_q(mu+a+b)).
+    """Exact bounds (rho_lo, rho_hi) on Gamma_q(mu+a)Gamma_q(mu+b) /
+    (Gamma_q(mu)Gamma_q(mu+a+b)) for positive mu, alpha, beta in exact mode.
 
     Exact (zero-width) for integer alpha, beta: rho is the finite ratio
-    Gamma_q(mu+a)/Gamma_q(mu) over Gamma_q(mu+b+a)/Gamma_q(mu+b); otherwise a
-    product of four infinite-product enclosures.
+    Gamma_q(mu+a)/Gamma_q(mu) over Gamma_q(mu+b+a)/Gamma_q(mu+b).
+    Otherwise Gamma_q(x) = (q;q)_inf (1-q)^(1-x) / (q^x;q)_inf makes rho
+    (q^mu;q)_inf (q^(mu+a+b);q)_inf / ((q^(mu+a);q)_inf (q^(mu+b);q)_inf),
+    whose interval enclosure (at least nterms factors per product) gives
+    the bounds.  A q whose products would take more than _MAX_PRODUCT_TERMS
+    factors raises DomainError before any is formed.
     """
     if alpha.denominator == 1 and beta.denominator == 1:
         rho = qgamma_ratio(mu, int(alpha), q) / qgamma_ratio(mu + beta, int(alpha), q)
         return rho, rho
-    n1 = _qpoch_inf_interval(q.q_power(mu), q, nterms)
-    n2 = _qpoch_inf_interval(q.q_power(mu + alpha + beta), q, nterms)
-    d1 = _qpoch_inf_interval(q.q_power(mu + alpha), q, nterms)
-    d2 = _qpoch_inf_interval(q.q_power(mu + beta), q, nterms)
-    lo = n1[0] * n2[0] / (d1[1] * d2[1])
-    hi = n1[1] * n2[1] / (d1[0] * d2[0])
-    return lo, hi
+    # float estimate, from above as -ln q >= 1 - q, of the first N with
+    # q^(mu+N) / (1-q) < 2^-_PREC
+    gap = 1 - q.q_frac
+    bits = _PREC * log(2) - log(gap.numerator) + log(gap.denominator)
+    needed = max(ceil(Fraction(bits) / gap - mu), 0)
+    if needed > _MAX_PRODUCT_TERMS:
+        raise DomainError(
+            f"the enclosure of the Gamma_q ratio at q = {rational_text(q.q_frac)} needs "
+            f"N = {needed} infinite-product terms (at most {_MAX_PRODUCT_TERMS} are "
+            f"taken); certify this point in float mode (--mode float)")
+    qq = _GuardedInterval.of(q.q)
+    n1, n2, d1, d2 = (_qpoch_inf_interval(_GuardedInterval.of(q.q_power(mu + s)), qq,
+                                          1 - qq, nterms)
+                      for s in (0, alpha + beta, alpha, beta))
+    rho = n1 * n2 / (d1 * d2)
+    return _Interval.exact(rho.lm, rho.le), _Interval.exact(rho.hm, rho.he)
 
 
 def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:
@@ -624,19 +605,20 @@ def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:
 
     Exact mode reports margins for the coefficients rescaled by the positive
     constant Gamma_q(mu+alpha) Gamma_q(mu+beta): the m-th rescaled
-    coefficient is u_m - rho v_m, certified through an exact enclosure of
-    rho (tightened by doubling its number of terms, up to 8 rounds), so the
-    verdict carries no tolerance.
+    coefficient is u_m - rho v_m, certified through one enclosure of rho
+    (_rho_interval: exact at integer shifts, an interval enclosure of its
+    infinite products otherwise), so the verdict carries no tolerance.
     """
     if spec.family != Family.HEINE_F_TILDE:
         raise ValueError("delta_tilde_sign_certificate works on the tilde family")
-    rho_rounds = ()
+    rho = (ex(1), ex(1))
     if not _is_degenerate(spec):
         mu, alpha, beta = _positive_hypotheses(spec)
-        rho_rounds = _rho_rounds(mu, alpha, beta, spec.q, spec.order)
+        if spec.q.is_exact:
+            rho = _rho_interval(mu, alpha, beta, spec.q, 0)
     norm = ("scaled by Gamma_q(mu+alpha)*Gamma_q(mu+beta); x^m basis" if spec.q.is_exact
             else "absolute x^m coefficients")
-    return _certify(spec, SignVerdict.ALL_STRICTLY_POS, norm, rho_rounds)
+    return _certify(spec, SignVerdict.ALL_STRICTLY_POS, norm, rho)
 
 
 # The sign direction each chain case predicts for the g Turanian.

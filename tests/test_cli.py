@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qturan import turanian
 from qturan.cli import build_parser, parse_grid, parse_rational, run
 from fractions import Fraction as F
 
@@ -85,13 +86,22 @@ def test_off_grid_parameter_rejected(capsys):
     assert "half-integer grid" in err
 
 
-def test_non_contracting_rho_tail_names_q_the_terms_and_float_mode(capsys, tmp_path):
+def test_non_contracting_rho_tail_names_q_the_terms_and_float_mode(capsys, tmp_path,
+                                                                   monkeypatch):
     argv = ["turanian", "--family", "heine-f-tilde", "--q", "99/100", "--mu", "1/2",
             "--alpha", "1/2", "--beta", "1", "--order", "4"]
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert "q = 99/100" in err and "N = 459" in err and "--mode float" in err
     out = tmp_path / "t.json"
+    assert run([*argv, "--out", str(out)]) == 0
+    report = read_json(out)["verdicts"][0]
+    assert report["verdict"] == "all-strictly-pos" and report["decided_by"] == "interval"
+    # past the term cap the point is refused before any product is formed
+    def no_product(*args):
+        raise AssertionError("an infinite product was formed")
+
+    monkeypatch.setattr(turanian, "_qpoch_inf_interval", no_product)
+    assert run([*argv[:4], "9999/10000", *argv[5:]]) == 2
+    err = capsys.readouterr().err
+    assert "q = 9999/10000" in err and "N = 785251" in err and "--mode float" in err
     assert run([*argv, "--mode", "float", "--out", str(out)]) == 0
     assert read_json(out)["verdicts"][0]["verdict"] == "all-strictly-pos"
 
@@ -518,3 +528,45 @@ def test_unwritable_out_and_csv_are_errors(tmp_path, capsys):
         f"error: cannot write {nowhere}: No such file or directory\n")
     assert run([*point, "--csv", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--family", "heine-f", "--mu-grid", "1", "--order", "4"],
+    ["turanian", "--family", "heine-f", "--mu", "1", "--alpha", "1", "--beta", "1",
+     "--order", "3"],
+], ids=["scan", "turanian"])
+def test_p_runs_label_the_point_with_q(tmp_path, argv):
+    # --p 1/2 runs on the base q = 1/4: its records and rows read as --q 1/4's
+    records = {}
+    for base in (["--p", "1/2"], ["--q", "1/4"]):
+        out, table = tmp_path / f"{base[0]}.json", tmp_path / f"{base[0]}.csv"
+        assert run([*argv, *base, "--out", str(out), "--csv", str(table)]) == 0
+        verdicts = read_json(out)["verdicts"]
+        rows = list(csv.DictReader(table.read_text(encoding="utf-8").splitlines()))
+        assert {v["q"] for v in verdicts} == {r["q"] for r in rows} == {"1/4"}
+        records[base[0]] = (verdicts, rows)
+    assert records["--p"] == records["--q"]
+
+
+def test_q_and_p_together_are_an_error(capsys):
+    assert run(["scan", "--family", "heine-f", "--q", "1/2", "--p", "1/3",
+                "--mu-grid", "1", "--order", "3"]) == 2
+    assert capsys.readouterr().err == "error: give the base via --q or --p, not both\n"
+
+
+def test_malformed_q_sequence_entry_is_an_error(capsys):
+    assert run(["verify", "--identity", "q-to-1", "--mu", "1", "--alpha", "1", "--beta", "1",
+                "--x", "1/4", "--q-sequence", "0.9,abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse rational 'abc'") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", ["heine-f", "heine-f-tilde"])
+@pytest.mark.parametrize("option", ["--a", "--b"])
+def test_heine_families_refuse_parameter_vectors(capsys, family, option):
+    for argv in (["turanian", "--mu", "1", "--alpha", "1", "--beta", "1"],
+                 ["scan", "--mu-grid", "1"]):
+        assert run([*argv, "--family", family, option, "1,2", "--q", "1/2",
+                    "--order", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {option} does not apply to --family {family}\n")

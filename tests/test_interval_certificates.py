@@ -9,6 +9,7 @@ of the full exact Cauchy products instead.
 from fractions import Fraction as F
 from math import isqrt
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -147,7 +148,7 @@ def test_zero_straddling_interval_falls_back_to_exact_sign():
     enclosures = tuple(TruncatedSeries(tuple(map(_Interval.of, s.coeffs)), 1)
                        for s in series)
     coeff0, bounds, fallbacks = _exact_mode_bounds(series, enclosures, lambda: series,
-                                                   [(ex(1), ex(1))])
+                                                   (ex(1), ex(1)))
     assert coeff0.is_zero() and fallbacks == 1
     assert bounds == [ex(-tiny)]
 
@@ -183,6 +184,29 @@ def test_tilde_half_integer_shifts_agree_with_rho_enclosure(qv, mu, alpha, beta,
         assert rep.min_margin is None
     else:
         assert 0 < rep.min_margin <= bound
+
+
+def mp_rational(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+@pytest.mark.parametrize("qv", [F(1, 4), F(1, 2), F(3, 4), F(19, 20), F(99, 100)])
+@pytest.mark.parametrize("mu, alpha, beta", [(F(1, 2), F(1, 2), F(3, 2)),
+                                             (F(1), F(3, 2), F(1, 2)),
+                                             (F(5, 2), F(5, 2), F(1, 2))])
+def test_rho_enclosure_contains_the_gamma_ratio_and_is_narrow(qv, mu, alpha, beta):
+    # reference: mpmath's own q-Gamma function at 60 digits
+    lo, hi = (x.to_fraction() for x in
+              _rho_interval(mu, alpha, beta, QBase.exact(q=qv), 0))
+    with mpmath.workdps(60):
+        qm = mp_rational(qv)
+
+        def gamma(x):
+            return mpmath.qgamma(mp_rational(x), qm, maxterms=10 ** 6)
+
+        rho = gamma(mu + alpha) * gamma(mu + beta) / (gamma(mu) * gamma(mu + alpha + beta))
+        assert mp_rational(lo) < rho < mp_rational(hi)
+    assert (hi - lo) / lo < F(1, 2 ** 90)
 
 
 def contains(enclosure, exact):
