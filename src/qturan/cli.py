@@ -19,6 +19,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath
 
@@ -64,14 +65,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise QTuranError(f"cannot parse rational {text!r}: {exc}") from exc
-
-
-def _required_rational(args, name: str, context: str) -> Fraction:
-    """The rational value of option --name, which context needs."""
-    text = getattr(args, name)
-    if text is None:
-        raise QTuranError(f"--{name} is required for {context}")
-    return parse_rational(text)
 
 
 def parse_grid(text: str) -> list[Fraction]:
@@ -210,89 +203,143 @@ def _config_common(args, extra: dict) -> dict:
     return cfg
 
 
-def _refuse_base(args, subject: str, *, exact: bool, verb: str = "checked") -> None:
-    """Refuse the options that a computation without a base q would ignore:
-    --q and --p, and --mode float or --digits when it is exact, or a typed
-    --mode exact when it runs in float mode."""
-    for name in ("q", "p"):
-        if getattr(args, name) is not None:
-            raise QTuranError(f"--{name} does not apply to {subject}")
-    if exact:
-        refused = ("--mode float" if args.mode == "float"
-                   else "--digits" if "digits" in args.given else None)
-        kind = f"is {verb} exactly"
-    else:
-        refused = "--mode exact" if "mode" in args.given and args.mode == "exact" else None
-        kind = "runs in float mode"
-    if refused:
-        raise QTuranError(f"{subject} {kind}; {refused} does not apply")
+# -- which options each selection reads ----------------------------------------
+
+
+class _Reads(NamedTuple):
+    """What one --family or --identity reads beyond its subcommand's options:
+    the required options, the optional ones with their defaults (--q and
+    --p where it has a base q), run(args, q, *required values), and for a
+    selection that runs in one mode only, (that mode, what it does)."""
+
+    required: tuple
+    optional: dict
+    run: Callable | None = None
+    only: tuple[str, str] | None = None
+
+    def names(self) -> tuple:
+        return (*self.required, *self.optional)
+
+    def compute(self, args):
+        q = make_qbase(args) if "q" in self.optional else None
+        return self.run(args, q, *((parse_vector if name in ("a", "b") else parse_rational)(
+            getattr(args, name)) for name in self.required))
+
+
+_BASE = {"q": None, "p": None}
+# --tol is read in float mode only (an exact run refuses it), but the report
+# of every coefficient identity records it
+_TOL = {"tol": "1e-30"}
+
+_EVAL = {
+    "heine-f": _Reads(("mu", "x"), _BASE, lambda a, q, mu, x:
+                      heine_f_series(mu, q, a.order).eval(q.scalar(x))),
+    "heine-f-tilde": _Reads(("mu", "x"), _BASE, lambda a, q, mu, x: heine_f_tilde_series(
+        mu, q, a.order, absolute=True).eval(q.scalar(x))),
+    "g": _Reads(("a", "b", "mu", "x"), _BASE, lambda a, q, up, low, mu, x:
+                g_series(up, low, mu, q, a.order, absolute=True).eval(q.scalar(x))),
+    "qbessel-j1": _Reads(("alpha", "y"), _BASE, lambda a, q, *p: qbessel_j1(*p, q, a.order)),
+    "qbessel-j2": _Reads(("alpha", "y"), _BASE, lambda a, q, *p: qbessel_j2(*p, q, a.order)),
+    "qbessel-i1": _Reads(("nu", "y"), _BASE,
+                         lambda a, q, *p: modified_qbessel_i1(*p, q, a.order)),
+    "kummer": _Reads(("b_param", "x"), {}, lambda a, q, b, x: kummer_1f1_unit_top(
+        b, a.order).eval(ExactScalar.from_rational(x)), ("exact", "is evaluated exactly")),
+}
+
+_VERIFY = {
+    "rahman": _Reads(("nu", "eta"), {**_BASE, "order": 30, **_TOL},
+                     lambda a, q, *p: identities.verify_rahman_product(*p, q, a.order)),
+    "finite-sum": _Reads(("nu", "eta"), {**_BASE, "m": 10, **_TOL},
+                         lambda a, q, *p: identities.verify_finite_sum_identity(*p, q, a.m)),
+    # order None: the verifier sizes the series from the tail bound
+    "connection": _Reads(("alpha", "y"), {**_BASE, "order": None, **_TOL},
+                         lambda a, q, *p: identities.verify_connection_formula(
+                             *p, q, a.order)),
+    "linearization": _Reads(("mu", "alpha", "beta"), {**_BASE, "order": 30, **_TOL},
+                            lambda a, q, *p: identities.verify_linearization(*p, q, a.order)),
+    "kummer": _Reads(("mu", "alpha", "beta"), {"order": 30, **_TOL},
+                     lambda a, q, *p: identities.verify_kummer_linearization(*p, a.order),
+                     ("exact", "is checked exactly")),
+    "recqgamma": _Reads(("mu", "beta"), {**_BASE, "m": 10, **_TOL},
+                        lambda a, q, *p: identities.verify_recqgamma(*p, q, a.m)),
+    # the q -> 1 study sets its own bases
+    "q-to-1": _Reads(("mu", "alpha", "beta", "x"), {"q_sequence": "0.9,0.99,0.999"},
+                     lambda a, q, *p: identities.q_to_1_limit_study(*p, _q_sequence(a),
+                                                                    digits=a.digits),
+                     ("float", "runs in float mode")),
+}
+
+# TuranianSpec picks the certificate of a sign family
+_SIGN = {"heine-f": _Reads((), _BASE), "heine-f-tilde": _Reads((), _BASE),
+         "g": _Reads(("a", "b"), _BASE)}
+
+# subcommand -> (the option that selects, {selection: what it reads})
+_SELECTIONS = {"eval": ("family", _EVAL), "verify": ("identity", _VERIFY),
+               "turanian": ("family", _SIGN), "scan": ("family", _SIGN)}
+
+
+def _check_options(args) -> None:
+    """Hold a run to what its selection reads (_SELECTIONS), before anything
+    is computed or written, then fill in the defaults.  A typed option that
+    the selection does not read, a missing required one, the other mode of
+    a one-mode selection, and --digits or --tol in an exact run are errors."""
+    subject, reads = None, _Reads((), {})
+    if args.command in _SELECTIONS:
+        key, table = _SELECTIONS[args.command]
+        subject = f"--{key} {getattr(args, key)}"
+        reads = table[getattr(args, key)]
+        for name in dict.fromkeys(n for r in table.values() for n in r.names()):
+            if getattr(args, name) is not None and name not in reads.names():
+                raise QTuranError(f"--{name.replace('_', '-')} does not apply to {subject}")
+        for name in reads.required:
+            if getattr(args, name) is None:
+                raise QTuranError(f"--{name.replace('_', '-')} is required for {subject}")
+    if "mode" in vars(args):
+        mode, how = reads.only or (None, None)
+        if mode and args.mode not in (None, mode):
+            raise QTuranError(f"{subject} {how}; --mode {args.mode} does not apply")
+        args.mode = mode or args.mode or "exact"
+        for name in ("digits", "tol"):
+            if args.mode == "exact" and getattr(args, name, None) is not None:
+                raise QTuranError(f"{subject} {how}; --{name} does not apply" if mode else
+                                  f"--{name} does not apply to an exact run; "
+                                  f"it is read only with --mode float")
+        if args.digits is None:
+            args.digits = _default_digits()
+    for name, default in reads.optional.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
+def _q_sequence(args) -> list[str]:
+    seq = [s for s in args.q_sequence.split(",") if s]
+    if not [parse_rational(s) for s in seq]:
+        raise QTuranError("--q-sequence names no q")
+    return seq
 
 
 # -- subcommand implementations ----------------------------------------------
 
 
 def cmd_eval(args) -> int:
-    needs_x = args.family in ("heine-f", "heine-f-tilde", "g", "kummer")
-    if needs_x and args.x is None:
-        raise QTuranError(f"--x is required for family {args.family}")
-    if not needs_x and args.y is None:
-        raise QTuranError(f"--y is required for family {args.family}")
     if args.mode == "exact" and args.family in ("heine-f-tilde", "g"):
         raise ExactModeError(
             f"family {args.family} carries a Gamma_q prefactor that has no exact "
             f"value; use --mode float"
         )
-    if args.family == "kummer":
-        _refuse_base(args, "--family kummer", exact=True, verb="evaluated")
-        if args.b_param is None:
-            raise QTuranError("--b-param is required for the kummer family")
-        value = kummer_1f1_unit_top(parse_rational(args.b_param), args.order).eval(
-            ExactScalar.from_rational(parse_rational(args.x)))
-        verdicts = [{"kind": "eval", "family": args.family, "x": args.x,
-                     "b": args.b_param, "value": scalar_text(value)}]
-        write_report(args.out, _config_common(args, {"family": args.family}),
-                     verdicts, [], [], None)
-        print(scalar_text(value))
-        return 0
-    q = make_qbase(args)
+    reads = _EVAL[args.family]
     started = time.monotonic()
-
-    def need(name):
-        return _required_rational(args, name, f"family {args.family}")
-
-    x = parse_rational(args.x) if args.x is not None else None
-    point = {"family": args.family, "mu": args.mu, "x": args.x, "y": args.y}
-    if args.family == "heine-f":
-        value = heine_f_series(need("mu"), q, args.order).eval(q.scalar(x))
-    elif args.family == "heine-f-tilde":
-        value = heine_f_tilde_series(need("mu"), q, args.order,
-                                     absolute=True).eval(q.scalar(x))
-    elif args.family == "g":
-        if args.a is None or args.b is None:
-            raise QTuranError("--a and --b are required for family g")
-        value = g_series(parse_vector(args.a), parse_vector(args.b),
-                         need("mu"), q, args.order, absolute=True).eval(q.scalar(x))
-    elif args.family == "qbessel-j1":
-        value = qbessel_j1(need("alpha"), parse_rational(args.y), q, args.order)
-    elif args.family == "qbessel-j2":
-        value = qbessel_j2(need("alpha"), parse_rational(args.y), q, args.order)
-    elif args.family == "qbessel-i1":
-        value = modified_qbessel_i1(need("nu"), parse_rational(args.y), q, args.order)
-    else:
-        raise QTuranError(f"unknown eval family {args.family!r}")
+    value = reads.compute(args)
     timing = None if args.mode == "exact" else time.monotonic() - started
-    verdicts = [{"kind": "eval", "value": scalar_text(value), **point}]
-    cfg = _config_common(args, {"family": args.family})
-    write_report(args.out, cfg, verdicts, [], [], timing)
+    point = {name: getattr(args, name) for name in reads.required}
+    verdicts = [{"kind": "eval", "family": args.family, "value": scalar_text(value), **point}]
+    write_report(args.out, _config_common(args, {"family": args.family}), verdicts, [], [],
+                 timing)
     print(scalar_text(value))
     return 0
 
 
 def _turanian_spec(args, q, mu, alpha, beta) -> TuranianSpec:
-    if args.family != "g":
-        for name in ("a", "b"):
-            if getattr(args, name) is not None:
-                raise QTuranError(f"--{name} does not apply to --family {args.family}")
     a = parse_vector(args.a) if args.a else ()
     b = parse_vector(args.b) if args.b else ()
     return TuranianSpec(Family(args.family), mu, alpha, beta, q, args.order, a, b)
@@ -362,59 +409,23 @@ def cmd_conditions(args) -> int:
 def cmd_verify(args) -> int:
     started = time.monotonic()
     try:
-        tol = mpmath.mpf(args.tol)
+        tol = mpmath.mpf(args.tol) if args.tol is not None else None
     except ValueError:
         raise QTuranError(f"--tol must be a number, got {args.tol!r}") from None
-
-    def need(name):
-        return _required_rational(args, name, f"--identity {args.identity}")
-
-    if args.identity in ("q-to-1", "kummer"):
-        # the q -> 1 study sets its own bases, and Kummer's identity has none
-        _refuse_base(args, f"--identity {args.identity}", exact=args.identity == "kummer")
-    extra = {"identity": args.identity, "tol": args.tol}
-    verdicts = []
+    out = _VERIFY[args.identity].compute(args)
     if args.identity == "q-to-1":
-        seq = [s for s in (args.q_sequence or "0.9,0.99,0.999").split(",") if s]
-        for text in seq:
-            parse_rational(text)
-        results = identities.q_to_1_limit_study(
-            need("mu"), need("alpha"), need("beta"), need("x"), seq, digits=args.digits)
+        results = out
         deviations = [r.max_abs.val for r in results]
         ok = all(b < a for a, b in zip(deviations, deviations[1:]))
-        extra = {"identity": args.identity, "q_sequence": seq, "x": args.x,
-                 "mode": "float", "digits": args.digits}
+        extra = {"identity": args.identity, "q_sequence": _q_sequence(args), "x": args.x}
         verdicts = [{"kind": "limit-study", "deviations_decreasing": ok}]
         message = f"q->1 deviations decreasing: {ok}"
     else:
-        coeff_order = args.order if args.order is not None else 30
-        if args.identity == "kummer":
-            res = identities.verify_kummer_linearization(
-                need("mu"), need("alpha"), need("beta"), coeff_order)
-        else:
-            q = make_qbase(args)
-            if args.identity == "rahman":
-                res = identities.verify_rahman_product(
-                    need("nu"), need("eta"), q, coeff_order)
-            elif args.identity == "finite-sum":
-                res = identities.verify_finite_sum_identity(
-                    need("nu"), need("eta"), q, args.m)
-            elif args.identity == "connection":
-                # default None lets the verifier size the series from the tail bound
-                res = identities.verify_connection_formula(
-                    need("alpha"), need("y"), q, args.order)
-            elif args.identity == "linearization":
-                res = identities.verify_linearization(
-                    need("mu"), need("alpha"), need("beta"), q, coeff_order)
-            elif args.identity == "recqgamma":
-                res = identities.verify_recqgamma(
-                    need("mu"), need("beta"), q, args.m)
-            else:
-                raise QTuranError(f"unknown identity {args.identity!r}")
-        results = [res]
-        extra["order"] = res.order_checked
-        ok = res.exact_zero if res.mode == "exact" else res.max_rel.val < tol
-        status = "exact-zero" if res.exact_zero else f"max_rel={scalar_text(res.max_rel)}"
+        results = [out]
+        extra = {"identity": args.identity, "tol": args.tol, "order": out.order_checked}
+        verdicts = []
+        ok = out.exact_zero if out.mode == "exact" else out.max_rel.val < tol
+        status = "exact-zero" if out.exact_zero else f"max_rel={scalar_text(out.max_rel)}"
         message = f"{args.identity}: {status} -> {'ok' if ok else 'FAIL'}"
     residuals = [report_residual(r, {"identity": args.identity}) for r in results]
     exact = all(r.mode == "exact" for r in results)
@@ -534,9 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_eval = subs.add_parser("eval", help="evaluate a series family at a point")
-    p_eval.add_argument("--family", required=True,
-                        choices=["heine-f", "heine-f-tilde", "g", "qbessel-j1",
-                                 "qbessel-j2", "qbessel-i1", "kummer"])
+    p_eval.add_argument("--family", required=True, choices=list(_EVAL))
     p_eval.add_argument("--mu")
     p_eval.add_argument("--nu")
     p_eval.add_argument("--alpha")
@@ -550,8 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(fn=cmd_eval)
 
     p_tur = subs.add_parser("turanian", help="certify one Turanian sign point")
-    p_tur.add_argument("--family", required=True,
-                       choices=["heine-f", "heine-f-tilde", "g"])
+    p_tur.add_argument("--family", required=True, choices=list(_SIGN))
     p_tur.add_argument("--mu", required=True)
     p_tur.add_argument("--alpha", required=True)
     p_tur.add_argument("--beta", required=True)
@@ -569,9 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cond.set_defaults(fn=cmd_conditions)
 
     p_ver = subs.add_parser("verify", help="verify one identity")
-    p_ver.add_argument("--identity", required=True,
-                       choices=["rahman", "finite-sum", "connection",
-                                "linearization", "kummer", "recqgamma", "q-to-1"])
+    p_ver.add_argument("--identity", required=True, choices=list(_VERIFY))
     p_ver.add_argument("--nu")
     p_ver.add_argument("--eta")
     p_ver.add_argument("--mu")
@@ -579,9 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--beta")
     p_ver.add_argument("--x")
     p_ver.add_argument("--y")
-    p_ver.add_argument("--m", type=int, default=10)
-    p_ver.add_argument("--tol", default="1e-30",
-                       help="float-mode relative tolerance")
+    p_ver.add_argument("--m", type=int, help="the identity's m (default 10)")
+    p_ver.add_argument("--tol", help="float-mode relative tolerance (default 1e-30)")
     p_ver.add_argument("--q-sequence", help="comma-separated q values for q-to-1")
     _add_common(p_ver)
     _add_order(p_ver, None)
@@ -589,8 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(fn=cmd_verify)
 
     p_scan = subs.add_parser("scan", help="sweep certificates over parameter grids")
-    p_scan.add_argument("--family", required=True,
-                        choices=["heine-f", "heine-f-tilde", "g"])
+    p_scan.add_argument("--family", required=True, choices=list(_SIGN))
     p_scan.add_argument("--mu-grid", required=True, help="value or start:stop:step")
     p_scan.add_argument("--alpha-grid", "--alpha", default="1")
     p_scan.add_argument("--beta-grid", "--beta", default="1")
@@ -609,17 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_precision(args) -> None:
-    """Fill in --mode (exact) and --digits (env QTURAN_DIGITS, then 50) where
-    they were not given; ``args.given`` keeps the names that were typed."""
-    args.given = {name for name in ("mode", "digits")
-                  if getattr(args, name, None) is not None}
-    if "mode" in vars(args) and args.mode is None:
-        args.mode = "exact"
-    if "digits" in vars(args) and args.digits is None:
-        args.digits = _default_digits()
-
-
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -627,7 +620,7 @@ def run(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < low:
                 raise QTuranError(f"--{name} must be an integer >= {low}, got {value}")
-        _resolve_precision(args)
+        _check_options(args)
         return args.fn(args)
     except QTuranError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,10 +14,10 @@ power-series coefficients:
   prefactors whose ratio rho = Gamma_q(mu+a)Gamma_q(mu+b) /
   (Gamma_q(mu)Gamma_q(mu+a+b)) is the single non-rational constant.  The
   exact certificate compares u_m against rho * v_m where u, v are the two
-  product coefficient sequences; rho is exact for integer shifts and
-  otherwise enclosed once, through interval enclosures of its four
-  q-Pochhammer infinite products with their geometric tail bound, so the
-  verdict stays unconditional.  Expected: strictly positive.
+  product coefficient sequences; rho is exact when alpha or beta is an
+  integer and otherwise enclosed once, through interval enclosures of its
+  four q-Pochhammer infinite products with their geometric tail bound, so
+  the verdict stays unconditional.  Expected: strictly positive.
 * Normalized ``g`` family: prefactor ratios combine exactly through the
   finite Gamma-ratio identity before multiplication; the expected direction
   comes from whichever chain condition holds (``conditions.chain_case``;
@@ -128,10 +128,10 @@ class SignReport:
     enclosure contributes that enclosure's endpoint nearest zero, formed
     exactly on the integer mantissas and rounded toward zero to a _PREC-bit
     dyadic rational; one decided exactly contributes its exact value (or,
-    for the tilde family at half-integer shifts, the bound from the rho
-    enclosure).
-    ``coeff0`` is computed exactly (tilde: its bound from the rho
-    enclosure).
+    for the tilde family with both shifts non-integer, the bound from the
+    rho enclosure).
+    ``coeff0`` is computed exactly (tilde with both shifts non-integer: its
+    bound from the rho enclosure).
 
     ``decided_by`` names the path that decided the signs: ``interval``
     (every interval excluded 0), ``interval+exact`` (``exact_fallbacks``
@@ -571,15 +571,19 @@ def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
     """Exact bounds (rho_lo, rho_hi) on Gamma_q(mu+a)Gamma_q(mu+b) /
     (Gamma_q(mu)Gamma_q(mu+a+b)) for positive mu, alpha, beta in exact mode.
 
-    Exact (zero-width) for integer alpha, beta: rho is the finite ratio
+    rho is symmetric in alpha and beta, and exact (zero-width) when either
+    one is an integer, say alpha: then it is the finite ratio
     Gamma_q(mu+a)/Gamma_q(mu) over Gamma_q(mu+b+a)/Gamma_q(mu+b).
-    Otherwise Gamma_q(x) = (q;q)_inf (1-q)^(1-x) / (q^x;q)_inf makes rho
+    For alpha and beta both non-integer, Gamma_q(x) = (q;q)_inf (1-q)^(1-x)
+    / (q^x;q)_inf makes rho
     (q^mu;q)_inf (q^(mu+a+b);q)_inf / ((q^(mu+a);q)_inf (q^(mu+b);q)_inf),
     whose interval enclosure (at least nterms factors per product) gives
     the bounds.  A q whose products would take more than _MAX_PRODUCT_TERMS
     factors raises DomainError before any is formed.
     """
-    if alpha.denominator == 1 and beta.denominator == 1:
+    if beta.denominator == 1:
+        alpha, beta = beta, alpha
+    if alpha.denominator == 1:
         rho = qgamma_ratio(mu, int(alpha), q) / qgamma_ratio(mu + beta, int(alpha), q)
         return rho, rho
     # float estimate, from above as -ln q >= 1 - q, of the first N with
@@ -606,8 +610,9 @@ def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:
     Exact mode reports margins for the coefficients rescaled by the positive
     constant Gamma_q(mu+alpha) Gamma_q(mu+beta): the m-th rescaled
     coefficient is u_m - rho v_m, certified through one enclosure of rho
-    (_rho_interval: exact at integer shifts, an interval enclosure of its
-    infinite products otherwise), so the verdict carries no tolerance.
+    (_rho_interval: exact when alpha or beta is an integer, an interval
+    enclosure of its infinite products otherwise), so the verdict carries
+    no tolerance.
     """
     if spec.family != Family.HEINE_F_TILDE:
         raise ValueError("delta_tilde_sign_certificate works on the tilde family")

@@ -1,6 +1,8 @@
 """CLI behaviour: exit codes, report schema, determinism, CSV output."""
 
 import csv
+import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -89,7 +91,7 @@ def test_off_grid_parameter_rejected(capsys):
 def test_non_contracting_rho_tail_names_q_the_terms_and_float_mode(capsys, tmp_path,
                                                                    monkeypatch):
     argv = ["turanian", "--family", "heine-f-tilde", "--q", "99/100", "--mu", "1/2",
-            "--alpha", "1/2", "--beta", "1", "--order", "4"]
+            "--alpha", "1/2", "--beta", "3/2", "--order", "4"]
     out = tmp_path / "t.json"
     assert run([*argv, "--out", str(out)]) == 0
     report = read_json(out)["verdicts"][0]
@@ -110,7 +112,7 @@ def test_rho_rounds_start_at_the_terms_the_tail_bound_needs(tmp_path):
     # q = 19/20 needs 59 terms: more than the default 48, few enough to certify exactly
     out = tmp_path / "t.json"
     assert run(["turanian", "--family", "heine-f-tilde", "--q", "19/20", "--mu", "1/2",
-                "--alpha", "1/2", "--beta", "1", "--order", "4", "--out", str(out)]) == 0
+                "--alpha", "1/2", "--beta", "3/2", "--order", "4", "--out", str(out)]) == 0
     report = read_json(out)["verdicts"][0]
     assert report["verdict"] == "all-strictly-pos" and report["decided_by"] == "interval"
 
@@ -258,11 +260,11 @@ def test_verify_missing_parameter_names_the_option(capsys):
 def test_eval_missing_parameter_names_the_option(capsys):
     code = run(["eval", "--family", "heine-f", "--x", "1/4", "--q", "1/2"])
     assert code == 2
-    assert "--mu is required for family heine-f" in capsys.readouterr().err
+    assert "--mu is required for --family heine-f" in capsys.readouterr().err
     code = run(["eval", "--family", "g", "--mu", "1", "--x", "1/4", "--q", "1/2",
                 "--mode", "float"])
     assert code == 2
-    assert "--a and --b are required for family g" in capsys.readouterr().err
+    assert "--a is required for --family g" in capsys.readouterr().err
 
 
 def test_verify_integral_alpha_text_keeps_the_report(tmp_path):
@@ -570,3 +572,122 @@ def test_heine_families_refuse_parameter_vectors(capsys, family, option):
                     "--order", "3"]) == 2
         assert capsys.readouterr().err == (
             f"error: {option} does not apply to --family {family}\n")
+
+
+# -- which options each selection reads ---------------------------------------
+
+# A valid command line of each selection, with the options it requires and,
+# written out here independently of qturan.cli, the ones it does not read.
+SELECTIONS = {
+    ("eval", "heine-f"): ("--mu 1 --x 1/4 --q 1/2 --order 10", "mu x",
+                          "nu alpha a b b-param y"),
+    ("eval", "heine-f-tilde"): ("--mu 1 --x 1/4 --q 1/2 --order 10 --mode float", "mu x",
+                                "nu alpha a b b-param y"),
+    ("eval", "g"): ("--a 2,3 --b 1,2 --mu 1 --x 1/4 --q 1/2 --order 10 --mode float",
+                    "a b mu x", "nu alpha b-param y"),
+    ("eval", "qbessel-j1"): ("--alpha 0 --y 1 --q 1/2 --order 10 --mode float", "alpha y",
+                             "mu nu a b b-param x"),
+    ("eval", "qbessel-j2"): ("--alpha 0 --y 1 --q 1/2 --order 10 --mode float", "alpha y",
+                             "mu nu a b b-param x"),
+    ("eval", "qbessel-i1"): ("--nu 1 --y 1 --q 1/2 --order 10 --mode float", "nu y",
+                             "mu alpha a b b-param x"),
+    ("eval", "kummer"): ("--b-param 2 --x 1/2 --order 10", "b-param x",
+                         "mu nu alpha a b y"),
+    ("verify", "rahman"): ("--nu 1 --eta 2 --q 1/2 --order 5", "nu eta",
+                           "mu alpha beta x y m q-sequence"),
+    ("verify", "finite-sum"): ("--nu 1 --eta 2 --q 1/2 --m 3", "nu eta",
+                               "mu alpha beta x y q-sequence order"),
+    ("verify", "connection"): ("--alpha 0 --y 1 --q 1/2 --mode float", "alpha y",
+                               "nu eta mu beta x m q-sequence"),
+    ("verify", "linearization"): ("--mu 1 --alpha 1 --beta 1 --q 1/2 --order 5",
+                                  "mu alpha beta", "nu eta x y m q-sequence"),
+    ("verify", "kummer"): ("--mu 1 --alpha 1 --beta 1 --order 5", "mu alpha beta",
+                           "nu eta x y m q-sequence tol"),
+    ("verify", "recqgamma"): ("--mu 1 --beta 1 --q 1/2 --m 3", "mu beta",
+                              "nu eta alpha x y q-sequence order"),
+    ("verify", "q-to-1"): ("--mu 1 --alpha 1 --beta 1 --x 1/2 --q-sequence 0.9,0.99",
+                           "mu alpha beta x", "nu eta y m tol order"),
+    ("turanian", "g"): ("--a 2,3 --b 1,2 --mu 1 --alpha 1 --beta 1 --q 1/2 --order 5",
+                        "a b", ""),
+    ("scan", "g"): ("--a 2,3 --b 1,2 --mu-grid 1 --q 1/2 --order 5", "a b", ""),
+}
+VALUES = {"a": "1,2", "b": "1,2", "m": "5", "tol": "1e-3", "q-sequence": "0.9", "digits": "30"}
+POINT = "--mu 1 --alpha 1 --beta 1 --q 1/2 --order 5"
+# exact runs given --digits or --tol, which only float mode reads
+EXACT_RUNS = [
+    ("eval --family heine-f --mu 1 --x 1/4 --q 1/2 --order 10", "digits"),
+    (f"turanian --family heine-f {POINT}", "digits"),
+    ("scan --family heine-f --mu-grid 1 --q 1/2 --order 5", "digits"),
+    ("conditions --a 2,3 --b 1,2 --q 1/2", "digits"),
+    (f"verify --identity linearization {POINT}", "digits"),
+    (f"verify --identity linearization {POINT}", "tol"),
+]
+IGNORED = [(f"{command} --{'identity' if command == 'verify' else 'family'} {name} {base}",
+            option)
+           for (command, name), (base, _, ignored) in SELECTIONS.items()
+           for option in ignored.split()] + EXACT_RUNS
+
+
+@pytest.mark.parametrize("line, option", IGNORED,
+                         ids=[f"{line.split()[2]}--{option}" for line, option in IGNORED])
+def test_an_option_the_selection_does_not_read_is_refused(tmp_path, capsys, line, option):
+    out = tmp_path / "r.json"
+    assert run([*line.split(), f"--{option}", VALUES.get(option, "3"),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"--{option} does not apply" in err
+    assert not out.exists()
+
+
+REQUIRED = [(command, name, base, option)
+            for (command, name), (base, required, _) in SELECTIONS.items()
+            for option in required.split()]
+
+
+@pytest.mark.parametrize("command, name, base, option", REQUIRED,
+                         ids=[f"{c}-{n}--{o}" for c, n, _, o in REQUIRED])
+def test_a_missing_required_option_is_refused(tmp_path, capsys, command, name, base, option):
+    selector = "--identity" if command == "verify" else "--family"
+    tokens = base.split()
+    at = tokens.index(f"--{option}")
+    del tokens[at:at + 2]
+    out = tmp_path / "r.json"
+    assert run([command, selector, name, *tokens, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --{option} is required for {selector} {name}\n")
+    assert not out.exists()
+    assert run([command, selector, name, *base.split(), "--out", str(out)]) in (0, 1)
+    assert out.exists()
+
+
+def _benchmark_workloads():
+    """bench/workloads.py, imported by path and only read."""
+    path = SRC.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("qturan_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module           # dataclasses look the module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("workload", ["exact-sign", "exact-identity", "float-checks"])
+def test_round_0_of_every_benchmark_workload_exits_0(tmp_path, capsys, workload):
+    workloads = _benchmark_workloads()
+    commands = [cmd for cmd in itertools.takewhile(lambda c: c.round == 0,
+                                                   workloads.stream(workload, 1))
+                if cmd.argv]
+    assert commands
+    for cmd in commands:
+        assert run([*cmd.argv, "--out", str(tmp_path / "r.json")]) == 0, cmd.key
+
+
+def test_an_empty_q_sequence_is_an_error(tmp_path, capsys):
+    # a typed sequence is never replaced by the default, so an empty one has no q to study
+    out = tmp_path / "q.json"
+    assert run(["verify", "--identity", "q-to-1", "--mu", "1", "--alpha", "1", "--beta", "1",
+                "--x", "1/4", "--q-sequence", ",", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --q-sequence names no q\n"
+    assert not out.exists()

@@ -43,7 +43,7 @@ EXPECTED = {
     "turanian_series": "856bceaefe6af13c14d6dc14f9c909f0a0835ab2658854692db8c6282e4e7c50",
     "turanian": (0,
         "fe45f0c0a5fa264a969df11f9d786cb4b67a6725bc2601af4b64b5bcbf58355b",
-        "07a2b345485b2d9ef73e8132ed52ae5164f369bcf5c4c9e1abb87125d2e1d46e",
+        "56f0b53e8315df435bcce4c2baeab362507f09eeb27065a33768ab59303c35b9",
         "443ea7a71844f756ddd5c774f16ea45a501bccdbeb526fab71db8770ebd30ed2"),
     "scan": (0,
         "273baa9748eaddd47cafd0de87b4f53e9c3843a3e71cdd36bc92f7b794f86827",

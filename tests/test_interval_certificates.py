@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qturan import turanian
-from qturan.qcore import QBase, qpochhammer_finite
+from qturan.qcore import QBase, qgamma_ratio, qpochhammer_finite
 from qturan.scalar import CollisionError, ExactScalar, ex
 from qturan.series import TruncatedSeries, g_series, heine_f_series
 from qturan.turanian import (
@@ -207,6 +207,29 @@ def test_rho_enclosure_contains_the_gamma_ratio_and_is_narrow(qv, mu, alpha, bet
         rho = gamma(mu + alpha) * gamma(mu + beta) / (gamma(mu) * gamma(mu + alpha + beta))
         assert mp_rational(lo) < rho < mp_rational(hi)
     assert (hi - lo) / lo < F(1, 2 ** 90)
+
+
+@pytest.mark.parametrize("qv", [F(3, 4), F(99, 100)])
+@pytest.mark.parametrize("alpha, beta", [(F(1, 2), F(1)), (F(2), F(3, 2))])
+def test_one_integer_shift_makes_rho_the_exact_finite_ratio(monkeypatch, qv, alpha, beta):
+    # rho is symmetric in alpha and beta, so an integer k among them makes it
+    # Gamma_q(mu+k)/Gamma_q(mu) over Gamma_q(mu+s+k)/Gamma_q(mu+s), s the other
+    def no_product(*args):
+        raise AssertionError("an infinite product was formed")
+
+    monkeypatch.setattr(turanian, "_qpoch_inf_interval", no_product)
+    q, mu = QBase.exact(q=qv), F(1, 2)
+    (k, s) = (alpha, beta) if alpha.denominator == 1 else (beta, alpha)
+    lo, hi = _rho_interval(mu, alpha, beta, q, 0)
+    assert lo == hi == qgamma_ratio(mu, int(k), q) / qgamma_ratio(mu + s, int(k), q)
+    with mpmath.workdps(60):
+        qm = mp_rational(qv)
+
+        def gamma(x):
+            return mpmath.qgamma(mp_rational(x), qm, maxterms=10 ** 6)
+
+        rho = gamma(mu + alpha) * gamma(mu + beta) / (gamma(mu) * gamma(mu + alpha + beta))
+        assert abs(lo.to_mpf(60) / rho - 1) < mpmath.mpf(10) ** -50
 
 
 def contains(enclosure, exact):
