@@ -29,7 +29,6 @@ from .scalar import (
     ExactScalar,
     FloatScalar,
     Scalar,
-    fl,
 )
 from .series import TruncatedSeries
 
@@ -48,8 +47,8 @@ def complete_monotonicity_check(evaluator, y_grid, max_order: int):
     spacings = [y_grid[i + 1] - y_grid[i] for i in range(len(y_grid) - 1)]
     h0 = spacings[0]
     for h in spacings[1:]:
-        rel = abs(h - h0) / abs(h0)
-        if not rel < fl("1e-20", 30):
+        # a rational tolerance, so exact and float grids both compare in their own mode
+        if not abs(h - h0) <= abs(h0) * Fraction(1, 10**20):
             raise DimensionError("grid must be uniform")
     level = [evaluator(y) for y in y_grid]
     margins = [min(level)]

@@ -1,11 +1,14 @@
 """Command-line surface: evaluation, certification, verification, scans.
 
-Reports are JSON with the fixed key set {config, verdicts, residuals,
-margins, timing}; rationals are written as num/den strings (quadratic
-values as a+b*sqrt(r)), and exact-mode reports are byte-for-byte
-deterministic for a fixed config (timing is null there).  CSV output is
-UTF-8 with LF line endings, one row per coefficient or per grid point
-depending on the command.
+Each subcommand computes and returns what it found (a ``_Found``); ``run``
+alone times it, writes the JSON report and the CSV, prints the message and
+turns the verdict into the exit code.  Reports are JSON with the fixed key
+set {config, verdicts, residuals, margins, timing}; rationals are written as
+num/den strings (quadratic values as a+b*sqrt(r)), and exact-mode reports
+are byte-for-byte deterministic for a fixed config: timing is null exactly
+when the run is exact.  CSV output is UTF-8 with LF line endings; each row
+is the header's fields of one record (a coefficient margin with its point,
+a scan verdict, or a residual), with None written as an empty field.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -27,7 +31,6 @@ from . import conditions, identities, turanian
 from .qcore import QBase
 from .scalar import (
     DEFAULT_DIGITS,
-    ExactModeError,
     ExactScalar,
     FloatScalar,
     QTuranError,
@@ -168,22 +171,16 @@ def _file(path: str, mode: str, **kwargs):
 
 
 def write_report(path: str | None, config: dict, verdicts, residuals, margins,
-                 timing) -> dict:
-    report = {
-        "config": config,
-        "verdicts": verdicts,
-        "residuals": residuals,
-        "margins": margins,
-        "timing": timing,
-    }
+                 timing) -> None:
     if path:
+        report = {"config": config, "verdicts": verdicts, "residuals": residuals,
+                  "margins": margins, "timing": timing}
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         with _file(path, "w", newline="\n") as fh:
             fh.write(text)
-    return report
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def write_csv(path: str, header, rows: list[list]) -> None:
     with _file(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -227,6 +224,8 @@ class _Reads(NamedTuple):
 
 
 _BASE = {"q": None, "p": None}
+_GAMMA_Q = ("float", "carries a Gamma_q prefactor that has no exact value; use --mode float")
+_INFINITE = ("float", "evaluates infinite products; use --mode float")
 # --tol is read in float mode only (an exact run refuses it), but the report
 # of every coefficient identity records it
 _TOL = {"tol": "1e-30"}
@@ -235,13 +234,15 @@ _EVAL = {
     "heine-f": _Reads(("mu", "x"), _BASE, lambda a, q, mu, x:
                       heine_f_series(mu, q, a.order).eval(q.scalar(x))),
     "heine-f-tilde": _Reads(("mu", "x"), _BASE, lambda a, q, mu, x: heine_f_tilde_series(
-        mu, q, a.order, absolute=True).eval(q.scalar(x))),
-    "g": _Reads(("a", "b", "mu", "x"), _BASE, lambda a, q, up, low, mu, x:
-                g_series(up, low, mu, q, a.order, absolute=True).eval(q.scalar(x))),
-    "qbessel-j1": _Reads(("alpha", "y"), _BASE, lambda a, q, *p: qbessel_j1(*p, q, a.order)),
-    "qbessel-j2": _Reads(("alpha", "y"), _BASE, lambda a, q, *p: qbessel_j2(*p, q, a.order)),
+        mu, q, a.order, absolute=True).eval(q.scalar(x)), _GAMMA_Q),
+    "g": _Reads(("a", "b", "mu", "x"), _BASE, lambda a, q, up, low, mu, x: g_series(
+        up, low, mu, q, a.order, absolute=True).eval(q.scalar(x)), _GAMMA_Q),
+    "qbessel-j1": _Reads(("alpha", "y"), _BASE, lambda a, q, *p: qbessel_j1(*p, q, a.order),
+                         _INFINITE),
+    "qbessel-j2": _Reads(("alpha", "y"), _BASE, lambda a, q, *p: qbessel_j2(*p, q, a.order),
+                         _INFINITE),
     "qbessel-i1": _Reads(("nu", "y"), _BASE,
-                         lambda a, q, *p: modified_qbessel_i1(*p, q, a.order)),
+                         lambda a, q, *p: modified_qbessel_i1(*p, q, a.order), _INFINITE),
     "kummer": _Reads(("b_param", "x"), {}, lambda a, q, b, x: kummer_1f1_unit_top(
         b, a.order).eval(ExactScalar.from_rational(x)), ("exact", "is evaluated exactly")),
 }
@@ -254,7 +255,7 @@ _VERIFY = {
     # order None: the verifier sizes the series from the tail bound
     "connection": _Reads(("alpha", "y"), {**_BASE, "order": None, **_TOL},
                          lambda a, q, *p: identities.verify_connection_formula(
-                             *p, q, a.order)),
+                             *p, q, a.order), _INFINITE),
     "linearization": _Reads(("mu", "alpha", "beta"), {**_BASE, "order": 30, **_TOL},
                             lambda a, q, *p: identities.verify_linearization(*p, q, a.order)),
     "kummer": _Reads(("mu", "alpha", "beta"), {"order": 30, **_TOL},
@@ -321,22 +322,27 @@ def _q_sequence(args) -> list[str]:
 # -- subcommand implementations ----------------------------------------------
 
 
-def cmd_eval(args) -> int:
-    if args.mode == "exact" and args.family in ("heine-f-tilde", "g"):
-        raise ExactModeError(
-            f"family {args.family} carries a Gamma_q prefactor that has no exact "
-            f"value; use --mode float"
-        )
+class _Found(NamedTuple):
+    """What one subcommand found, for run to report: its config entries, its
+    verdict, residual and margin records, the line to print and whether it
+    passed, and the CSV header with the records whose fields make the rows."""
+
+    config: dict
+    verdicts: list
+    residuals: list
+    margins: list
+    message: str
+    ok: bool
+    csv_header: tuple = ()
+    csv_records: list = ()
+
+
+def cmd_eval(args) -> _Found:
     reads = _EVAL[args.family]
-    started = time.monotonic()
-    value = reads.compute(args)
-    timing = None if args.mode == "exact" else time.monotonic() - started
+    value = scalar_text(reads.compute(args))
     point = {name: getattr(args, name) for name in reads.required}
-    verdicts = [{"kind": "eval", "family": args.family, "value": scalar_text(value), **point}]
-    write_report(args.out, _config_common(args, {"family": args.family}), verdicts, [], [],
-                 timing)
-    print(scalar_text(value))
-    return 0
+    verdicts = [{"kind": "eval", "family": args.family, "value": value, **point}]
+    return _Found({"family": args.family}, verdicts, [], [], value, True)
 
 
 def _turanian_spec(args, q, mu, alpha, beta) -> TuranianSpec:
@@ -345,42 +351,29 @@ def _turanian_spec(args, q, mu, alpha, beta) -> TuranianSpec:
     return TuranianSpec(Family(args.family), mu, alpha, beta, q, args.order, a, b)
 
 
-def cmd_turanian(args) -> int:
+def cmd_turanian(args) -> _Found:
     q = make_qbase(args)
-    started = time.monotonic()
     spec = _turanian_spec(args, q, parse_rational(args.mu),
                           parse_rational(args.alpha), parse_rational(args.beta))
     rep = turanian.sign_certificate(spec)
     point = {"family": args.family, "mu": args.mu, "alpha": args.alpha,
              "beta": args.beta, "q": _q_text(args)}
-    verdicts = [report_verdict(rep, point)]
     margins = []
-    csv_rows = []
-    emit_coeffs = not (spec.family == Family.HEINE_F_TILDE and q.is_exact)
-    if emit_coeffs:
-        series = turanian.turanian_series(spec)
-        for m, c in enumerate(series.coeffs):
-            margins.append({"m": m, "coefficient": scalar_text(c)})
-            csv_rows.append([args.family, args.mu, args.alpha, args.beta,
-                             point["q"], m, scalar_text(c)])
-    timing = None if q.is_exact else time.monotonic() - started
-    cfg = _config_common(args, {"family": args.family, "mu": args.mu,
-                                "alpha": args.alpha, "beta": args.beta,
-                                "a": args.a, "b": args.b})
-    write_report(args.out, cfg, verdicts, [], margins, timing)
-    if args.csv:
-        write_csv(args.csv,
-                  ["family", "mu", "alpha", "beta", "q", "m", "coefficient"],
-                  csv_rows)
-    ok = rep.matches_expected is not False
-    print(f"{args.family}: {rep.verdict.value}"
-          + (f" (expected {rep.expected.value})" if rep.expected else ""))
-    return 0 if ok else 1
+    if not (spec.family == Family.HEINE_F_TILDE and q.is_exact):
+        margins = [{"m": m, "coefficient": scalar_text(c)}
+                   for m, c in enumerate(turanian.turanian_series(spec).coeffs)]
+    cfg = {"family": args.family, "mu": args.mu, "alpha": args.alpha, "beta": args.beta,
+           "a": args.a, "b": args.b}
+    message = f"{args.family}: {rep.verdict.value}" + (
+        f" (expected {rep.expected.value})" if rep.expected else "")
+    return _Found(cfg, [report_verdict(rep, point)], [], margins, message,
+                  rep.matches_expected is not False,
+                  ("family", "mu", "alpha", "beta", "q", "m", "coefficient"),
+                  [{**point, **margin} for margin in margins])
 
 
-def cmd_conditions(args) -> int:
+def cmd_conditions(args) -> _Found:
     q = make_qbase(args)
-    started = time.monotonic()
     a = parse_vector(args.a)
     b = parse_vector(args.b)
     c, d = conditions.derive_cd(a, b, q)
@@ -397,17 +390,13 @@ def cmd_conditions(args) -> int:
         "witness_subvector": list(verdict.witness_subvector)
         if verdict.witness_subvector else None,
     }
-    cfg = _config_common(args, {"a": args.a, "b": args.b})
-    timing = None if q.is_exact else time.monotonic() - started
-    write_report(args.out, cfg, [rec], [], [], timing)
     case = conditions.chain_case(c, d)
-    print(f"chain case: {case or 'none'}; majorization witness: "
-          f"{verdict.via_majorization}")
-    return 0 if case else 1
+    return _Found({"a": args.a, "b": args.b}, [rec], [], [],
+                  f"chain case: {case or 'none'}; majorization witness: "
+                  f"{verdict.via_majorization}", bool(case))
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
+def cmd_verify(args) -> _Found:
     try:
         tol = mpmath.mpf(args.tol) if args.tol is not None else None
     except ValueError:
@@ -428,60 +417,28 @@ def cmd_verify(args) -> int:
         status = "exact-zero" if out.exact_zero else f"max_rel={scalar_text(out.max_rel)}"
         message = f"{args.identity}: {status} -> {'ok' if ok else 'FAIL'}"
     residuals = [report_residual(r, {"identity": args.identity}) for r in results]
-    exact = all(r.mode == "exact" for r in results)
-    timing = None if exact else time.monotonic() - started
-    write_report(args.out, _config_common(args, extra), verdicts, residuals, [], timing)
-    if args.csv:
-        rows = [[r["identity"], r["label"], r["mode"], r["exact_zero"],
-                 r["max_abs"], r["max_rel"], r["order_checked"]]
-                for r in residuals]
-        write_csv(args.csv, ["identity", "label", "mode", "exact_zero",
-                             "max_abs", "max_rel", "order_checked"], rows)
-    print(message)
-    return 0 if ok else 1
+    return _Found(extra, verdicts, residuals, [], message, ok,
+                  ("identity", "label", "mode", "exact_zero", "max_abs", "max_rel",
+                   "order_checked"), residuals)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> _Found:
     q = make_qbase(args)
-    started = time.monotonic()
-    mu_grid = parse_grid(args.mu_grid)
-    alpha_grid = parse_grid(args.alpha_grid)
-    beta_grid = parse_grid(args.beta_grid)
-    points = [(mu, al, be) for mu in mu_grid for al in alpha_grid
-              for be in beta_grid]
-
-    reports = [turanian.sign_certificate(_turanian_spec(args, q, mu, al, be))
-               for mu, al, be in points]
-
-    verdicts = []
-    rows = []
-    all_ok = True
     q_text = _q_text(args)
-    for (mu, al, be), rep in zip(points, reports):
-        point = {"family": args.family, "mu": str(mu), "alpha": str(al),
-                 "beta": str(be), "q": q_text}
-        verdicts.append(report_verdict(rep, point))
-        rows.append([args.family, str(mu), str(al), str(be), q_text,
-                     rep.verdict.value,
-                     rep.expected.value if rep.expected else "",
-                     rep.matches_expected,
-                     scalar_text(rep.min_margin) if rep.min_margin is not None else "",
-                     rep.first_violation if rep.first_violation is not None else ""])
-        if rep.matches_expected is False:
-            all_ok = False
-    timing = None if q.is_exact else time.monotonic() - started
-    cfg = _config_common(args, {"family": args.family, "mu_grid": args.mu_grid,
-                                "alpha_grid": args.alpha_grid,
-                                "beta_grid": args.beta_grid,
-                                "a": args.a, "b": args.b})
-    write_report(args.out, cfg, verdicts, [], [], timing)
-    if args.csv:
-        write_csv(args.csv,
-                  ["family", "mu", "alpha", "beta", "q", "verdict", "expected",
-                   "matches_expected", "min_margin", "first_violation"], rows)
-    n_ok = sum(1 for r in reports if r.matches_expected is not False)
-    print(f"scan: {n_ok}/{len(reports)} points match the predicted direction")
-    return 0 if all_ok else 1
+    verdicts = []
+    for mu, al, be in itertools.product(parse_grid(args.mu_grid), parse_grid(args.alpha_grid),
+                                        parse_grid(args.beta_grid)):
+        rep = turanian.sign_certificate(_turanian_spec(args, q, mu, al, be))
+        verdicts.append(report_verdict(rep, {"family": args.family, "mu": str(mu),
+                                             "alpha": str(al), "beta": str(be), "q": q_text}))
+    n_ok = sum(1 for v in verdicts if v["matches_expected"] is not False)
+    cfg = {"family": args.family, "mu_grid": args.mu_grid, "alpha_grid": args.alpha_grid,
+           "beta_grid": args.beta_grid, "a": args.a, "b": args.b}
+    return _Found(cfg, verdicts, [], [],
+                  f"scan: {n_ok}/{len(verdicts)} points match the predicted direction",
+                  n_ok == len(verdicts),
+                  ("family", "mu", "alpha", "beta", "q", "verdict", "expected",
+                   "matches_expected", "min_margin", "first_violation"), verdicts)
 
 
 def cmd_report(args) -> int:
@@ -608,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = subs.add_parser("report", help="flatten a JSON report to CSV")
     p_rep.add_argument("--input", required=True)
     p_rep.add_argument("--csv", required=True)
-    p_rep.set_defaults(fn=cmd_report)
 
     return parser
 
@@ -621,7 +577,19 @@ def run(argv=None) -> int:
             if value is not None and value < low:
                 raise QTuranError(f"--{name} must be an integer >= {low}, got {value}")
         _check_options(args)
-        return args.fn(args)
+        if args.command == "report":
+            return cmd_report(args)
+        started = time.monotonic()
+        found = args.fn(args)
+        timing = None if args.mode == "exact" else time.monotonic() - started
+        write_report(args.out, _config_common(args, found.config), found.verdicts,
+                     found.residuals, found.margins, timing)
+        if getattr(args, "csv", None):
+            # csv.writer writes None as an empty field
+            write_csv(args.csv, found.csv_header,
+                      [[rec[key] for key in found.csv_header] for rec in found.csv_records])
+        print(found.message)
+        return 0 if found.ok else 1
     except QTuranError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

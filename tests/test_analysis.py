@@ -18,7 +18,7 @@ from qturan.analysis import (
     tau_density,
 )
 from qturan.qcore import QBase
-from qturan.scalar import DimensionError, fl
+from qturan.scalar import DimensionError, ExactScalar, fl
 from qturan.series import TruncatedSeries
 from qturan.turanian import Family, TuranianSpec, turanian_series
 
@@ -81,6 +81,16 @@ class TestCompleteMonotonicity:
     def test_insufficient_grid(self):
         with pytest.raises(DimensionError):
             complete_monotonicity_check(lambda y: y, uniform_grid(1, 2, 1), 4)
+
+    def test_exact_grid_stays_exact(self):
+        # 1/y on y = 1, 21/20, ..., 29/20: the margins are exact rationals
+        grid = [ExactScalar.from_rational(F(20 + k, 20)) for k in range(10)]
+        ok, margins = complete_monotonicity_check(lambda y: 1 / y, grid, 4)
+        assert ok and all(isinstance(m, ExactScalar) and m.sign() > 0 for m in margins)
+        assert margins[0] == F(20, 29) and margins[1] == F(20, 28) - F(20, 29)
+        uneven = [*grid[:-1], grid[-1] + F(1, 10**19)]
+        with pytest.raises(DimensionError):
+            complete_monotonicity_check(lambda y: 1 / y, uneven, 4)
 
 
 class TestMultiplicativeConvexity:

@@ -443,14 +443,47 @@ def test_scan_alpha_and_beta_name_the_grid_options(tmp_path):
     assert [(v["alpha"], v["beta"]) for v in report["verdicts"]] == [("1", "2")] * 2
 
 
-def test_conditions_timing_is_measured_in_float_mode(tmp_path):
-    out = tmp_path / "c.json"
-    argv = ["conditions", "--a", "1,1,1", "--b", "2,2", "--q", "1/2", "--out", str(out)]
+TIMED = {
+    "eval": "eval --family heine-f --mu 1 --x 1/4 --q 1/2 --order 10",
+    "turanian": "turanian --family heine-f --mu 1 --alpha 1 --beta 2 --q 1/2 --order 10",
+    "conditions": "conditions --a 1,1,1 --b 2,2 --q 1/2",
+    "verify": "verify --identity linearization --mu 1 --alpha 1 --beta 1 --q 1/2 --order 10",
+    "scan": "scan --family heine-f --mu-grid 1:2:1 --q 1/2 --order 10",
+}
+
+
+@pytest.mark.parametrize("command", list(TIMED))
+def test_timing_is_measured_in_float_mode(tmp_path, command):
+    out = tmp_path / "r.json"
+    argv = [*TIMED[command].split(), "--out", str(out)]
     assert run([*argv, "--mode", "float"]) == 0
     timing = read_json(out)["timing"]
     assert isinstance(timing, float) and timing > 0
     assert run([*argv, "--mode", "exact"]) == 0
     assert read_json(out)["timing"] is None
+
+
+FLOAT_TABLES = {
+    "scan": "scan --family g --a 2,3 --b 1,2 --q 1/2 --mu-grid 1/2:3/2:1/2 --order 10",
+    "turanian": "turanian --family heine-f-tilde --mu 1/2 --alpha 1/2 --beta 2 --q 1/2 "
+                "--order 8",
+    "verify": "verify --identity connection --alpha 1/2 --y 3/2 --q 4/5",
+}
+
+
+@pytest.mark.parametrize("command", list(FLOAT_TABLES))
+def test_csv_rows_are_report_records(tmp_path, command):
+    out, table = tmp_path / "r.json", tmp_path / "r.csv"
+    assert run([*FLOAT_TABLES[command].split(), "--mode", "float", "--out", str(out),
+                "--csv", str(table)]) == 0
+    report = read_json(out)
+    header, *rows = list(csv.reader(table.read_text(encoding="utf-8").splitlines()))
+    records = {"scan": report["verdicts"], "verify": report["residuals"],
+               "turanian": [{**report["verdicts"][0], **margin}
+                            for margin in report["margins"]]}[command]
+    assert rows and len(rows) == len(records)
+    assert [[("" if rec[key] is None else str(rec[key])) for key in header]
+            for rec in records] == rows
 
 
 def test_scan_at_an_upper_gamma_pole_is_an_error(capsys):
@@ -658,6 +691,24 @@ def test_a_missing_required_option_is_refused(tmp_path, capsys, command, name, b
     assert not out.exists()
     assert run([command, selector, name, *base.split(), "--out", str(out)]) in (0, 1)
     assert out.exists()
+
+
+FLOAT_ONLY = [("eval", "heine-f-tilde"), ("eval", "g"), ("eval", "qbessel-j1"),
+              ("eval", "qbessel-j2"), ("eval", "qbessel-i1"), ("verify", "connection")]
+
+
+@pytest.mark.parametrize("command, name", FLOAT_ONLY, ids=[n for _, n in FLOAT_ONLY])
+def test_float_only_selections_run_in_float_without_a_typed_mode(tmp_path, capsys,
+                                                                 command, name):
+    # no exact value: an untyped --mode runs float, a typed exact one is refused
+    base = SELECTIONS[command, name][0].replace("--mode float", "").split()
+    selector = "--identity" if command == "verify" else "--family"
+    out = tmp_path / "r.json"
+    assert run([command, selector, name, *base, "--mode", "exact", "--out", str(out)]) == 2
+    assert "use --mode float" in capsys.readouterr().err
+    assert not out.exists()
+    assert run([command, selector, name, *base, "--out", str(out)]) == 0
+    assert read_json(out)["config"]["mode"] == "float"
 
 
 def _benchmark_workloads():
