@@ -32,7 +32,6 @@ from .qcore import QBase
 from .scalar import (
     DEFAULT_DIGITS,
     ExactScalar,
-    FloatScalar,
     QTuranError,
     rational_text,
 )
@@ -116,11 +115,7 @@ def _q_text(args) -> str:
 def scalar_text(value) -> str:
     if isinstance(value, ExactScalar):
         return value.canonical()
-    if isinstance(value, FloatScalar):
-        return mpmath.nstr(value.val, value.digits)
-    if isinstance(value, Fraction):
-        return rational_text(value)
-    return str(value)
+    return mpmath.nstr(value.val, value.digits)
 
 
 def report_verdict(rep: turanian.SignReport, point: dict) -> dict:
@@ -316,6 +311,9 @@ def _q_sequence(args) -> list[str]:
     seq = [s for s in args.q_sequence.split(",") if s]
     if not [parse_rational(s) for s in seq]:
         raise QTuranError("--q-sequence names no q")
+    if len(seq) < 2:
+        raise QTuranError(f"--q-sequence names one q ({seq[0]}); a q->1 study compares "
+                          f"the deviations of at least two")
     return seq
 
 
@@ -460,9 +458,8 @@ def cmd_report(args) -> int:
                      rec.get("q", ""), rec.get("verdict", rec.get("value", "")),
                      rec.get("matches_expected", "")])
     for rec in report["residuals"]:
-        rows.append(["residual", rec.get("label", ""), "", "", "",
-                     rec.get("mode", ""), rec.get("max_rel", ""),
-                     rec.get("exact_zero", "")])
+        rows.append(["residual", rec.get("label", ""), "", "", "", "",
+                     rec.get("max_rel", ""), rec.get("exact_zero", "")])
     write_csv(args.csv, ["kind", "name", "mu", "alpha", "beta", "q",
                          "value", "ok"], rows)
     print(f"wrote {len(rows)} rows to {args.csv}")

@@ -353,18 +353,11 @@ def g_series(a: Sequence, b: Sequence, mu, q: QBase, order: int, *,
     return TermRatio(prefactor, upper, lower, q, d, 1 - q.q, tail).series(order)
 
 
-def geometric_tail_order(x_abs, tol, *, minimum: int = 40,
+def geometric_tail_order(x_abs: FloatScalar, tol, *, minimum: int = 40,
                          cap: int = 200_000) -> int:
     """Order N with x^N / (1-x) below tol, for series with bounded coefficients."""
     with mpmath.workdps(30):
-        if isinstance(x_abs, FloatScalar):
-            xv = mpmath.mpf(x_abs.val)
-        elif isinstance(x_abs, ExactScalar):
-            xv = x_abs.to_mpf(30)
-        elif isinstance(x_abs, Fraction):
-            xv = mpmath.mpf(x_abs.numerator) / x_abs.denominator
-        else:
-            xv = mpmath.mpf(x_abs)
+        xv = mpmath.mpf(x_abs.val)
         if xv <= 0:
             return minimum
         if xv >= 1:
@@ -461,19 +454,15 @@ def kummer_1f1_unit_top(b, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs), order)
 
 
-def kummer_1f1_value(b, x, digits: int, order: int | None = None) -> FloatScalar:
+def kummer_1f1_value(b: Fraction, x: FloatScalar, digits: int) -> FloatScalar:
     """Float evaluation of 1F1(1; b; x) by direct summation."""
-    bf = as_fraction(b) if isinstance(b, (int, str, Fraction)) else b
     with mpmath.workdps(digits):
-        bv = (mpmath.mpf(bf.numerator) / bf.denominator
-              if isinstance(bf, Fraction) else mpmath.mpf(bf))
-        xv = x.val if isinstance(x, FloatScalar) else mpmath.mpf(x)
+        bv = mpmath.mpf(b.numerator) / b.denominator
         total = mpmath.mpf(1)
         term = mpmath.mpf(1)
         n = 0
-        limit = order or (10 * digits + 200)
-        while n < limit:
-            term = term * xv / (bv + n)
+        while n < 10 * digits + 200:
+            term = term * x.val / (bv + n)
             total += term
             n += 1
             if abs(term) < mpmath.mpf(10) ** (-digits - 8) * max(abs(total), 1):

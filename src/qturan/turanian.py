@@ -33,11 +33,11 @@ needs order >= 1, so a verdict always rests on some coefficient m >= 1.
 In exact mode the four shifted series are built exactly to order 0 only
 (their exact leading coefficients give Delta_0).  Each series' exact
 q-power parameters are enclosed once in ``_Interval``s, nonnegative
-dyadic enclosures on Python ints with mantissas of ``_PREC`` bits, and its
-term-ratio recurrence runs in that arithmetic to enclose every
-coefficient.  The products u, v go through the one Cauchy kernel, whose
-``_Interval.dot`` rounds each coefficient once, and every u_m - rho v_m is
-formed exactly on the integer mantissas.  Only when a coefficient's
+dyadic enclosures [lo 2^e, hi 2^e] with Python-int mantissas of ``_PREC``
+bits and one shared exponent, and its term-ratio recurrence runs in that
+arithmetic to enclose every coefficient.  The products u, v go through the
+one Cauchy kernel, whose ``_Interval.dot`` rounds each coefficient once,
+and every u_m - rho v_m is formed exactly on the integer mantissas.  Only when a coefficient's
 enclosure contains 0, or cannot stay nonnegative, are the exact series
 built to the full order, and that coefficient recomputed exactly as an
 O(m) dot product; that is how exact zeros are proven.  Verdicts involve no
@@ -225,37 +225,36 @@ _PREC = 100
 
 
 class _Interval:
-    """A nonnegative enclosure [lm 2^le, hm 2^he] on Python ints, with the
-    arithmetic that the term-ratio recurrence of ``TermRatio`` (*, / and
-    1 - x) and the Cauchy kernel of ``TruncatedSeries`` (``dot``) use.
+    """A nonnegative enclosure [lo 2^e, hi 2^e] on Python ints, its two ends
+    sharing one exponent, with the arithmetic that the term-ratio
+    recurrence of ``TermRatio`` (*, / and 1 - x) and the Cauchy kernel of
+    ``TruncatedSeries`` (``dot``) use.
 
-    Every arithmetic result is rounded outward once, to mantissas of at
-    most ``prec`` = _PREC bits: * and / round their exact result, and
-    ``dot`` sums its exact dyadic products at their smallest exponent
-    before rounding, so no common grid is imposed on coefficients that
-    decay like q^(n^2/2).  An enclosure that cannot stay nonnegative (1 - x with x reaching past 1, a
-    division by an enclosure reaching 0, a negative value) is ``UNBOUNDED``
-    (lm = -1), and so is every result it enters.
+    Every arithmetic result is rounded outward once, both ends by the one
+    shift that leaves hi with ``prec`` = _PREC bits (lo down, hi up): * and /
+    round their exact result, and ``dot`` sums its exact dyadic products at
+    their smallest exponent before rounding, so no common grid is imposed on
+    coefficients that decay like q^(n^2/2).  An enclosure that cannot stay
+    nonnegative (1 - x with x reaching past 1, a division by an enclosure
+    reaching 0, a negative value) is ``UNBOUNDED`` (lo = -1), and so is every
+    result it enters.
     """
 
-    __slots__ = ("lm", "le", "hm", "he")
+    __slots__ = ("lo", "hi", "e")
     prec = _PREC
     digits = _PREC * 3 // 10    # decimal digits of the endpoints
 
-    def __init__(self, lm: int, le: int, hm: int, he: int):
-        self.lm, self.le, self.hm, self.he = lm, le, hm, he
+    def __init__(self, lo: int, hi: int, e: int):
+        self.lo, self.hi, self.e = lo, hi, e
 
     @classmethod
-    def rounded(cls, lm: int, le: int, hm: int, he: int) -> "_Interval":
-        """[lm 2^le, hm 2^he] with lm rounded down and hm rounded up to
-        cls.prec bits (toward 0 for a positive lm or a negative hm)."""
-        shift = lm.bit_length() - cls.prec
+    def rounded(cls, lo: int, hi: int, e: int) -> "_Interval":
+        """[lo 2^e, hi 2^e], 0 <= lo <= hi, with lo rounded down and hi
+        rounded up by the shift that leaves hi with cls.prec bits."""
+        shift = hi.bit_length() - cls.prec
         if shift > 0:
-            lm, le = lm >> shift, le + shift
-        shift = hm.bit_length() - cls.prec
-        if shift > 0:
-            hm, he = -(-hm >> shift), he + shift
-        return cls(lm, le, hm, he)
+            return cls(lo >> shift, -(-hi >> shift), e + shift)
+        return cls(lo, hi, e)
 
     @classmethod
     def of(cls, x: ExactScalar) -> "_Interval":
@@ -285,10 +284,10 @@ class _Interval:
                 up = root + (rem != 0 or root * root != y)
                 lo, hi = (lo + root, hi + up) if m > 0 else (lo - up, hi - root)
             if lo > 0 and lo.bit_length() > cls.prec + 8:
-                return cls(lo, -k, hi, -k)
+                return cls(lo, hi, -k)
             sign = 1 if lo > 0 else x.sign()
             if sign <= 0:
-                return cls(0, 0, 0, 0) if sign == 0 else _Interval.UNBOUNDED
+                return cls(0, 0, 0) if sign == 0 else _Interval.UNBOUNDED
             k += cls.prec + 10 - lo.bit_length() if lo > 0 else k + cls.prec
 
     @staticmethod
@@ -301,66 +300,64 @@ class _Interval:
         return _exact(man >> t, 0, 1 << (-exp - t), None)
 
     def __rsub__(self, other: int) -> "_Interval":
-        # [other - hm 2^he, other - lm 2^le], exact at exponent min(e, 0)
-        if self.lm < 0:
+        # [other - hi 2^e, other - lo 2^e], exact at exponent min(e, 0)
+        if self.lo < 0:
             return self
-        lo = (other << -self.he) - self.hm if self.he < 0 else other - (self.hm << self.he)
-        hi = (other << -self.le) - self.lm if self.le < 0 else other - (self.lm << self.le)
+        e = min(self.e, 0)
+        one, s = other << -e, self.e - e
+        lo, hi = one - (self.hi << s), one - (self.lo << s)
         if lo < 0:
             return _Interval.UNBOUNDED
-        return self.rounded(lo, min(self.he, 0), hi, min(self.le, 0))
+        return self.rounded(lo, hi, e)
 
     def __mul__(self, other: "_Interval") -> "_Interval":
-        if self.lm < 0 or other.lm < 0:
+        if self.lo < 0 or other.lo < 0:
             return _Interval.UNBOUNDED
-        return self.rounded(self.lm * other.lm, self.le + other.le,
-                            self.hm * other.hm, self.he + other.he)
+        return self.rounded(self.lo * other.lo, self.hi * other.hi, self.e + other.e)
 
     def __truediv__(self, other: "_Interval") -> "_Interval":
-        if self.lm < 0 or other.lm <= 0:
+        if self.lo < 0 or other.lo <= 0:
             return _Interval.UNBOUNDED
-        # shift the dividends so that each quotient keeps >= prec bits; a
-        # dividend already that much longer than its divisor needs no shift
-        k = max(self.prec + 1 + other.hm.bit_length() - self.lm.bit_length(), 0)
-        lo = (self.lm << k) // other.hm
-        j = max(self.prec + 1 + other.lm.bit_length() - self.hm.bit_length(), 0)
-        hi = -(-(self.hm << j) // other.lm)
-        return self.rounded(lo, self.le - other.he - k, hi, self.he - other.le - j)
+        # shift the dividends so that the upper quotient keeps >= prec bits;
+        # a dividend already that much longer than its divisor needs no shift
+        k = max(self.prec + 1 + other.lo.bit_length() - self.hi.bit_length(), 0)
+        return self.rounded((self.lo << k) // other.hi, -(-(self.hi << k) // other.lo),
+                            self.e - other.e - k)
 
     @staticmethod
     def dot(xs, ys) -> "_Interval":
         """Enclosure of the sum of x*y over the pairs: the exact sums of the
-        endpoint products, each at its smallest exponent, rounded once."""
-        lo, hi = [], []
+        endpoint products at their smallest exponent, rounded once."""
+        e = min(x.e + y.e for x, y in zip(xs, ys))
+        lo = hi = 0
         for x, y in zip(xs, ys):
-            if x.lm < 0 or y.lm < 0:
+            if x.lo < 0 or y.lo < 0:
                 return _Interval.UNBOUNDED
-            lo.append((x.lm * y.lm, x.le + y.le))
-            hi.append((x.hm * y.hm, x.he + y.he))
-        le, he = min(e for _, e in lo), min(e for _, e in hi)
-        return _Interval.rounded(sum(m << (e - le) for m, e in lo), le,
-                                 sum(m << (e - he) for m, e in hi), he)
+            s = x.e + y.e - e
+            lo += x.lo * y.lo << s
+            hi += x.hi * y.hi << s
+        return _Interval.rounded(lo, hi, e)
 
     def bound_minus(self, rho: "_Interval", v: "_Interval") -> ExactScalar | None:
         """The endpoint nearest 0 of the enclosure of self - rho v, formed
         exactly on the mantissas and rounded toward 0 to _PREC bits; None
         when that enclosure contains 0 or an operand is unbounded."""
-        if self.lm < 0 or rho.lm < 0 or v.lm < 0:
+        if self.lo < 0 or rho.lo < 0 or v.lo < 0:
             return None
-        ends = []
-        for um, ue, pm, pe in ((self.lm, self.le, rho.hm * v.hm, rho.he + v.he),
-                               (self.hm, self.he, rho.lm * v.lm, rho.le + v.le)):
-            e = min(ue, pe)
-            ends += [(um << (ue - e)) - (pm << (pe - e)), e]
-        d = _Interval.rounded(*ends)
-        if d.lm > 0:
-            return _Interval.exact(d.lm, d.le)
-        if d.hm < 0:
-            return _Interval.exact(d.hm, d.he)
-        return None
+        pe = rho.e + v.e
+        e = min(self.e, pe)
+        s, t = self.e - e, pe - e
+        lo = (self.lo << s) - (rho.hi * v.hi << t)
+        hi = (self.hi << s) - (rho.lo * v.lo << t)
+        if lo <= 0 <= hi:
+            return None
+        end = lo if lo > 0 else hi
+        shift = max(end.bit_length() - _PREC, 0)
+        man = end >> shift if end > 0 else -(-end >> shift)
+        return _Interval.exact(man, e + shift)
 
 
-_Interval.UNBOUNDED = _Interval(-1, 0, -1, 0)
+_Interval.UNBOUNDED = _Interval(-1, -1, 0)
 
 
 def _exact_bound(series, rho_lo, rho_hi, m: int):
@@ -405,7 +402,8 @@ def _exact_mode_bounds(heads, enclosures, build, rho):
     if head is None:
         return None
     lo, hi = _Interval.of(rho_lo), _Interval.of(rho_hi)
-    rho = _Interval(lo.lm, lo.le, hi.hm, hi.he)
+    e = min(lo.e, hi.e)
+    rho = _Interval(lo.lo << (lo.e - e), hi.hi << (hi.e - e), e)
     u = (enclosures[0] * enclosures[1]).coeffs
     v = (enclosures[2] * enclosures[3]).coeffs
     exact, bounds, fallbacks = None, [], 0
@@ -559,12 +557,12 @@ def _qpoch_inf_interval(a: _Interval, q: _Interval, gap: _Interval,
     [1 - a q^N / (1-q), 1] (Gasper & Rahman, ch. 1), N >= nterms the first
     count whose tail deficit is below 2^-_PREC."""
     # 2^stop <= (1-q) 2^-_PREC, so a q^N below 2^stop bounds the deficit
-    stop = gap.lm.bit_length() - 1 + gap.le - _PREC
-    prod, t, n = _GuardedInterval(1, 0, 1, 0), a, 0
-    while n < nterms or t.hm.bit_length() + t.he > stop:
+    stop = gap.lo.bit_length() - 1 + gap.e - _PREC
+    prod, t, n = _GuardedInterval(1, 1, 0), a, 0
+    while n < nterms or t.hi.bit_length() + t.e > stop:
         prod, t, n = prod * (1 - t), t * q, n + 1
     tail = 1 - t / gap
-    return prod * _GuardedInterval(tail.lm, tail.le, 1, 0)
+    return prod * _GuardedInterval(tail.lo, 1 << -tail.e, tail.e)
 
 
 def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
@@ -601,7 +599,7 @@ def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
                                           1 - qq, nterms)
                       for s in (0, alpha + beta, alpha, beta))
     rho = n1 * n2 / (d1 * d2)
-    return _Interval.exact(rho.lm, rho.le), _Interval.exact(rho.hm, rho.he)
+    return _Interval.exact(rho.lo, rho.e), _Interval.exact(rho.hi, rho.e)
 
 
 def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:

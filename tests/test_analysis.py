@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import mpmath
 import pytest
@@ -145,6 +146,16 @@ class TestLaplaceRepresentation:
         assert tau_density(md, fl(3, DIGITS)).val == 1
         res = laplace_representation_check(md, [F(1, 2), F(2)], digits=DIGITS)
         assert res.max_rel.val < mpmath.mpf("1e-40")
+
+    def test_density_of_order_3_against_the_direct_sum(self):
+        # 1 + 2x + 3x^2 + 5x^3 has density 2 + 3t + 5t^2/2!, 33/8 at t = 1/2
+        coeffs = (1, 2, 3, 5)
+        md = measure_from_series(TruncatedSeries(tuple(map(ExactScalar, coeffs)), 3))
+        t = F(1, 2)
+        direct = sum(F(c) * t ** (m - 1) / factorial(m - 1)
+                     for m, c in enumerate(coeffs[1:], start=1))
+        assert direct == F(33, 8)
+        assert tau_density(md, ExactScalar(t)).to_fraction() == direct
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.fractions(min_value=-10 ** 6, max_value=10 ** 6,

@@ -742,3 +742,33 @@ def test_an_empty_q_sequence_is_an_error(tmp_path, capsys):
                 "--x", "1/4", "--q-sequence", ",", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --q-sequence names no q\n"
     assert not out.exists()
+
+
+def test_a_q_sequence_of_one_q_is_an_error(tmp_path, capsys):
+    # one q gives no pair of deviations, so "decreasing" would hold vacuously
+    out = tmp_path / "q.json"
+    assert run(["verify", "--identity", "q-to-1", "--mu", "1", "--alpha", "1", "--beta", "1",
+                "--x", "1/2", "--q-sequence", "0.9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --q-sequence names one q (0.9); a q->1 study compares the deviations "
+        "of at least two\n")
+    assert not out.exists()
+
+
+def test_report_leaves_the_point_of_a_residual_row_empty(tmp_path):
+    out, flat = tmp_path / "v.json", tmp_path / "v.csv"
+    assert run(["verify", "--identity", "linearization", "--mu", "1", "--alpha", "1",
+                "--beta", "1", "--q", "1/2", "--order", "5", "--out", str(out)]) == 0
+    assert run(["report", "--input", str(out), "--csv", str(flat)]) == 0
+    rows = list(csv.reader(flat.read_text(encoding="utf-8").splitlines()))
+    assert rows == [["kind", "name", "mu", "alpha", "beta", "q", "value", "ok"],
+                    ["residual", "linearization(mu=1,alpha=1,beta=1)", "", "", "", "", "0",
+                     "True"]]
+
+
+def test_python_m_qturan_help_exits_0():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "qturan", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ")

@@ -236,8 +236,8 @@ def contains(enclosure, exact):
     """Every coefficient of exact, truncated to the enclosure's order, lies
     in its bounded enclosure."""
     for iv, c in zip(enclosure.coeffs, exact.coeffs[:enclosure.order + 1], strict=True):
-        assert iv.lm >= 0
-        assert _Interval.exact(iv.lm, iv.le) <= c <= _Interval.exact(iv.hm, iv.he)
+        assert iv.lo >= 0
+        assert _Interval.exact(iv.lo, iv.e) <= c <= _Interval.exact(iv.hi, iv.e)
 
 
 @pytest.mark.parametrize("qv", [F(1, 4), F(1, 2), F(3, 4)])
@@ -385,7 +385,7 @@ def quadratic_scalars(draw):
 @given(quadratic_scalars())
 def test_enclosure_of_an_exact_scalar_matches_the_view_based_reference(x):
     iv = _Interval.of(x)
-    assert (iv.lm, iv.le, iv.hm, iv.he) == view_enclosure(x)
+    assert (iv.lo, iv.e, iv.hi, iv.e) == view_enclosure(x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -393,3 +393,40 @@ def test_enclosure_of_an_exact_scalar_matches_the_view_based_reference(x):
 def test_exact_dyadic_is_man_times_two_to_the_exp(man, exp):
     x, want = _Interval.exact(man, exp), F(man) * F(2) ** exp
     assert (x.n, x.m, x.d, x.rad) == (want.numerator, 0, want.denominator, None)
+
+
+def endpoints(iv):
+    return F(iv.lo) * F(2) ** iv.e, F(iv.hi) * F(2) ** iv.e
+
+
+@st.composite
+def intervals(draw):
+    """A rounded nonnegative enclosure, narrow or wide, below or above 1."""
+    lo = draw(st.integers(0, 2 ** 140))
+    hi = lo + draw(st.one_of(st.integers(0, 4), st.integers(0, 2 ** 140)))
+    return _Interval.rounded(lo, hi, draw(st.integers(-400, 40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(intervals(), intervals(), intervals())
+def test_interval_arithmetic_encloses_the_exact_results(x, y, z):
+    (xl, xh), (yl, yh), (zl, zh) = map(endpoints, (x, y, z))
+    cases = [(x * y, xl * yl, xh * yh), (1 - x, 1 - xh, 1 - xl),
+             (_Interval.dot([x, y], [y, z]), xl * yl + yl * zl, xh * yh + yh * zh)]
+    if yl > 0:
+        cases.append((x / y, xl / yh, xh / yl))
+    for iv, lo, hi in cases:
+        if lo < 0:
+            assert iv is _Interval.UNBOUNDED
+            continue
+        assert iv.hi <= 1 << _PREC        # rounding up may carry to 2^_PREC
+        got_lo, got_hi = endpoints(iv)
+        assert got_lo <= lo and hi <= got_hi
+    # u - rho v: the bound has the sign of the whole enclosure and lies inside it
+    bound = x.bound_minus(y, z)
+    lo, hi = xl - yh * zh, xh - yl * zl
+    if bound is None:
+        assert lo <= 0 <= hi
+    else:
+        b = bound.to_fraction()
+        assert (0 < b <= lo) if lo > 0 else (hi <= b < 0)
