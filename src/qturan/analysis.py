@@ -26,7 +26,6 @@ from .identities import Residual, _compare
 from .scalar import (
     DimensionError,
     DomainError,
-    ExactScalar,
     FloatScalar,
     Scalar,
 )
@@ -65,8 +64,11 @@ def multiplicative_convexity_check(evaluator, pairs):
     """phi(sqrt(x1 x2)) <= sqrt(phi(x1) phi(x2)) on each positive pair.
 
     Valid for series with nonnegative coefficients; returns (ok, margins)
-    with margin = sqrt(phi(x1) phi(x2)) - phi(sqrt(x1 x2)).
+    with margin = sqrt(phi(x1) phi(x2)) - phi(sqrt(x1 x2)).  At least one
+    pair is needed.
     """
+    if not pairs:
+        raise DimensionError("multiplicative convexity needs at least one pair of points")
     margins = []
     for x1, x2 in pairs:
         if not (x1.sign() > 0 and x2.sign() > 0):
@@ -116,8 +118,7 @@ def _density_mpf(md: MeasureDensity, digits: int):
     with mpmath.workdps(digits):
         coeffs = []
         for m, c in enumerate(md.density_coeffs, start=1):
-            v = c.to_mpf(digits) if isinstance(c, ExactScalar) else c.val
-            coeffs.append(v / mpmath.mpf(factorial(m - 1)))
+            coeffs.append(c.to_mpf(digits) / mpmath.mpf(factorial(m - 1)))
     ctx = mpmath.mp
     raw = [v._mpf_ for v in reversed(coeffs)]
 
@@ -158,24 +159,19 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
     compared to c_0 + sum_m c_m x^m; T defaults to the first window where
     the integrand envelope falls below the tolerance.  Both sides are
     compared at the working precision, digits + 15, so the residual shows
-    the quadrature error instead of being rounded to 0.
+    the quadrature error instead of being rounded to 0.  ``x_grid`` holds
+    at least one positive point, as a Fraction.
     """
+    if not x_grid:
+        raise DimensionError("the Laplace check needs at least one evaluation point")
     # 15 guard digits absorb quadrature round-off below the reported digits
     work = digits + 15
     rho, abs_coeffs = _density_mpf(md, work)
-    atom = (md.atom_at_zero.to_mpf(work)
-            if isinstance(md.atom_at_zero, ExactScalar) else md.atom_at_zero.val)
+    atom = md.atom_at_zero.to_mpf(work)
     with mpmath.workdps(work):
         if tol is None:
             tol = mpmath.mpf(10) ** (10 - digits)
-        xs = []
-        for x in x_grid:
-            if isinstance(x, (ExactScalar, FloatScalar)):
-                xs.append(x.to_mpf(work))
-            elif isinstance(x, Fraction):
-                xs.append(mpmath.mpf(x.numerator) / x.denominator)
-            else:
-                xs.append(mpmath.mpf(x))
+        xs = [mpmath.mpf(x.numerator) / x.denominator for x in x_grid]
         if any(x <= 0 for x in xs):
             raise DomainError("evaluation points must be positive")
         x_max = max(xs)
@@ -196,7 +192,6 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
             xp = mpmath.mpf(1)
             for m, c in enumerate(md.density_coeffs, start=1):
                 xp = xp * x
-                v = c.to_mpf(work) if isinstance(c, ExactScalar) else c.val
-                series_side += v * xp
+                series_side += c.to_mpf(work) * xp
             pairs.append((FloatScalar(integral, work), FloatScalar(series_side, work)))
     return _compare(pairs, "float", md.order, "laplace-representation")

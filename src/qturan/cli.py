@@ -123,7 +123,7 @@ def report_verdict(rep: turanian.SignReport, point: dict) -> dict:
     rec.update({
         "kind": "sign-certificate",
         "verdict": rep.verdict.value,
-        "expected": rep.expected.value if rep.expected else None,
+        "expected": rep.expected.value,
         "matches_expected": rep.matches_expected,
         "first_violation": rep.first_violation,
         "min_margin": scalar_text(rep.min_margin) if rep.min_margin is not None else None,
@@ -362,10 +362,9 @@ def cmd_turanian(args) -> _Found:
                    for m, c in enumerate(turanian.turanian_series(spec).coeffs)]
     cfg = {"family": args.family, "mu": args.mu, "alpha": args.alpha, "beta": args.beta,
            "a": args.a, "b": args.b}
-    message = f"{args.family}: {rep.verdict.value}" + (
-        f" (expected {rep.expected.value})" if rep.expected else "")
+    message = f"{args.family}: {rep.verdict.value} (expected {rep.expected.value})"
     return _Found(cfg, [report_verdict(rep, point)], [], margins, message,
-                  rep.matches_expected is not False,
+                  rep.matches_expected,
                   ("family", "mu", "alpha", "beta", "q", "m", "coefficient"),
                   [{**point, **margin} for margin in margins])
 
@@ -429,7 +428,7 @@ def cmd_scan(args) -> _Found:
         rep = turanian.sign_certificate(_turanian_spec(args, q, mu, al, be))
         verdicts.append(report_verdict(rep, {"family": args.family, "mu": str(mu),
                                              "alpha": str(al), "beta": str(be), "q": q_text}))
-    n_ok = sum(1 for v in verdicts if v["matches_expected"] is not False)
+    n_ok = sum(1 for v in verdicts if v["matches_expected"])
     cfg = {"family": args.family, "mu_grid": args.mu_grid, "alpha_grid": args.alpha_grid,
            "beta_grid": args.beta_grid, "a": args.a, "b": args.b}
     return _Found(cfg, verdicts, [], [],

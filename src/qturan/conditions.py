@@ -54,8 +54,12 @@ class RtsDirection(Enum):
 
 
 def derive_cd(a: Sequence, b: Sequence, q: QBase):
-    """c_k = q^(-a_k) - 1 and d_k = q^(-b_k) - 1, exact on the half grid."""
+    """c_k = q^(-a_k) - 1 and d_k = q^(-b_k) - 1, exact on the half grid.
+
+    a and b must be nonempty and nonnegative."""
     def one_vec(vec):
+        if not vec:
+            raise DimensionError("parameter vectors a and b must not be empty")
         out = []
         for entry in vec:
             e = as_fraction(entry)
@@ -144,13 +148,12 @@ def rts_value(c: Sequence[Scalar], d: Sequence[Scalar], y: Scalar) -> Scalar:
 
 
 def rts_monotonicity_probe(c: Sequence[Scalar], d: Sequence[Scalar],
-                           grid: Sequence[Scalar], *,
-                           rel_tol=None) -> RtsDirection:
+                           grid: Sequence[Scalar]) -> RtsDirection:
     """Classify R(y) = prod(c_k+y)/prod(d_k+y) on an increasing positive grid.
 
-    Non-monotone needs a strict local reversal beyond the float tolerance
-    (exact values compare directly).  When the matching chain condition
-    holds, the direction it predicts is asserted.
+    Non-monotone needs a strict local reversal beyond the relative float
+    tolerance 10^(6 - digits) (exact values compare directly).  When the
+    matching chain condition holds, the direction it predicts is asserted.
     """
     if len(grid) < 2:
         raise DimensionError("grid needs at least two points")
@@ -159,9 +162,8 @@ def rts_monotonicity_probe(c: Sequence[Scalar], d: Sequence[Scalar],
     for prev, cur in zip(values, values[1:]):
         diff = cur - prev
         if isinstance(diff, FloatScalar):
-            tol = rel_tol if rel_tol is not None else 10 ** (6 - diff.digits)
             scale = max(abs(prev).val, abs(cur).val, 1)
-            if abs(diff.val) <= tol * scale:
+            if abs(diff.val) <= 10 ** (6 - diff.digits) * scale:
                 continue
         s = diff.sign()
         if s > 0:

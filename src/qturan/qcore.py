@@ -278,10 +278,12 @@ def elementary_symmetric(values: Sequence[Scalar]) -> list[Scalar]:
 def weak_supermajorizes(d: Sequence[Scalar], c: Sequence[Scalar]) -> bool:
     """True iff ascending partial sums of c are bounded by those of d.
 
-    Entries must be positive and the vectors equally sized.
+    Entries must be positive and the vectors equally sized and nonempty.
     """
     if len(d) != len(c):
         raise DimensionError(f"sizes differ: |d|={len(d)}, |c|={len(c)}")
+    if not c:
+        raise DimensionError("weak supermajorization needs nonempty vectors")
     for v in list(d) + list(c):
         if not v.sign() > 0:
             raise HypothesisError("weak supermajorization needs positive entries")

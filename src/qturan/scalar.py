@@ -471,10 +471,6 @@ class ExactScalar:
     def __repr__(self):
         return f"ExactScalar({self.canonical()})"
 
-    @property
-    def mode(self) -> str:
-        return "exact"
-
 
 class FloatScalar:
     """Arbitrary-precision float tagged with its precision in decimal digits.
@@ -603,10 +599,6 @@ class FloatScalar:
         with mpmath.workdps(self.digits):
             return FloatScalar(mpmath.exp(self.val), self.digits)
 
-    def log(self) -> "FloatScalar":
-        with mpmath.workdps(self.digits):
-            return FloatScalar(mpmath.log(self.val), self.digits)
-
     def sign(self) -> int:
         if self.val == 0:
             return 0
@@ -644,15 +636,8 @@ class FloatScalar:
     def to_mpf(self, digits: int | None = None):
         return self.val
 
-    def canonical(self) -> str:
-        return mpmath.nstr(self.val, self.digits, strip_zeros=False)
-
     def __repr__(self):
         return f"FloatScalar({mpmath.nstr(self.val, min(self.digits, 20))}, digits={self.digits})"
-
-    @property
-    def mode(self) -> str:
-        return "float"
 
 
 _prec = functools.cache(dps_to_prec)   # binary precision of a digits count

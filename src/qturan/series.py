@@ -100,10 +100,6 @@ class TruncatedSeries:
         coeffs = tuple(self.coeffs[i] - other.coeffs[i] for i in range(m + 1))
         return TruncatedSeries(coeffs, m, self.tail_note)
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs), self.order,
-                               self.tail_note)
-
     def product_coefficient(self, other: "TruncatedSeries", n: int) -> Scalar:
         """Coefficient n of the Cauchy product self * other, in O(n): the
         coefficient type's ``dot`` of c_0..c_n with other's c_n..c_0."""
@@ -438,24 +434,29 @@ def modified_qbessel_i1(nu, y, q: QBase, order: int) -> Scalar:
     return scale * terms.eval((y / 2) ** 2)
 
 
-def kummer_1f1_unit_top(b, order: int) -> TruncatedSeries:
-    """1F1(1; b; x) as a truncated series: coefficient n = 1/(b)_n (exact)."""
+def _kummer_bottom(b) -> Fraction:
+    """b as a Fraction; PoleError when it is an integer <= 0, where (b)_n
+    vanishes for some n."""
     bf = as_fraction(b)
     if bf.denominator == 1 and bf <= 0:
         raise PoleError(f"1F1 bottom parameter pole at b={bf}")
+    return bf
+
+
+def kummer_1f1_unit_top(b, order: int) -> TruncatedSeries:
+    """1F1(1; b; x) as a truncated series: coefficient n = 1/(b)_n (exact)."""
+    bf = _kummer_bottom(b)
     coeffs = [ex(1)]
     c = ex(1)
     for n in range(1, order + 1):
-        factor = bf + (n - 1)
-        if factor == 0:
-            raise PoleError(f"(b)_n vanishes at n={n} for b={bf}")
-        c = c / ex(factor)
+        c = c / ex(bf + (n - 1))
         coeffs.append(c)
     return TruncatedSeries(tuple(coeffs), order)
 
 
 def kummer_1f1_value(b: Fraction, x: FloatScalar, digits: int) -> FloatScalar:
     """Float evaluation of 1F1(1; b; x) by direct summation."""
+    _kummer_bottom(b)
     with mpmath.workdps(digits):
         bv = mpmath.mpf(b.numerator) / b.denominator
         total = mpmath.mpf(1)

@@ -67,6 +67,7 @@ from .series import (
     zero_series,
 )
 from .scalar import (
+    DimensionError,
     DomainError,
     ExactModeError,
     ExactScalar,
@@ -139,6 +140,12 @@ class SignReport:
     ``degenerate`` (a zero shift, so the series vanishes identically); it
     is None when the rho enclosure leaves a sign undecided (INCONCLUSIVE).  Both
     are deterministic, so exact reports stay byte-stable.
+
+    ``expected`` is the paper's claim that the certificate checks, always
+    set: strictly negative (Heine), strictly positive (tilde), or the
+    direction of the chain case that holds (g, see ``chain_case``).
+    ``matches_expected`` says whether the verdict and Delta_0 fulfil it
+    (``_CLAIMS``); it is False for INCONCLUSIVE.
     """
 
     verdict: SignVerdict
@@ -149,29 +156,30 @@ class SignReport:
     family: str
     mode: str
     normalization: str
+    expected: SignVerdict
+    matches_expected: bool
     chain_case: str | None = None
-    expected: SignVerdict | None = None
-    matches_expected: bool | None = None
     decided_by: str | None = None
     exact_fallbacks: int = 0
 
 
-def verdict_satisfies(observed: SignVerdict, expected: SignVerdict | None) -> bool:
-    """Whether an observed verdict fulfills an expected sign direction.
+# What each claim allows: the verdicts that fulfil it, and the signs of
+# Delta_0 it admits (a strict claim says nothing about m = 0; a degenerate
+# all-zero series fulfils either non-strict direction).
+_CLAIMS = {
+    SignVerdict.ALL_STRICTLY_NEG: ((SignVerdict.ALL_STRICTLY_NEG,), (-1, 0, 1)),
+    SignVerdict.ALL_STRICTLY_POS: ((SignVerdict.ALL_STRICTLY_POS,), (-1, 0, 1)),
+    SignVerdict.ALL_NONPOS: ((SignVerdict.ZERO, SignVerdict.ALL_NONPOS,
+                              SignVerdict.ALL_STRICTLY_NEG), (-1, 0)),
+    SignVerdict.ALL_NONNEG: ((SignVerdict.ZERO, SignVerdict.ALL_NONNEG,
+                              SignVerdict.ALL_STRICTLY_POS), (0, 1)),
+    SignVerdict.ZERO: ((SignVerdict.ZERO,), (0,)),
+}
 
-    A degenerate all-zero series satisfies either non-strict direction.
-    """
-    if expected is None:
-        return True
-    if expected == SignVerdict.ALL_NONNEG:
-        return observed in (SignVerdict.ZERO, SignVerdict.ALL_NONNEG,
-                            SignVerdict.ALL_STRICTLY_POS)
-    if expected == SignVerdict.ALL_NONPOS:
-        return observed in (SignVerdict.ZERO, SignVerdict.ALL_NONPOS,
-                            SignVerdict.ALL_STRICTLY_NEG)
-    if expected == SignVerdict.ZERO:
-        return observed == SignVerdict.ZERO
-    return observed == expected
+
+def verdict_satisfies(observed: SignVerdict, expected: SignVerdict) -> bool:
+    """Whether an observed verdict fulfills the claimed sign direction."""
+    return observed in _CLAIMS[expected][0]
 
 
 def _shift_series(family: Family, mu, shift, q: QBase, order: int, a=(),
@@ -460,12 +468,6 @@ def _classify_float(tail, bounds):
     return _classify_exact(tail)
 
 
-# The signs of Delta_0 that a non-strict expectation allows; a strict one
-# says nothing about m = 0.
-_HEAD_SIGNS = {SignVerdict.ALL_NONNEG: (0, 1), SignVerdict.ALL_NONPOS: (-1, 0),
-               SignVerdict.ZERO: (0,)}
-
-
 def _certify(spec: TuranianSpec, expected, norm, rho=(ex(1), ex(1)),
              chain_case=None) -> SignReport:
     """The SignReport of the Turanian of spec, in every family and mode.
@@ -502,9 +504,9 @@ def _certify(spec: TuranianSpec, expected, norm, rho=(ex(1), ex(1)),
         bounds = _float_error_bounds((u + v).coeffs[1:], spec.q.digits)
         verdict, viol, margin = _classify_float(delta.coeffs[1:], bounds)
         coeff0, decided_by = delta.coeffs[0], "float"
+    verdicts, head_signs = _CLAIMS[expected]
     matches = decided_by == "degenerate" or (
-        decided_by is not None and verdict_satisfies(verdict, expected)
-        and coeff0.sign() in _HEAD_SIGNS.get(expected, (-1, 0, 1)))
+        decided_by is not None and verdict in verdicts and coeff0.sign() in head_signs)
     return SignReport(verdict, viol, margin, spec.order, coeff0, spec.family.value,
                       spec.q.mode, norm, chain_case=chain_case, expected=expected,
                       matches_expected=matches, decided_by=decided_by,
@@ -629,18 +631,16 @@ _CASE_EXPECTED = {"a+b": SignVerdict.ZERO, "a": SignVerdict.ALL_NONPOS,
                   "b": SignVerdict.ALL_NONNEG}
 
 
-def gamma_sign_certificate(spec: TuranianSpec, *,
-                           require_theorem: bool = True) -> SignReport:
+def gamma_sign_certificate(spec: TuranianSpec) -> SignReport:
     """Sign certificate for the normalized-g Turanian.
 
     The expected direction is decided by the chain conditions on the derived
     vectors: case (b) predicts non-negative coefficients, case (a)
     non-positive; both holding forces the zero series.  In both modes alpha
     and beta must be nonnegative integers (the g series carries its Gamma_q
-    prefactor relative to mu), else HypothesisError.  The coefficientwise
-    claim needs alpha <= beta + 1; with ``require_theorem`` a violated
-    hypothesis (or no applicable chain) raises instead of returning an
-    expectation-free report.
+    prefactor relative to mu), else HypothesisError.  A point outside the
+    theorem, where neither chain holds or alpha > beta + 1, has no sign
+    claim to check and raises HypothesisError too.
     """
     if spec.family != Family.G_NORMALIZED:
         raise ValueError("gamma_sign_certificate works on the g family")
@@ -655,28 +655,25 @@ def gamma_sign_certificate(spec: TuranianSpec, *,
         raise HypothesisError(f"mu must be nonnegative, got {mu}")
 
     chain_case = conditions.chain_case(*conditions.derive_cd(spec.a, spec.b, spec.q))
-    if chain_case is None and require_theorem:
+    if chain_case is None:
         raise HypothesisError("neither chain condition holds; no sign claim applies")
-    expected = _CASE_EXPECTED.get(chain_case)
-    if expected is not None and not alpha <= beta + 1:
-        if require_theorem:
-            raise HypothesisError(
-                f"coefficientwise claim needs alpha <= beta+1, got "
-                f"alpha={alpha}, beta={beta}"
-            )
-        expected = None
-    return _certify(spec, expected,
+    if not alpha <= beta + 1:
+        raise HypothesisError(
+            f"coefficientwise claim needs alpha <= beta+1, got "
+            f"alpha={alpha}, beta={beta}"
+        )
+    return _certify(spec, _CASE_EXPECTED[chain_case],
                     "relative to (Gamma_q(a+mu)/Gamma_q(b+mu))^2; x^m basis",
                     chain_case=chain_case)
 
 
-def sign_certificate(spec: TuranianSpec, **kwargs) -> SignReport:
+def sign_certificate(spec: TuranianSpec) -> SignReport:
     """Dispatch to the family's certificate."""
     if spec.family == Family.HEINE_F:
         return delta_sign_certificate(spec)
     if spec.family == Family.HEINE_F_TILDE:
         return delta_tilde_sign_certificate(spec)
-    return gamma_sign_certificate(spec, **kwargs)
+    return gamma_sign_certificate(spec)
 
 
 # -- pointwise inequality and grid checks ------------------------------------
@@ -721,10 +718,14 @@ def logconcavity_grid_check(family: Family, mu_grid, x, q: QBase, *,
 
     Heine-f is checked for log-convexity (f(mu_i) f(mu_{i+2}) >=
     f(mu_{i+1})^2), the tilde family for log-concavity (reverse direction,
-    with the true 1/Gamma_q scale applied).  Returns (ok, margins).
+    with the true 1/Gamma_q scale applied).  The grid needs at least three
+    points.  Returns (ok, margins).
     """
     if q.is_exact:
         raise ExactModeError("grid checks evaluate in float mode")
+    if len(mu_grid) < 3:
+        raise DimensionError(
+            f"a midpoint scan needs at least 3 grid points, got {len(mu_grid)}")
     if family not in (Family.HEINE_F, Family.HEINE_F_TILDE):
         raise ValueError("log-concavity scan supports the Heine families")
     x = q.scalar(x)
@@ -744,22 +745,18 @@ def logconcavity_grid_check(family: Family, mu_grid, x, q: QBase, *,
 def integer_shift_reduction_check(spec: TuranianSpec, alpha_max: int):
     """Confirm the alpha = 1 verdict propagates to integer alpha up to alpha_max.
 
-    For the g family the coefficientwise claim is only tested within
-    alpha <= beta + 1.  Returns (consistent, reports by alpha).
+    alpha_max must be at least 1.  For the g family the coefficientwise
+    claim is only tested within alpha <= beta + 1.  Returns (consistent,
+    reports by alpha).
     """
+    if alpha_max < 1:
+        raise DimensionError(f"the reduction starts at alpha = 1, got alpha_max = {alpha_max}")
     reports = {}
-    base = None
     for a_val in range(1, alpha_max + 1):
-        if spec.family == Family.G_NORMALIZED and not a_val <= spec.beta + 1:
+        # alpha = 1 always runs, so a spec outside the claim raises there
+        if reports and spec.family == Family.G_NORMALIZED and not a_val <= spec.beta + 1:
             break
-        cur = replace(spec, alpha=a_val)
-        rep = sign_certificate(cur)
-        reports[a_val] = rep
-        if base is None:
-            base = rep
-    consistent = all(
-        verdict_satisfies(r.verdict, base.expected) if base.expected
-        else r.verdict == base.verdict
-        for r in reports.values()
-    )
+        reports[a_val] = sign_certificate(replace(spec, alpha=a_val))
+    consistent = all(verdict_satisfies(r.verdict, reports[1].expected)
+                     for r in reports.values())
     return consistent, reports

@@ -123,12 +123,21 @@ class TestMultiplicativeConvexity:
             ok, _ = multiplicative_convexity_check(lambda x: ts.eval(x), pairs)
             assert ok
 
+    def test_no_pairs_is_refused(self):
+        with pytest.raises(DimensionError, match="at least one pair"):
+            multiplicative_convexity_check(lambda v: v.exp(), [])
+
 
 class TestLaplaceRepresentation:
     def test_zero_density(self):
         md = MeasureDensity(fl(0, DIGITS), (fl(0, DIGITS),) * 3, 3)
         res = laplace_representation_check(md, [F(1, 2)], digits=DIGITS)
         assert res.max_abs.val < mpmath.mpf("1e-45")
+
+    def test_no_evaluation_point_is_refused(self):
+        md = MeasureDensity(fl(0, DIGITS), (fl(1, DIGITS),), 1)
+        with pytest.raises(DimensionError, match="at least one evaluation point"):
+            laplace_representation_check(md, [], digits=DIGITS)
 
     def test_transform_weight_oracle(self):
         # integral_0^infty e^(-t/x) t^(m-1)/(m-1)! dt = x^m fixes the weight

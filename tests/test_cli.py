@@ -772,3 +772,20 @@ def test_python_m_qturan_help_exits_0():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["conditions", "--a", ",", "--b", "1", "--q", "1/2"],
+     "parameter vectors a and b must not be empty"),
+    (["conditions", "--a", "1", "--b", ",", "--q", "1/2"],
+     "parameter vectors a and b must not be empty"),
+    (["verify", "--identity", "q-to-1", "--mu", "0", "--alpha", "1", "--beta", "1",
+      "--x", "1/2"], "1F1 bottom parameter pole at b=0"),
+    (["verify", "--identity", "q-to-1", "--mu", "1/2", "--alpha", "1", "--beta=-3/2",
+      "--x", "1/2"], "1F1 bottom parameter pole at b=-1"),
+], ids=["empty-a", "empty-b", "q-to-1-mu-0", "q-to-1-beta--3/2"])
+def test_empty_vectors_and_1f1_poles_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

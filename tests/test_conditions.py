@@ -26,6 +26,11 @@ def exv(*vals):
 
 
 class TestDeriveCD:
+    @pytest.mark.parametrize("a, b", [((), (F(1),)), ((F(1),), ())], ids=["a", "b"])
+    def test_empty_vector_is_refused(self, a, b):
+        with pytest.raises(DimensionError, match="must not be empty"):
+            derive_cd(a, b, Q12)
+
     def test_zero_parameter(self):
         c, _ = derive_cd((F(0),), (F(1),), Q12)
         assert c[0].to_fraction() == 0

@@ -20,6 +20,7 @@ from qturan.qcore import (
     weak_supermajorizes,
 )
 from qturan.scalar import (
+    DimensionError,
     DomainError,
     ExactModeError,
     OffGridError,
@@ -203,6 +204,10 @@ class TestWeakSupermajorization:
     def test_reflexive(self):
         v = [ex(F(1, 2)), ex(3)]
         assert weak_supermajorizes(v, v)
+
+    def test_empty_vectors_are_refused(self):
+        with pytest.raises(DimensionError, match="nonempty"):
+            weak_supermajorizes([], [])
 
     def test_reference_examples(self):
         d = [ex(1), ex(2)]

@@ -15,6 +15,7 @@ from qturan.series import (
     heine_f_series,
     heine_f_tilde_series,
     kummer_1f1_unit_top,
+    kummer_1f1_value,
     modified_qbessel_i1,
     qbessel_j1,
     qbessel_j2,
@@ -311,3 +312,9 @@ class TestKummer:
             kummer_1f1_unit_top(F(0), 3)
         with pytest.raises(PoleError):
             kummer_1f1_unit_top(F(-2), 3)
+
+    @pytest.mark.parametrize("b", [F(0), F(-1)])
+    def test_float_value_at_a_pole_is_refused(self, b):
+        # the same check as the exact series: (b)_n vanishes, so no term divides by 0
+        with pytest.raises(PoleError, match=f"1F1 bottom parameter pole at b={b}"):
+            kummer_1f1_value(b, fl(F(1, 2), 50), 50)

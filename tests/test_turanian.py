@@ -26,7 +26,7 @@ from qturan.turanian import (
     turanian_series,
     verdict_satisfies,
 )
-from qturan.scalar import ExactModeError, HypothesisError, ex, fl
+from qturan.scalar import DimensionError, ExactModeError, HypothesisError, ex, fl
 
 mpmath.mp.dps = 60
 
@@ -205,8 +205,6 @@ class TestGammaCertificate:
         spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(3), F(1), Q12, 10, **CASE_B)
         with pytest.raises(HypothesisError):
             gamma_sign_certificate(spec)
-        rep = gamma_sign_certificate(spec, require_theorem=False)
-        assert rep.expected is None
 
     def test_non_integer_alpha_rejected(self):
         spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(1, 2), F(1), Q12, 10, **CASE_B)
@@ -229,8 +227,6 @@ class TestGammaCertificate:
                             (F(1), F(4)), (F(3), F(3)))
         with pytest.raises(HypothesisError):
             gamma_sign_certificate(spec)
-        rep = gamma_sign_certificate(spec, require_theorem=False)
-        assert rep.expected is None and rep.chain_case is None
 
 
 class TestPointInequality:
@@ -262,6 +258,11 @@ class TestLogConcavityScan:
         ok, _ = logconcavity_grid_check(Family.HEINE_F_TILDE, self.GRID,
                                         F(1, 4), QF)
         assert ok
+
+    def test_grid_without_a_midpoint_is_refused(self):
+        # two points give no triple, so the scan would pass over nothing
+        with pytest.raises(DimensionError, match="at least 3 grid points, got 2"):
+            logconcavity_grid_check(Family.HEINE_F, self.GRID[:2], F(1, 4), QF)
 
 
 @pytest.mark.parametrize("x", [F(1, 10), F(1, 2), F(9, 10)])
@@ -313,6 +314,15 @@ class TestIntegerShiftReduction:
         assert ok
         direct = delta_sign_certificate(spec)
         assert reports[1].verdict == direct.verdict
+
+    def test_no_alpha_to_check_is_refused(self):
+        spec = TuranianSpec(Family.HEINE_F, F(1), F(1), F(2), Q12, 16)
+        with pytest.raises(DimensionError, match="alpha_max = 0"):
+            integer_shift_reduction_check(spec, 0)
+        # alpha = 1 is certified even where alpha <= beta + 1 already fails
+        g_spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(1), F(-1), Q12, 16, **CASE_B)
+        with pytest.raises(HypothesisError, match="integer beta >= 0"):
+            integer_shift_reduction_check(g_spec, 3)
 
 
 def test_proof_inequality_q_powers():
