@@ -20,7 +20,17 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
-from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import (
+    from_man_exp,
+    mpf_div,
+    mpf_e,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow,
+    round_nearest,
+)
 
 from .identities import Residual, _compare
 from .scalar import (
@@ -120,20 +130,74 @@ def _density_mpf(md: MeasureDensity, digits: int):
         for m, c in enumerate(md.density_coeffs, start=1):
             coeffs.append(c.to_mpf(digits) / mpmath.mpf(factorial(m - 1)))
     ctx = mpmath.mp
-    raw = [v._mpf_ for v in reversed(coeffs)]
+    # signed mantissa, exponent and top bit position of each v, highest degree first
+    raw = [(-man if sign else man, exp, exp + bc)
+           for sign, man, exp, bc in (v._mpf_ for v in reversed(coeffs))]
+
+    def rounded(man, exp, prec):
+        # man * 2^exp to prec bits, to nearest with ties to even; the floor
+        # shift makes this hold for a negative man too
+        n = man.bit_length() - prec
+        if n <= 0:
+            return man, exp
+        q = man >> (n - 1)
+        if q & 1 and (q & 2 or man & ((1 << (n - 1)) - 1)):
+            return (q >> 1) + 1, exp + n
+        return q >> 1, exp + n
 
     def rho(t):
-        """Horner's rule acc * t + v on raw mpf tuples, each step rounded to
-        nearest at the working precision in effect, as mpf arithmetic does;
+        """Horner's rule acc * t + v on integer mantissas, each step rounded
+        to nearest at the working precision in effect, as ``mpf_mul`` and
+        ``mpf_add`` round it, so the bits are those of mpf arithmetic;
         ``mpmath.quad`` raises that precision around its integrand."""
         prec = ctx._prec_rounding[0]
-        t = t._mpf_
-        acc = fzero
-        for v in raw:
-            acc = mpf_add(mpf_mul(acc, t, prec, round_nearest), v, prec, round_nearest)
-        return ctx.make_mpf(acc)
+        sign, tm, te, _ = t._mpf_
+        if sign:
+            tm = -tm
+        am = ae = 0
+        for vm, ve, vtop in raw:
+            am, ae = rounded(am * tm, ae + te, prec)
+            if not am:
+                am, ae = rounded(vm, ve, prec)
+                continue
+            delta = am.bit_length() + ae - vtop
+            if not vm or delta > prec + 4:
+                continue  # v is 0 or lies below the product's last place
+            if -delta > prec + 4 and ae + (am & -am).bit_length() - 1 < ve - 100:
+                # mpf_add stands in a sticky bit for a far smaller operand
+                am, ae = (vm << prec + 4) + (1 if am > 0 else -1), ve - prec - 4
+            elif ae > ve:
+                am, ae = (am << ae - ve) + vm, ve
+            else:
+                am += vm << ve - ae
+            am, ae = rounded(am, ae, prec)
+        return ctx.make_mpf(from_man_exp(am, ae))
 
     return rho, [abs(v) for v in coeffs]
+
+
+def _laplace_integrand(rho):
+    """(t, x) -> e^(-t/x) rho(t) with the bits of ``mpmath.e ** (-t / x) * rho(t)``.
+
+    For y = -t/x neither an integer nor a half-integer, ``mpf_pow`` takes
+    e^y as exp(y log e) with log e at 10 guard bits; that logarithm is
+    computed once per working precision instead of once per call.
+    """
+    ctx = mpmath.mp
+    log_e = {}
+
+    def integrand(t, x):
+        prec = ctx._prec_rounding[0]
+        y = mpf_div(mpf_neg(t._mpf_, prec, round_nearest), x._mpf_, prec, round_nearest)
+        if y[2] >= -1:
+            power = mpf_pow(mpf_e(prec, round_nearest), y, prec, round_nearest)
+        else:
+            if prec not in log_e:
+                log_e[prec] = mpf_log(mpf_e(prec, round_nearest), prec + 10, round_nearest)
+            power = mpf_exp(mpf_mul(y, log_e[prec]), prec, round_nearest)
+        return ctx.make_mpf(mpf_mul(power, rho(t)._mpf_, prec, round_nearest))
+
+    return integrand
 
 
 def _default_upper_limit(abs_coeffs, x_max, tol, digits):
@@ -167,6 +231,7 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
     # 15 guard digits absorb quadrature round-off below the reported digits
     work = digits + 15
     rho, abs_coeffs = _density_mpf(md, work)
+    integrand = _laplace_integrand(rho)
     atom = md.atom_at_zero.to_mpf(work)
     with mpmath.workdps(work):
         if tol is None:
@@ -186,8 +251,7 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
             while points[-1] < T:
                 points.append(min(points[-1] + seg, T))
                 seg = seg * 2
-            integral = atom + mpmath.quad(
-                lambda t: mpmath.e ** (-t / x) * rho(t), points)
+            integral = atom + mpmath.quad(lambda t: integrand(t, x), points)
             series_side = atom
             xp = mpmath.mpf(1)
             for m, c in enumerate(md.density_coeffs, start=1):

@@ -455,17 +455,22 @@ def kummer_1f1_unit_top(b, order: int) -> TruncatedSeries:
 
 
 def kummer_1f1_value(b: Fraction, x: FloatScalar, digits: int) -> FloatScalar:
-    """Float evaluation of 1F1(1; b; x) by direct summation."""
+    """Float evaluation of 1F1(1; b; x) by direct summation; DomainError
+    when the sum has not converged after 10 * digits + 200 terms."""
     _kummer_bottom(b)
+    limit = 10 * digits + 200
     with mpmath.workdps(digits):
         bv = mpmath.mpf(b.numerator) / b.denominator
         total = mpmath.mpf(1)
         term = mpmath.mpf(1)
         n = 0
-        while n < 10 * digits + 200:
+        while n < limit:
             term = term * x.val / (bv + n)
             total += term
             n += 1
             if abs(term) < mpmath.mpf(10) ** (-digits - 8) * max(abs(total), 1):
                 break
+        else:
+            raise DomainError(f"1F1(1; b; x) at b={b}, x={mpmath.nstr(x.val, 15)} "
+                              f"has not converged after {limit} terms")
     return FloatScalar(total, digits)

@@ -6,12 +6,13 @@ from math import factorial
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qturan.analysis import (
     MeasureDensity,
     _density_mpf,
+    _laplace_integrand,
     complete_monotonicity_check,
     laplace_representation_check,
     measure_from_series,
@@ -42,6 +43,11 @@ def nonneg_family_turanian(order=40):
     spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(1), F(2), Q12, order,
                         (F(2), F(3)), (F(1), F(2)))
     return turanian_series(spec).to_float(DIGITS)
+
+
+NONNEG_DENSITY = measure_from_series(nonneg_family_turanian())
+# 219 bits: a 169-bit head, then 0 followed by 49 ones
+V_JUST_UNDER_HALF = (((1 << 168) + 12345) << 50) + (1 << 49) - 1
 
 
 class TestCompleteMonotonicity:
@@ -174,6 +180,35 @@ class TestLaplaceRepresentation:
            st.sampled_from([15, 30, 50, 65]), st.sampled_from([10, 15, 30, 50, 71, 120]),
            st.fractions(min_value=-80, max_value=80, max_denominator=10 ** 9),
            st.sampled_from([0, 0, -30, -700, 3]))
+    # the accumulator cancels to exactly 0 partway through (scaled coefficients 7, 1, -1)
+    @example(terms=[(F(7), 0), (F(1), 0), (F(-2), 0)], digits=50, dps=50, t_frac=F(1), t_shift=0)
+    # rounding 2^100 - 1 to 53 bits carries into a new mantissa bit
+    @example(terms=[(F(2 ** 100 - 1), 0), (F(1), 0)], digits=50, dps=15, t_frac=F(1, 3),
+             t_shift=0)
+    # ties go to the even neighbour, for either sign: 2^53 + 1 to 2^53, and
+    # -(2^53 + 3) to -(2^53 + 4), then -(2^53 + 3) again to -(2^53 + 4)
+    @example(terms=[(F(2 ** 53 + 1), 0)], digits=30, dps=15, t_frac=F(0), t_shift=0)
+    @example(terms=[(F(1), 0), (F(-(2 ** 53 + 3)), 0)], digits=30, dps=15, t_frac=F(1),
+             t_shift=0)
+    # zero top and middle coefficients, t = 0 and a negative t
+    @example(terms=[(F(3), 0), (F(0), 0), (F(5), 0), (F(0), 0)], digits=30, dps=30,
+             t_frac=F(7, 3), t_shift=0)
+    @example(terms=[(F(3), 0), (F(-5), 0)], digits=30, dps=15, t_frac=F(0), t_shift=0)
+    @example(terms=[(F(3), 0), (F(-5), 0), (F(1, 7), 0)], digits=65, dps=30, t_frac=F(-9, 4),
+             t_shift=0)
+    # mpf_add replaces an operand that lies more than prec + 4 bits below the
+    # other, with an exponent more than 100 lower, by a sticky bit.  V has
+    # 219 bits whose low 50 sit just under half a unit of the 169-bit result,
+    # so a product t > 1 pushes the exact sum past the half and the sticky
+    # bit does not: exponent -120 takes the sticky bit, -90 the exact sum,
+    # and 3t rounds to 2^10 + 2^-100, whose exponent -100 shows only once
+    # the trailing zeros of the rounded product are dropped
+    @example(terms=[(F(V_JUST_UNDER_HALF), 0), (F(1), 0)], digits=65, dps=50,
+             t_frac=F(2 ** 130 + 1), t_shift=-120)
+    @example(terms=[(F(V_JUST_UNDER_HALF), 0), (F(1), 0)], digits=65, dps=50,
+             t_frac=F(2 ** 100 + 1), t_shift=-90)
+    @example(terms=[(F(V_JUST_UNDER_HALF), 0), (F(3), 0)], digits=65, dps=50,
+             t_frac=F(round(F((2 ** 110 + 1) << 60, 3))), t_shift=-160)
     def test_density_rounds_as_mpmath_horner_at_the_precision_of_each_call(
             self, terms, digits, dps, t_frac, t_shift):
         # mpmath.quad raises the working precision around its integrand, and
@@ -188,6 +223,26 @@ class TestLaplaceRepresentation:
             for v in reversed(scaled):
                 want = want * t + v
             assert rho(t)._mpf_ == want._mpf_
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=10 ** 6),
+           st.fractions(min_value=0, max_value=80, max_denominator=10 ** 9),
+           st.sampled_from([10, 15, 30, 65, 120]))
+    # -t/x = -24, -47/2 and 0: mpf_pow's integer and square-root branches,
+    # whose bits at 15 digits differ from exp(y log e) at these two y
+    @example(x_frac=F(1, 2), t_frac=F(12), dps=15)
+    @example(x_frac=F(2), t_frac=F(47), dps=15)
+    @example(x_frac=F(3, 10), t_frac=F(0), dps=65)
+    def test_laplace_integrand_has_the_bits_of_mpmath_e_power_times_rho(
+            self, x_frac, t_frac, dps):
+        rho, _ = _density_mpf(NONNEG_DENSITY, DIGITS + 15)
+        integrand = _laplace_integrand(rho)
+        # a second precision on the same integrand: log e is kept per precision
+        for work in (dps, 40):
+            with mpmath.workdps(work):
+                x = mpmath.mpf(x_frac.numerator) / x_frac.denominator
+                t = mpmath.mpf(t_frac.numerator) / t_frac.denominator
+                assert integrand(t, x)._mpf_ == (mpmath.e ** (-t / x) * rho(t))._mpf_
 
     def test_nonneg_family_agreement(self):
         md = measure_from_series(nonneg_family_turanian())

@@ -783,7 +783,10 @@ def test_python_m_qturan_help_exits_0():
       "--x", "1/2"], "1F1 bottom parameter pole at b=0"),
     (["verify", "--identity", "q-to-1", "--mu", "1/2", "--alpha", "1", "--beta=-3/2",
       "--x", "1/2"], "1F1 bottom parameter pole at b=-1"),
-], ids=["empty-a", "empty-b", "q-to-1-mu-0", "q-to-1-beta--3/2"])
+    (["verify", "--identity", "q-to-1", "--mu", "1", "--alpha", "1", "--beta", "1",
+      "--x", "1000", "--q-sequence", "0.9999,0.99999"],
+     "1F1(1; b; x) at b=2, x=1000.0 has not converged after 700 terms"),
+], ids=["empty-a", "empty-b", "q-to-1-mu-0", "q-to-1-beta--3/2", "q-to-1-unconverged-1f1"])
 def test_empty_vectors_and_1f1_poles_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "r.json"
     assert run(argv + ["--out", str(out)]) == 2

@@ -318,3 +318,10 @@ class TestKummer:
         # the same check as the exact series: (b)_n vanishes, so no term divides by 0
         with pytest.raises(PoleError, match=f"1F1 bottom parameter pole at b={b}"):
             kummer_1f1_value(b, fl(F(1, 2), 50), 50)
+
+    def test_float_value_that_has_not_converged_is_refused(self):
+        # 1F1(1; 1; 1000) = e^1000 = 1.97e434; 700 terms reach only about 1.4e411
+        with pytest.raises(DomainError, match="b=1, x=1000.0 has not converged after 700 terms"):
+            kummer_1f1_value(F(1), fl(1000, 50), 50)
+        # at x = 100 the terms fall below 10^-58 of the sum well within 700 terms
+        assert abs(kummer_1f1_value(F(1), fl(100, 50), 50).val / mpmath.e ** 100 - 1) < 1e-45
