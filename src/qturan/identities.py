@@ -9,12 +9,14 @@ the maximum absolute and relative deviation.
 The Rahman product formula and its finite-sum corollary share one
 computation: the finite-sum check at m is coefficient m of the two product
 sides, each formed in O(m) by ``TruncatedSeries.product_coefficient``.  The
-product of the four upper parameters of the 4phi3
-(+-q^((v+e-1)/2), +-q^((v+e)/2)) is evaluated through the pairing
-(a; q)_k (-a; q)_k = (a^2; q^2)_k, which keeps half-integer v, e inside the
-exact field.  When v+e = 1 the lower parameter q^(v+e-1) equals 1 and the
+4phi3 is a :class:`~qturan.series.TermRatio` series like every other: its
+four upper parameters +-q^((v+e-1)/2), +-q^((v+e)/2) pair by
+(a; q)_k (-a; q)_k = (a^2; q^2)_k into the base-q^2 parameters
+(``upper_sq``) A = q^(v+e-1) and q A, which keeps half-integer v, e inside
+the exact field.  When v+e = 1 the lower parameter A equals 1 and the
 coefficient is a removable 0/0 form whose limit replaces
-(1; q^2)_k / (1; q)_k by (q^2; q^2)_{k-1} / (q; q)_{k-1}.
+(1; q^2)_k / (1; q)_k by (-1; q)_k / 2: the upper parameter -1, with
+coefficients 1..M halved.
 
 The linearization identity of the paper and its q -> 1 (Kummer) case are
 written once, in :func:`_linearization`; the q-series, confluent series and
@@ -94,40 +96,18 @@ def _phi43_rahman_series(nu, eta, q: QBase, order: int) -> TruncatedSeries:
     """The 4phi3 factor of the Rahman product, from its term ratio.
 
     Coefficient k is (A; q^2)_k (q A; q^2)_k divided by
-    (q^v; q)_k (q^e; q)_k (A; q)_k (q; q)_k with A = q^(v+e-1), so
-
-        c_k / c_(k-1) = (1 - A q^(2k-2)) (1 - q A q^(2k-2))
-                        / ((1 - q^v q^(k-1)) (1 - q^e q^(k-1)) (1 - A q^(k-1)) (1 - q^k)).
-
-    In the removable case A = 1 the first factor pair is 1 at k = 1 and
-    (1 - q^(2k-2)) / (1 - q^(k-1)) = 1 + q^(k-1) after.
+    (q^v; q)_k (q^e; q)_k (A; q)_k (q; q)_k with A = q^(v+e-1).  In the
+    removable case A = 1, (1; q^2)_k / (1; q)_k = (-q; q)_(k-1) =
+    (-1; q)_k / 2 for k >= 1: the upper parameter -1 with coefficients
+    1..M halved.
     """
     big_a = q.q_power(nu + eta - 1)
-    big_b = q.q_power(nu + eta)
-    q_nu = q.q_power(nu)
-    q_eta = q.q_power(eta)
-    removable = (big_a - 1).is_zero()
-    c = q.one
-    coeffs = [c]
-    qk1 = q.one          # q^(k-1)
-    for k in range(1, order + 1):
-        qk = qk1 * q.q
-        q2k2 = qk1 * qk1
-        num = 1 - big_b * q2k2
-        den = (1 - q_nu * qk1) * (1 - q_eta * qk1) * (1 - qk)
-        if not removable:
-            num = num * (1 - big_a * q2k2)
-            den = den * (1 - big_a * qk1)
-        elif k > 1:
-            num = num * (1 + qk1)
-        if den.is_zero():
-            raise CollisionError(
-                f"lower parameter of the 4phi3 vanishes at k={k}"
-            )
-        c = c * (num / den)
-        coeffs.append(c)
-        qk1 = qk
-    return TruncatedSeries(tuple(coeffs), order)
+    lower = (q.q_power(nu), q.q_power(eta))
+    if not (big_a - 1).is_zero():
+        return TermRatio(q.one, (), lower + (big_a,), q,
+                         upper_sq=(big_a, q.q_power(nu + eta))).series(order)
+    half = TermRatio(q.one / 2, (-q.one,), lower, q, upper_sq=(q.q,)).series(order)
+    return TruncatedSeries((q.one,) + half.coeffs[1:], order, half.tail_note)
 
 
 def _rahman_factors(nu, eta, q: QBase, order: int):

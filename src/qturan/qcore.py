@@ -249,12 +249,10 @@ def qgamma_ratio(x, k: int, q: QBase) -> Scalar:
 
 def q_exponential(z, q: QBase, order: int) -> Scalar:
     """Truncated q-exponential sum_{k<=order} z^k / (q; q)_k, valid for |z| < 1:
-    the series of the term ratio 1 / (1 - q^k), evaluated at z."""
+    the series of the term ratio 1 / (1 - q^k), evaluated at z (its tail
+    note refuses |z| >= 1 with DomainError)."""
     from .series import TermRatio       # series imports this module
-    z = q.scalar(z)
-    if not abs(z) < q.one:
-        raise DomainError("q-exponential series diverges for |z| >= 1")
-    return TermRatio(q.one, (), (), q).series(order).eval(z)
+    return TermRatio(q.one, (), (), q).series(order).eval(q.scalar(z))
 
 
 def elementary_symmetric(values: Sequence[Scalar]) -> list[Scalar]:

@@ -9,11 +9,13 @@ the term denominators and reduce once, float sums run left to right, and
 the interval enclosures of the exact sign certificates sum exact dyadic
 products and round once.
 
-The q-hypergeometric constructors and the q-Bessel sums below share one
-:class:`TermRatio`: c_0 and the parameters of c_n / c_(n-1), whose
+The q-hypergeometric constructors, the q-Bessel sums and the 4phi3 of
+Rahman's product share one :class:`TermRatio`: c_0 and the parameters of
+c_n / c_(n-1), including base-q^2 upper parameters (``upper_sq``), whose
 recurrence runs in any coefficient type with *, / and ``1 - x`` (exact,
 float, or the interval enclosures of the exact sign certificates).  Each
-series it builds keeps it as ``ratio``.
+series it builds keeps it as ``ratio``, and carries the tail note "converges
+for |x| < 1 only" exactly when d = 0, where the ratio tends to 1.
 
 Constructors:
 
@@ -80,11 +82,8 @@ class TruncatedSeries:
 
     def eval(self, x) -> Scalar:
         """Horner evaluation at x; a tail note marks an |x| < 1 domain."""
-        if self.tail_note is not None:
-            if not abs(x) < one_like(x):
-                raise DomainError(
-                    f"series valid for |x| < 1 only ({self.tail_note})"
-                )
+        if self.tail_note is not None and not abs(x) < one_like(x):
+            raise DomainError(f"series {self.tail_note}")
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
@@ -154,13 +153,16 @@ class PhiSpec:
 class TermRatio:
     """A series given by its first coefficient and its term ratio
 
-        c_n / c_(n-1) = (s q^(n-1))^d prod_i (1 - u_i q^(n-1))
+        c_n / c_(n-1) = (s q^(n-1))^d prod_i (1 - u_i q^(n-1)) prod_k (1 - w_k q^(2n-2))
                         / ((1 - q^n) prod_j (1 - v_j q^(n-1))),
 
     the shape every q-hypergeometric family here shares (Gasper & Rahman,
-    *Basic Hypergeometric Series*, ch. 1).  ``c0``, ``scale`` (s, unused
-    when d = 0) and the parameters u_i (``upper``) and v_j (``lower``) are
-    scalars of ``base``.
+    *Basic Hypergeometric Series*, ch. 1); a factor 1 - w_k q^(2n-2) is
+    that of (w_k; q^2)_n.  ``c0``, ``scale`` (s, unused when d = 0) and the
+    parameters u_i (``upper``), v_j (``lower``) and w_k (``upper_sq``) are
+    scalars of ``base``.  When d = 0 the ratio tends to 1, so the series
+    converges for |x| < 1 only: the series it builds then carry a tail note,
+    which :meth:`TruncatedSeries.eval` enforces.
     """
 
     c0: Scalar
@@ -169,7 +171,7 @@ class TermRatio:
     base: QBase
     d: int = 0
     scale: Scalar | None = None
-    tail_note: str | None = None
+    upper_sq: tuple = ()
 
     def series(self, order: int, lift=None) -> TruncatedSeries:
         """c_0..c_order from the term-ratio recurrence.
@@ -196,9 +198,13 @@ class TermRatio:
         lift = lift or (lambda x: x)
         one, qq = lift(q.one), lift(q.q)
         scale = lift(self.scale) if self.d else None
-        shared = Counter(self.upper) & Counter(self.lower)
-        upper = [(lift(u), k) for u, k in (Counter(self.upper) - shared).items()]
-        lower = [(lift(v), k) for v, k in (Counter(self.lower) - shared).items()]
+        up, low = Counter(self.upper), Counter(self.lower)
+        if up and low:
+            shared = up & low
+            up, low = up - shared, low - shared
+        upper = [(lift(u), k) for u, k in up.items()]
+        upper_sq = [(lift(w), k) for w, k in Counter(self.upper_sq).items()]
+        lower = [(lift(v), k) for v, k in low.items()]
         c = lift(self.c0)
         coeffs = [c]
         qn1 = one            # q^(n-1)
@@ -206,6 +212,9 @@ class TermRatio:
             qn = qn1 * qq
             factors = [(scale * qn1, self.d)] if self.d else []
             factors += [(1 - u * qn1, k) for u, k in upper]
+            if upper_sq:
+                q2n2 = qn1 * qn1
+                factors += [(1 - w * q2n2, k) for w, k in upper_sq]
             num = None          # the empty product
             for factor, k in factors:
                 for _ in range(k):
@@ -218,7 +227,8 @@ class TermRatio:
             c = c / den if num is None else c * (num / den)
             coeffs.append(c)
             qn1 = qn
-        return TruncatedSeries(tuple(coeffs), order, self.tail_note, self)
+        note = None if self.d else "converges for |x| < 1 only"
+        return TruncatedSeries(tuple(coeffs), order, note, self)
 
 
 def tphis_series(spec: PhiSpec, order: int) -> TruncatedSeries:
@@ -231,9 +241,8 @@ def tphis_series(spec: PhiSpec, order: int) -> TruncatedSeries:
     q = spec.q
     t, s = len(spec.upper), len(spec.lower)
     d = 1 + s - t
-    tail = "converges for |z| < 1 only" if t == s + 1 else None
     ratio = TermRatio(q.one, tuple(map(q.scalar, spec.upper)),
-                      tuple(map(q.scalar, spec.lower)), q, d, q.scalar(-1), tail)
+                      tuple(map(q.scalar, spec.lower)), q, d, q.scalar(-1))
     return ratio.series(order)
 
 
@@ -242,9 +251,7 @@ def heine_f_series(mu, q: QBase, order: int) -> TruncatedSeries:
     mu = as_fraction(mu)
     if not mu > 0:
         raise HypothesisError(f"heine_f needs mu > 0, got mu={mu}")
-    ratio = TermRatio(q.one, (), (q.q_power(mu),), q,
-                      tail_note="converges for |z| < 1 only")
-    return ratio.series(order)
+    return TermRatio(q.one, (), (q.q_power(mu),), q).series(order)
 
 
 def heine_f_tilde_series(mu, q: QBase, order: int, *,
@@ -345,8 +352,7 @@ def g_series(a: Sequence, b: Sequence, mu, q: QBase, order: int, *,
 
     upper = tuple(q.q_power(ai + mu) for ai in a)
     lower = tuple(q.q_power(bj + mu) for bj in b)
-    tail = "converges for |x| < 1 only" if t == s + 1 else None
-    return TermRatio(prefactor, upper, lower, q, d, 1 - q.q, tail).series(order)
+    return TermRatio(prefactor, upper, lower, q, d, 1 - q.q).series(order)
 
 
 def geometric_tail_order(x_abs: FloatScalar, tol, *, minimum: int = 40,

@@ -699,9 +699,6 @@ def turan_point_inequality(family: Family, mu, x, q: QBase, direction: str, *,
     if direction not in ("direct", "inverse"):
         raise ValueError("direction must be 'direct' or 'inverse'")
     x = q.scalar(x)
-    if family != Family.G_NORMALIZED or len(a) == len(b) + 1:
-        if not abs(x) < FloatScalar(1, q.digits):
-            raise DomainError("evaluation point outside |x| < 1")
     if order is None:
         order = _auto_order(family, abs(x), q, a, b)
     vals = [_shift_series(family, mu, shift, q, order, a, b).eval(x)

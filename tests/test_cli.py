@@ -228,6 +228,17 @@ def test_turanian_report_with_coefficients_above_4300_digits(tmp_path):
     assert len(csv_path.read_text(encoding="utf-8").splitlines()) == 62
 
 
+def test_negative_rational_is_given_with_an_equals_sign(capsys):
+    # argparse reads a separate "-1/2" as an option name
+    base = ["eval", "--family", "kummer", "--x", "3", "--order", "5"]
+    with pytest.raises(SystemExit) as exc:
+        run([*base, "--b-param", "-1/2"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert run([*base, "--b-param=-1/2"]) == 0
+    assert capsys.readouterr().out.strip() == "-9571/35"
+
+
 def test_eval_exact_value(capsys, tmp_path):
     code = run(["eval", "--family", "heine-f", "--mu", "1", "--x", "1/4",
                 "--q", "1/2", "--order", "3", "--mode", "exact"])

@@ -16,7 +16,7 @@ from qturan.conditions import (
     rts_value,
 )
 from qturan.qcore import QBase, elementary_symmetric
-from qturan.scalar import DimensionError, ex
+from qturan.scalar import DimensionError, ex, fl
 
 Q12 = QBase.exact(q=F(1, 2))
 
@@ -184,6 +184,18 @@ class TestRtsProbe:
     def test_constant(self):
         c = exv(1, 3)
         assert rts_monotonicity_probe(c, c, self.GRID) == RtsDirection.CONSTANT
+
+    def test_float_constant_within_rounding_noise(self):
+        # d is c reversed, so R = 1; its float rounding noise takes both signs,
+        # which without the tolerance would read as a non-monotone R under
+        # the chain conditions that hold here
+        a = (F(1, 2), F(1), F(3, 2))
+        c, d = derive_cd(a, tuple(reversed(a)), QBase.floating(F(1, 3), 30))
+        grid = [fl(F(k, 7), 30) for k in range(1, 40)]
+        steps = [(rts_value(c, d, y1) - rts_value(c, d, y0)).sign()
+                 for y0, y1 in zip(grid, grid[1:])]
+        assert 1 in steps and -1 in steps
+        assert rts_monotonicity_probe(c, d, grid) == RtsDirection.CONSTANT
 
     def test_case_a_vectors_increasing(self):
         c, d = derive_cd((F(1), F(1), F(1)), (F(2), F(2)), Q12)

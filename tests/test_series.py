@@ -9,6 +9,7 @@ import pytest
 from qturan.qcore import QBase, qgamma, qgamma_ratio, qpochhammer_finite, qpochhammer_infinite
 from qturan.series import (
     PhiSpec,
+    TermRatio,
     TruncatedSeries,
     g_relative_prefactor,
     g_series,
@@ -68,6 +69,43 @@ def test_series_mode_mismatch():
     s = TruncatedSeries((ex(1), ex(2)), 1)
     with pytest.raises(ModeMismatchError):
         s.eval(fl(2))
+
+
+class TestTermRatio:
+    def test_upper_sq_is_a_base_q_squared_pair(self):
+        # (a; q)_n (-a; q)_n = (a^2; q^2)_n, so upper (a, -a) is upper_sq (a^2,)
+        for q in (Q12, QBase.exact(q=F(3, 4))):
+            a = q.q_power(F(1, 2))
+            paired = TermRatio(q.one, (a, -a), (q.q_power(F(3, 2)),), q).series(12)
+            squared = TermRatio(q.one, (), (q.q_power(F(3, 2)),), q,
+                                upper_sq=(a * a,)).series(12)
+            assert paired.coeffs == squared.coeffs
+
+    def test_upper_sq_coefficients(self):
+        w = ex(F(1, 3))
+        ts = TermRatio(Q12.one, (), (), Q12, upper_sq=(w,)).series(8)
+        q2 = QBase.exact(q=F(1, 4))
+        for n in range(9):
+            want = (qpochhammer_finite(w, q2, n)
+                    / qpochhammer_finite(Q12.q, Q12, n)).to_fraction()
+            assert ts.coeffs[n].to_fraction() == want
+
+    @pytest.mark.parametrize("d,noted", [(0, True), (1, False), (2, False)])
+    def test_tail_note_exactly_when_d_is_zero(self, d, noted):
+        ts = TermRatio(Q12.one, (), (Q12.q,), Q12, d, Q12.one).series(4)
+        assert (ts.tail_note is not None) == noted
+        if not noted:
+            ts.eval(ex(3))
+
+    @pytest.mark.parametrize("x", [F(1), F(-1), F(3, 2)])
+    def test_j1_sum_and_e_q_refuse_x_outside_the_unit_disc(self, x):
+        # J1's sum and e_q: d = 0 series built with no constructor of their own
+        j1_sum = TermRatio(QF.one, (), (QF.q ** 2,), QF, 0, QF.one).series(30)
+        e_q = TermRatio(Q12.one, (), (), Q12).series(30)
+        with pytest.raises(DomainError, match="[|]x[|] < 1"):
+            j1_sum.eval(fl(x))
+        with pytest.raises(DomainError, match="[|]x[|] < 1"):
+            e_q.eval(ex(x))
 
 
 class TestTphis:

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from qturan import turanian
+from qturan.cli import run
 from qturan.qcore import QBase, qgamma
 from qturan.series import heine_f_series
 from qturan.turanian import (
@@ -26,7 +28,14 @@ from qturan.turanian import (
     turanian_series,
     verdict_satisfies,
 )
-from qturan.scalar import DimensionError, ExactModeError, HypothesisError, ex, fl
+from qturan.scalar import (
+    DimensionError,
+    DomainError,
+    ExactModeError,
+    HypothesisError,
+    ex,
+    fl,
+)
 
 mpmath.mp.dps = 60
 
@@ -156,6 +165,45 @@ class TestDeltaTildeCertificate:
         with pytest.raises(ExactModeError):
             turanian_series(spec)
 
+    TILDE = (F(1, 2), F(1, 2), F(3, 2))
+
+    def test_undecided_rho_leaves_the_report_inconclusive(self, monkeypatch):
+        # rho in [1/2, 2] puts Delta_0 = 1 - rho on both sides of 0
+        monkeypatch.setattr(turanian, "_rho_interval", lambda *args: (ex(F(1, 2)), ex(2)))
+        rep = delta_tilde_sign_certificate(
+            TuranianSpec(Family.HEINE_F_TILDE, *self.TILDE, Q12, 12))
+        assert rep.verdict == SignVerdict.INCONCLUSIVE
+        assert rep.decided_by is None and rep.min_margin is None
+        assert rep.matches_expected is False
+        mu, alpha, beta = (str(v) for v in self.TILDE)
+        assert run(["turanian", "--family", "heine-f-tilde", "--q", "1/2", "--mu", mu,
+                    "--alpha", alpha, "--beta", beta]) == 1
+
+    def test_undecided_rho_past_a_decided_delta0(self, monkeypatch):
+        # rho_lo < u_1/v_1 < rho_hi < 1: Delta_0 = 1 - rho > 0 is decided,
+        # Delta_1 = u_1 - rho v_1 is not, even exactly
+        mu, alpha, beta = self.TILDE
+        s_a, s_b, s_0, s_ab = (heine_f_series(mu + s, Q12, 1)
+                               for s in (alpha, beta, 0, alpha + beta))
+        ratio = F(float((s_a.product_coefficient(s_b, 1)
+                         / s_0.product_coefficient(s_ab, 1)).to_mpf(30)))
+        assert ratio < 1 - F(1, 10**6)
+        monkeypatch.setattr(turanian, "_rho_interval", lambda *args: (
+            ex(ratio - F(1, 10**6)), ex(ratio + F(1, 10**6))))
+        decided = {}
+        exact_bound = turanian._exact_bound
+
+        def spy(series, rho_lo, rho_hi, m):
+            bound = exact_bound(series, rho_lo, rho_hi, m)
+            decided[m] = bound is not None
+            return bound
+
+        monkeypatch.setattr(turanian, "_exact_bound", spy)
+        rep = delta_tilde_sign_certificate(
+            TuranianSpec(Family.HEINE_F_TILDE, mu, alpha, beta, Q12, 12))
+        assert decided == {0: True, 1: False}
+        assert rep.verdict == SignVerdict.INCONCLUSIVE and rep.decided_by is None
+
     def test_float_cross_check_against_gamma_scaling(self):
         # tilde coefficients relate to plain-f coefficients through the
         # Gamma products, with opposite sign pattern
@@ -245,6 +293,15 @@ class TestPointInequality:
             Family.HEINE_F, F(1), F(0), QF, "inverse")
         assert ok and margin.val == 0
 
+    @pytest.mark.parametrize("order", [None, 30])
+    @pytest.mark.parametrize("x", [F(1), F(3, 2)])
+    @pytest.mark.parametrize("family,vectors", [(Family.HEINE_F, {}),
+                                                (Family.G_NORMALIZED, CASE_A)],
+                             ids=["heine", "g-t=s+1"])
+    def test_outside_the_unit_disc_is_refused(self, family, vectors, x, order):
+        with pytest.raises(DomainError):
+            turan_point_inequality(family, F(1), x, QF, "direct", order=order, **vectors)
+
 
 class TestLogConcavityScan:
     GRID = [F(k, 2) for k in range(1, 9)]
@@ -307,6 +364,11 @@ class TestIntegerShiftReduction:
         assert ok and set(reports) == {1, 2, 3}
         assert all(verdict_satisfies(r.verdict, SignVerdict.ALL_NONPOS)
                    for r in reports.values())
+
+    def test_g_stops_at_alpha_beta_plus_one(self):
+        spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(1), F(1), Q12, 16, **CASE_B)
+        ok, reports = integer_shift_reduction_check(spec, 4)
+        assert ok and set(reports) == {1, 2}
 
     def test_alpha_one_equals_direct_certificate(self):
         spec = TuranianSpec(Family.HEINE_F, F(1), F(1), F(2), Q12, 16)
