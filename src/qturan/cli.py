@@ -395,8 +395,8 @@ def cmd_conditions(args) -> _Found:
 
 def cmd_verify(args) -> _Found:
     try:
-        tol = mpmath.mpf(args.tol) if args.tol is not None else None
-    except ValueError:
+        tol = Fraction(args.tol) if args.tol is not None else None
+    except (ValueError, ZeroDivisionError):
         raise QTuranError(f"--tol must be a number, got {args.tol!r}") from None
     out = _VERIFY[args.identity].compute(args)
     if args.identity == "q-to-1":
@@ -410,7 +410,7 @@ def cmd_verify(args) -> _Found:
         results = [out]
         extra = {"identity": args.identity, "tol": args.tol, "order": out.order_checked}
         verdicts = []
-        ok = out.exact_zero if out.mode == "exact" else out.max_rel.val < tol
+        ok = out.exact_zero if out.mode == "exact" else out.max_rel < tol
         status = "exact-zero" if out.exact_zero else f"max_rel={scalar_text(out.max_rel)}"
         message = f"{args.identity}: {status} -> {'ok' if ok else 'FAIL'}"
     residuals = [report_residual(r, {"identity": args.identity}) for r in results]

@@ -162,8 +162,8 @@ def rts_monotonicity_probe(c: Sequence[Scalar], d: Sequence[Scalar],
     for prev, cur in zip(values, values[1:]):
         diff = cur - prev
         if isinstance(diff, FloatScalar):
-            scale = max(abs(prev).val, abs(cur).val, 1)
-            if abs(diff.val) <= 10 ** (6 - diff.digits) * scale:
+            scale = max(abs(prev), abs(cur), 1)
+            if abs(diff) <= FloatScalar(10, diff.digits) ** (6 - diff.digits) * scale:
                 continue
         s = diff.sign()
         if s > 0:

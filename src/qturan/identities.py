@@ -29,8 +29,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-
-import mpmath
+from fractions import Fraction
 
 from .qcore import QBase, pochhammer_classical, qgamma, qpochhammer_finite
 from .series import (
@@ -148,8 +147,8 @@ def verify_connection_formula(alpha, y, q: QBase, order: int | None = None) -> R
     if not abs(yv) < FloatScalar(2, q.digits):
         raise DomainError("|y| < 2 required")
     if order is None:
-        tol = mpmath.mpf(10) ** (6 - q.digits)
-        order = geometric_tail_order(abs(yv) * abs(yv) / 4, tol, minimum=120)
+        order = geometric_tail_order(abs(yv) * abs(yv) / 4,
+                                     FloatScalar(10, q.digits) ** (6 - q.digits), minimum=120)
     lhs = qbessel_j2(alpha, yv, q, order)
     factor = qpochhammer_infinite(-(yv * yv) / 4, q)
     rhs = factor * qbessel_j1(alpha, yv, q, order)
@@ -234,8 +233,8 @@ def verify_kummer_linearization(mu, alpha: int, beta, order: int) -> Residual:
 def _linearization_sides_value(mu, alpha: int, beta, x, q: QBase):
     """Transformed q-side values: argument (1-q)x, scaled by (1-q)^(-alpha)."""
     z = (1 - q.q) * q.scalar(x)
-    tol = mpmath.mpf(10) ** (4 - q.digits)
-    order = geometric_tail_order(abs(z), tol, minimum=60)
+    order = geometric_tail_order(abs(z), FloatScalar(10, q.digits) ** (4 - q.digits),
+                                 minimum=60)
     lhs, rhs = _linearization(mu, alpha, beta,
                               lambda c: heine_phi_q0_series(c, q, order).eval(z),
                               _qpoch(q), operator.mul)
@@ -264,8 +263,7 @@ def q_to_1_limit_study(mu, alpha: int, beta, x, q_sequence, *,
     out = []
     for qv in q_sequence:
         q = QBase.floating(qv, digits)
-        with mpmath.workdps(digits):
-            starving = (1 - q.q.val) < mpmath.mpf(10) ** (-digits / 2)
+        starving = 1 - q.q < FloatScalar(10, digits) ** Fraction(-digits, 2)
         note = "precision exhaustion: 1-q below 10^(-digits/2)" if starving else None
         lhs_q, rhs_q = _linearization_sides_value(mu, alpha, beta, x, q)
         res = _compare([(lhs_q, base_lhs), (rhs_q, base_rhs)], "float", int(alpha),

@@ -187,10 +187,10 @@ def qpochhammer_infinite(a, q: QBase, rel_tol=None) -> Scalar:
     """
     if q.is_exact:
         raise ExactModeError("(a; q)_infty is not exact; use a float QBase")
-    if rel_tol is None:
-        rel_tol = mpmath.mpf(10) ** (8 - q.digits)
     a = q.scalar(a)
     with mpmath.workdps(q.digits):
+        if rel_tol is None:
+            rel_tol = mpmath.mpf(10) ** (8 - q.digits)
         nterms = _infinite_tail_terms(abs(a.val), q, rel_tol)
         result = mpmath.mpf(1)
         t = a.val
@@ -219,9 +219,8 @@ def qgamma(z, q: QBase, rel_tol=None) -> Scalar:
         z = FloatScalar(z, q.digits)
     else:
         z = q.scalar(z)
-        with mpmath.workdps(q.digits):
-            if z.val <= 0 and z.val == mpmath.floor(z.val):
-                raise PoleError(f"Gamma_q pole at z={z.val}")
+        if z.val <= 0 and z.val == int(z.val):
+            raise PoleError(f"Gamma_q pole at z={z.val}")
     num = qpochhammer_infinite(q.q, q, rel_tol)
     den = qpochhammer_infinite(q.q ** z, q, rel_tol)
     one_minus_q = 1 - q.q

@@ -3,7 +3,7 @@
 Every numeric quantity in this package is either an :class:`ExactScalar`
 (an element of Q or of the real quadratic field Q(sqrt(r)) for a fixed
 rational radicand r) or a :class:`FloatScalar` (an arbitrary-precision
-mpmath float tagged with its working precision in decimal digits).
+mpmath float tagged with its precision in decimal digits).
 
 An exact value is held on Python integers, (n + m*sqrt(rad)) / d in lowest
 terms, not as Fraction objects, and each operation reduces once: a product
@@ -12,10 +12,12 @@ a product of two irrationals and an inverse by one gcd of three integers;
 adding an ``int`` not at all; ``dot`` once per sum.  ``sign`` compares n^2
 with m^2 rad in integers.
 
-Float arithmetic calls ``mpmath.libmp`` on the raw ``_mpf_`` tuples at
-``dps_to_prec(max digits)`` bits, rounding to nearest, which gives the same
-bits as mpmath's context arithmetic under ``workdps(max digits)`` without
-entering a context per operation.
+Every float operation is one ``mpmath.libmp`` call on the raw ``_mpf_``
+tuples at ``dps_to_prec(max digits)`` bits of its operands, rounding to
+nearest, which gives the same bits as mpmath's context arithmetic under
+``workdps(max digits)`` without entering a context per operation.  So a
+float result depends on its operands' digits only: mpmath's global
+precision changes no output.
 
 The two backends never mix: combining an exact value with a float value in
 one operation raises :class:`ModeMismatchError` instead of silently
@@ -27,6 +29,7 @@ operands are refused on the exact side because they carry binary rounding.
 from __future__ import annotations
 
 import functools
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -37,9 +40,13 @@ from mpmath.libmp import (
     ComplexResult,
     dps_to_prec,
     from_int,
+    mpf_abs,
     mpf_add,
     mpf_div,
+    mpf_exp,
     mpf_mul,
+    mpf_neg,
+    mpf_pow,
     mpf_pow_int,
     mpf_sqrt,
     mpf_sub,
@@ -47,6 +54,9 @@ from mpmath.libmp import (
 )
 
 DEFAULT_DIGITS = 50
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 _new = object.__new__
 
@@ -437,9 +447,20 @@ class ExactScalar:
         return (self - self._coerce(other)).sign() >= 0
 
     def __hash__(self):
-        if not self.m:                  # equal to the hash of the Fraction n/d
-            return hash(self.n) if self.d == 1 else hash(Fraction(self.n, self.d))
-        return hash((self.n, self.m, self.d, self.rad))
+        n, d = self.n, self.d
+        if self.m:
+            rad = self.rad
+            return hash((n, self.m, d, rad.numerator, rad.denominator))
+        if d == 1:
+            return hash(n)
+        # the hash of the Fraction n/d: |n| / d modulo the hash prime, signed
+        try:
+            h = abs(n) % _HASH_MODULUS * pow(d, -1, _HASH_MODULUS) % _HASH_MODULUS
+        except ValueError:              # d is a multiple of the prime
+            h = _HASH_INF
+        if n < 0:
+            h = -h
+        return -2 if h == -1 else h
 
     def __bool__(self):
         return not self.is_zero()
@@ -475,16 +496,14 @@ class ExactScalar:
 class FloatScalar:
     """Arbitrary-precision float tagged with its precision in decimal digits.
 
-    ``val`` is an mpmath ``mpf``.  ``+ - * /``, their reflected forms,
-    integer ``**``, ``sqrt`` and ``dot`` call ``mpmath.libmp`` on the raw
+    ``val`` is an mpmath ``mpf``.  Every operation other than construction
+    (``+ - * /`` and their reflected forms, unary ``-``, ``abs``, ``**``,
+    ``sqrt``, ``exp`` and ``dot``) is one ``mpmath.libmp`` call on the raw
     ``_mpf_`` tuples at ``dps_to_prec(max digits)`` bits, rounding to
     nearest: the same bits as mpmath's context arithmetic under
     ``workdps(max digits)``, without entering a context per operation.  An
     ``int`` operand is rounded to that precision first, as ``mpf(n)`` is;
     other literals go through the constructor at the scalar's digits.
-    Unary ``-`` and ``abs`` negate the ``mpf`` at the working precision in
-    effect, as ``-mpf`` does, so outside a ``workdps`` block at least as
-    wide as ``digits`` they round to it.
     """
 
     __slots__ = ("val", "digits")
@@ -573,20 +592,19 @@ class FloatScalar:
         return _float(acc, digits)
 
     def __neg__(self):
-        # rounds at the working precision in effect (see the class docstring)
-        return FloatScalar(-self.val, self.digits)
+        return _float(mpf_neg(self.val._mpf_, _prec(self.digits), round_nearest), self.digits)
 
     def __abs__(self):
-        return FloatScalar(abs(self.val), self.digits)
+        return _float(mpf_abs(self.val._mpf_, _prec(self.digits), round_nearest), self.digits)
 
     def __pow__(self, n):
         if isinstance(n, int):
             return _float(mpf_pow_int(self.val._mpf_, n, _prec(self.digits), round_nearest),
                           self.digits)
-        o = self._coerce(n)
-        d = max(self.digits, o.digits)
-        with mpmath.workdps(d):
-            return FloatScalar(mpmath.power(self.val, o.val), d)
+        try:
+            return self._bin(n, mpf_pow)
+        except ComplexResult:
+            raise DomainError(f"non-integer power of a negative float {self!r}") from None
 
     def sqrt(self) -> "FloatScalar":
         try:
@@ -596,8 +614,7 @@ class FloatScalar:
         return _float(t, self.digits)
 
     def exp(self) -> "FloatScalar":
-        with mpmath.workdps(self.digits):
-            return FloatScalar(mpmath.exp(self.val), self.digits)
+        return _float(mpf_exp(self.val._mpf_, _prec(self.digits), round_nearest), self.digits)
 
     def sign(self) -> int:
         if self.val == 0:

@@ -355,7 +355,7 @@ def g_series(a: Sequence, b: Sequence, mu, q: QBase, order: int, *,
     return TermRatio(prefactor, upper, lower, q, d, 1 - q.q).series(order)
 
 
-def geometric_tail_order(x_abs: FloatScalar, tol, *, minimum: int = 40,
+def geometric_tail_order(x_abs: FloatScalar, tol: FloatScalar, *, minimum: int = 40,
                          cap: int = 200_000) -> int:
     """Order N with x^N / (1-x) below tol, for series with bounded coefficients."""
     with mpmath.workdps(30):
@@ -364,7 +364,7 @@ def geometric_tail_order(x_abs: FloatScalar, tol, *, minimum: int = 40,
             return minimum
         if xv >= 1:
             raise DomainError("geometric tail needs |x| < 1")
-        n = mpmath.log(mpmath.mpf(tol) * (1 - xv)) / mpmath.log(xv)
+        n = mpmath.log(mpmath.mpf(tol.val) * (1 - xv)) / mpmath.log(xv)
         n = int(mpmath.ceil(n)) + 4
     return min(max(n, minimum), cap)
 
@@ -391,8 +391,7 @@ def _jackson_qbessel(name: str, alpha, y, q: QBase, order: int, d: int) -> Scala
     if d == 0 and not abs(y) < FloatScalar(2, q.digits):     # J1's sum needs |z| < 1
         raise DomainError(f"{name} needs |y| < 2")
     alpha_s = q.scalar(alpha)
-    with mpmath.workdps(q.digits):
-        integer_alpha = mpmath.floor(alpha_s.val) == alpha_s.val
+    integer_alpha = alpha_s.val == int(alpha_s.val)
     if integer_alpha and alpha_s.val < 0:
         k = -int(alpha_s.val)
         return _jackson_qbessel(name, k, y, q, order, d) * (-1) ** k
@@ -429,12 +428,11 @@ def modified_qbessel_i1(nu, y, q: QBase, order: int) -> Scalar:
     if not (FloatScalar(0, q.digits) < y and y < FloatScalar(2, q.digits)):
         raise DomainError("modified_qbessel_i1 needs 0 < y < 2")
     nu_s = q.scalar(nu)
-    with mpmath.workdps(q.digits):
-        nv = nu_s.val
-        if nv <= -1:
-            if nv == mpmath.floor(nv):
-                raise PoleError(f"Gamma_q pole at nu={nv}")
-            raise DomainError("modified_qbessel_i1 needs nu > -1")
+    nv = nu_s.val
+    if nv <= -1:
+        if nv == int(nv):
+            raise PoleError(f"Gamma_q pole at nu={nv}")
+        raise DomainError("modified_qbessel_i1 needs nu > -1")
     terms = TermRatio(q.one, (), (q.q ** (nu_s + 1),), q).series(order)
     scale = ((y / 2) ** nu_s) / (((1 - q.q) ** nu_s) * qgamma(nu_s + 1, q))
     return scale * terms.eval((y / 2) ** 2)

@@ -54,8 +54,6 @@ from enum import Enum
 from fractions import Fraction
 from math import ceil, gcd, isqrt, log
 
-import mpmath
-
 from . import conditions
 from .qcore import QBase, qgamma_ratio
 from .series import (
@@ -455,15 +453,15 @@ def _classify_exact(bounds):
 def _float_error_bounds(scale_coeffs, digits):
     # crude forward-error envelope: each coefficient is a convolution of
     # positive terms, so scale * (terms) * ulp bounds the accumulated error
-    eps = mpmath.mpf(10) ** (2 - digits)
-    return [abs(s.val) * eps * 4 * (m + 2) for m, s in enumerate(scale_coeffs)]
+    eps = FloatScalar(10, digits) ** (2 - digits)
+    return [abs(s) * eps * 4 * (m + 2) for m, s in enumerate(scale_coeffs)]
 
 
 def _classify_float(tail, bounds):
     """_classify_exact on float coefficients, INCONCLUSIVE when a nonzero
     coefficient lies within ten error bounds of 0."""
     for c, bnd in zip(tail, bounds):
-        if c.val != 0 and abs(c.val) <= 10 * bnd:
+        if not c.is_zero() and abs(c) <= 10 * bnd:
             return SignVerdict.INCONCLUSIVE, None, None
     return _classify_exact(tail)
 
@@ -683,8 +681,8 @@ def _auto_order(family: Family, x_abs, q: QBase, a=(), b=()):
     entire = family == Family.G_NORMALIZED and len(a) <= len(b)
     if entire:
         return 100
-    tol = mpmath.mpf(10) ** (6 - q.digits)
-    return geometric_tail_order(x_abs, tol, minimum=100)
+    return geometric_tail_order(x_abs, FloatScalar(10, q.digits) ** (6 - q.digits),
+                                minimum=100)
 
 
 def turan_point_inequality(family: Family, mu, x, q: QBase, direction: str, *,

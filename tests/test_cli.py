@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from qturan import turanian
+from qturan.qcore import QBase
 from qturan.cli import build_parser, parse_grid, parse_rational, run
 from fractions import Fraction as F
 
@@ -775,6 +777,43 @@ def test_report_leaves_the_point_of_a_residual_row_empty(tmp_path):
     assert rows == [["kind", "name", "mu", "alpha", "beta", "q", "value", "ok"],
                     ["residual", "linearization(mu=1,alpha=1,beta=1)", "", "", "", "", "0",
                      "True"]]
+
+
+def _fresh_qturan(argv, cwd):
+    """Run ``python -m qturan argv`` in a new interpreter, at mpmath's default
+    precision and without QTURAN_DIGITS; returns the rows of its --csv file."""
+    env = {k: v for k, v in os.environ.items() if k != "QTURAN_DIGITS"}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run([sys.executable, "-m", "qturan", *argv, "--csv", "out.csv"],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=300)
+    assert done.returncode == 0, done.stderr
+    with open(Path(cwd) / "out.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _agreeing_digits(text, ref):
+    with mpmath.workdps(80):
+        return -mpmath.log10(abs(mpmath.mpf(text) / ref - 1))
+
+
+def test_fresh_process_float_outputs_meet_their_digits(tmp_path):
+    rows = _fresh_qturan(["scan", "--family", "heine-f", "--q", "1/4", "--mu-grid", "2:3:1",
+                          "--alpha-grid", "3", "--beta-grid", "1", "--order", "60",
+                          "--mode", "float"], tmp_path)
+    assert [r["mu"] for r in rows] == ["2", "3"]
+    for row in rows:
+        spec = turanian.TuranianSpec(turanian.Family.HEINE_F, F(row["mu"]), F(3), F(1),
+                                     QBase.exact(q=F(1, 4)), 60)
+        exact = min(abs(c.to_fraction()) for c in turanian.turanian_series(spec).coeffs[1:])
+        with mpmath.workdps(80):
+            ref = mpmath.mpf(exact.numerator) / exact.denominator
+        assert _agreeing_digits(row["min_margin"], ref) >= 45
+    rows = _fresh_qturan(["verify", "--identity", "q-to-1", "--mu", "3/2", "--alpha", "2",
+                          "--beta", "1/2", "--x", "1/4"], tmp_path)
+    assert rows[0]["label"] == "q-to-1(q=0.9)"
+    with mpmath.workdps(80):
+        ref = mpmath.mpf("0.53636961653188624810418126127555722624048686202112")
+    assert _agreeing_digits(rows[0]["max_abs"], ref) >= 45
 
 
 def test_python_m_qturan_help_exits_0():

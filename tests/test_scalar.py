@@ -1,6 +1,7 @@
 """Backend behaviour: exactness, quadratic-field arithmetic, mode isolation."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -451,7 +452,7 @@ def test_float_binary_ops_match_mpmath(x, other, op, reflected):
 def test_float_unary_ops_match_mpmath(x, n):
     d = x.digits
     with mpmath.workdps(d):
-        # - and abs round at the working precision in effect, as -mpf does
+        # the bits of -mpf and abs(mpf) at the scalar's digits
         _same_bits(-x, -x.val, d)
         _same_bits(abs(x), abs(x.val), d)
     if x.val == 0 and n < 0:
@@ -498,6 +499,38 @@ def test_float_dot_coerces_literals_and_refuses_exact():
 def test_float_sqrt_of_a_negative_is_a_domain_error():
     with pytest.raises(DomainError):
         fl(-2).sqrt()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_floats(), _ratios, _DIGITS)
+def test_float_power_exp_neg_abs_round_at_their_digits(x, e, digits):
+    """Non-integer ``**``, ``exp``, ``-`` and ``abs`` give mpmath's bits at
+    the operands' digits whatever the working precision in effect."""
+    y = FloatScalar(e, digits)
+    d = max(x.digits, digits)
+    with mpmath.workdps(7):
+        got_exp, got_neg, got_abs = y.exp(), -x, abs(x)
+        got_pow = abs(x) ** y if x.val else None
+    with mpmath.workdps(digits):
+        _same_bits(got_exp, mpmath.exp(y.val), digits)
+    with mpmath.workdps(x.digits):
+        _same_bits(got_neg, -x.val, x.digits)
+        _same_bits(got_abs, abs(x.val), x.digits)
+    if x.val:
+        with mpmath.workdps(d):
+            _same_bits(got_pow, mpmath.power(abs(x.val), y.val), d)
+    if x.val < 0 and y.val != int(y.val):
+        with pytest.raises(DomainError):
+            x ** y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 400, 10 ** 400),
+       st.one_of(st.integers(1, 10 ** 400),
+                 st.integers(1, 10 ** 380).map(lambda k: k * sys.hash_info.modulus)))
+def test_exact_rational_hash_is_the_fraction_hash(n, d):
+    f = F(n, d)
+    assert hash(ex(f)) == hash(f)
 
 
 def test_float_int_operands_wider_than_the_precision_round_first():
