@@ -10,7 +10,8 @@ terms, not as Fraction objects, and each operation reduces once: a product
 with a rational factor by the two cross gcds (as ``Fraction`` does); a sum,
 a product of two irrationals and an inverse by one gcd of three integers;
 adding an ``int`` not at all; ``dot`` once per sum.  ``sign`` compares n^2
-with m^2 rad in integers.
+with m^2 rad in integers, and ``<`` on two rationals compares the cross
+products n1 d2 and n2 d1.
 
 Every float operation is one ``mpmath.libmp`` call on the raw ``_mpf_``
 tuples at ``dps_to_prec(max digits)`` bits of its operands, rounding to
@@ -434,17 +435,27 @@ class ExactScalar:
             return False
         return self.n == o.n and self.m == o.m and self.d == o.d
 
+    def _compare(self, other) -> int:
+        """The sign of self - other.  Two rationals compare n1 d2 with n2 d1,
+        which is exact because d1, d2 > 0; a Q(sqrt r) operand goes through
+        the difference."""
+        o = other if type(other) is ExactScalar else self._coerce(other)
+        if self.m or o.m:
+            return (self - o).sign()
+        left, right = self.n * o.d, o.n * self.d
+        return (left > right) - (left < right)
+
     def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
+        return self._compare(other) < 0
 
     def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
+        return self._compare(other) <= 0
 
     def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
+        return self._compare(other) > 0
 
     def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
+        return self._compare(other) >= 0
 
     def __hash__(self):
         n, d = self.n, self.d

@@ -5,17 +5,20 @@ between series of different orders truncates to the smaller order; the
 Cauchy product is the single convolution kernel every Turanian goes
 through.  It hands each output coefficient's whole sum to the coefficient
 type's ``dot(xs, ys)``: exact sums add integer numerators over the lcm of
-the term denominators and reduce once, float sums run left to right, and
-the interval enclosures of the exact sign certificates sum exact dyadic
-products and round once.
+the term denominators and reduce once, and float sums run left to right.
+A coefficient type with a ``convolve(xs, ys)`` forms the whole product
+instead: the interval enclosures of the exact sign certificates, integer
+triples, make it one big-integer multiplication per endpoint, with a
+``dot`` per coefficient when their mantissas spread too wide to pack.
 
 The q-hypergeometric constructors, the q-Bessel sums and the 4phi3 of
 Rahman's product share one :class:`TermRatio`: c_0 and the parameters of
 c_n / c_(n-1), including base-q^2 upper parameters (``upper_sq``), whose
-recurrence runs in any coefficient type with *, / and ``1 - x`` (exact,
-float, or the interval enclosures of the exact sign certificates).  Each
-series it builds keeps it as ``ratio``, and carries the tail note "converges
-for |x| < 1 only" exactly when d = 0, where the ratio tends to 1.
+recurrence takes its arithmetic as ``arith`` = (lift, mul, div,
+one_minus): the scalars' own operators by default, or the interval
+arithmetic of the exact sign certificates.  Each series it builds keeps it
+as ``ratio``, and carries the tail note "converges for |x| < 1 only"
+exactly when d = 0, where the ratio tends to 1.
 
 Constructors:
 
@@ -36,9 +39,11 @@ Constructors:
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import mpmath
@@ -105,9 +110,15 @@ class TruncatedSeries:
         return self.coeffs[0].dot(self.coeffs[:n + 1], other.coeffs[n::-1])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product, truncated to the smaller order."""
+        """Cauchy product, truncated to the smaller order: the coefficient
+        type's ``convolve(xs, ys)`` where it has one (the interval
+        enclosures), its ``dot`` per coefficient otherwise."""
         m = min(self.order, other.order)
-        out = tuple(self.product_coefficient(other, n) for n in range(m + 1))
+        convolve = getattr(type(self.coeffs[0]), "convolve", None)
+        if convolve is not None:
+            out = tuple(convolve(self.coeffs, other.coeffs))
+        else:
+            out = tuple(self.product_coefficient(other, n) for n in range(m + 1))
         return TruncatedSeries(out, m, self.tail_note)
 
     def scaled(self, c: Scalar) -> "TruncatedSeries":
@@ -149,6 +160,10 @@ class PhiSpec:
             )
 
 
+# TermRatio arithmetic on the scalars themselves: lift, *, / and 1 - x.
+_SCALAR_ARITH = (lambda x: x, operator.mul, operator.truediv, partial(operator.sub, 1))
+
+
 @dataclass(frozen=True)
 class TermRatio:
     """A series given by its first coefficient and its term ratio
@@ -173,15 +188,16 @@ class TermRatio:
     scale: Scalar | None = None
     upper_sq: tuple = ()
 
-    def series(self, order: int, lift=None) -> TruncatedSeries:
+    def series(self, order: int, arith=None) -> TruncatedSeries:
         """c_0..c_order from the term-ratio recurrence.
 
-        ``lift`` maps each scalar into the coefficient type the recurrence
-        runs in (the scalars themselves by default); that type needs only
-        *, / and ``1 - x`` for an int 1.  A vanishing lower factor raises
-        CollisionError, decided on the scalars themselves.  Parameters that
-        are both upper and lower cancel, and a repeated parameter's factor
-        is formed once.
+        ``arith`` = (lift, mul, div, one_minus) is the arithmetic the
+        recurrence runs in: ``lift`` maps each scalar into its coefficient
+        type, and the other three are x * y, x / y and 1 - x there.  The
+        default is the scalars' own operators.  A vanishing lower factor
+        raises CollisionError, decided on the scalars themselves.
+        Parameters that are both upper and lower cancel, and a repeated
+        parameter's factor is formed once.
         """
         q = self.base
         for v in self.lower:
@@ -195,7 +211,7 @@ class TermRatio:
                 if factor.sign() > 0:
                     break       # v q^k < 1 from here on
                 qk = qk * q.q
-        lift = lift or (lambda x: x)
+        lift, mul, div, one_minus = arith or _SCALAR_ARITH
         one, qq = lift(q.one), lift(q.q)
         scale = lift(self.scale) if self.d else None
         up, low = Counter(self.upper), Counter(self.lower)
@@ -209,22 +225,22 @@ class TermRatio:
         coeffs = [c]
         qn1 = one            # q^(n-1)
         for _ in range(order):
-            qn = qn1 * qq
-            factors = [(scale * qn1, self.d)] if self.d else []
-            factors += [(1 - u * qn1, k) for u, k in upper]
+            qn = mul(qn1, qq)
+            factors = [(mul(scale, qn1), self.d)] if self.d else []
+            factors += [(one_minus(mul(u, qn1)), k) for u, k in upper]
             if upper_sq:
-                q2n2 = qn1 * qn1
-                factors += [(1 - w * q2n2, k) for w, k in upper_sq]
+                q2n2 = mul(qn1, qn1)
+                factors += [(one_minus(mul(w, q2n2)), k) for w, k in upper_sq]
             num = None          # the empty product
             for factor, k in factors:
                 for _ in range(k):
-                    num = factor if num is None else num * factor
-            den = 1 - qn
+                    num = factor if num is None else mul(num, factor)
+            den = one_minus(qn)
             for v, k in lower:
-                factor = 1 - v * qn1
+                factor = one_minus(mul(v, qn1))
                 for _ in range(k):
-                    den = den * factor
-            c = c / den if num is None else c * (num / den)
+                    den = mul(den, factor)
+            c = div(c, den) if num is None else mul(c, div(num, den))
             coeffs.append(c)
             qn1 = qn
         note = None if self.d else "converges for |x| < 1 only"

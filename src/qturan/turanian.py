@@ -32,12 +32,15 @@ needs order >= 1, so a verdict always rests on some coefficient m >= 1.
 
 In exact mode the four shifted series are built exactly to order 0 only
 (their exact leading coefficients give Delta_0).  Each series' exact
-q-power parameters are enclosed once in ``_Interval``s, nonnegative
-dyadic enclosures [lo 2^e, hi 2^e] with Python-int mantissas of ``_PREC``
-bits and one shared exponent, and its term-ratio recurrence runs in that
-arithmetic to enclose every coefficient.  The products u, v go through the
-one Cauchy kernel, whose ``_Interval.dot`` rounds each coefficient once,
-and every u_m - rho v_m is formed exactly on the integer mantissas.  Only when a coefficient's
+q-power parameters are enclosed once as nonnegative dyadic enclosures
+[lo 2^e, hi 2^e], integer triples (lo, hi, e) with mantissas of ``_PREC``
+bits and one shared exponent, and its term-ratio recurrence runs on them,
+with the arithmetic of ``_Interval`` passed as ``arith``, to enclose every
+coefficient.  The products u, v go through the one Cauchy kernel, where
+``_Interval.convolve`` makes each one big-integer multiplication per
+endpoint and rounds each coefficient once (a ``dot`` per coefficient when
+the mantissas spread too wide to pack), and every u_m - rho v_m is formed
+exactly on the integer mantissas.  Only when a coefficient's
 enclosure contains 0, or cannot stay nonnegative, are the exact series
 built to the full order, and that coefficient recomputed exactly as an
 O(m) dot product; that is how exact zeros are proven.  Verdicts involve no
@@ -230,40 +233,43 @@ def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
 _PREC = 100
 
 
-class _Interval:
-    """A nonnegative enclosure [lo 2^e, hi 2^e] on Python ints, its two ends
-    sharing one exponent, with the arithmetic that the term-ratio
-    recurrence of ``TermRatio`` (*, / and 1 - x) and the Cauchy kernel of
-    ``TruncatedSeries`` (``dot``) use.
+class _Interval(tuple):
+    """Nonnegative dyadic enclosures [lo 2^e, hi 2^e] as (lo, hi, e) triples
+    of Python ints whose two ends share one exponent, and the arithmetic on
+    them.  The operations are staticmethods on plain tuples: ``ARITH``
+    (``of``, ``mul``, ``div``, ``one_minus``) runs the term-ratio recurrence
+    of ``TermRatio``, and ``dot`` gives one Cauchy coefficient.  They live
+    in this one class, not in module functions, so that a tracer wrapping
+    the module's functions adds no span per operation.  An instance is a
+    triple tagged as a ``TruncatedSeries`` coefficient: the series' Cauchy
+    product then goes through ``convolve``, one big-integer multiplication
+    per endpoint.
 
     Every arithmetic result is rounded outward once, both ends by the one
-    shift that leaves hi with ``prec`` = _PREC bits (lo down, hi up): * and /
-    round their exact result, and ``dot`` sums its exact dyadic products at
-    their smallest exponent before rounding, so no common grid is imposed on
-    coefficients that decay like q^(n^2/2).  An enclosure that cannot stay
-    nonnegative (1 - x with x reaching past 1, a division by an enclosure
-    reaching 0, a negative value) is ``UNBOUNDED`` (lo = -1), and so is every
-    result it enters.
+    shift that leaves hi with ``prec`` bits (lo down, hi up; ``prec`` is
+    _PREC unless the caller guards more): ``mul`` and ``div`` round their
+    exact result, and ``dot`` and ``convolve`` sum exact dyadic products
+    before rounding, so no common grid is imposed on coefficients that decay
+    like q^(n^2/2).  An enclosure that cannot stay nonnegative (1 - x with x
+    reaching past 1, a division by an enclosure reaching 0, a negative
+    value) is ``UNBOUNDED`` (lo = -1), and so is every result it enters.
     """
 
-    __slots__ = ("lo", "hi", "e")
-    prec = _PREC
-    digits = _PREC * 3 // 10    # decimal digits of the endpoints
+    __slots__ = ()
+    digits = _PREC * 3 // 10    # decimal digits of the endpoints (bench/tracer.py)
+    UNBOUNDED = (-1, -1, 0)
 
-    def __init__(self, lo: int, hi: int, e: int):
-        self.lo, self.hi, self.e = lo, hi, e
-
-    @classmethod
-    def rounded(cls, lo: int, hi: int, e: int) -> "_Interval":
+    @staticmethod
+    def rounded(lo: int, hi: int, e: int, prec: int = _PREC) -> tuple:
         """[lo 2^e, hi 2^e], 0 <= lo <= hi, with lo rounded down and hi
-        rounded up by the shift that leaves hi with cls.prec bits."""
-        shift = hi.bit_length() - cls.prec
+        rounded up by the shift that leaves hi with prec bits."""
+        shift = hi.bit_length() - prec
         if shift > 0:
-            return cls(lo >> shift, -(-hi >> shift), e + shift)
-        return cls(lo, hi, e)
+            return lo >> shift, -(-hi >> shift), e + shift
+        return lo, hi, e
 
-    @classmethod
-    def of(cls, x: ExactScalar) -> "_Interval":
+    @staticmethod
+    def of(x: ExactScalar, prec: int = _PREC) -> tuple:
         """Enclosure of an exact scalar x = a + b sqrt(r) on the grid 2^-k:
         a 2^k and |b| sqrt(r) 2^k are each enclosed within one unit, and k
         grows until the lower end has more than prec + 8 bits, so the
@@ -280,7 +286,7 @@ class _Interval:
         size = an.bit_length() - ad.bit_length()
         if m:
             size = max(size, (bb[0].bit_length() - bb[1].bit_length()) // 2)
-        k = max(cls.prec + 10 - size, 0)
+        k = max(prec + 10 - size, 0)
         while True:
             lo, rem = divmod(an << k, ad)
             hi = lo + (rem != 0)
@@ -289,12 +295,12 @@ class _Interval:
                 root = isqrt(y)                 # floor(|b| sqrt(r) 2^k)
                 up = root + (rem != 0 or root * root != y)
                 lo, hi = (lo + root, hi + up) if m > 0 else (lo - up, hi - root)
-            if lo > 0 and lo.bit_length() > cls.prec + 8:
-                return cls(lo, hi, -k)
+            if lo > 0 and lo.bit_length() > prec + 8:
+                return lo, hi, -k
             sign = 1 if lo > 0 else x.sign()
             if sign <= 0:
-                return cls(0, 0, 0) if sign == 0 else _Interval.UNBOUNDED
-            k += cls.prec + 10 - lo.bit_length() if lo > 0 else k + cls.prec
+                return (0, 0, 0) if sign == 0 else _Interval.UNBOUNDED
+            k += prec + 10 - lo.bit_length() if lo > 0 else k + prec
 
     @staticmethod
     def exact(man: int, exp: int) -> ExactScalar:
@@ -305,65 +311,124 @@ class _Interval:
         t = min((man & -man).bit_length() - 1, -exp) if man else -exp
         return _exact(man >> t, 0, 1 << (-exp - t), None)
 
-    def __rsub__(self, other: int) -> "_Interval":
-        # [other - hi 2^e, other - lo 2^e], exact at exponent min(e, 0)
-        if self.lo < 0:
-            return self
-        e = min(self.e, 0)
-        one, s = other << -e, self.e - e
-        lo, hi = one - (self.hi << s), one - (self.lo << s)
+    @staticmethod
+    def one_minus(x: tuple, prec: int = _PREC) -> tuple:
+        """1 - x: [1 - hi 2^e, 1 - lo 2^e], exact at exponent min(e, 0)."""
+        xl, xh, xe = x
+        if xl < 0:
+            return x
+        e = xe if xe < 0 else 0
+        one, s = 1 << -e, xe - e
+        lo = one - (xh << s)
         if lo < 0:
             return _Interval.UNBOUNDED
-        return self.rounded(lo, hi, e)
+        return _Interval.rounded(lo, one - (xl << s), e, prec)
 
-    def __mul__(self, other: "_Interval") -> "_Interval":
-        if self.lo < 0 or other.lo < 0:
+    @staticmethod
+    def mul(x: tuple, y: tuple, prec: int = _PREC) -> tuple:
+        # rounded inline: the recurrence's most frequent operation
+        xl, xh, xe = x
+        yl, yh, ye = y
+        if xl < 0 or yl < 0:
             return _Interval.UNBOUNDED
-        return self.rounded(self.lo * other.lo, self.hi * other.hi, self.e + other.e)
+        hi = xh * yh
+        shift = hi.bit_length() - prec
+        if shift > 0:
+            return xl * yl >> shift, -(-hi >> shift), xe + ye + shift
+        return xl * yl, hi, xe + ye
 
-    def __truediv__(self, other: "_Interval") -> "_Interval":
-        if self.lo < 0 or other.lo <= 0:
+    @staticmethod
+    def div(x: tuple, y: tuple, prec: int = _PREC) -> tuple:
+        xl, xh, xe = x
+        yl, yh, ye = y
+        if xl < 0 or yl <= 0:
             return _Interval.UNBOUNDED
         # shift the dividends so that the upper quotient keeps >= prec bits;
         # a dividend already that much longer than its divisor needs no shift
-        k = max(self.prec + 1 + other.lo.bit_length() - self.hi.bit_length(), 0)
-        return self.rounded((self.lo << k) // other.hi, -(-(self.hi << k) // other.lo),
-                            self.e - other.e - k)
+        k = max(prec + 1 + yl.bit_length() - xh.bit_length(), 0)
+        return _Interval.rounded((xl << k) // yh, -(-(xh << k) // yl), xe - ye - k, prec)
 
     @staticmethod
-    def dot(xs, ys) -> "_Interval":
+    def dot(xs, ys, prec: int = _PREC) -> tuple:
         """Enclosure of the sum of x*y over the pairs: the exact sums of the
         endpoint products at their smallest exponent, rounded once."""
-        e = min(x.e + y.e for x, y in zip(xs, ys))
+        e = min([x[2] + y[2] for x, y in zip(xs, ys)])
         lo = hi = 0
-        for x, y in zip(xs, ys):
-            if x.lo < 0 or y.lo < 0:
+        for (xl, xh, xe), (yl, yh, ye) in zip(xs, ys):
+            if xl < 0 or yl < 0:
                 return _Interval.UNBOUNDED
-            s = x.e + y.e - e
-            lo += x.lo * y.lo << s
-            hi += x.hi * y.hi << s
-        return _Interval.rounded(lo, hi, e)
+            s = xe + ye - e
+            lo += xl * yl << s
+            hi += xh * yh << s
+        return _Interval.rounded(lo, hi, e, prec)
 
-    def bound_minus(self, rho: "_Interval", v: "_Interval") -> ExactScalar | None:
-        """The endpoint nearest 0 of the enclosure of self - rho v, formed
-        exactly on the mantissas and rounded toward 0 to _PREC bits; None
+    @staticmethod
+    def convolve(xs, ys, prec: int = _PREC) -> list:
+        """The Cauchy product of two enclosure sequences, truncated to the
+        shorter: entry n has the dyadic value of dot(xs[:n + 1], ys[n::-1]).
+
+        Each sequence's mantissas are moved onto its smallest exponent and
+        packed into fixed-width slots of one integer per endpoint, so one
+        multiplication per endpoint gives every coefficient's exact sum
+        (Kronecker substitution), which is then rounded once.  A sequence
+        whose mantissas at one exponent would exceed 2 prec bits (the d = 1
+        g series, which decay like q^(n^2/2)) goes through the ``dot`` loop
+        instead.  From the first unbounded entry of either sequence on,
+        every entry is UNBOUNDED.
+        """
+        size = min(len(xs), len(ys))
+        n = next((i for i in range(size) if xs[i][0] < 0 or ys[i][0] < 0), size)
+        unbounded = [_Interval.UNBOUNDED] * (size - n)
+        if not n:
+            return unbounded
+        ends = []
+        for seq in (xs[:n], ys[:n]):
+            e = min(x[2] for x in seq)
+            his = [h << (he - e) for _, h, he in seq]
+            bits = max(h.bit_length() for h in his)
+            if bits > 2 * prec:
+                return [_Interval.dot(xs[:k + 1], ys[k::-1], prec)
+                        for k in range(n)] + unbounded
+            ends.append(([lo << (le - e) for lo, _, le in seq], his, e, bits))
+        (xlo, xhi, xe, xbits), (ylo, yhi, ye, ybits) = ends
+        # a slot holds a sum of at most n products of xbits + ybits bits
+        width = (xbits + ybits + n.bit_length() + 7) // 8
+
+        def sums(xm, ym):
+            x, y = (int.from_bytes(b"".join([v.to_bytes(width, "little") for v in m]),
+                                   "little") for m in (xm, ym))
+            buf = (x * y).to_bytes(2 * n * width, "little")
+            return [int.from_bytes(buf[i:i + width], "little")
+                    for i in range(0, n * width, width)]
+
+        return [_Interval.rounded(lo, hi, xe + ye, prec)
+                for lo, hi in zip(sums(xlo, ylo), sums(xhi, yhi))] + unbounded
+
+    @staticmethod
+    def bound_minus(u: tuple, rho: tuple, v: tuple, prec: int = _PREC) -> ExactScalar | None:
+        """The endpoint nearest 0 of the enclosure of u - rho v, formed
+        exactly on the mantissas and rounded toward 0 to prec bits; None
         when that enclosure contains 0 or an operand is unbounded."""
-        if self.lo < 0 or rho.lo < 0 or v.lo < 0:
+        ul, uh, ue = u
+        rl, rh, re = rho
+        vl, vh, ve = v
+        if ul < 0 or rl < 0 or vl < 0:
             return None
-        pe = rho.e + v.e
-        e = min(self.e, pe)
-        s, t = self.e - e, pe - e
-        lo = (self.lo << s) - (rho.hi * v.hi << t)
-        hi = (self.hi << s) - (rho.lo * v.lo << t)
+        pe = re + ve
+        e = min(ue, pe)
+        s, t = ue - e, pe - e
+        lo = (ul << s) - (rh * vh << t)
+        hi = (uh << s) - (rl * vl << t)
         if lo <= 0 <= hi:
             return None
         end = lo if lo > 0 else hi
-        shift = max(end.bit_length() - _PREC, 0)
+        shift = max(end.bit_length() - prec, 0)
         man = end >> shift if end > 0 else -(-end >> shift)
         return _Interval.exact(man, e + shift)
 
 
-_Interval.UNBOUNDED = _Interval(-1, -1, 0)
+# The arithmetic that runs a TermRatio recurrence on enclosures.
+_Interval.ARITH = (_Interval.of, _Interval.mul, _Interval.div, _Interval.one_minus)
 
 
 def _exact_bound(series, rho_lo, rho_hi, m: int):
@@ -390,12 +455,12 @@ def _exact_mode_bounds(heads, enclosures, build, rho):
 
     The series are (F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta)), so
     u = F(mu+alpha)F(mu+beta) and v = F(mu)F(mu+alpha+beta).  ``heads``
-    holds them exactly to order 0 at least, ``enclosures`` as interval
-    series (of _Interval) to the full order, and ``build()`` returns them
+    holds them exactly to order 0 at least, ``enclosures`` as series of
+    _Interval triples to the full order, and ``build()`` returns them
     exactly to the full order.  ``rho`` is an exact enclosure (rho_lo,
     rho_hi) of the prefactor ratio ((1, 1) for the Heine and g families).
-    Both products are formed once in intervals, every u_m - rho v_m, m >= 1,
-    is enclosed, and the coefficients whose enclosure contains 0 or is
+    Both products are formed once, by _Interval.convolve, every u_m - rho
+    v_m, m >= 1, is enclosed, and the coefficients whose enclosure contains 0 or is
     unbounded are recomputed exactly, calling ``build`` at the first of
     them.  Each bound has the sign of its coefficient and at most its
     magnitude: the endpoint of _Interval.bound_minus (a dyadic rational) or
@@ -407,14 +472,15 @@ def _exact_mode_bounds(heads, enclosures, build, rho):
     head = _exact_bound(heads, rho_lo, rho_hi, 0)
     if head is None:
         return None
-    lo, hi = _Interval.of(rho_lo), _Interval.of(rho_hi)
-    e = min(lo.e, hi.e)
-    rho = _Interval(lo.lo << (lo.e - e), hi.hi << (hi.e - e), e)
-    u = (enclosures[0] * enclosures[1]).coeffs
-    v = (enclosures[2] * enclosures[3]).coeffs
+    (lo, _, lo_e), (_, hi, hi_e) = _Interval.of(rho_lo), _Interval.of(rho_hi)
+    e = min(lo_e, hi_e)
+    rho = (lo << (lo_e - e), hi << (hi_e - e), e)
+    f_a, f_b, f_0, f_ab = (TruncatedSeries(tuple(map(_Interval, s.coeffs)), s.order)
+                           for s in enclosures)
+    u, v = (f_a * f_b).coeffs, (f_0 * f_ab).coeffs
     exact, bounds, fallbacks = None, [], 0
     for m in range(1, len(u)):
-        bound = u[m].bound_minus(rho, v[m])
+        bound = _Interval.bound_minus(u[m], rho, v[m])
         if bound is None:
             fallbacks += 1
             if exact is None:
@@ -489,7 +555,7 @@ def _certify(spec: TuranianSpec, expected, norm, rho=(ex(1), ex(1)),
         margin = coeff0 = spec.q.zero
     elif spec.q.is_exact:
         heads = _shifted(spec, 0)
-        enclosures = tuple(h.ratio.series(spec.order, lift=_Interval.of) for h in heads)
+        enclosures = tuple(h.ratio.series(spec.order, _Interval.ARITH) for h in heads)
         found = _exact_mode_bounds(heads, enclosures, lambda: _shifted(spec), rho)
         if found is not None:
             coeff0, bounds, fallbacks = found
@@ -536,13 +602,10 @@ def delta_sign_certificate(spec: TuranianSpec) -> SignReport:
 # -- tilde family: interval enclosure of the prefactor ratio -----------------
 
 
-class _GuardedInterval(_Interval):
-    """_Interval with 32 guard bits for the (a; q)_inf products, which round
-    about N + 1/(1-q)^2 times over N factors (at _PREC bits, a relative
-    width of 2^-83 at q = 99/100 instead of their 2^-_PREC tail)."""
-
-    __slots__ = ()
-    prec = _PREC + 32
+# The precision of the (a; q)_inf enclosures: 32 guard bits, because those
+# products round about N + 1/(1-q)^2 times over N factors (at _PREC bits, a
+# relative width of 2^-83 at q = 99/100 instead of their 2^-_PREC tail).
+_GUARDED_PREC = _PREC + 32
 
 
 # The most factors an (a; q)_inf enclosure may take.  N grows like 1/(1-q):
@@ -550,19 +613,20 @@ class _GuardedInterval(_Interval):
 _MAX_PRODUCT_TERMS = 1 << 17
 
 
-def _qpoch_inf_interval(a: _Interval, q: _Interval, gap: _Interval,
-                        nterms: int) -> _Interval:
+def _qpoch_inf_interval(a: tuple, q: tuple, gap: tuple, nterms: int) -> tuple:
     """Enclosure of (a; q)_infty, 0 < a < 1, given a, q and gap = 1 - q: the
     product of 1 - a q^k over k < N times the tail factor in
     [1 - a q^N / (1-q), 1] (Gasper & Rahman, ch. 1), N >= nterms the first
-    count whose tail deficit is below 2^-_PREC."""
+    count whose tail deficit is below 2^-_PREC.  Every enclosure here is
+    rounded to _GUARDED_PREC bits."""
+    mul, prec = _Interval.mul, _GUARDED_PREC
     # 2^stop <= (1-q) 2^-_PREC, so a q^N below 2^stop bounds the deficit
-    stop = gap.lo.bit_length() - 1 + gap.e - _PREC
-    prod, t, n = _GuardedInterval(1, 1, 0), a, 0
-    while n < nterms or t.hi.bit_length() + t.e > stop:
-        prod, t, n = prod * (1 - t), t * q, n + 1
-    tail = 1 - t / gap
-    return prod * _GuardedInterval(tail.lo, 1 << -tail.e, tail.e)
+    stop = gap[0].bit_length() - 1 + gap[2] - _PREC
+    prod, t, n = (1, 1, 0), a, 0
+    while n < nterms or t[1].bit_length() + t[2] > stop:
+        prod, t, n = mul(prod, _Interval.one_minus(t, prec), prec), mul(t, q, prec), n + 1
+    tail_lo, _, tail_e = _Interval.one_minus(_Interval.div(t, gap, prec), prec)
+    return mul(prod, (tail_lo, 1 << -tail_e, tail_e), prec)
 
 
 def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
@@ -594,12 +658,13 @@ def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
             f"the enclosure of the Gamma_q ratio at q = {rational_text(q.q_frac)} needs "
             f"N = {needed} infinite-product terms (at most {_MAX_PRODUCT_TERMS} are "
             f"taken); certify this point in float mode (--mode float)")
-    qq = _GuardedInterval.of(q.q)
-    n1, n2, d1, d2 = (_qpoch_inf_interval(_GuardedInterval.of(q.q_power(mu + s)), qq,
-                                          1 - qq, nterms)
+    iv, prec = _Interval, _GUARDED_PREC
+    qq = iv.of(q.q, prec)
+    n1, n2, d1, d2 = (_qpoch_inf_interval(iv.of(q.q_power(mu + s), prec), qq,
+                                          iv.one_minus(qq, prec), nterms)
                       for s in (0, alpha + beta, alpha, beta))
-    rho = n1 * n2 / (d1 * d2)
-    return _Interval.exact(rho.lo, rho.e), _Interval.exact(rho.hi, rho.e)
+    lo, hi, e = iv.div(iv.mul(n1, n2, prec), iv.mul(d1, d2, prec), prec)
+    return iv.exact(lo, e), iv.exact(hi, e)
 
 
 def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:

@@ -6,8 +6,9 @@ interval contains 0.  The reference here classifies the exact coefficients
 of the full exact Cauchy products instead.
 """
 
+import operator
 from fractions import Fraction as F
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -232,12 +233,19 @@ def test_one_integer_shift_makes_rho_the_exact_finite_ratio(monkeypatch, qv, alp
         assert abs(lo.to_mpf(60) / rho - 1) < mpmath.mpf(10) ** -50
 
 
+def tagged(enclosure):
+    """An enclosure series with its triples tagged as _Interval
+    coefficients, whose Cauchy product is _Interval.convolve, as the
+    certificate forms its products."""
+    return TruncatedSeries(tuple(map(_Interval, enclosure.coeffs)), enclosure.order)
+
+
 def contains(enclosure, exact):
     """Every coefficient of exact, truncated to the enclosure's order, lies
     in its bounded enclosure."""
     for iv, c in zip(enclosure.coeffs, exact.coeffs[:enclosure.order + 1], strict=True):
-        assert iv.lo >= 0
-        assert _Interval.exact(iv.lo, iv.e) <= c <= _Interval.exact(iv.hi, iv.e)
+        assert iv[0] >= 0
+        assert _Interval.exact(iv[0], iv[2]) <= c <= _Interval.exact(iv[1], iv[2])
 
 
 @pytest.mark.parametrize("qv", [F(1, 4), F(1, 2), F(3, 4)])
@@ -258,9 +266,10 @@ def test_enclosures_contain_the_exact_coefficients(build, qv):
     products = (exact[0] * exact[1], exact[2] * exact[3])
     # order 60 is covered as a prefix: the term-ratio recurrence and the
     # truncated Cauchy product give coefficient n from coefficients 0..n only
-    enclosures = [build(q, s, 0).ratio.series(90, lift=_Interval.of) for s in shifts]
+    enclosures = [build(q, s, 0).ratio.series(90, _Interval.ARITH) for s in shifts]
     for enclosure, series in zip(enclosures, exact):
         contains(enclosure, series)
+    enclosures = list(map(tagged, enclosures))
     for enclosure, product in zip((enclosures[0] * enclosures[1],
                                    enclosures[2] * enclosures[3]), products):
         contains(enclosure, product)
@@ -286,7 +295,7 @@ def test_lower_collision_is_an_error_in_the_interval_path():
     a, b = (F(2), F(3)), (F(0), F(2))
     head = g_series(a, b, F(0), q, 0)
     with pytest.raises(CollisionError):
-        head.ratio.series(10, lift=_Interval.of)
+        head.ratio.series(10, _Interval.ARITH)
     with pytest.raises(CollisionError):
         sign_certificate(TuranianSpec(Family.G_NORMALIZED, F(0), F(1), F(1), q, 10, a, b))
 
@@ -304,7 +313,7 @@ def test_enclosure_reaching_zero_sends_every_coefficient_to_exact(qv):
         "heine-f", "exact", "x^m coefficients", expected=SignVerdict.ALL_STRICTLY_NEG,
         matches_expected=True, decided_by="interval+exact", exact_fallbacks=4)
     head = heine_f_series(F(1, 2), QBase.exact(q=qv), 0)
-    assert head.ratio.series(4, lift=_Interval.of).coeffs[1] is _Interval.UNBOUNDED
+    assert head.ratio.series(4, _Interval.ARITH).coeffs[1] is _Interval.UNBOUNDED
 
 
 @pytest.mark.parametrize("family, k, decided_by, fallbacks", [
@@ -385,7 +394,7 @@ def quadratic_scalars(draw):
 @given(quadratic_scalars())
 def test_enclosure_of_an_exact_scalar_matches_the_view_based_reference(x):
     iv = _Interval.of(x)
-    assert (iv.lo, iv.e, iv.hi, iv.e) == view_enclosure(x)
+    assert (iv[0], iv[2], iv[1], iv[2]) == view_enclosure(x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -396,7 +405,7 @@ def test_exact_dyadic_is_man_times_two_to_the_exp(man, exp):
 
 
 def endpoints(iv):
-    return F(iv.lo) * F(2) ** iv.e, F(iv.hi) * F(2) ** iv.e
+    return F(iv[0]) * F(2) ** iv[2], F(iv[1]) * F(2) ** iv[2]
 
 
 @st.composite
@@ -411,22 +420,183 @@ def intervals(draw):
 @given(intervals(), intervals(), intervals())
 def test_interval_arithmetic_encloses_the_exact_results(x, y, z):
     (xl, xh), (yl, yh), (zl, zh) = map(endpoints, (x, y, z))
-    cases = [(x * y, xl * yl, xh * yh), (1 - x, 1 - xh, 1 - xl),
+    cases = [(_Interval.mul(x, y), xl * yl, xh * yh), (_Interval.one_minus(x), 1 - xh, 1 - xl),
              (_Interval.dot([x, y], [y, z]), xl * yl + yl * zl, xh * yh + yh * zh)]
     if yl > 0:
-        cases.append((x / y, xl / yh, xh / yl))
+        cases.append((_Interval.div(x, y), xl / yh, xh / yl))
     for iv, lo, hi in cases:
         if lo < 0:
             assert iv is _Interval.UNBOUNDED
             continue
-        assert iv.hi <= 1 << _PREC        # rounding up may carry to 2^_PREC
+        assert iv[1] <= 1 << _PREC        # rounding up may carry to 2^_PREC
         got_lo, got_hi = endpoints(iv)
         assert got_lo <= lo and hi <= got_hi
     # u - rho v: the bound has the sign of the whole enclosure and lies inside it
-    bound = x.bound_minus(y, z)
+    bound = _Interval.bound_minus(x, y, z)
     lo, hi = xl - yh * zh, xh - yl * zl
     if bound is None:
         assert lo <= 0 <= hi
     else:
         b = bound.to_fraction()
         assert (0 < b <= lo) if lo > 0 else (hi <= b < 0)
+
+
+class OperatorInterval:
+    """The reference for the enclosure arithmetic: the operator-based class
+    that the (lo, hi, e) triples replace, as it was, with _PREC-bit rounding."""
+
+    __slots__ = ("lo", "hi", "e")
+    prec = _PREC
+
+    def __init__(self, lo, hi, e):
+        self.lo, self.hi, self.e = lo, hi, e
+
+    @classmethod
+    def rounded(cls, lo, hi, e):
+        shift = hi.bit_length() - cls.prec
+        if shift > 0:
+            return cls(lo >> shift, -(-hi >> shift), e + shift)
+        return cls(lo, hi, e)
+
+    @classmethod
+    def of(cls, x):
+        an, ad, m = x.n, x.d, x.m
+        if m:
+            g, h = gcd(an, ad), gcd(m, ad)
+            r = x.rad
+            bb = ((m // h) ** 2 * r.numerator, (ad // h) ** 2 * r.denominator)
+            an, ad = an // g, ad // g
+        size = an.bit_length() - ad.bit_length()
+        if m:
+            size = max(size, (bb[0].bit_length() - bb[1].bit_length()) // 2)
+        k = max(cls.prec + 10 - size, 0)
+        while True:
+            lo, rem = divmod(an << k, ad)
+            hi = lo + (rem != 0)
+            if m:
+                y, rem = divmod(bb[0] << 2 * k, bb[1])
+                root = isqrt(y)
+                up = root + (rem != 0 or root * root != y)
+                lo, hi = (lo + root, hi + up) if m > 0 else (lo - up, hi - root)
+            if lo > 0 and lo.bit_length() > cls.prec + 8:
+                return cls(lo, hi, -k)
+            sign = 1 if lo > 0 else x.sign()
+            if sign <= 0:
+                return cls(0, 0, 0) if sign == 0 else OperatorInterval.UNBOUNDED
+            k += cls.prec + 10 - lo.bit_length() if lo > 0 else k + cls.prec
+
+    def __rsub__(self, other):
+        if self.lo < 0:
+            return self
+        e = min(self.e, 0)
+        one, s = other << -e, self.e - e
+        lo, hi = one - (self.hi << s), one - (self.lo << s)
+        if lo < 0:
+            return OperatorInterval.UNBOUNDED
+        return self.rounded(lo, hi, e)
+
+    def __mul__(self, other):
+        if self.lo < 0 or other.lo < 0:
+            return OperatorInterval.UNBOUNDED
+        return self.rounded(self.lo * other.lo, self.hi * other.hi, self.e + other.e)
+
+    def __truediv__(self, other):
+        if self.lo < 0 or other.lo <= 0:
+            return OperatorInterval.UNBOUNDED
+        k = max(self.prec + 1 + other.lo.bit_length() - self.hi.bit_length(), 0)
+        return self.rounded((self.lo << k) // other.hi, -(-(self.hi << k) // other.lo),
+                            self.e - other.e - k)
+
+    @staticmethod
+    def dot(xs, ys):
+        e = min(x.e + y.e for x, y in zip(xs, ys))
+        lo = hi = 0
+        for x, y in zip(xs, ys):
+            if x.lo < 0 or y.lo < 0:
+                return OperatorInterval.UNBOUNDED
+            s = x.e + y.e - e
+            lo += x.lo * y.lo << s
+            hi += x.hi * y.hi << s
+        return OperatorInterval.rounded(lo, hi, e)
+
+
+OperatorInterval.UNBOUNDED = OperatorInterval(-1, -1, 0)
+OPERATOR_ARITH = (OperatorInterval.of, operator.mul, operator.truediv, lambda x: 1 - x)
+
+
+def reference_of(iv):
+    return OperatorInterval(*iv)
+
+
+def same_value(got, want):
+    """A triple and a reference enclosure with equal endpoints, or both
+    unbounded."""
+    if want.lo < 0:
+        assert got is _Interval.UNBOUNDED
+    else:
+        assert endpoints(got) == endpoints((want.lo, want.hi, want.e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(intervals(), intervals(), intervals())
+def test_triple_arithmetic_matches_the_operator_reference(x, y, z):
+    rx, ry, rz = map(reference_of, (x, y, z))
+    same_value(_Interval.mul(x, y), rx * ry)
+    same_value(_Interval.one_minus(x), 1 - rx)
+    same_value(_Interval.dot([x, y, z], [z, x, y]),
+               OperatorInterval.dot([rx, ry, rz], [rz, rx, ry]))
+    if y[0] > 0:
+        same_value(_Interval.div(x, y), rx / ry)
+
+
+@pytest.mark.parametrize("qv", [F(1, 4), F(1, 2), F(3, 4)])
+@pytest.mark.parametrize("build", [
+    lambda q, n: heine_f_series(F(1), q, n),
+    lambda q, n: heine_f_series(F(1, 2), q, n),
+    lambda q, n: g_series(*VECTORS["g-a"], F(5, 2), q, n, ref_mu=F(1, 2)),
+    lambda q, n: g_series(*VECTORS["g-b"], F(5, 2), q, n, ref_mu=F(1, 2)),
+], ids=["heine-1", "heine-1/2", "g-a", "g-b"])
+def test_term_ratio_enclosures_match_the_operator_reference(build, qv):
+    ratio = build(QBase.exact(q=qv), 0).ratio
+    got = ratio.series(90, _Interval.ARITH).coeffs
+    want = ratio.series(90, OPERATOR_ARITH).coeffs
+    assert len(got) == len(want) == 91
+    for g, w in zip(got, want):
+        same_value(g, w)
+
+
+@st.composite
+def enclosure_sequences(draw):
+    """Two sequences of rounded enclosures, of lengths 1 to 100, whose
+    exponents spread below or above the 2 _PREC bits that convolve packs,
+    each sometimes with an unbounded entry."""
+    def sequence():
+        length = draw(st.integers(1, 100))
+        spread = draw(st.sampled_from([0, 24, _PREC - 10, 2 * _PREC + 50, 20 * _PREC]))
+        base = draw(st.integers(-3000, 40))
+        seq = []
+        for _ in range(length):
+            lo = draw(st.one_of(st.integers(0, 2 ** 6), st.integers(0, 2 ** 140)))
+            hi = lo + draw(st.one_of(st.integers(0, 4), st.integers(0, 2 ** 140)))
+            seq.append(_Interval.rounded(lo, hi, base + draw(st.integers(0, spread))))
+        return seq
+
+    xs, ys = sequence(), sequence()
+    for seq in (xs, ys):
+        if draw(st.booleans()):
+            seq[draw(st.integers(0, len(seq) - 1))] = _Interval.UNBOUNDED
+    return xs, ys
+
+
+@settings(max_examples=150, deadline=None)
+@given(enclosure_sequences())
+def test_convolve_equals_the_dot_loop(sequences):
+    xs, ys = sequences
+    got = _Interval.convolve(xs, ys)
+    assert len(got) == min(len(xs), len(ys))
+    for n, iv in enumerate(got):
+        want = _Interval.dot(xs[:n + 1], ys[n::-1])
+        if want is _Interval.UNBOUNDED:
+            assert iv is _Interval.UNBOUNDED
+        else:
+            assert endpoints(iv) == endpoints(want)

@@ -1,6 +1,7 @@
 """Backend behaviour: exactness, quadratic-field arithmetic, mode isolation."""
 
 import math
+import operator
 import sys
 from fractions import Fraction as F
 
@@ -363,6 +364,27 @@ def test_exact_scalar_matches_the_fraction_pair_formulas(operands, e):
     assert x.to_mpf(40)._mpf_ == rx.to_mpf(40)._mpf_
     assert ExactScalar(k) == k and hash(ExactScalar(k)) == hash(k)
 
+
+
+_COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands(), st.booleans())
+def test_exact_comparisons_match_fraction_comparisons(operands, tie):
+    # two rationals (the cross-product path) against Fraction's own <, and
+    # a Q(sqrt r) operand (the difference path) against the sign of the
+    # Fraction-pair difference; ints and Fractions on either side
+    (x, rx), (y, ry), k = operands
+    if tie:
+        y, ry = ExactScalar(rx.a), _Pair(rx.a)
+    for left, right, rl, rr in ((x, y, rx, ry), (x, k, rx, _Pair(k)), (k, x, _Pair(k), rx),
+                                (x, x, rx, rx)):
+        for op in _COMPARISONS:
+            if rl.b == 0 and rr.b == 0:
+                assert op(left, right) == op(rl.a, rr.a)
+            else:
+                assert op(left, right) == op((rl - rr).sign(), 0)
 
 @settings(max_examples=100, deadline=None)
 @given(_RADICANDS.flatmap(lambda rad: st.lists(
