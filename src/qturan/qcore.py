@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath
+from mpmath.libmp import fone, fzero, mpf_mul, mpf_sub, round_nearest
 
 from .scalar import (
     DEFAULT_DIGITS,
@@ -34,6 +35,8 @@ from .scalar import (
     OffGridError,
     PoleError,
     Scalar,
+    _float,
+    _prec,
     as_fraction,
     ex,
     one_like,
@@ -192,16 +195,17 @@ def qpochhammer_infinite(a, q: QBase, rel_tol=None) -> Scalar:
         if rel_tol is None:
             rel_tol = mpmath.mpf(10) ** (8 - q.digits)
         nterms = _infinite_tail_terms(abs(a.val), q, rel_tol)
-        result = mpmath.mpf(1)
-        t = a.val
-        qv = q.q.val
-        for _ in range(nterms):
-            factor = 1 - t
-            if factor == 0:
-                return FloatScalar(0, q.digits)
-            result *= factor
-            t *= qv
-    return FloatScalar(result, q.digits)
+    # the loop on raw libmp tuples: the bits of the same loop in mpmath's
+    # context arithmetic under workdps(q.digits)
+    prec = _prec(q.digits)
+    result, t, qv = fone, a.val._mpf_, q.q.val._mpf_
+    for _ in range(nterms):
+        factor = mpf_sub(fone, t, prec, round_nearest)
+        if factor == fzero:
+            return FloatScalar(0, q.digits)
+        result = mpf_mul(result, factor, prec, round_nearest)
+        t = mpf_mul(t, qv, prec, round_nearest)
+    return _float(result, q.digits)
 
 
 def qgamma(z, q: QBase, rel_tol=None) -> Scalar:

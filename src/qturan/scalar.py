@@ -16,9 +16,12 @@ products n1 d2 and n2 d1.
 Every float operation is one ``mpmath.libmp`` call on the raw ``_mpf_``
 tuples at ``dps_to_prec(max digits)`` bits of its operands, rounding to
 nearest, which gives the same bits as mpmath's context arithmetic under
-``workdps(max digits)`` without entering a context per operation.  So a
-float result depends on its operands' digits only: mpmath's global
-precision changes no output.
+``workdps(max digits)`` without entering a context per operation.  The
+float Cauchy kernel rounds once per coefficient: ``dot`` sums the exact
+products of the integer mantissas, and ``convolve`` forms every such sum
+of a series product by one big-integer multiplication.  So a float result
+depends on its operands' digits only: mpmath's global precision changes no
+output.
 
 The two backends never mix: combining an exact value with a float value in
 one operation raises :class:`ModeMismatchError` instead of silently
@@ -41,6 +44,8 @@ from mpmath.libmp import (
     ComplexResult,
     dps_to_prec,
     from_int,
+    from_man_exp,
+    fzero,
     mpf_abs,
     mpf_add,
     mpf_div,
@@ -507,14 +512,17 @@ class ExactScalar:
 class FloatScalar:
     """Arbitrary-precision float tagged with its precision in decimal digits.
 
-    ``val`` is an mpmath ``mpf``.  Every operation other than construction
-    (``+ - * /`` and their reflected forms, unary ``-``, ``abs``, ``**``,
-    ``sqrt``, ``exp`` and ``dot``) is one ``mpmath.libmp`` call on the raw
-    ``_mpf_`` tuples at ``dps_to_prec(max digits)`` bits, rounding to
-    nearest: the same bits as mpmath's context arithmetic under
+    ``val`` is an mpmath ``mpf``.  Every arithmetic operation other than
+    construction (``+ - * /`` and their reflected forms, unary ``-``,
+    ``abs``, ``**``, ``sqrt`` and ``exp``) is one ``mpmath.libmp`` call on
+    the raw ``_mpf_`` tuples at ``dps_to_prec(max digits)`` bits, rounding
+    to nearest: the same bits as mpmath's context arithmetic under
     ``workdps(max digits)``, without entering a context per operation.  An
     ``int`` operand is rounded to that precision first, as ``mpf(n)`` is;
     other literals go through the constructor at the scalar's digits.
+    ``dot`` and ``convolve``, the Cauchy kernel, sum exact mantissa products
+    and round each sum once, to nearest, at the largest digits: more
+    accurate than ``acc + x*y`` term by term, and not its bits.
     """
 
     __slots__ = ("val", "digits")
@@ -578,29 +586,79 @@ class FloatScalar:
 
     @staticmethod
     def dot(xs, ys) -> "FloatScalar":
-        """Sum of x*y over the pairs of xs and ys, left to right.
+        """Sum of x*y over the pairs of xs and ys, rounded once.
 
-        Each product rounds at the larger digits of its factors and each
-        partial sum at the running maximum, as ``acc + x*y`` does.
+        The products of the operands' integer mantissas are summed exactly,
+        and the sum is rounded to nearest at the largest digits of the
+        operands: the result is the correctly rounded exact sum.  A literal
+        coerces at its partner's digits; a pair with no FloatScalar is a
+        TypeError.  Any inf or nan operand makes the result inf or nan, the
+        libmp sum of the products.
         """
-        acc = None
+        terms = []
+        digits = 0
+        special = None
         for x, y in zip(xs, ys):
             if type(x) is not FloatScalar:
+                if type(y) is not FloatScalar:
+                    raise TypeError(f"FloatScalar.dot needs a FloatScalar in each "
+                                    f"pair, got {x!r} and {y!r}")
                 x = y._coerce(x)
             elif type(y) is not FloatScalar:
                 y = x._coerce(y)
-            dx, dy = x.digits, y.digits
-            d = dx if dx >= dy else dy
-            p = mpf_mul(x.val._mpf_, y.val._mpf_, _prec(d), round_nearest)
-            if acc is None:
-                acc, digits = p, d
-            else:
-                if d > digits:
-                    digits = d
-                acc = mpf_add(acc, p, _prec(digits), round_nearest)
-        if acc is None:
+            d = x.digits if x.digits >= y.digits else y.digits
+            if d > digits:
+                digits = d
+            s, t = x.val._mpf_, y.val._mpf_
+            xsign, xman, xexp, _ = s
+            ysign, yman, yexp, _ = t
+            if xman and yman:
+                man = xman * yman
+                terms.append((-man if xsign ^ ysign else man, xexp + yexp))
+            elif (xexp and not xman) or (yexp and not yman):
+                special = mpf_add(special or fzero, mpf_mul(s, t, _prec(d), round_nearest),
+                                  _prec(d), round_nearest)
+        if not digits:
             raise ValueError("dot of empty vectors")
-        return _float(acc, digits)
+        if special is not None:
+            return _float(special, digits)
+        return _float(_rounded_sum(terms, _prec(digits)) if terms else fzero, digits)
+
+    @staticmethod
+    def convolve(xs, ys) -> list:
+        """The Cauchy product of two coefficient sequences, truncated to the
+        shorter: entry k is ``dot(xs[:k + 1], ys[k::-1])``, bit for bit.
+
+        Each sequence's signed mantissas are moved onto its smallest
+        exponent and packed into slots wide enough for any coefficient's
+        exact sum (Kronecker substitution), so one big-integer
+        multiplication gives every exact sum; each slot is read back as a
+        signed value, a negative one borrowing 1 from the slot above, and
+        rounded once.  The ``dot`` per coefficient runs instead when an
+        entry is not a FloatScalar or is inf or nan, when the digits differ
+        between the entries of a sequence, or when the mantissas of the
+        two sequences together span more than ``_PACK_BITS`` bits (the
+        d = 1 g series, which decay like q^(n^2/2)).
+        """
+        n = min(len(xs), len(ys))
+        xs, ys = xs[:n], ys[:n]
+        px, py = _on_one_exponent(xs), _on_one_exponent(ys)
+        if px is None or py is None or px[2] + py[2] > _PACK_BITS:
+            return [FloatScalar.dot(xs[:k + 1], ys[k::-1]) for k in range(n)]
+        (xm, xe, xbits, dx), (ym, ye, ybits, dy) = px, py
+        # a slot holds a signed sum of at most n products of xbits + ybits bits
+        width = (xbits + ybits + n.bit_length() + 8) // 8
+        z = _packed(xm, width) * _packed(ym, width)
+        buf = (z & ((1 << 8 * width * n) - 1)).to_bytes(width * n, "little")
+        d = dx if dx >= dy else dy
+        prec, e = _prec(d), xe + ye
+        out = []
+        borrow = 0
+        for i in range(0, width * n, width):
+            s = int.from_bytes(buf[i:i + width], "little", signed=True)
+            out.append(_float(from_man_exp(s + borrow, e, prec, round_nearest), d))
+            borrow = s < 0
+        return out
 
     def __neg__(self):
         return _float(mpf_neg(self.val._mpf_, _prec(self.digits), round_nearest), self.digits)
@@ -678,6 +736,86 @@ def _float(t, digits: int) -> FloatScalar:
     s.val = _make_mpf(t)
     s.digits = digits
     return s
+
+
+# Terms whose bits span at most this many are summed on one exponent; wider
+# sums go run by run, so that no integer grows as wide as their spread.
+_SUM_SPAN = 1 << 15
+
+
+def _rounded_sum(terms: list, prec: int) -> tuple:
+    """The raw mpf nearest the exact sum of the nonzero dyadic terms
+    (man, exp), each man 2^exp with a signed man, rounded once at prec bits.
+
+    Terms spanning more than _SUM_SPAN bits are summed run by run, from the
+    highest: sorted by their top bit, a run takes each next term whose top
+    bit reaches within prec + 3 + log2(len(terms)) bits of the run's lowest
+    bit.  Everything below a run then totals less than 2^-(prec+3) of that
+    bit, so the first run with a nonzero sum gives the result up to a
+    sticky unit whose sign is that of the next nonzero run.
+    """
+    e = min([x for _, x in terms])
+    top = max([man.bit_length() + x for man, x in terms])
+    if top - e <= _SUM_SPAN:
+        return from_man_exp(sum([man << (x - e) for man, x in terms]), e, prec,
+                            round_nearest)
+    gap = prec + 3 + len(terms).bit_length()
+    runs = []                           # [terms, their lowest exponent]
+    for man, x in sorted(terms, key=lambda t: t[0].bit_length() + t[1], reverse=True):
+        if runs and man.bit_length() + x >= runs[-1][1] - gap:
+            runs[-1][0].append((man, x))
+            runs[-1][1] = min(runs[-1][1], x)
+        else:
+            runs.append([[(man, x)], x])
+    sums = [(t, low) for run, low in runs if (t := sum([m << (x - low) for m, x in run]))]
+    if not sums:
+        return fzero
+    (lead, low), rest = sums[0], sums[1:]
+    if rest:
+        k = prec + 3
+        lead, low = (lead << k) + (1 if rest[0][0] > 0 else -1), low - k
+    return from_man_exp(lead, low, prec, round_nearest)
+
+
+# A Cauchy product whose two sequences' mantissas, each on its own smallest
+# exponent, have more bits than this in all goes through the dot loop: from
+# about 1100-1300 bits on (at 50 digits, lengths 31-201) the one wide
+# multiplication costs more than the dot loop's small ones.
+_PACK_BITS = 1200
+
+
+def _on_one_exponent(seq):
+    """(the signed mantissas of seq on its smallest exponent, that exponent,
+    their largest bit length, the digits), or None when seq cannot be
+    packed: it is empty, an entry is not a FloatScalar or is inf or nan, or
+    the digits differ between entries."""
+    if not seq or any([type(x) is not FloatScalar for x in seq]):
+        return None
+    digits = seq[0].digits
+    if any([x.digits != digits for x in seq]):
+        return None
+    raw = [x.val._mpf_ for x in seq]
+    exps = [t[2] for t in raw if t[1]]
+    if len(exps) < len(raw) and any([t[2] for t in raw if not t[1]]):
+        return None                     # inf or nan: mantissa 0, exponent not 0
+    if not exps:
+        return [0] * len(raw), 0, 0, digits
+    e = min(exps)
+    bits = max([t[2] + t[3] for t in raw if t[1]]) - e
+    return [(-m if s else m) << (x - e) if m else 0 for s, m, x, _ in raw], e, bits, digits
+
+
+def _packed(mans: list, width: int) -> int:
+    """sum of mans[i] 2^(8 width i): the signed ints packed into width-byte
+    slots, positive and negative entries packed apart."""
+    zero = bytes(width)
+    pos = int.from_bytes(b"".join([m.to_bytes(width, "little") if m > 0 else zero
+                                   for m in mans]), "little")
+    if all([m >= 0 for m in mans]):
+        return pos
+    neg = int.from_bytes(b"".join([(-m).to_bytes(width, "little") if m < 0 else zero
+                                   for m in mans]), "little")
+    return pos - neg
 
 
 Scalar = Union[ExactScalar, FloatScalar]

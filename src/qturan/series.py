@@ -5,11 +5,13 @@ between series of different orders truncates to the smaller order; the
 Cauchy product is the single convolution kernel every Turanian goes
 through.  It hands each output coefficient's whole sum to the coefficient
 type's ``dot(xs, ys)``: exact sums add integer numerators over the lcm of
-the term denominators and reduce once, and float sums run left to right.
-A coefficient type with a ``convolve(xs, ys)`` forms the whole product
-instead: the interval enclosures of the exact sign certificates, integer
-triples, make it one big-integer multiplication per endpoint, with a
-``dot`` per coefficient when their mantissas spread too wide to pack.
+the term denominators and reduce once, and float sums add the exact
+products of the mantissas and round once.  A coefficient type with a
+``convolve(xs, ys)`` forms the whole product instead, each coefficient
+equal to its ``dot``: floats and the interval enclosures of the exact sign
+certificates (integer triples) make it one big-integer multiplication (one
+per endpoint for enclosures), with a ``dot`` per coefficient when the
+mantissas spread too wide to pack.
 
 The q-hypergeometric constructors, the q-Bessel sums and the 4phi3 of
 Rahman's product share one :class:`TermRatio`: c_0 and the parameters of
@@ -106,13 +108,15 @@ class TruncatedSeries:
 
     def product_coefficient(self, other: "TruncatedSeries", n: int) -> Scalar:
         """Coefficient n of the Cauchy product self * other, in O(n): the
-        coefficient type's ``dot`` of c_0..c_n with other's c_n..c_0."""
+        coefficient type's ``dot`` of c_0..c_n with other's c_n..c_0.  It
+        equals coefficient n of ``self * other`` in every coefficient type:
+        a float ``dot`` rounds once, as ``convolve`` does."""
         return self.coeffs[0].dot(self.coeffs[:n + 1], other.coeffs[n::-1])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated to the smaller order: the coefficient
-        type's ``convolve(xs, ys)`` where it has one (the interval
-        enclosures), its ``dot`` per coefficient otherwise."""
+        type's ``convolve(xs, ys)`` where it has one (floats and the
+        interval enclosures), its ``dot`` per coefficient otherwise."""
         m = min(self.order, other.order)
         convolve = getattr(type(self.coeffs[0]), "convolve", None)
         if convolve is not None:

@@ -10,6 +10,7 @@ import pytest
 
 from qturan.qcore import (
     QBase,
+    _infinite_tail_terms,
     elementary_symmetric,
     pochhammer_classical,
     q_exponential,
@@ -91,6 +92,25 @@ class TestQPochhammerInfinite:
     def test_exact_mode_rejected(self):
         with pytest.raises(ExactModeError):
             qpochhammer_infinite(ex(F(1, 3)), Q12)
+
+    @pytest.mark.parametrize("q", [F(3, 10), F(1, 2), F(3, 4), F(4, 5), F(9, 10)])
+    def test_bits_of_the_context_arithmetic_loop(self, q):
+        """The raw-tuple loop gives the bits of the same loop in mpmath's
+        context arithmetic at the base's digits, at the default tolerance
+        (a = q, q^(5/2), q^(1/2)) and at a looser one."""
+        base = QBase.floating(q, digits=50)
+        for a in (base.q, base.q_power(F(5, 2)), base.p, fl(F(1, 7), 65)):
+            for rel_tol in (None, mpmath.mpf("1e-20")):
+                got = qpochhammer_infinite(a, base, rel_tol)
+                with mpmath.workdps(50):
+                    tol = mpmath.mpf(10) ** -42 if rel_tol is None else rel_tol
+                    nterms = _infinite_tail_terms(abs(a.val), base, tol)
+                    want, t = mpmath.mpf(1), a.val
+                    for _ in range(nterms):
+                        want *= 1 - t
+                        t *= base.q.val
+                assert got.digits == 50
+                assert got.val._mpf_ == want._mpf_
 
 
 class TestQGamma:

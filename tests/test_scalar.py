@@ -2,11 +2,13 @@
 
 import math
 import operator
+import random
 import sys
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from mpmath.libmp import dps_to_prec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -490,32 +492,181 @@ def test_float_unary_ops_match_mpmath(x, n):
     _same_bits(root.sqrt(), want, d)
 
 
-@settings(max_examples=200, deadline=None)
+# -- FloatScalar.dot and convolve: the exact sum, rounded once -----------------
+
+def _value(x: FloatScalar) -> F:
+    """The exact dyadic value of a finite FloatScalar."""
+    sign, man, exp, _ = x.val._mpf_
+    v = F(man) * F(2) ** exp
+    return -v if sign else v
+
+
+def _nearest(v: F, digits: int) -> F:
+    """v rounded to dps_to_prec(digits) significant bits, ties to even."""
+    if not v:
+        return v
+    prec = dps_to_prec(digits)
+    a = abs(v)
+    top = a.numerator.bit_length() - a.denominator.bit_length()
+    if a < F(2) ** top:
+        top -= 1                        # 2^top <= a < 2^(top+1)
+    unit = F(2) ** (top + 1 - prec)
+    r = round(a / unit) * unit          # round() on a Fraction breaks ties to even
+    return r if v > 0 else -r
+
+
+def _check_rounded_once(got, pairs):
+    """got is the exact sum of the products, rounded once at the max digits."""
+    digits = max(max(x.digits, y.digits) for x, y in pairs)
+    assert got.digits == digits
+    assert _value(got) == _nearest(sum(_value(x) * _value(y) for x, y in pairs), digits)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_floats(), _floats()), min_size=1, max_size=12))
-def test_float_dot_is_the_left_to_right_sum(pairs):
+def test_float_dot_rounds_the_exact_sum_once(pairs):
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-    acc = None
-    for x, y in pairs:
-        d = max(x.digits, y.digits)
-        with mpmath.workdps(d):
-            p = x.val * y.val
-        if acc is None:
-            acc, digits = p, d
-        else:
-            digits = max(digits, d)
-            with mpmath.workdps(digits):
-                acc = acc + p
-    _same_bits(FloatScalar.dot(xs, ys), acc, digits)
+    _check_rounded_once(FloatScalar.dot(xs, ys), pairs)
+
+
+@st.composite
+def _spread_floats(draw):
+    """Pairs of FloatScalars whose products span up to 10^5 bits, with exact
+    cancellations: some products are repeated with the opposite sign."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    digits = draw(_DIGITS)
+    pairs = []
+    for _ in range(draw(st.integers(1, 10))):
+        m = rng.randrange(1, 2 ** dps_to_prec(digits)) * rng.choice((-1, 1))
+        e = rng.choice((0, rng.randrange(-10 ** 5, 10 ** 5), rng.randrange(-400, 400)))
+        x, y = FloatScalar(mpmath.mpf((m, e)), digits), fl(rng.choice((1, 3, F(1, 3))), digits)
+        pairs.append((x, y))
+        if rng.random() < 0.3:
+            pairs.append((-x, y))
+    rng.shuffle(pairs)
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spread_floats())
+def test_float_dot_rounds_widely_spread_sums_once(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    _check_rounded_once(FloatScalar.dot(xs, ys), pairs)
+
+
+@pytest.mark.parametrize("sign", [1, -1, 0])
+@pytest.mark.parametrize("gap", [10, 40_000, 10 ** 6])
+def test_float_dot_breaks_a_tie_by_a_term_far_below(sign, gap):
+    """2^prec + 1 is a tie at prec bits; a term 2^-gap decides it, however
+    far below it lies, and without it the tie goes to the even mantissa."""
+    prec = dps_to_prec(50)
+    xs = [fl(2 ** prec), fl(1), fl(mpmath.mpf((sign, -gap)))]
+    got = FloatScalar.dot(xs, [1, 1, 1])
+    assert _value(got) == 2 ** prec + (2 if sign > 0 else 0)
 
 
 def test_float_dot_coerces_literals_and_refuses_exact():
     a, b = fl(F(1, 3), 30), fl(F(-2, 7), 65)
-    want = a * 3 + b * F(1, 5) + 2 * a
-    _same_bits(FloatScalar.dot([a, b, 2], [3, F(1, 5), a]), want.val, 65)
+    got = FloatScalar.dot([a, b, 2], [3, F(1, 5), a])
+    # a literal coerces at its partner's digits, as FloatScalar(literal, digits)
+    _check_rounded_once(got, [(a, fl(3, 30)), (b, fl(F(1, 5), 65)), (fl(2, 30), a)])
+    assert got.digits == 65
+    zero = FloatScalar.dot([fl(0, 30), 0], [a, fl(1, 40)])
+    assert (zero.val._mpf_, zero.digits) == ((0, 0, 0, 0), 40)
     with pytest.raises(ModeMismatchError):
         FloatScalar.dot([a], [ex(1)])
     with pytest.raises(ModeMismatchError):
         FloatScalar.dot([ex(1)], [a])
+    with pytest.raises(TypeError, match="FloatScalar in each pair"):
+        FloatScalar.dot([2], [3])
+    with pytest.raises(TypeError, match="FloatScalar in each pair"):
+        FloatScalar.dot([a, 2], [1, F(1, 3)])
+    with pytest.raises(ValueError):
+        FloatScalar.dot([], [])
+
+
+_INF, _NINF, _NAN = (mpmath.mpf(v) for v in ("inf", "-inf", "nan"))
+
+
+@pytest.mark.parametrize("xs,ys,want", [
+    ([_INF, F(1, 2)], [1, 1], _INF),
+    ([F(1, 2), _INF], [1, -3], _NINF),
+    ([_NINF, 7], [2, 0], _NINF),
+    ([_INF, _NINF], [1, 1], _NAN),
+    ([_INF, 1], [0, 1], _NAN),
+    ([_NAN, 1], [1, 1], _NAN),
+])
+def test_float_dot_and_convolve_never_sum_inf_or_nan_as_zero(xs, ys, want):
+    xs, ys = [fl(x) for x in xs], [fl(y) for y in ys]
+    assert FloatScalar.dot(xs, ys).val._mpf_ == want._mpf_
+    # the special entry sits at index 0 or 1, so it enters the last coefficient
+    last = FloatScalar.convolve(xs, ys[::-1])[-1]
+    assert last.val._mpf_ == FloatScalar.dot(xs, ys).val._mpf_
+
+
+def _dot_per_coefficient(xs, ys):
+    n = min(len(xs), len(ys))
+    return [FloatScalar.dot(xs[:k + 1], ys[k::-1]) for k in range(n)]
+
+
+def _same_values(got, want):
+    assert [(g.val._mpf_, g.digits) for g in got] == [(w.val._mpf_, w.digits) for w in want]
+
+
+@st.composite
+def _sequences(draw):
+    """A coefficient sequence: length 1-80, a mantissa size, a spread of the
+    exponents over 0-3000 bits (a combined 1200 bits is where the packing
+    gives way to the dot loop), zero and negative entries in some, one
+    digits for all or mixed digits."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.integers(1, 80))
+    digits = draw(_DIGITS)
+    bits = draw(st.sampled_from([1, 8, 53, dps_to_prec(digits)]))
+    spread = draw(st.sampled_from([0, 20, 300, 450, 520, 1000, 3000]))
+    signs = draw(st.sampled_from([(1,), (-1,), (1, -1)]))
+    zeros = draw(st.sampled_from([0, 0.2, 1]))
+    mixed = draw(st.booleans())
+    out = []
+    for _ in range(n):
+        d = rng.choice(list(_DIGITS.elements)) if mixed else digits
+        if rng.random() < zeros:
+            out.append(FloatScalar(0, d))
+            continue
+        m = rng.randrange(1, 2 ** min(bits, dps_to_prec(d))) * rng.choice(signs)
+        out.append(FloatScalar(mpmath.mpf((m, -rng.randrange(spread + 1))), d))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sequences(), _sequences())
+def test_float_convolve_is_the_dot_per_coefficient(xs, ys):
+    _same_values(FloatScalar.convolve(xs, ys), _dot_per_coefficient(xs, ys))
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 63])
+@pytest.mark.parametrize("ybits", [3, 64, 169])
+def test_float_convolve_slots_hold_the_largest_sums(n, ybits):
+    """Every mantissa 2^bits - 1 and one sign per sequence: the last slot
+    holds n of the largest products, the largest sum a slot must hold.
+    Eight consecutive sizes of x meet every rounding of a slot to bytes."""
+    for xbits in range(3, 11):
+        for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            xs = [fl(sx * (2 ** xbits - 1))] * n
+            ys = [fl(mpmath.mpf((sy * (2 ** ybits - 1), -ybits)))] * n
+            _same_values(FloatScalar.convolve(xs, ys), _dot_per_coefficient(xs, ys))
+
+
+def test_float_convolve_edge_cases():
+    a = fl(F(1, 3))
+    assert FloatScalar.convolve([], [a]) == []
+    # truncated to the shorter sequence, and exact-mode entries still refused
+    assert len(FloatScalar.convolve([a, a, a], [a, -a])) == 2
+    with pytest.raises(ModeMismatchError):
+        FloatScalar.convolve([a, a], [ex(1), ex(2)])
+    # literals go through the dot loop, which coerces them
+    _same_values(FloatScalar.convolve([a, 2], [a, F(1, 5)]),
+                 _dot_per_coefficient([a, 2], [a, F(1, 5)]))
 
 
 def test_float_sqrt_of_a_negative_is_a_domain_error():

@@ -65,6 +65,32 @@ def test_cauchy_product_identity_and_symmetry():
     assert all((x - y).is_zero() for x, y in zip(left.coeffs, right.coeffs))
 
 
+def _float_pair(name, q, order):
+    if name == "heine":
+        return heine_f_series(F(1, 2), q, order), heine_f_series(F(5, 2), q, order)
+    if name == "g-b":                   # t = s: d = 1, the dot loop
+        return (g_series((2, 3), (1, 2), F(1), q, order),
+                g_series((2, 3), (1, 2), F(2), q, order))
+    # t = s: terms (-1)^n q^binom(n,2) (a; q)_n / ((b; q)_n (q; q)_n)
+    return (tphis_series(PhiSpec((q.q_power(F(2)),), (q.q_power(F(1)),), q), order),
+            tphis_series(PhiSpec((q.q_power(F(1, 2)),), (q.q_power(F(3)),), q), order))
+
+
+@pytest.mark.parametrize("qv", [F(1, 4), F(3, 4)])
+@pytest.mark.parametrize("name,order", [("heine", 60), ("g-b", 60), ("tphis", 20),
+                                        ("tphis", 60)])
+def test_float_product_coefficient_is_the_product_coefficient(name, order, qv):
+    """One float coefficient of a Cauchy product, taken alone by ``dot``,
+    has the bits of the whole product's, whether ``convolve`` packs the
+    sequences (Heine, the alternating tphis at order 20) or runs the dot loop
+    (the d = 1 series at order 60)."""
+    a, b = _float_pair(name, QBase.floating(qv, 50), order)
+    product = a * b
+    for m in range(order + 1):
+        got = a.product_coefficient(b, m)
+        assert (got.val._mpf_, got.digits) == (product.coeffs[m].val._mpf_, 50)
+
+
 def test_series_mode_mismatch():
     s = TruncatedSeries((ex(1), ex(2)), 1)
     with pytest.raises(ModeMismatchError):
