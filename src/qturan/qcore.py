@@ -50,9 +50,11 @@ class QBase:
     rational half power) or :meth:`floating`.  ``qpow(k)`` returns p**k,
     i.e. q**(k/2); ``q_power(e)`` returns q**e and, in exact mode, insists
     that 2e is an integer so the result stays on the half-power grid.
+    A float base holds (q; q)_infty at the default tolerance in ``qq_inf``
+    once the first :func:`qgamma` without ``rel_tol`` has formed it.
     """
 
-    __slots__ = ("mode", "digits", "q", "p", "q_frac", "p_frac")
+    __slots__ = ("mode", "digits", "q", "p", "q_frac", "p_frac", "qq_inf")
 
     def __init__(self, *, mode, q, p, q_frac=None, p_frac=None, digits=DEFAULT_DIGITS):
         self.mode = mode
@@ -61,6 +63,7 @@ class QBase:
         self.q_frac = q_frac
         self.p_frac = p_frac
         self.digits = digits
+        self.qq_inf = None
 
     @classmethod
     def exact(cls, q=None, p=None) -> "QBase":
@@ -211,7 +214,9 @@ def qpochhammer_infinite(a, q: QBase, rel_tol=None) -> Scalar:
 def qgamma(z, q: QBase, rel_tol=None) -> Scalar:
     """Gamma_q(z) = (1-q)^(1-z) (q; q)_infty / (q^z; q)_infty (float mode).
 
-    Raises PoleError at z in {0, -1, -2, ...}.
+    At the default tolerance (q; q)_infty is formed once per base and held
+    as ``q.qq_inf``; an explicit ``rel_tol`` forms its own.  Raises
+    PoleError at z in {0, -1, -2, ...}.
     """
     if q.is_exact:
         raise ExactModeError(
@@ -225,7 +230,12 @@ def qgamma(z, q: QBase, rel_tol=None) -> Scalar:
         z = q.scalar(z)
         if z.val <= 0 and z.val == int(z.val):
             raise PoleError(f"Gamma_q pole at z={z.val}")
-    num = qpochhammer_infinite(q.q, q, rel_tol)
+    if rel_tol is not None:
+        num = qpochhammer_infinite(q.q, q, rel_tol)
+    elif q.qq_inf is None:
+        num = q.qq_inf = qpochhammer_infinite(q.q, q)
+    else:
+        num = q.qq_inf
     den = qpochhammer_infinite(q.q ** z, q, rel_tol)
     one_minus_q = 1 - q.q
     return (one_minus_q ** (1 - z)) * num / den

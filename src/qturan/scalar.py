@@ -17,9 +17,11 @@ Every float operation is one ``mpmath.libmp`` call on the raw ``_mpf_``
 tuples at ``dps_to_prec(max digits)`` bits of its operands, rounding to
 nearest, which gives the same bits as mpmath's context arithmetic under
 ``workdps(max digits)`` without entering a context per operation.  The
-float Cauchy kernel rounds once per coefficient: ``dot`` sums the exact
-products of the integer mantissas, and ``convolve`` forms every such sum
-of a series product by one big-integer multiplication.  So a float result
+term-ratio recurrence and Horner's rule run whole loops on the raw tuples,
+with the bits of the same loops on the operators.  The float Cauchy kernel
+rounds once per coefficient: ``dot`` sums the exact products of the
+integer mantissas, and ``convolve`` forms every such sum of a series
+product by one big-integer multiplication.  So a float result
 depends on its operands' digits only: mpmath's global precision changes no
 output.
 
@@ -45,6 +47,7 @@ from mpmath.libmp import (
     dps_to_prec,
     from_int,
     from_man_exp,
+    fone,
     fzero,
     mpf_abs,
     mpf_add,
@@ -522,7 +525,10 @@ class FloatScalar:
     other literals go through the constructor at the scalar's digits.
     ``dot`` and ``convolve``, the Cauchy kernel, sum exact mantissa products
     and round each sum once, to nearest, at the largest digits: more
-    accurate than ``acc + x*y`` term by term, and not its bits.
+    accurate than ``acc + x*y`` term by term, and not its bits.  ``arith``
+    (the term-ratio recurrence of a float series) and ``horner`` (its
+    evaluation) run whole loops on the raw tuples with the bits of the same
+    loops on these operators, without a FloatScalar per step.
     """
 
     __slots__ = ("val", "digits")
@@ -659,6 +665,60 @@ class FloatScalar:
             out.append(_float(from_man_exp(s + borrow, e, prec, round_nearest), d))
             borrow = s < 0
         return out
+
+    @staticmethod
+    def arith(digits: int) -> tuple:
+        """The arithmetic ``TermRatio.series`` runs on a float base: (lift,
+        mul, div, one_minus) on raw ``_mpf_`` tuples, each operation one
+        ``mpmath.libmp`` call at ``dps_to_prec(digits)`` bits, rounding to
+        nearest.  ``lift`` takes a FloatScalar's tuple and coerces a literal
+        at ``digits``; ``_float(t, digits)`` wraps a result.  On operands of
+        ``digits`` digits these are the bits of ``*``, ``/`` and ``1 - x``.
+        """
+        prec = _prec(digits)
+
+        def lift(x):
+            return (x if type(x) is FloatScalar else FloatScalar(x, digits)).val._mpf_
+
+        def mul(s, t):
+            return mpf_mul(s, t, prec, round_nearest)
+
+        def div(s, t):
+            return mpf_div(s, t, prec, round_nearest)
+
+        def one_minus(t):
+            return mpf_sub(fone, t, prec, round_nearest)
+
+        return lift, mul, div, one_minus
+
+    @staticmethod
+    def horner(coeffs, x) -> "FloatScalar":
+        """sum_n c_n x^n by Horner's rule, acc = acc * x + c from the top, on
+        the raw tuples: each product and each sum rounds at the digits the
+        operators would use (the largest of acc's, x's and c's), so the
+        result has the bits of that operator loop.  A literal x coerces at
+        acc's digits, as ``_raw`` does; a coefficient that is not a
+        FloatScalar sends the whole sum through the operators.
+        """
+        acc = coeffs[-1]
+        if len(coeffs) == 1 or any([type(c) is not FloatScalar for c in coeffs]):
+            for c in reversed(coeffs[:-1]):
+                acc = acc * x + c
+            return acc
+        literal = type(x) is not FloatScalar
+        t, d = acc._raw(x)
+        if d < acc.digits:
+            d = acc.digits
+        prec, s = _prec(d), acc.val._mpf_
+        for c in reversed(coeffs[:-1]):
+            s = mpf_mul(s, t, prec, round_nearest)
+            if c.digits > d:
+                d = c.digits
+                prec = _prec(d)
+                if literal:
+                    t = _float(fzero, d)._raw(x)[0]
+            s = mpf_add(s, c.val._mpf_, prec, round_nearest)
+        return _float(s, d)
 
     def __neg__(self):
         return _float(mpf_neg(self.val._mpf_, _prec(self.digits), round_nearest), self.digits)

@@ -17,10 +17,13 @@ The q-hypergeometric constructors, the q-Bessel sums and the 4phi3 of
 Rahman's product share one :class:`TermRatio`: c_0 and the parameters of
 c_n / c_(n-1), including base-q^2 upper parameters (``upper_sq``), whose
 recurrence takes its arithmetic as ``arith`` = (lift, mul, div,
-one_minus): the scalars' own operators by default, or the interval
-arithmetic of the exact sign certificates.  Each series it builds keeps it
-as ``ratio``, and carries the tail note "converges for |x| < 1 only"
-exactly when d = 0, where the ratio tends to 1.
+one_minus): by default the scalars' own operators on an exact base and
+``FloatScalar.arith``, raw ``mpmath.libmp`` tuples with the operators'
+bits, on a float base; the exact sign certificates pass the interval
+arithmetic.  Each series it builds keeps it as ``ratio``, and carries the
+tail note "converges for |x| < 1 only" exactly when d = 0, where the ratio
+tends to 1.  Evaluation is Horner's rule, which a float series runs on raw
+tuples too (``FloatScalar.horner``), again with the operators' bits.
 
 Constructors:
 
@@ -60,6 +63,7 @@ from .scalar import (
     HypothesisError,
     PoleError,
     Scalar,
+    _float,
     as_fraction,
     ex,
     one_like,
@@ -88,9 +92,16 @@ class TruncatedSeries:
             )
 
     def eval(self, x) -> Scalar:
-        """Horner evaluation at x; a tail note marks an |x| < 1 domain."""
+        """Horner evaluation at x; a tail note marks an |x| < 1 domain.
+
+        The coefficient type's ``horner(coeffs, x)`` sums where it has one
+        (floats, on raw tuples with the bits of the loop below), the loop
+        acc = acc * x + c otherwise."""
         if self.tail_note is not None and not abs(x) < one_like(x):
             raise DomainError(f"series {self.tail_note}")
+        horner = getattr(type(self.coeffs[0]), "horner", None)
+        if horner is not None:
+            return horner(self.coeffs, x)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
@@ -198,10 +209,13 @@ class TermRatio:
         ``arith`` = (lift, mul, div, one_minus) is the arithmetic the
         recurrence runs in: ``lift`` maps each scalar into its coefficient
         type, and the other three are x * y, x / y and 1 - x there.  The
-        default is the scalars' own operators.  A vanishing lower factor
-        raises CollisionError, decided on the scalars themselves.
-        Parameters that are both upper and lower cancel, and a repeated
-        parameter's factor is formed once.
+        default on an exact base is the scalars' own operators; on a float
+        base it is ``FloatScalar.arith`` at the largest digits among c0,
+        the scale, the parameters and q, whose raw results are wrapped once
+        per coefficient: the bits of the operators on values at those
+        digits.  A vanishing lower factor raises CollisionError, decided on
+        the scalars themselves.  Parameters that are both upper and lower
+        cancel, and a repeated parameter's factor is formed once.
         """
         q = self.base
         for v in self.lower:
@@ -215,7 +229,16 @@ class TermRatio:
                 if factor.sign() > 0:
                     break       # v q^k < 1 from here on
                 qk = qk * q.q
-        lift, mul, div, one_minus = arith or _SCALAR_ARITH
+        digits = None           # a float base's default: wrap raw tuples
+        if arith is None:
+            if q.is_exact:
+                arith = _SCALAR_ARITH
+            else:
+                used = (self.c0, q.q, *self.upper, *self.lower, *self.upper_sq,
+                        *((self.scale,) if self.d else ()))
+                digits = max([q.digits] + [x.digits for x in used if type(x) is FloatScalar])
+                arith = FloatScalar.arith(digits)
+        lift, mul, div, one_minus = arith
         one, qq = lift(q.one), lift(q.q)
         scale = lift(self.scale) if self.d else None
         up, low = Counter(self.upper), Counter(self.lower)
@@ -247,6 +270,8 @@ class TermRatio:
             c = div(c, den) if num is None else mul(c, div(num, den))
             coeffs.append(c)
             qn1 = qn
+        if digits is not None:
+            coeffs = [_float(c, digits) for c in coeffs]
         note = None if self.d else "converges for |x| < 1 only"
         return TruncatedSeries(tuple(coeffs), order, note, self)
 

@@ -8,6 +8,7 @@ from math import prod
 import mpmath
 import pytest
 
+from qturan import qcore
 from qturan.qcore import (
     QBase,
     _infinite_tail_terms,
@@ -29,6 +30,7 @@ from qturan.scalar import (
     ex,
     fl,
 )
+from qturan.turanian import Family, TuranianSpec, delta_tilde_sign_certificate
 
 Q12 = QBase.exact(q=F(1, 2))
 Q14 = QBase.exact(q=F(1, 4))
@@ -130,6 +132,28 @@ class TestQGamma:
             zv = mpmath.mpf(z.numerator) / z.denominator
             rhs = (1 - q ** zv) / (1 - q) * qgamma(z, QF, rel_tol=rel).val
             assert abs(lhs.val - rhs) <= 10 * rel * abs(rhs)
+
+    def test_one_product_of_q_per_float_base(self, monkeypatch):
+        """A float tilde certificate's four Gamma_q share (q; q)_inf, formed
+        once on its base: five infinite products instead of eight.  An
+        explicit rel_tol still forms its own."""
+        calls = []
+        product = qcore.qpochhammer_infinite
+
+        def counted(a, q, rel_tol=None):
+            calls.append(rel_tol)
+            return product(a, q, rel_tol)
+
+        monkeypatch.setattr(qcore, "qpochhammer_infinite", counted)
+        q = QBase.floating(F(3, 4), 50)
+        spec = TuranianSpec(Family.HEINE_F_TILDE, F(1, 2), F(1, 2), F(3, 2), q, 60)
+        assert delta_tilde_sign_certificate(spec).matches_expected
+        assert len(calls) == 5
+        held = q.qq_inf
+        assert held.val._mpf_ == product(q.q, QBase.floating(F(3, 4), 50)).val._mpf_
+        loose = mpmath.mpf(10) ** -30
+        qgamma(F(3, 2), q, rel_tol=loose)
+        assert calls[5:] == [loose, loose] and q.qq_inf is held
 
     def test_pole_errors(self):
         for z in (F(0), F(-1), F(-3)):

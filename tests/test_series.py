@@ -5,9 +5,12 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qturan.qcore import QBase, qgamma, qgamma_ratio, qpochhammer_finite, qpochhammer_infinite
 from qturan.series import (
+    _SCALAR_ARITH,
     PhiSpec,
     TermRatio,
     TruncatedSeries,
@@ -29,6 +32,7 @@ from qturan.scalar import (
     HypothesisError,
     ModeMismatchError,
     PoleError,
+    _float,
     ex,
     fl,
 )
@@ -389,3 +393,112 @@ class TestKummer:
             kummer_1f1_value(F(1), fl(1000, 50), 50)
         # at x = 100 the terms fall below 10^-58 of the sum well within 700 terms
         assert abs(kummer_1f1_value(F(1), fl(100, 50), 50).val / mpmath.e ** 100 - 1) < 1e-45
+
+
+# -- float raw kernels: the bits of the scalar operators ---------------------
+
+def _bits(values):
+    return [(v.val._mpf_, v.digits) for v in values]
+
+
+_EXPONENTS = st.sampled_from([F(1, 3), F(1, 2), F(1), F(3, 2), F(5, 2)])
+
+
+@st.composite
+def _float_ratios(draw):
+    """A TermRatio over a float base: d = 0 or 1, with upper, lower and
+    upper_sq parameters drawn from a few powers of q (so repeats are
+    common), and at times one parameter both upper and lower."""
+    q = QBase.floating(F(draw(st.integers(1, 99)), 100), draw(st.sampled_from([15, 30, 50, 80])))
+    powers = st.lists(_EXPONENTS.map(q.q_power), max_size=3)
+    upper, lower, upper_sq = draw(powers), draw(powers), draw(powers)
+    if draw(st.booleans()):
+        shared = q.q_power(draw(_EXPONENTS))
+        upper, lower = upper + [shared], lower + [shared]
+    d = draw(st.sampled_from([0, 1]))
+    scale = draw(st.sampled_from([q.scalar(-1), 1 - q.q, q.q]))
+    c0 = draw(st.sampled_from([q.one, q.q_power(F(1, 3))]))
+    return TermRatio(c0, tuple(upper), tuple(lower), q, d, scale, tuple(upper_sq))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_float_ratios(), st.integers(0, 40))
+def test_float_recurrence_has_the_bits_of_the_operators(ratio, order):
+    """A float base's default recurrence on raw tuples gives the bits and
+    digits of the same recurrence on the scalars' operators."""
+    got = ratio.series(order)
+    want = ratio.series(order, _SCALAR_ARITH)
+    assert _bits(got.coeffs) == _bits(want.coeffs)
+    assert got.tail_note == want.tail_note
+    assert got.ratio is ratio
+
+
+def test_mixed_digit_recurrence_runs_at_the_largest_digits():
+    """A ratio whose values carry 15 to 80 digits runs at 80: the bits of the
+    operators on the same values re-tagged to 80 digits."""
+    q50 = QBase.floating(F(1, 2), 50)
+    c0, u = fl(F(2, 3), 30), fl(F(1, 3), 80)
+    v, scale = q50.q_power(F(3, 2)), fl(F(-1, 2), 15)
+    ratio = TermRatio(c0, (u,), (v,), q50, 1, scale, (q50.q,))
+
+    def at80(x):
+        return _float(x.val._mpf_, 80)
+
+    q80 = QBase.floating(at80(q50.q), 80)
+    retagged = TermRatio(at80(c0), (u,), (at80(v),), q80, 1, at80(scale), (at80(q50.q),))
+    got = ratio.series(30)
+    assert {c.digits for c in got.coeffs} == {80}
+    assert _bits(got.coeffs) == _bits(retagged.series(30, _SCALAR_ARITH).coeffs)
+
+
+def test_float_recurrence_still_refuses_a_colliding_lower_parameter():
+    for lower in ((QF.one,), (QF.q, QF.one)):
+        with pytest.raises(CollisionError):
+            TermRatio(QF.one, (QF.q,), lower, QF).series(5)
+
+
+def _operator_horner(coeffs, x):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+@st.composite
+def _float_evaluations(draw):
+    """(a float series, a point): d = 0 series with |x| < 1 at 15, 50 or 100
+    digits against 50-digit coefficients, d = 1 series at any sign and at
+    int and Fraction points, and series whose coefficients mix digits."""
+    q = QBase.floating(F(draw(st.integers(1, 99)), 100), 50)
+    order = draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(["d0", "d1", "mixed"]))
+    if kind == "d0":
+        series = heine_f_series(draw(_EXPONENTS), q, order)
+        x = fl(F(draw(st.integers(-99, 99)), 100), draw(st.sampled_from([15, 50, 100])))
+        return series, x
+    series = g_series((2, 3), (1, 2), draw(_EXPONENTS), q, order)
+    if kind == "mixed":
+        digits = draw(st.lists(st.sampled_from([15, 50, 80]), min_size=order + 1,
+                               max_size=order + 1))
+        series = TruncatedSeries(tuple(_float(c.val._mpf_, d)
+                                       for c, d in zip(series.coeffs, digits)), order)
+    x = draw(st.sampled_from([fl(F(-7, 3), 30), fl(F(5, 2), 100), 2, -3, F(5, 3)]))
+    return series, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_evaluations())
+def test_float_eval_has_the_bits_of_the_operator_loop(case):
+    series, x = case
+    assert _bits([series.eval(x)]) == _bits([_operator_horner(series.coeffs, x)])
+
+
+def test_eval_domain_and_exact_results_are_unchanged():
+    heine = heine_f_series(F(1, 2), QF, 20)
+    for x in (fl(1), fl(F(-3, 2)), fl(F(101, 100), 80)):
+        with pytest.raises(DomainError, match="[|]x[|] < 1"):
+            heine.eval(x)
+    exact = heine_f_series(F(1), Q12, 12)
+    x = F(-2, 3)
+    want = sum(c.to_fraction() * x ** n for n, c in enumerate(exact.coeffs))
+    assert exact.eval(ex(x)).to_fraction() == want
