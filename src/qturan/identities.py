@@ -76,10 +76,11 @@ def _compare(pairs, mode: str, order: int, label: str, note=None) -> Residual:
     all_zero = True
     for lhs, rhs in pairs:
         diff = abs(lhs - rhs)
-        if not diff.is_zero():
+        if diff.is_zero():
+            rel = diff          # the value and digits of 0 / max(|lhs|, |rhs|)
+        else:
             all_zero = False
-        denom = max(abs(lhs), abs(rhs))
-        rel = diff if denom.is_zero() else diff / denom
+            rel = diff / max(abs(lhs), abs(rhs))
         if max_abs is None or diff > max_abs:
             max_abs = diff
         if max_rel is None or rel > max_rel:

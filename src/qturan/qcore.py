@@ -51,7 +51,7 @@ class QBase:
     i.e. q**(k/2); ``q_power(e)`` returns q**e and, in exact mode, insists
     that 2e is an integer so the result stays on the half-power grid.
     A float base holds (q; q)_infty at the default tolerance in ``qq_inf``
-    once the first :func:`qgamma` without ``rel_tol`` has formed it.
+    once :meth:`held_qq_inf` has formed it.
     """
 
     __slots__ = ("mode", "digits", "q", "p", "q_frac", "p_frac", "qq_inf")
@@ -90,6 +90,14 @@ class QBase:
         if not (0 < qs.val < 1):
             raise DomainError(f"q={qs.val} not in (0,1)")
         return cls(mode="float", q=qs, p=qs.sqrt(), digits=digits)
+
+    def held_qq_inf(self) -> Scalar:
+        """(q; q)_infty at the default tolerance (float mode), formed by the
+        first call and held as ``qq_inf``: Gamma_q and the Jackson q-Bessel
+        functions on one base share it."""
+        if self.qq_inf is None:
+            self.qq_inf = qpochhammer_infinite(self.q, self)
+        return self.qq_inf
 
     @property
     def is_exact(self) -> bool:
@@ -214,8 +222,8 @@ def qpochhammer_infinite(a, q: QBase, rel_tol=None) -> Scalar:
 def qgamma(z, q: QBase, rel_tol=None) -> Scalar:
     """Gamma_q(z) = (1-q)^(1-z) (q; q)_infty / (q^z; q)_infty (float mode).
 
-    At the default tolerance (q; q)_infty is formed once per base and held
-    as ``q.qq_inf``; an explicit ``rel_tol`` forms its own.  Raises
+    At the default tolerance (q; q)_infty is the base's
+    :meth:`QBase.held_qq_inf`; an explicit ``rel_tol`` forms its own.  Raises
     PoleError at z in {0, -1, -2, ...}.
     """
     if q.is_exact:
@@ -232,10 +240,8 @@ def qgamma(z, q: QBase, rel_tol=None) -> Scalar:
             raise PoleError(f"Gamma_q pole at z={z.val}")
     if rel_tol is not None:
         num = qpochhammer_infinite(q.q, q, rel_tol)
-    elif q.qq_inf is None:
-        num = q.qq_inf = qpochhammer_infinite(q.q, q)
     else:
-        num = q.qq_inf
+        num = q.held_qq_inf()
     den = qpochhammer_infinite(q.q ** z, q, rel_tol)
     one_minus_q = 1 - q.q
     return (one_minus_q ** (1 - z)) * num / den

@@ -8,10 +8,11 @@ mpmath float tagged with its precision in decimal digits).
 An exact value is held on Python integers, (n + m*sqrt(rad)) / d in lowest
 terms, not as Fraction objects, and each operation reduces once: a product
 with a rational factor by the two cross gcds (as ``Fraction`` does); a sum,
-a product of two irrationals and an inverse by one gcd of three integers;
-adding an ``int`` not at all; ``dot`` once per sum.  ``sign`` compares n^2
-with m^2 rad in integers, and ``<`` on two rationals compares the cross
-products n1 d2 and n2 d1.
+a product of two irrationals and an inverse by one gcd of three integers,
+which for a product with a short factor starts from a short multiple of
+every common factor; adding an ``int`` not at all; ``dot`` once per sum.
+``sign`` compares n^2 with m^2 rad in integers, and ``<`` on two
+rationals compares the cross products n1 d2 and n2 d1.
 
 Every float operation is one ``mpmath.libmp`` call on the raw ``_mpf_``
 tuples at ``dps_to_prec(max digits)`` bits of its operands, rounding to
@@ -127,8 +128,13 @@ def rational_text(x: Fraction) -> str:
     Python's limit on int-to-str conversion (4300 digits by default), so
     coefficients of high-order exact series print whatever their size.
     """
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    return _ratio_text(x.numerator, x.denominator)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """:func:`rational_text` of n/d, for n and d > 0 already in lowest terms."""
+    num = str(Decimal(n))
+    return num if d == 1 else f"{num}/{Decimal(d)}"
 
 
 def _exact_sqrt(r: Fraction) -> Fraction | None:
@@ -328,8 +334,26 @@ class ExactScalar:
             return _scale(n2, m2, d2, n1, d1, o.rad)
         rad = _join(self.rad, o.rad)
         rn, rd = rad.numerator, rad.denominator
-        return _reduced(n1 * n2 * rd + m1 * m2 * rn, (n1 * m2 + m1 * n2) * rd,
-                        d1 * d2 * rd, rad)
+        n, m, d = n1 * n2 * rd + m1 * m2 * rn, (n1 * m2 + m1 * n2) * rd, d1 * d2 * rd
+        # The product reduces by g = gcd(n, m, d).  Let B = (nB + mB sqrt(r)) /
+        # dB be the factor of shorter denominator, A the other, and nu =
+        # nB^2 rd - mB^2 rn.  Since n + m sqrt(r) = d A B and (nB - mB sqrt(r))
+        # B dB = nu / rd, (n + m sqrt(r)) (nB - mB sqrt(r)) = (nA + mA sqrt(r)) nu:
+        # nA nu rd = n nB rd - m mB rn and mA nu = m nB - n mB.  So a prime
+        # power dividing n, m and d = dA dB rd divides nA nu rd, mA nu and
+        # dA dB rd, and as gcd(nA, mA, dA) = 1 the prime misses one of nA, mA
+        # and dA: the power divides nu rd or dB rd, hence K = dB rd |nu|, and
+        # g = gcd(K, n, m, d).  K is the shorter start when its size, about
+        # 2 max(bits(nB), bits(mB)) beyond that of dB rd, is below bits(dA).
+        bits1, bits2 = d1.bit_length(), d2.bit_length()
+        nb, mb, db, bits = (n1, m1, d1, bits2) if bits1 < bits2 else (n2, m2, d2, bits1)
+        if 2 * nb.bit_length() < bits > 2 * mb.bit_length():
+            g = gcd(db * rd * abs(nb * nb * rd - mb * mb * rn), n, m, d)
+        else:
+            g = gcd(d, n, m)
+        if g != 1:
+            n, m, d = n // g, m // g, d // g
+        return _exact(n, m, d, rad)
 
     __rmul__ = __mul__
 
@@ -502,7 +526,7 @@ class ExactScalar:
     def canonical(self) -> str:
         """Deterministic text form: 'num/den' or 'a+b*sqrt(r)'."""
         if not self.m:
-            return rational_text(self.a)
+            return _ratio_text(self.n, self.d)
         b = self.b
         sign = "-" if b < 0 else "+"
         return (f"{rational_text(self.a)}{sign}{rational_text(abs(b))}"

@@ -20,10 +20,14 @@ recurrence takes its arithmetic as ``arith`` = (lift, mul, div,
 one_minus): by default the scalars' own operators on an exact base and
 ``FloatScalar.arith``, raw ``mpmath.libmp`` tuples with the operators'
 bits, on a float base; the exact sign certificates pass the interval
-arithmetic.  Each series it builds keeps it as ``ratio``, and carries the
-tail note "converges for |x| < 1 only" exactly when d = 0, where the ratio
-tends to 1.  Evaluation is Horner's rule, which a float series runs on raw
-tuples too (``FloatScalar.horner``), again with the operators' bits.
+arithmetic.  ``TermRatio.series_of`` runs several ratios on one base over
+one chain of q^n and 1 - q^n, each step's factors planned once per ratio,
+and gives each series the bits it has when built alone; the certificates
+build their four enclosures so.  Each series keeps its ratio as
+``ratio``, and carries the tail note "converges for |x| < 1 only" exactly
+when d = 0, where the ratio tends to 1.  Evaluation is Horner's rule,
+which a float series runs on raw tuples too (``FloatScalar.horner``),
+again with the operators' bits.
 
 Constructors:
 
@@ -204,19 +208,72 @@ class TermRatio:
     upper_sq: tuple = ()
 
     def series(self, order: int, arith=None) -> TruncatedSeries:
-        """c_0..c_order from the term-ratio recurrence.
+        """c_0..c_order from the term-ratio recurrence: the one-ratio case
+        of :meth:`series_of`, whose docstring gives ``arith`` and the
+        defaults."""
+        return TermRatio.series_of((self,), order, arith)[0]
+
+    @staticmethod
+    def series_of(ratios, order: int, arith=None) -> tuple:
+        """The series c_0..c_order of each of ``ratios``, built over one chain
+        of q-powers.
 
         ``arith`` = (lift, mul, div, one_minus) is the arithmetic the
-        recurrence runs in: ``lift`` maps each scalar into its coefficient
+        recurrences run in: ``lift`` maps each scalar into its coefficient
         type, and the other three are x * y, x / y and 1 - x there.  The
         default on an exact base is the scalars' own operators; on a float
-        base it is ``FloatScalar.arith`` at the largest digits among c0,
-        the scale, the parameters and q, whose raw results are wrapped once
-        per coefficient: the bits of the operators on values at those
-        digits.  A vanishing lower factor raises CollisionError, decided on
-        the scalars themselves.  Parameters that are both upper and lower
-        cancel, and a repeated parameter's factor is formed once.
+        base it is ``FloatScalar.arith`` at each ratio's largest digits
+        among c0, the scale, the parameters and q, whose raw results are
+        wrapped once per coefficient: the bits of the operators on values
+        at those digits.
+
+        The chain is lift(1), lift(q), q^n = q^(n-1) q and 1 - q^n up to
+        ``order`` (and q^(2n-2) when some ratio has ``upper_sq``), formed once
+        per arithmetic (once per digits value on a float base without
+        ``arith``); every ratio's recurrence reads it, with the lifts and
+        operations in the order a ratio built alone would take them, so
+        each series has the bits it has alone.  The ratios share one
+        ``base``, else ValueError.  A vanishing lower factor raises
+        CollisionError, decided on the scalars themselves before anything
+        is built.  Parameters that are both upper and lower cancel, and a
+        repeated parameter's factor is formed once.
         """
+        q = ratios[0].base
+        runs = {}               # digits to wrap at (None: none) -> ratio indices
+        for i, r in enumerate(ratios):
+            if r.base is not q:
+                raise ValueError("series_of needs ratios over one base")
+            r._refuse_collision(order)
+            digits = None
+            if arith is None and not q.is_exact:
+                used = (r.c0, q.q, *r.upper, *r.lower, *r.upper_sq,
+                        *((r.scale,) if r.d else ()))
+                digits = max([q.digits] + [x.digits for x in used
+                                           if type(x) is FloatScalar])
+            runs.setdefault(digits, []).append(i)
+        out = [None] * len(ratios)
+        for digits, indices in runs.items():
+            run = arith or (_SCALAR_ARITH if digits is None else FloatScalar.arith(digits))
+            lift, mul, _, one_minus = run
+            qq = lift(q.q)
+            powers = [lift(q.one)]          # q^n, n = 0..order
+            for _ in range(order):
+                powers.append(mul(powers[-1], qq))
+            gaps = [one_minus(qn) for qn in powers[1:]]     # 1 - q^n, n = 1..order
+            squares = None                  # q^(2n), n < order, once a ratio needs them
+            for i in indices:
+                r = ratios[i]
+                if r.upper_sq and squares is None:
+                    squares = [mul(qn, qn) for qn in powers[:order]]
+                coeffs = r._recurrence(run, powers, gaps, squares, order)
+                if digits is not None:
+                    coeffs = [_float(c, digits) for c in coeffs]
+                note = None if r.d else "converges for |x| < 1 only"
+                out[i] = TruncatedSeries(tuple(coeffs), order, note, r)
+        return tuple(out)
+
+    def _refuse_collision(self, order: int):
+        """CollisionError when a lower factor 1 - v q^(n-1), n <= order, vanishes."""
         q = self.base
         for v in self.lower:
             qk = q.one
@@ -229,51 +286,39 @@ class TermRatio:
                 if factor.sign() > 0:
                     break       # v q^k < 1 from here on
                 qk = qk * q.q
-        digits = None           # a float base's default: wrap raw tuples
-        if arith is None:
-            if q.is_exact:
-                arith = _SCALAR_ARITH
-            else:
-                used = (self.c0, q.q, *self.upper, *self.lower, *self.upper_sq,
-                        *((self.scale,) if self.d else ()))
-                digits = max([q.digits] + [x.digits for x in used if type(x) is FloatScalar])
-                arith = FloatScalar.arith(digits)
+
+    def _recurrence(self, arith, powers, gaps, squares, order: int) -> list:
+        """c_0..c_order on the chain of series_of: the step's factors are
+        planned once, as (parameter, multiplicity, the powers it multiplies,
+        whether the factor is 1 - x), and every step runs the same loop."""
         lift, mul, div, one_minus = arith
-        one, qq = lift(q.one), lift(q.q)
-        scale = lift(self.scale) if self.d else None
         up, low = Counter(self.upper), Counter(self.lower)
         if up and low:
             shared = up & low
             up, low = up - shared, low - shared
-        upper = [(lift(u), k) for u, k in up.items()]
-        upper_sq = [(lift(w), k) for w, k in Counter(self.upper_sq).items()]
+        numer = [(lift(self.scale), self.d, powers, False)] if self.d else []
+        numer += [(lift(u), k, powers, True) for u, k in up.items()]
+        numer += [(lift(w), k, squares, True)
+                  for w, k in Counter(self.upper_sq).items()]
         lower = [(lift(v), k) for v, k in low.items()]
         c = lift(self.c0)
         coeffs = [c]
-        qn1 = one            # q^(n-1)
-        for _ in range(order):
-            qn = mul(qn1, qq)
-            factors = [(mul(scale, qn1), self.d)] if self.d else []
-            factors += [(one_minus(mul(u, qn1)), k) for u, k in upper]
-            if upper_sq:
-                q2n2 = mul(qn1, qn1)
-                factors += [(one_minus(mul(w, q2n2)), k) for w, k in upper_sq]
-            num = None          # the empty product
-            for factor, k in factors:
+        for n in range(order):          # c_(n+1) from c_n; powers[n] = q^n
+            num = None                  # the empty product
+            for p, k, pw, minus in numer:
+                factor = mul(p, pw[n])
+                if minus:
+                    factor = one_minus(factor)
                 for _ in range(k):
                     num = factor if num is None else mul(num, factor)
-            den = one_minus(qn)
+            den = gaps[n]
             for v, k in lower:
-                factor = one_minus(mul(v, qn1))
+                factor = one_minus(mul(v, powers[n]))
                 for _ in range(k):
                     den = mul(den, factor)
             c = div(c, den) if num is None else mul(c, div(num, den))
             coeffs.append(c)
-            qn1 = qn
-        if digits is not None:
-            coeffs = [_float(c, digits) for c in coeffs]
-        note = None if self.d else "converges for |x| < 1 only"
-        return TruncatedSeries(tuple(coeffs), order, note, self)
+        return coeffs
 
 
 def tphis_series(spec: PhiSpec, order: int) -> TruncatedSeries:
@@ -449,8 +494,10 @@ def _jackson_qbessel(name: str, alpha, y, q: QBase, order: int, d: int) -> Scala
     if y.val < 0 and not integer_alpha:
         raise DomainError("negative y needs integer alpha")
     b = q.q ** (alpha_s + 1)
-    prefactor = ((y / 2) ** alpha_s) * qpochhammer_infinite(
-        b, q) / qpochhammer_infinite(q.q, q)
+    qq_inf = q.held_qq_inf()
+    # at alpha = 0, b = q and (b; q)_inf is the held product: the same call
+    b_inf = qq_inf if b == q.q else qpochhammer_infinite(b, q)
+    prefactor = ((y / 2) ** alpha_s) * b_inf / qq_inf
     terms = TermRatio(q.one, (), (b,), q, d, q.one).series(order)
     z = -(y * y) * b / 4 if d else -(y * y) / 4
     return prefactor * terms.eval(z)

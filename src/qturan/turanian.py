@@ -36,11 +36,12 @@ q-power parameters are enclosed once as nonnegative dyadic enclosures
 [lo 2^e, hi 2^e], integer triples (lo, hi, e) with mantissas of ``_PREC``
 bits and one shared exponent, and its term-ratio recurrence runs on them,
 with the arithmetic of ``_Interval`` passed as ``arith``, to enclose every
-coefficient.  The products u, v go through the one Cauchy kernel, where
-``_Interval.convolve`` makes each one big-integer multiplication per
-endpoint and rounds each coefficient once (a ``dot`` per coefficient when
-the mantissas spread too wide to pack), and every u_m - rho v_m is formed
-exactly on the integer mantissas.  Only when a coefficient's
+coefficient; the four recurrences share one chain of enclosures of q^n and
+1 - q^n (``TermRatio.series_of``).  The products u, v go through the one
+Cauchy kernel, where ``_Interval.convolve`` makes each one big-integer
+multiplication per endpoint and rounds each coefficient once (a ``dot`` per
+coefficient when the mantissas spread too wide to pack), and every
+u_m - rho v_m is formed exactly on the integer mantissas.  Only when a coefficient's
 enclosure contains 0, or cannot stay nonnegative, are the exact series
 built to the full order, and that coefficient recomputed exactly as an
 O(m) dot product; that is how exact zeros are proven.  Verdicts involve no
@@ -60,6 +61,7 @@ from math import ceil, gcd, isqrt, log
 from . import conditions
 from .qcore import QBase, qgamma_ratio
 from .series import (
+    TermRatio,
     TruncatedSeries,
     g_series,
     geometric_tail_order,
@@ -247,12 +249,14 @@ class _Interval(tuple):
 
     Every arithmetic result is rounded outward once, both ends by the one
     shift that leaves hi with ``prec`` bits (lo down, hi up; ``prec`` is
-    _PREC unless the caller guards more): ``mul`` and ``div`` round their
-    exact result, and ``dot`` and ``convolve`` sum exact dyadic products
-    before rounding, so no common grid is imposed on coefficients that decay
-    like q^(n^2/2).  An enclosure that cannot stay nonnegative (1 - x with x
-    reaching past 1, a division by an enclosure reaching 0, a negative
-    value) is ``UNBOUNDED`` (lo = -1), and so is every result it enters.
+    _PREC unless the caller guards more): ``mul``, ``div`` and
+    ``one_minus``, the recurrence's operations, round their exact result
+    inline, and ``dot`` and ``convolve`` sum exact dyadic products before
+    rounding through ``rounded``, so no common grid is imposed on
+    coefficients that decay like q^(n^2/2).  An enclosure that cannot stay
+    nonnegative (1 - x with x reaching past 1, a division by an enclosure
+    reaching 0, a negative value) is ``UNBOUNDED`` (lo = -1), and so is
+    every result it enters.
     """
 
     __slots__ = ()
@@ -322,11 +326,14 @@ class _Interval(tuple):
         lo = one - (xh << s)
         if lo < 0:
             return _Interval.UNBOUNDED
-        return _Interval.rounded(lo, one - (xl << s), e, prec)
+        hi = one - (xl << s)
+        shift = hi.bit_length() - prec
+        if shift > 0:
+            return lo >> shift, -(-hi >> shift), e + shift
+        return lo, hi, e
 
     @staticmethod
     def mul(x: tuple, y: tuple, prec: int = _PREC) -> tuple:
-        # rounded inline: the recurrence's most frequent operation
         xl, xh, xe = x
         yl, yh, ye = y
         if xl < 0 or yl < 0:
@@ -346,7 +353,11 @@ class _Interval(tuple):
         # shift the dividends so that the upper quotient keeps >= prec bits;
         # a dividend already that much longer than its divisor needs no shift
         k = max(prec + 1 + yl.bit_length() - xh.bit_length(), 0)
-        return _Interval.rounded((xl << k) // yh, -(-(xh << k) // yl), xe - ye - k, prec)
+        lo, hi, e = (xl << k) // yh, -(-(xh << k) // yl), xe - ye - k
+        shift = hi.bit_length() - prec
+        if shift > 0:
+            return lo >> shift, -(-hi >> shift), e + shift
+        return lo, hi, e
 
     @staticmethod
     def dot(xs, ys, prec: int = _PREC) -> tuple:
@@ -538,7 +549,8 @@ def _certify(spec: TuranianSpec, expected, norm, rho=(ex(1), ex(1)),
 
     A zero shift makes the Turanian vanish identically.  In exact mode the
     four shifted series are built exactly to order 0 only; their term
-    ratios, run in _Interval arithmetic, enclose them to the full order, and
+    ratios, run in _Interval arithmetic over one chain of q-powers
+    (TermRatio.series_of), enclose them to the full order, and
     exact series to the full order are built only for a coefficient whose
     interval contains 0 (see _exact_mode_bounds for ``rho``).  In
     float mode the coefficients are classified against a rounding envelope.
@@ -555,7 +567,8 @@ def _certify(spec: TuranianSpec, expected, norm, rho=(ex(1), ex(1)),
         margin = coeff0 = spec.q.zero
     elif spec.q.is_exact:
         heads = _shifted(spec, 0)
-        enclosures = tuple(h.ratio.series(spec.order, _Interval.ARITH) for h in heads)
+        enclosures = TermRatio.series_of([h.ratio for h in heads], spec.order,
+                                         _Interval.ARITH)
         found = _exact_mode_bounds(heads, enclosures, lambda: _shifted(spec), rho)
         if found is not None:
             coeff0, bounds, fallbacks = found

@@ -23,7 +23,15 @@ from qturan.identities import (
     verify_recqgamma,
 )
 from qturan.qcore import QBase, qpochhammer_finite, shifted_factorial
-from qturan.scalar import CollisionError, DomainError, HypothesisError, PoleError
+from qturan.scalar import (
+    CollisionError,
+    DomainError,
+    ExactScalar,
+    HypothesisError,
+    PoleError,
+    ex,
+    fl,
+)
 
 mpmath.mp.dps = 60
 
@@ -256,3 +264,41 @@ class TestRecQGamma:
                 verify_recqgamma(mu, beta, Q12, m)
             with pytest.raises(PoleError):
                 verify_recqgamma(mu, beta, QF, m)
+
+
+def _divided_compare(pairs):
+    """max |lhs - rhs| and max |lhs - rhs| / max(|lhs|, |rhs|) with every
+    division made, 0/0 taken as 0: the reference for _compare's residuals."""
+    max_abs = max_rel = None
+    for lhs, rhs in pairs:
+        diff = abs(lhs - rhs)
+        denom = max(abs(lhs), abs(rhs))
+        rel = diff if denom.is_zero() else diff / denom
+        max_abs = diff if max_abs is None or diff > max_abs else max_abs
+        max_rel = rel if max_rel is None or rel > max_rel else max_rel
+    return max_abs, max_rel
+
+
+def _text(x):
+    return x.canonical() if isinstance(x, ExactScalar) else (x.val._mpf_, x.digits)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(ex(F(3, 4)), ex(F(3, 4)))],
+    [(ex(0), ex(0)), (ex(F(-2, 3)), ex(F(-2, 3)))],
+    [(ExactScalar(1, 2, 3), ExactScalar(1, 2, 3)), (ex(F(1, 5)), ex(F(1, 7)))],
+    [(ex(F(1, 5)), ex(F(1, 7))), (ex(2), ex(2))],
+    [(fl(F(3, 4), 50), fl(F(3, 4), 50))],
+    [(fl(F(3, 4), 30), fl(F(3, 4), 60)), (fl(0, 80), fl(0, 15))],
+    [(fl(F(1, 3), 50), fl(F(1, 3), 80)), (fl(F(1, 3), 50), fl(F(2, 7), 50))],
+    [(fl(F(-1, 3), 15), fl(F(-1, 3), 15)), (fl(F(-1, 3), 15), fl(F(-1, 3) + F(1, 10 ** 12), 60))],
+], ids=["exact-zero", "exact-zeros", "exact-mixed", "exact-zero-last", "float-zero",
+        "float-digits", "float-mixed", "float-tiny"])
+def test_compare_skips_the_division_of_a_zero_difference(pairs):
+    """A zero difference takes itself as the relative residual: the value and
+    digits the division gave, in both modes."""
+    mode = "exact" if isinstance(pairs[0][0], ExactScalar) else "float"
+    res = identities._compare(pairs, mode, 3, "case")
+    want_abs, want_rel = _divided_compare(pairs)
+    assert (_text(res.max_abs), _text(res.max_rel)) == (_text(want_abs), _text(want_rel))
+    assert res.exact_zero == (mode == "exact" and all((a - b).is_zero() for a, b in pairs))

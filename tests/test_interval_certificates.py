@@ -549,6 +549,46 @@ def test_triple_arithmetic_matches_the_operator_reference(x, y, z):
         same_value(_Interval.div(x, y), rx / ry)
 
 
+def rounded_one_minus(x, prec):
+    """1 - x rounded through _Interval.rounded: the reference for the inline
+    rounding of _Interval.one_minus."""
+    xl, xh, xe = x
+    if xl < 0:
+        return x
+    e = min(xe, 0)
+    one, s = 1 << -e, xe - e
+    lo = one - (xh << s)
+    if lo < 0:
+        return _Interval.UNBOUNDED
+    return _Interval.rounded(lo, one - (xl << s), e, prec)
+
+
+def rounded_div(x, y, prec):
+    """x / y rounded through _Interval.rounded: the reference for the inline
+    rounding of _Interval.div."""
+    xl, xh, xe = x
+    yl, yh, ye = y
+    if xl < 0 or yl <= 0:
+        return _Interval.UNBOUNDED
+    k = max(prec + 1 + yl.bit_length() - xh.bit_length(), 0)
+    return _Interval.rounded((xl << k) // yh, -(-(xh << k) // yl), xe - ye - k, prec)
+
+
+# short triples whose results need no shift, zeros, and the unbounded triple
+# next to the rounded enclosures
+short_triples = st.builds(lambda lo, w, e: (lo, lo + w, e), st.integers(0, 2 ** 8),
+                          st.integers(0, 2 ** 4), st.integers(-12, 4))
+triples = st.one_of(intervals(), short_triples,
+                    st.sampled_from([_Interval.UNBOUNDED, (0, 0, 0), (0, 0, -7)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(triples, triples, st.sampled_from([_PREC, turanian._GUARDED_PREC]))
+def test_inline_rounding_equals_the_rounded_forms(x, y, prec):
+    assert _Interval.one_minus(x, prec) == rounded_one_minus(x, prec)
+    assert _Interval.div(x, y, prec) == rounded_div(x, y, prec)
+
+
 @pytest.mark.parametrize("qv", [F(1, 4), F(1, 2), F(3, 4)])
 @pytest.mark.parametrize("build", [
     lambda q, n: heine_f_series(F(1), q, n),

@@ -8,7 +8,7 @@ from math import prod
 import mpmath
 import pytest
 
-from qturan import qcore
+from qturan import identities, qcore, series
 from qturan.qcore import (
     QBase,
     _infinite_tail_terms,
@@ -154,6 +154,25 @@ class TestQGamma:
         loose = mpmath.mpf(10) ** -30
         qgamma(F(3, 2), q, rel_tol=loose)
         assert calls[5:] == [loose, loose] and q.qq_inf is held
+
+    @pytest.mark.parametrize("alpha,products", [(F(0), 2), (F(1, 2), 4), (F(1), 4)])
+    def test_qbessel_functions_share_the_held_product(self, monkeypatch, alpha, products):
+        """J1 and J2 take (q; q)_inf from the base, and at alpha = 0 their
+        (q^(alpha+1); q)_inf too: the connection check makes 2 products
+        there and 4 elsewhere (5 when each function formed its own)."""
+        calls = []
+        product = qcore.qpochhammer_infinite
+
+        def counted(a, q, rel_tol=None):
+            calls.append(a)
+            return product(a, q, rel_tol)
+
+        for module in (qcore, series, identities):
+            monkeypatch.setattr(module, "qpochhammer_infinite", counted)
+        q = QBase.floating(F(1, 2), 50)
+        identities.verify_connection_formula(alpha, 1, q)
+        assert len(calls) == products
+        assert q.qq_inf.val._mpf_ == product(q.q, QBase.floating(F(1, 2), 50)).val._mpf_
 
     def test_pole_errors(self):
         for z in (F(0), F(-1), F(-3)):

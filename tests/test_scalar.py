@@ -714,3 +714,67 @@ def test_float_int_operands_wider_than_the_precision_round_first():
             for op in sorted(_OPS):
                 for reflected in (False, True):
                     _check_binary(op, x, n, reflected)
+
+
+# -- irrational products reduce by a short gcd when one factor is short -------
+
+_PRODUCT_RADICANDS = st.sampled_from([F(2), F(3, 4), F(1, 2), F(7, 3), F(5, 12), F(18, 25),
+                                      F(3, 8), F(50, 9)])
+
+
+@st.composite
+def _irrational(draw, rad, bits):
+    """(n + m sqrt(rad)) / d in lowest terms with m != 0 and parts of about
+    ``bits`` bits; the denominator often carries small primes."""
+    top = 1 << bits
+    a = F(draw(st.integers(-top, top)),
+          draw(st.integers(1, top)) * draw(st.sampled_from([1, 2, 3, 6, 25, 2 ** 20])))
+    b = F(draw(st.integers(1, top)) * draw(st.sampled_from([1, -1])), draw(st.integers(1, top)))
+    return ExactScalar(a, b, rad)
+
+
+@st.composite
+def _irrational_products(draw):
+    """(long, short) irrational factors over one radicand.  The short factor
+    is at times short enough for the gcd to start from K and at times not;
+    the long one is often a multiple of the short one's conjugate, so that
+    the product cancels much."""
+    rad = draw(_PRODUCT_RADICANDS)
+    short = draw(_irrational(rad, draw(st.sampled_from([1, 4, 12, 40, 300]))))
+    long_ = draw(_irrational(rad, draw(st.sampled_from([8, 100, 1200]))))
+    if draw(st.booleans()):
+        conj = ExactScalar(short.a, -short.b, rad)
+        long_ = long_ * conj * draw(st.sampled_from([1, 3, F(5, 7)]))
+    return long_, short
+
+
+def _plain_product(x, y):
+    """The product's integers reduced by the plain gcd of all three."""
+    rn, rd = x.rad.numerator, x.rad.denominator
+    n = x.n * y.n * rd + x.m * y.m * rn
+    m = (x.n * y.m + x.m * y.n) * rd
+    d = x.d * y.d * rd
+    g = math.gcd(d, n, m)
+    return n // g, m // g, d // g
+
+
+@settings(max_examples=400, deadline=None)
+@given(_irrational_products())
+def test_short_gcd_product_equals_the_plain_reduction(factors):
+    x, y = factors
+    if not x.m:                 # the conjugate multiple came out rational
+        return
+    for p in (x * y, y * x):
+        assert (p.n, p.m, p.d) == _plain_product(x, y)
+        assert p.rad == (x.rad if p.m else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_big_fractions(), _big_fractions())
+def test_canonical_prints_the_fraction_text(a, b):
+    assert ex(a).canonical() == rational_text(a)
+    if b:
+        s = ExactScalar(a, b, F(3, 4))
+        sign = "-" if b < 0 else "+"
+        assert s.canonical() == (f"{rational_text(a)}{sign}{rational_text(abs(b))}"
+                                 "*sqrt(3/4)")

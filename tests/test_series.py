@@ -1,6 +1,7 @@
 """Series constructors and arithmetic."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import mpmath
@@ -29,6 +30,8 @@ from qturan.scalar import (
     CollisionError,
     DomainError,
     ExactModeError,
+    ExactScalar,
+    FloatScalar,
     HypothesisError,
     ModeMismatchError,
     PoleError,
@@ -36,6 +39,7 @@ from qturan.scalar import (
     ex,
     fl,
 )
+from qturan.turanian import Family, TuranianSpec, _Interval, _shifted
 
 mpmath.mp.dps = 60
 
@@ -502,3 +506,157 @@ def test_eval_domain_and_exact_results_are_unchanged():
     x = F(-2, 3)
     want = sum(c.to_fraction() * x ** n for n, c in enumerate(exact.coeffs))
     assert exact.eval(ex(x)).to_fraction() == want
+
+
+# -- many ratios over one chain of q-powers ------------------------------------
+
+def _reference_series(ratio, order, arith=None):
+    """c_0..c_order of one ratio by the loop that ``TermRatio.series_of``
+    replaces, kept as the reference: its own q-powers and 1 - q^n, and a
+    fresh list of factors at every step.  ``arith=None`` on a float base runs
+    ``FloatScalar.arith`` at the ratio's largest digits and wraps the tuples."""
+    q = ratio.base
+    digits = None
+    if arith is None:
+        if q.is_exact:
+            arith = _SCALAR_ARITH
+        else:
+            used = (ratio.c0, q.q, *ratio.upper, *ratio.lower, *ratio.upper_sq,
+                    *((ratio.scale,) if ratio.d else ()))
+            digits = max([q.digits] + [x.digits for x in used if type(x) is FloatScalar])
+            arith = FloatScalar.arith(digits)
+    lift, mul, div, one_minus = arith
+    one, qq = lift(q.one), lift(q.q)
+    scale = lift(ratio.scale) if ratio.d else None
+    up, low = Counter(ratio.upper), Counter(ratio.lower)
+    shared = up & low
+    up, low = up - shared, low - shared
+    upper = [(lift(u), k) for u, k in up.items()]
+    upper_sq = [(lift(w), k) for w, k in Counter(ratio.upper_sq).items()]
+    lower = [(lift(v), k) for v, k in low.items()]
+    c = lift(ratio.c0)
+    coeffs = [c]
+    qn1 = one
+    for _ in range(order):
+        qn = mul(qn1, qq)
+        factors = [(mul(scale, qn1), ratio.d)] if ratio.d else []
+        factors += [(one_minus(mul(u, qn1)), k) for u, k in upper]
+        if upper_sq:
+            q2n2 = mul(qn1, qn1)
+            factors += [(one_minus(mul(w, q2n2)), k) for w, k in upper_sq]
+        num = None
+        for factor, k in factors:
+            for _ in range(k):
+                num = factor if num is None else mul(num, factor)
+        den = one_minus(qn)
+        for v, k in lower:
+            factor = one_minus(mul(v, qn1))
+            for _ in range(k):
+                den = mul(den, factor)
+        c = div(c, den) if num is None else mul(c, div(num, den))
+        coeffs.append(c)
+        qn1 = qn
+    if digits is not None:
+        coeffs = [_float(c, digits) for c in coeffs]
+    return coeffs
+
+
+def _value_bits(c):
+    """Everything that tells two coefficients apart: an exact value's
+    integers and radicand, a float's mpf tuple and digits, an enclosure's
+    triple."""
+    if isinstance(c, ExactScalar):
+        return c.n, c.m, c.d, c.rad
+    if isinstance(c, FloatScalar):
+        return c.val._mpf_, c.digits
+    return c
+
+
+@st.composite
+def _ratio_sets(draw):
+    """(ratios on one base, order, arith): exact bases (dyadic or not) with
+    the scalars' own operators or the interval arithmetic, float bases with
+    the default;
+    one to four ratios with d = 0 or 1, upper, lower and upper_sq
+    parameters from a few powers of q (repeats and parameters both upper
+    and lower are common), c0 at other digits than the base on a float
+    base, and at times the same ratio twice."""
+    mode = draw(st.sampled_from(["exact", "float", "interval"]))
+    if mode == "float":
+        q = QBase.floating(F(draw(st.integers(1, 99)), 100),
+                           draw(st.sampled_from([15, 30, 50])))
+        arith, order = None, draw(st.integers(0, 40))
+    else:
+        q = QBase.exact(q=draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(2, 3), F(99, 100)])))
+        arith = _SCALAR_ARITH if mode == "exact" else _Interval.ARITH
+        order = draw(st.integers(0, 16 if mode == "exact" else 60))
+    exponents = _EXPONENTS.filter(lambda e: mode == "float" or (2 * e).denominator == 1)
+    powers = st.lists(exponents.map(q.q_power), max_size=3)
+
+    def ratio():
+        upper, lower, upper_sq = draw(powers), draw(powers), draw(powers)
+        if draw(st.booleans()):
+            shared = q.q_power(draw(exponents))
+            upper, lower = upper + [shared], lower + [shared]
+        d = draw(st.sampled_from([0, 1]))
+        scale = draw(st.sampled_from([q.scalar(-1), 1 - q.q, q.q]))
+        c0 = q.one
+        if mode == "float":
+            c0 = fl(F(draw(st.integers(1, 9)), 7), draw(st.sampled_from([15, 30, 50, 80])))
+        return TermRatio(c0, tuple(upper), tuple(lower), q, d, scale, tuple(upper_sq))
+
+    ratios = [ratio() for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        ratios.append(ratios[0])
+    return ratios, order, arith
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ratio_sets())
+def test_series_of_gives_each_ratio_the_bits_it_has_alone(case):
+    ratios, order, arith = case
+    built = TermRatio.series_of(ratios, order, arith)
+    assert len(built) == len(ratios)
+    for ratio, series in zip(ratios, built):
+        got = [_value_bits(c) for c in series.coeffs]
+        assert got == [_value_bits(c) for c in ratio.series(order, arith).coeffs]
+        assert got == [_value_bits(c) for c in _reference_series(ratio, order, arith)]
+        assert series.order == order and series.ratio is ratio
+        assert (series.tail_note is None) == (ratio.d != 0)
+
+
+@pytest.mark.parametrize("qv", [F(1, 4), F(3, 4), F(2, 3)])
+@pytest.mark.parametrize("family,a,b", [
+    (Family.HEINE_F, (), ()),
+    (Family.HEINE_F_TILDE, (), ()),
+    (Family.G_NORMALIZED, (F(1), F(1), F(1)), (F(2), F(2))),
+    (Family.G_NORMALIZED, (F(2), F(3)), (F(1), F(2))),
+], ids=["heine", "tilde", "g-d0", "g-d1"])
+def test_certificate_heads_share_one_chain_with_their_own_bits(family, a, b, qv):
+    spec = TuranianSpec(family, F(1, 2), F(1), F(2), QBase.exact(q=qv), 60, a=a, b=b)
+    ratios = [h.ratio for h in _shifted(spec, 0)]
+    built = TermRatio.series_of(ratios, 60, _Interval.ARITH)
+    for ratio, series in zip(ratios, built):
+        assert list(series.coeffs) == _reference_series(ratio, 60, _Interval.ARITH)
+
+
+def test_series_of_refuses_ratios_over_two_bases():
+    q34 = QBase.exact(q=F(3, 4))
+    for other in (q34, QF):
+        with pytest.raises(ValueError, match="one base"):
+            TermRatio.series_of([heine_f_series(F(1), Q12, 0).ratio,
+                                 TermRatio(other.one, (), (other.q,), other)], 5)
+
+
+def test_series_of_refuses_a_colliding_lower_parameter_before_building():
+    lifted = []
+
+    def lift(x):
+        lifted.append(x)
+        return x
+
+    fine = TermRatio(Q12.one, (), (Q12.q,), Q12)
+    colliding = TermRatio(Q12.one, (Q12.q,), (Q12.q, ex(4)), Q12)     # 1 - 4 q^2 = 0
+    with pytest.raises(CollisionError):
+        TermRatio.series_of([fine, colliding], 5, (lift, *_SCALAR_ARITH[1:]))
+    assert lifted == []
