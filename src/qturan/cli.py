@@ -398,6 +398,8 @@ def cmd_verify(args) -> _Found:
         tol = Fraction(args.tol) if args.tol is not None else None
     except (ValueError, ZeroDivisionError):
         raise QTuranError(f"--tol must be a number, got {args.tol!r}") from None
+    if tol is not None and tol <= 0:
+        raise QTuranError(f"--tol must be positive, got {args.tol}")
     out = _VERIFY[args.identity].compute(args)
     if args.identity == "q-to-1":
         results = out

@@ -21,8 +21,10 @@ nearest, which gives the same bits as mpmath's context arithmetic under
 term-ratio recurrence and Horner's rule run whole loops on the raw tuples,
 with the bits of the same loops on the operators.  The float Cauchy kernel
 rounds once per coefficient: ``dot`` sums the exact products of the
-integer mantissas, and ``convolve`` forms every such sum of a series
-product by one big-integer multiplication.  So a float result
+integer mantissas, and ``convolve`` takes every such sum of a series
+product from ``_cauchy_sums``, the one packed Cauchy product that the
+exact certificates' enclosures share, while the mantissas of both
+sequences span at most ``_PACK_BITS`` bits together.  So a float result
 depends on its operands' digits only: mpmath's global precision changes no
 output.
 
@@ -660,15 +662,13 @@ class FloatScalar:
         shorter: entry k is ``dot(xs[:k + 1], ys[k::-1])``, bit for bit.
 
         Each sequence's signed mantissas are moved onto its smallest
-        exponent and packed into slots wide enough for any coefficient's
-        exact sum (Kronecker substitution), so one big-integer
-        multiplication gives every exact sum; each slot is read back as a
-        signed value, a negative one borrowing 1 from the slot above, and
-        rounded once.  The ``dot`` per coefficient runs instead when an
-        entry is not a FloatScalar or is inf or nan, when the digits differ
-        between the entries of a sequence, or when the mantissas of the
-        two sequences together span more than ``_PACK_BITS`` bits (the
-        d = 1 g series, which decay like q^(n^2/2)).
+        exponent, ``_cauchy_sums`` gives every coefficient's exact sum by one
+        big-integer multiplication, and each sum is rounded once.  The
+        ``dot`` per coefficient runs instead when an entry is not a
+        FloatScalar or is inf or nan, when the digits differ between the
+        entries of a sequence, or when the mantissas of the two sequences
+        together span more than ``_PACK_BITS`` bits (the d = 1 g series,
+        which decay like q^(n^2/2)).
         """
         n = min(len(xs), len(ys))
         xs, ys = xs[:n], ys[:n]
@@ -676,19 +676,10 @@ class FloatScalar:
         if px is None or py is None or px[2] + py[2] > _PACK_BITS:
             return [FloatScalar.dot(xs[:k + 1], ys[k::-1]) for k in range(n)]
         (xm, xe, xbits, dx), (ym, ye, ybits, dy) = px, py
-        # a slot holds a signed sum of at most n products of xbits + ybits bits
-        width = (xbits + ybits + n.bit_length() + 8) // 8
-        z = _packed(xm, width) * _packed(ym, width)
-        buf = (z & ((1 << 8 * width * n) - 1)).to_bytes(width * n, "little")
         d = dx if dx >= dy else dy
         prec, e = _prec(d), xe + ye
-        out = []
-        borrow = 0
-        for i in range(0, width * n, width):
-            s = int.from_bytes(buf[i:i + width], "little", signed=True)
-            out.append(_float(from_man_exp(s + borrow, e, prec, round_nearest), d))
-            borrow = s < 0
-        return out
+        return [_float(from_man_exp(s, e, prec, round_nearest), d)
+                for s in _cauchy_sums(xm, ym, xbits + ybits)]
 
     @staticmethod
     def arith(digits: int) -> tuple:
@@ -889,17 +880,30 @@ def _on_one_exponent(seq):
     return [(-m if s else m) << (x - e) if m else 0 for s, m, x, _ in raw], e, bits, digits
 
 
-def _packed(mans: list, width: int) -> int:
-    """sum of mans[i] 2^(8 width i): the signed ints packed into width-byte
-    slots, positive and negative entries packed apart."""
+def _cauchy_sums(xs: list, ys: list, bits: int) -> list:
+    """[sum_(i<=k) xs[i] ys[k-i] for k < n], the exact Cauchy sums of two lists
+    of n signed ints whose products have at most ``bits`` bits, by one
+    multiplication (Kronecker substitution) on byte slots wide enough for a
+    signed sum of n products, read back signed: a negative slot borrowed 1."""
+    n = len(xs)
+    width = (bits + n.bit_length() + 8) // 8
     zero = bytes(width)
-    pos = int.from_bytes(b"".join([m.to_bytes(width, "little") if m > 0 else zero
-                                   for m in mans]), "little")
-    if all([m >= 0 for m in mans]):
-        return pos
-    neg = int.from_bytes(b"".join([(-m).to_bytes(width, "little") if m < 0 else zero
-                                   for m in mans]), "little")
-    return pos - neg
+
+    def packed(mans):
+        if min(mans) >= 0:
+            return int.from_bytes(b"".join([m.to_bytes(width, "little") for m in mans]), "little")
+        return (int.from_bytes(b"".join([m.to_bytes(width, "little") if m > 0 else zero
+                                         for m in mans]), "little")
+                - int.from_bytes(b"".join([(-m).to_bytes(width, "little") if m < 0 else zero
+                                           for m in mans]), "little"))
+
+    low = (packed(xs) * packed(ys)) & ((1 << 8 * width * n) - 1)
+    buf = low.to_bytes(width * n, "little")
+    sums = [int.from_bytes(buf[i:i + width], "little", signed=True)
+            for i in range(0, width * n, width)]
+    if min(sums) >= 0:
+        return sums                     # no slot borrowed
+    return [s + (below < 0) for s, below in zip(sums, [0] + sums)]
 
 
 Scalar = Union[ExactScalar, FloatScalar]

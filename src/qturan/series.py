@@ -9,9 +9,11 @@ the term denominators and reduce once, and float sums add the exact
 products of the mantissas and round once.  A coefficient type with a
 ``convolve(xs, ys)`` forms the whole product instead, each coefficient
 equal to its ``dot``: floats and the interval enclosures of the exact sign
-certificates (integer triples) make it one big-integer multiplication (one
-per endpoint for enclosures), with a ``dot`` per coefficient when the
-mantissas spread too wide to pack.
+certificates (integer triples) take all its sums from one big-integer
+multiplication (one per endpoint for enclosures) in ``scalar._cauchy_sums``,
+and a ``dot`` per coefficient when their mantissas spread too wide to pack:
+over ``_PACK_BITS`` = 1200 bits for two float sequences together, over
+2 ``_PREC`` = 200 bits for one enclosure sequence.
 
 The q-hypergeometric constructors, the q-Bessel sums and the 4phi3 of
 Rahman's product share one :class:`TermRatio`: c_0 and the parameters of

@@ -78,6 +78,7 @@ from .scalar import (
     HypothesisError,
     Scalar,
     as_fraction,
+    _cauchy_sums,
     _exact,
     ex,
     rational_text,
@@ -378,14 +379,13 @@ class _Interval(tuple):
         """The Cauchy product of two enclosure sequences, truncated to the
         shorter: entry n has the dyadic value of dot(xs[:n + 1], ys[n::-1]).
 
-        Each sequence's mantissas are moved onto its smallest exponent and
-        packed into fixed-width slots of one integer per endpoint, so one
-        multiplication per endpoint gives every coefficient's exact sum
-        (Kronecker substitution), which is then rounded once.  A sequence
-        whose mantissas at one exponent would exceed 2 prec bits (the d = 1
-        g series, which decay like q^(n^2/2)) goes through the ``dot`` loop
-        instead.  From the first unbounded entry of either sequence on,
-        every entry is UNBOUNDED.
+        Each sequence's mantissas are moved onto its smallest exponent, the
+        packed kernel ``_cauchy_sums`` gives every coefficient's exact sums
+        by one multiplication per endpoint, and each pair is rounded once.
+        A sequence whose mantissas at one exponent would exceed 2 prec bits
+        (the d = 1 g series, which decay like q^(n^2/2)) goes through the
+        ``dot`` loop instead.  From the first unbounded entry of either
+        sequence on, every entry is UNBOUNDED.
         """
         size = min(len(xs), len(ys))
         n = next((i for i in range(size) if xs[i][0] < 0 or ys[i][0] < 0), size)
@@ -402,18 +402,9 @@ class _Interval(tuple):
                         for k in range(n)] + unbounded
             ends.append(([lo << (le - e) for lo, _, le in seq], his, e, bits))
         (xlo, xhi, xe, xbits), (ylo, yhi, ye, ybits) = ends
-        # a slot holds a sum of at most n products of xbits + ybits bits
-        width = (xbits + ybits + n.bit_length() + 7) // 8
-
-        def sums(xm, ym):
-            x, y = (int.from_bytes(b"".join([v.to_bytes(width, "little") for v in m]),
-                                   "little") for m in (xm, ym))
-            buf = (x * y).to_bytes(2 * n * width, "little")
-            return [int.from_bytes(buf[i:i + width], "little")
-                    for i in range(0, n * width, width)]
-
-        return [_Interval.rounded(lo, hi, xe + ye, prec)
-                for lo, hi in zip(sums(xlo, ylo), sums(xhi, yhi))] + unbounded
+        bits = xbits + ybits
+        return [_Interval.rounded(lo, hi, xe + ye, prec) for lo, hi
+                in zip(_cauchy_sums(xlo, ylo, bits), _cauchy_sums(xhi, yhi, bits))] + unbounded
 
     @staticmethod
     def bound_minus(u: tuple, rho: tuple, v: tuple, prec: int = _PREC) -> ExactScalar | None:

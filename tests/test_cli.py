@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qturan import turanian
+from qturan import cli, turanian
 from qturan.qcore import QBase
 from qturan.cli import build_parser, parse_grid, parse_rational, run
 from fractions import Fraction as F
@@ -150,6 +150,22 @@ def test_verify_float_tolerance_gate():
     code = run(["verify", "--identity", "connection", "--alpha", "0",
                 "--y", "1", "--q", "1/2", "--mode", "float", "--tol", "1e-60"])
     assert code == 1
+
+
+@pytest.mark.parametrize("tol", ["-1e-30", "0", "0/7"])
+def test_verify_refuses_a_tolerance_not_above_zero(tol, tmp_path, capsys, monkeypatch):
+    """A tolerance <= 0 would fail every float check, so it is a usage
+    error, refused before the identity is computed or a report written."""
+    def never(*_):
+        raise AssertionError("computed despite a refused --tol")
+
+    monkeypatch.setitem(cli._VERIFY, "rahman", cli._VERIFY["rahman"]._replace(run=never))
+    out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+    assert run(["verify", "--identity", "rahman", "--q", "1/2", "--nu", "1", "--eta", "1",
+                "--mode", "float", f"--tol={tol}", "--out", str(out),
+                "--csv", str(csv_path)]) == 2
+    assert f"error: --tol must be positive, got {tol}" in capsys.readouterr().err
+    assert not out.exists() and not csv_path.exists()
 
 
 def test_report_flattens_to_csv(tmp_path):

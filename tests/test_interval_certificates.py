@@ -628,6 +628,54 @@ def enclosure_sequences(draw):
     return xs, ys
 
 
+def _count_paths(monkeypatch):
+    """Counts of the packed kernel's calls (one per endpoint) and of
+    _Interval.dot's."""
+    calls = {"kernel": 0, "dot": 0}
+    kernel, dot = turanian._cauchy_sums, _Interval.dot
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    def counted_dot(*args):
+        calls["dot"] += 1
+        return dot(*args)
+
+    monkeypatch.setattr(turanian, "_cauchy_sums", counted_kernel)
+    monkeypatch.setattr(_Interval, "dot", staticmethod(counted_dot))
+    return calls
+
+
+@pytest.mark.parametrize("xbits,ybits,packs", [
+    (2 * _PREC, 2 * _PREC, True),
+    (2 * _PREC + 1, 2 * _PREC, False),
+    (2 * _PREC, 2 * _PREC + 1, False),
+])
+def test_convolve_packs_up_to_2_prec_bits_per_sequence(xbits, ybits, packs, monkeypatch):
+    """[1, 1] 2^-5, [3, 7] and [1, 1] 2^(bits - 6) span bits on one exponent."""
+    xs, ys = ([(1, 1, -5), (3, 7, 0), (1, 1, bits - 6)] for bits in (xbits, ybits))
+    want = [_Interval.dot(xs[:n + 1], ys[n::-1]) for n in range(3)]
+    calls = _count_paths(monkeypatch)
+    assert [endpoints(iv) for iv in _Interval.convolve(xs, ys)] == [endpoints(w) for w in want]
+    assert calls == ({"kernel": 2, "dot": 0} if packs else {"kernel": 0, "dot": 3})
+
+
+@pytest.mark.parametrize("spec,kernel,dots", [
+    (TuranianSpec(Family.HEINE_F, F(1, 2), F(1, 2), F(3, 2), QBase.exact(q=F(3, 4)), 60),
+     4, 0),
+    (TuranianSpec(Family.G_NORMALIZED, F(1), F(3), F(4), QBase.exact(q=F(1, 2)), 60,
+                  *VECTORS["g-b"]), 0, 2 * 61),
+], ids=["heine", "g-d1"])
+def test_certificate_products_pack_or_dot_by_their_width(spec, kernel, dots, monkeypatch):
+    """The order-60 Heine enclosures span about 120 bits per sequence, so
+    both products pack (two kernel calls each); the d = 1 g enclosures,
+    decaying like q^(n^2/2), span 1928 bits and take a dot per coefficient."""
+    calls = _count_paths(monkeypatch)
+    assert sign_certificate(spec).decided_by == "interval"
+    assert calls == {"kernel": kernel, "dot": dots}
+
+
 @settings(max_examples=150, deadline=None)
 @given(enclosure_sequences())
 def test_convolve_equals_the_dot_loop(sequences):

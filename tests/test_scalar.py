@@ -12,6 +12,7 @@ from mpmath.libmp import dps_to_prec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qturan import scalar
 from qturan.scalar import (
     DEFAULT_DIGITS,
     DomainError,
@@ -21,6 +22,8 @@ from qturan.scalar import (
     ex,
     fl,
     rational_text,
+    _PACK_BITS,
+    _cauchy_sums,
 )
 
 
@@ -667,6 +670,85 @@ def test_float_convolve_edge_cases():
     # literals go through the dot loop, which coerces them
     _same_values(FloatScalar.convolve([a, 2], [a, F(1, 5)]),
                  _dot_per_coefficient([a, 2], [a, F(1, 5)]))
+
+
+def _count_paths(monkeypatch):
+    """Counts of the packed kernel's calls and of FloatScalar.dot's."""
+    calls = {"kernel": 0, "dot": 0}
+    kernel, dot = scalar._cauchy_sums, FloatScalar.dot
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    def counted_dot(*args):
+        calls["dot"] += 1
+        return dot(*args)
+
+    monkeypatch.setattr(scalar, "_cauchy_sums", counted_kernel)
+    monkeypatch.setattr(FloatScalar, "dot", staticmethod(counted_dot))
+    return calls
+
+
+@pytest.mark.parametrize("xbits,ybits,packs", [
+    (_PACK_BITS // 2, _PACK_BITS // 2, True),
+    (_PACK_BITS // 2 + 1, _PACK_BITS // 2, False),
+    (2, _PACK_BITS - 2, True),
+    (2, _PACK_BITS - 1, False),
+])
+def test_float_convolve_packs_up_to_pack_bits_together(xbits, ybits, packs, monkeypatch):
+    """Mantissas 1 and -3 at exponent 0 and 1 at exponent bits - 1 span
+    bits on one exponent: two sequences of _PACK_BITS bits together go
+    through the kernel, one bit more through a dot per coefficient."""
+    xs, ys = ([fl(1), fl(-3), fl(mpmath.mpf((1, bits - 1)))] for bits in (xbits, ybits))
+    want = _dot_per_coefficient(xs, ys)
+    calls = _count_paths(monkeypatch)
+    _same_values(FloatScalar.convolve(xs, ys), want)
+    assert calls == ({"kernel": 1, "dot": 0} if packs else {"kernel": 0, "dot": 3})
+
+
+# -- _cauchy_sums: the one packed Cauchy product -------------------------------
+
+def _schoolbook(xs, ys):
+    return [sum(xs[i] * ys[k - i] for i in range(k + 1)) for k in range(len(xs))]
+
+
+def _product_bits(xs, ys):
+    return max(x.bit_length() for x in xs) + max(y.bit_length() for y in ys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 70), st.integers(0, 300), st.integers(0, 300),
+       st.sampled_from([(1,), (-1,), (1, -1)]), st.integers(0, 2 ** 32))
+def test_cauchy_sums_are_the_schoolbook_sums(n, xbits, ybits, signs, seed):
+    """Lengths 1-70, nonnegative, nonpositive or mixed signs, zeros."""
+    rng = random.Random(seed)
+    xs, ys = ([rng.randrange(2 ** bits + 1) * rng.choice(signs) for _ in range(n)]
+              for bits in (xbits, ybits))
+    assert _cauchy_sums(xs, ys, _product_bits(xs, ys)) == _schoolbook(xs, ys)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 70])
+@pytest.mark.parametrize("sx,sy", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+def test_cauchy_sums_fill_slots_on_either_side_of_a_byte_boundary(n, sx, sy):
+    """Every entry 2^bits - 1: the last sum is n of the largest products, the
+    largest a slot holds.  Sizes 1-17 pass two byte boundaries of a slot."""
+    for xbits in range(1, 18):
+        for ybits in (xbits, 8, 9):
+            xs, ys = [sx * (2 ** xbits - 1)] * n, [sy * (2 ** ybits - 1)] * n
+            assert _cauchy_sums(xs, ys, xbits + ybits) == _schoolbook(xs, ys)
+
+
+@pytest.mark.parametrize("xs,ys,want", [
+    ([1, 2], [-1, 5], [-1, 3]),
+    # the borrow passes a slot whose sum is 0 on to the slot above it
+    ([1, 1, 1], [-1, 1, 1], [-1, 0, 1]),
+    ([2 ** 64 - 1, 1, 0], [-(2 ** 64 - 1), 2 ** 64 - 1, 5],
+     [-(2 ** 64 - 1) ** 2, (2 ** 64 - 1) ** 2 - (2 ** 64 - 1), 2 ** 64 - 1 + 5 * (2 ** 64 - 1)]),
+])
+def test_cauchy_sums_a_negative_slot_borrows_from_the_slot_above(xs, ys, want):
+    assert _schoolbook(xs, ys) == want
+    assert _cauchy_sums(xs, ys, _product_bits(xs, ys)) == want
 
 
 def test_float_sqrt_of_a_negative_is_a_domain_error():
