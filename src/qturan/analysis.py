@@ -10,7 +10,10 @@ derivatives are taken anywhere.
 The Laplace side represents sum_m c_m x^m (entire, c_m >= 0) as
 c_0 + integral_0^infty e^(-t/x) rho(t) dt with density
 rho(t) = sum_{m>=1} c_m t^(m-1)/(m-1)!, validated against the closed-form
-transform integral_0^infty e^(-t/x) t^(m-1)/(m-1)! dt = x^m.
+transform integral_0^infty e^(-t/x) t^(m-1)/(m-1)! dt = x^m.  The integrand
+is entire, so it is integrated with ``mpmath.quad``'s Gauss-Legendre rule on
+geometric panels that grow by 3/2, narrow enough that each converges within
+the 48-node rule.
 """
 
 from __future__ import annotations
@@ -134,43 +137,44 @@ def _density_mpf(md: MeasureDensity, digits: int):
     raw = [(-man if sign else man, exp, exp + bc)
            for sign, man, exp, bc in (v._mpf_ for v in reversed(coeffs))]
 
-    def rounded(man, exp, prec):
-        # man * 2^exp to prec bits, to nearest with ties to even; the floor
-        # shift makes this hold for a negative man too
-        n = man.bit_length() - prec
-        if n <= 0:
-            return man, exp
-        q = man >> (n - 1)
-        if q & 1 and (q & 2 or man & ((1 << (n - 1)) - 1)):
-            return (q >> 1) + 1, exp + n
-        return q >> 1, exp + n
-
     def rho(t):
         """Horner's rule acc * t + v on integer mantissas, each step rounded
         to nearest at the working precision in effect, as ``mpf_mul`` and
         ``mpf_add`` round it, so the bits are those of mpf arithmetic;
-        ``mpmath.quad`` raises that precision around its integrand."""
+        ``mpmath.quad`` raises that precision around its integrand.  Each
+        rounding is to nearest with ties to even; its floor shift makes it
+        hold for a negative mantissa too."""
         prec = ctx._prec_rounding[0]
         sign, tm, te, _ = t._mpf_
         if sign:
             tm = -tm
         am = ae = 0
         for vm, ve, vtop in raw:
-            am, ae = rounded(am * tm, ae + te, prec)
+            am *= tm
+            ae += te
+            n = am.bit_length() - prec
+            if n > 0:
+                r = am >> (n - 1)
+                am = (r >> 1) + 1 if r & 1 and (r & 2 or am & ((1 << (n - 1)) - 1)) else r >> 1
+                ae += n
             if not am:
-                am, ae = rounded(vm, ve, prec)
-                continue
-            delta = am.bit_length() + ae - vtop
-            if not vm or delta > prec + 4:
-                continue  # v is 0 or lies below the product's last place
-            if -delta > prec + 4 and ae + (am & -am).bit_length() - 1 < ve - 100:
-                # mpf_add stands in a sticky bit for a far smaller operand
-                am, ae = (vm << prec + 4) + (1 if am > 0 else -1), ve - prec - 4
-            elif ae > ve:
-                am, ae = (am << ae - ve) + vm, ve
+                am, ae = vm, ve
             else:
-                am += vm << ve - ae
-            am, ae = rounded(am, ae, prec)
+                delta = am.bit_length() + ae - vtop
+                if not vm or delta > prec + 4:
+                    continue  # v is 0 or lies below the product's last place
+                if -delta > prec + 4 and ae + (am & -am).bit_length() - 1 < ve - 100:
+                    # mpf_add stands in a sticky bit for a far smaller operand
+                    am, ae = (vm << prec + 4) + (1 if am > 0 else -1), ve - prec - 4
+                elif ae > ve:
+                    am, ae = (am << ae - ve) + vm, ve
+                else:
+                    am += vm << ve - ae
+            n = am.bit_length() - prec
+            if n > 0:
+                r = am >> (n - 1)
+                am = (r >> 1) + 1 if r & 1 and (r & 2 or am & ((1 << (n - 1)) - 1)) else r >> 1
+                ae += n
         return ctx.make_mpf(from_man_exp(am, ae))
 
     return rho, [abs(v) for v in coeffs]
@@ -217,19 +221,34 @@ def _default_upper_limit(abs_coeffs, x_max, tol, digits):
 def laplace_representation_check(md: MeasureDensity, x_grid, *,
                                  digits: int = 50, upper_limit=None,
                                  tol=None) -> Residual:
-    """Adaptive quadrature of the Laplace side against direct series evaluation.
+    """Gauss-Legendre quadrature of the Laplace side against direct series evaluation.
 
     For each x the integral c_0 + integral_0^T e^(-t/x) density(t) dt is
     compared to c_0 + sum_m c_m x^m; T defaults to the first window where
-    the integrand envelope falls below the tolerance.  Both sides are
-    compared at the working precision, digits + 15, so the residual shows
-    the quadrature error instead of being rounded to 0.  ``x_grid`` holds
-    at least one positive point, as a Fraction.
+    the integrand envelope falls below the tolerance.  The integrand is
+    entire, so ``mpmath.quad`` runs its Gauss-Legendre rule on geometric
+    panels of width x, 3x/2, 9x/4, ... up to T: each panel then converges
+    within the 48-node rule.  Both sides are compared at the working
+    precision, digits + 15, so the residual shows the quadrature error
+    instead of being rounded to 0.  The note states the rule, the panel
+    and integrand-call counts, and the largest of quad's error estimates
+    over x, and says whether it met quad's own tolerance.  ``x_grid``
+    holds at least one positive point, as a Fraction or an int; an
+    ``upper_limit`` must be finite and positive.
     """
     if not x_grid:
         raise DimensionError("the Laplace check needs at least one evaluation point")
+    if not all(isinstance(x, (Fraction, int)) for x in x_grid):
+        raise DomainError("evaluation points must be given as Fractions or ints")
+    if any(x <= 0 for x in x_grid):
+        raise DomainError("evaluation points must be positive")
     # 15 guard digits absorb quadrature round-off below the reported digits
     work = digits + 15
+    if upper_limit is not None:
+        with mpmath.workdps(work):
+            T = mpmath.mpf(upper_limit)
+        if not (mpmath.isfinite(T) and T > 0):
+            raise DomainError(f"upper_limit must be finite and positive, not {upper_limit!r}")
     rho, abs_coeffs = _density_mpf(md, work)
     integrand = _laplace_integrand(rho)
     atom = md.atom_at_zero.to_mpf(work)
@@ -237,25 +256,40 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
         if tol is None:
             tol = mpmath.mpf(10) ** (10 - digits)
         xs = [mpmath.mpf(x.numerator) / x.denominator for x in x_grid]
-        if any(x <= 0 for x in xs):
-            raise DomainError("evaluation points must be positive")
-        x_max = max(xs)
-        T = mpmath.mpf(upper_limit) if upper_limit is not None else \
-            _default_upper_limit(abs_coeffs, x_max, tol, digits)
+        if upper_limit is None:
+            T = _default_upper_limit(abs_coeffs, max(xs), tol, digits)
+        panels = calls = 0
+        worst = mpmath.mpf(0)
         pairs = []
         for x in xs:
             # segment geometrically so the exponential decay never spans
-            # more scales than the quadrature can track in one panel
+            # more scales than one panel's Gauss-Legendre rule resolves
             points = [mpmath.mpf(0)]
             seg = x
             while points[-1] < T:
                 points.append(min(points[-1] + seg, T))
-                seg = seg * 2
-            integral = atom + mpmath.quad(lambda t: integrand(t, x), points)
+                seg = seg * 3 / 2
+
+            def f(t, x=x):
+                nonlocal calls
+                calls += 1
+                return integrand(t, x)
+
+            integral, err = mpmath.quad(f, points, method="gauss-legendre", error=True)
+            panels += len(points) - 1
+            worst = max(worst, err)
+            integral += atom
             series_side = atom
             xp = mpmath.mpf(1)
             for m, c in enumerate(md.density_coeffs, start=1):
                 xp = xp * x
                 series_side += c.to_mpf(work) * xp
             pairs.append((FloatScalar(integral, work), FloatScalar(series_side, work)))
-    return _compare(pairs, "float", md.order, "laplace-representation")
+        # quad's own tolerance at the working precision
+        epsilon = mpmath.eps / 8
+        verdict = "converged" if worst <= epsilon else "did not converge"
+        note = (f"gauss-legendre on {panels} panels growing by 3/2 to T = "
+                f"{mpmath.nstr(T, 6)}, {calls} integrand calls; largest error estimate "
+                f"{mpmath.nstr(worst, 3)} against quad epsilon {mpmath.nstr(epsilon, 3)}: "
+                f"estimate {verdict}")
+    return _compare(pairs, "float", md.order, "laplace-representation", note)

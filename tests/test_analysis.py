@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qturan import analysis
 from qturan.analysis import (
     MeasureDensity,
+    _default_upper_limit,
     _density_mpf,
     _laplace_integrand,
     complete_monotonicity_check,
@@ -19,8 +21,9 @@ from qturan.analysis import (
     multiplicative_convexity_check,
     tau_density,
 )
+from qturan.identities import _compare
 from qturan.qcore import QBase
-from qturan.scalar import DimensionError, ExactScalar, fl
+from qturan.scalar import DimensionError, DomainError, ExactScalar, FloatScalar, fl
 from qturan.series import TruncatedSeries
 from qturan.turanian import Family, TuranianSpec, turanian_series
 
@@ -39,10 +42,40 @@ def uniform_grid(start, stop, step):
     return out
 
 
-def nonneg_family_turanian(order=40):
-    spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(1), F(2), Q12, order,
+def nonneg_family_turanian(order=40, mu=F(1), beta=F(2)):
+    spec = TuranianSpec(Family.G_NORMALIZED, mu, F(1), beta, Q12, order,
                         (F(2), F(3)), (F(1), F(2)))
     return turanian_series(spec).to_float(DIGITS)
+
+
+def _reference_laplace(md, x_grid, *, digits=DIGITS, upper_limit=None, tol=None):
+    """The Laplace check as it ran before Gauss-Legendre panels: mpmath's
+    default tanh-sinh rule on geometric panels that double in width."""
+    work = digits + 15
+    rho, abs_coeffs = _density_mpf(md, work)
+    integrand = _laplace_integrand(rho)
+    atom = md.atom_at_zero.to_mpf(work)
+    with mpmath.workdps(work):
+        if tol is None:
+            tol = mpmath.mpf(10) ** (10 - digits)
+        xs = [mpmath.mpf(x.numerator) / x.denominator for x in x_grid]
+        T = mpmath.mpf(upper_limit) if upper_limit is not None else \
+            _default_upper_limit(abs_coeffs, max(xs), tol, digits)
+        pairs = []
+        for x in xs:
+            points = [mpmath.mpf(0)]
+            seg = x
+            while points[-1] < T:
+                points.append(min(points[-1] + seg, T))
+                seg = seg * 2
+            integral = atom + mpmath.quad(lambda t: integrand(t, x), points)
+            series_side = atom
+            xp = mpmath.mpf(1)
+            for c in md.density_coeffs:
+                xp = xp * x
+                series_side += c.to_mpf(work) * xp
+            pairs.append((FloatScalar(integral, work), FloatScalar(series_side, work)))
+    return _compare(pairs, "float", md.order, "laplace-representation")
 
 
 NONNEG_DENSITY = measure_from_series(nonneg_family_turanian())
@@ -266,3 +299,89 @@ class TestLaplaceRepresentation:
         tight_md = measure_from_series(nonneg_family_turanian(order=40))
         tight = laplace_representation_check(tight_md, [F(3, 10)], digits=DIGITS)
         assert tight.max_rel.val <= loose.max_rel.val + mpmath.mpf("1e-60")
+
+    @pytest.mark.parametrize("mu", [F(1, 2), F(1), F(3, 2), F(2)])
+    @pytest.mark.parametrize("beta", [F(1), F(2)])
+    def test_panels_agree_with_the_tanh_sinh_reference_on_the_benchmark_grid(self, mu, beta):
+        md = measure_from_series(nonneg_family_turanian(mu=mu, beta=beta))
+        for x in (F(1, 10), F(3, 10), F(3, 5)):
+            new = laplace_representation_check(md, [x], digits=DIGITS, upper_limit=80)
+            ref = _reference_laplace(md, [x], upper_limit=80)
+            assert abs(new.max_rel.val - ref.max_rel.val) < mpmath.mpf("1e-60")
+            assert new.note.endswith("estimate converged")
+
+    @pytest.mark.parametrize("md, x_grid, digits, kwargs", [
+        (MeasureDensity(fl(0, DIGITS), (fl(0, DIGITS),) * 3, 3), [F(1, 2)], DIGITS, {}),
+        (MeasureDensity(fl(0, DIGITS), (fl(1, DIGITS),), 1), [F(1, 2), F(2)], DIGITS, {}),
+        (NONNEG_DENSITY, [F(3, 10), F(6, 10)], DIGITS, {"upper_limit": 80}),
+        (NONNEG_DENSITY, [F(3, 10)], DIGITS, {}),
+        (measure_from_series(nonneg_family_turanian(order=12)), [F(3, 10)], 20,
+         {"tol": mpmath.mpf("1e-12")}),
+    ])
+    def test_panels_agree_with_the_tanh_sinh_reference_on_the_existing_densities(
+            self, md, x_grid, digits, kwargs):
+        new = laplace_representation_check(md, x_grid, digits=digits, **kwargs)
+        ref = _reference_laplace(md, x_grid, digits=digits, **kwargs)
+        assert abs(new.max_rel.val - ref.max_rel.val) < mpmath.mpf("1e-60")
+
+    def test_pinned_point_stays_within_the_48_node_rule(self, monkeypatch):
+        # g case (b), mu = 1, alpha = 1, beta = 2, order 40, x = 3/10: tanh-sinh
+        # took 2397 integrand calls, and panels that double need 96 nodes
+        rule = mpmath.mp._gauss_legendre
+        sizes, calls = [], [0]
+        get_nodes = rule.get_nodes
+
+        def spy_nodes(*args, **kwargs):
+            nodes = get_nodes(*args, **kwargs)
+            sizes.append(len(nodes))
+            return nodes
+
+        make = analysis._laplace_integrand
+
+        def spy_integrand(rho):
+            integrand = make(rho)
+
+            def counted(t, x):
+                calls[0] += 1
+                return integrand(t, x)
+            return counted
+
+        monkeypatch.setattr(rule, "get_nodes", spy_nodes)
+        monkeypatch.setattr(analysis, "_laplace_integrand", spy_integrand)
+        res = laplace_representation_check(NONNEG_DENSITY, [F(3, 10)], digits=DIGITS,
+                                           upper_limit=80)
+        assert 0 < calls[0] <= 1000
+        assert sizes and max(sizes) <= 48
+        assert res.note.startswith("gauss-legendre on ")
+        assert f" {calls[0]} integrand calls" in res.note
+        assert res.note.endswith("estimate converged")
+
+    def test_an_unconverged_estimate_is_named_in_the_note(self, monkeypatch):
+        quad = mpmath.quad
+
+        def two_degrees(*args, **kwargs):
+            # the 3- and 6-node rules: too few for 50 digits on any panel
+            return quad(*args, maxdegree=2, **kwargs)
+
+        monkeypatch.setattr(mpmath, "quad", two_degrees)
+        res = laplace_representation_check(NONNEG_DENSITY, [F(3, 10)], digits=DIGITS,
+                                           upper_limit=80)
+        assert res.note.endswith("estimate did not converge")
+
+    # 0, -5 and nan integrate over no panel, and inf never closes the panel loop
+    @pytest.mark.parametrize("upper_limit", [0, -5, "nan", "inf"])
+    def test_an_upper_limit_that_is_not_finite_and_positive_is_refused_before_any_work(
+            self, upper_limit, monkeypatch):
+        # building the density first would call None and raise TypeError
+        monkeypatch.setattr(analysis, "_density_mpf", None)
+        with pytest.raises(DomainError, match="upper_limit must be finite and positive"):
+            laplace_representation_check(NONNEG_DENSITY, [F(3, 10)], digits=DIGITS,
+                                         upper_limit=upper_limit)
+
+    @pytest.mark.parametrize("x", [0.3, mpmath.mpf("0.3"), "3/10"])
+    def test_an_evaluation_point_that_is_not_rational_is_refused_before_any_work(
+            self, x, monkeypatch):
+        # a float once died on x.numerator, after the density was built
+        monkeypatch.setattr(analysis, "_density_mpf", None)
+        with pytest.raises(DomainError, match="Fractions or ints"):
+            laplace_representation_check(NONNEG_DENSITY, [F(1, 2), x], digits=DIGITS)
