@@ -218,6 +218,23 @@ def _default_upper_limit(abs_coeffs, x_max, tol, digits):
     raise DomainError("no finite quadrature window meets the tolerance")
 
 
+def _truncation_tail(coeffs, x, T):
+    """Bound on what the Laplace integral of the density with coefficients
+    ``coeffs`` (c_1, c_2, ... as mpf) loses past T at x: the transform of
+    t^(m-1)/(m-1)! past T is x^m e^(-T/x) sum_(j<m) (T/x)^j / j!, so the
+    loss is at most e^(-T/x) sum_m |c_m| x^m sum_(j<m) (T/x)^j / j!, summed
+    here cumulatively in O(len(coeffs)) operations at the working precision
+    (the sum itself when every c_m >= 0)."""
+    r = T / x
+    total, xp, term, partial = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0)
+    for m, c in enumerate(coeffs, start=1):
+        xp = xp * x
+        partial += term             # sum_(j<m) (T/x)^j / j!
+        term = term * r / m
+        total += abs(c) * xp * partial
+    return total * mpmath.exp(-r)
+
+
 def laplace_representation_check(md: MeasureDensity, x_grid, *,
                                  digits: int = 50, upper_limit=None,
                                  tol=None) -> Residual:
@@ -231,8 +248,10 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
     within the 48-node rule.  Both sides are compared at the working
     precision, digits + 15, so the residual shows the quadrature error
     instead of being rounded to 0.  The note states the rule, the panel
-    and integrand-call counts, and the largest of quad's error estimates
-    over x, and says whether it met quad's own tolerance.  ``x_grid``
+    and integrand-call counts, the largest bound over x on the part of the
+    integral past T relative to the series side (``_truncation_tail``),
+    and the largest of quad's error estimates over x, and says whether it
+    met quad's own tolerance.  ``x_grid``
     holds at least one positive point, as a Fraction or an int; an
     ``upper_limit`` must be finite and positive.
     """
@@ -258,8 +277,9 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
         xs = [mpmath.mpf(x.numerator) / x.denominator for x in x_grid]
         if upper_limit is None:
             T = _default_upper_limit(abs_coeffs, max(xs), tol, digits)
+        coeffs = [c.to_mpf(work) for c in md.density_coeffs]
         panels = calls = 0
-        worst = mpmath.mpf(0)
+        worst = tail = mpmath.mpf(0)
         pairs = []
         for x in xs:
             # segment geometrically so the exponential decay never spans
@@ -281,15 +301,19 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
             integral += atom
             series_side = atom
             xp = mpmath.mpf(1)
-            for m, c in enumerate(md.density_coeffs, start=1):
+            for c in coeffs:
                 xp = xp * x
-                series_side += c.to_mpf(work) * xp
+                series_side += c * xp
+            lost = _truncation_tail(coeffs, x, T)
+            if lost:
+                tail = max(tail, lost / abs(series_side) if series_side else mpmath.inf)
             pairs.append((FloatScalar(integral, work), FloatScalar(series_side, work)))
         # quad's own tolerance at the working precision
         epsilon = mpmath.eps / 8
         verdict = "converged" if worst <= epsilon else "did not converge"
         note = (f"gauss-legendre on {panels} panels growing by 3/2 to T = "
-                f"{mpmath.nstr(T, 6)}, {calls} integrand calls; largest error estimate "
+                f"{mpmath.nstr(T, 6)}, {calls} integrand calls; tail past T at most "
+                f"{mpmath.nstr(tail, 3)} of the series side; largest error estimate "
                 f"{mpmath.nstr(worst, 3)} against quad epsilon {mpmath.nstr(epsilon, 3)}: "
                 f"estimate {verdict}")
     return _compare(pairs, "float", md.order, "laplace-representation", note)

@@ -40,8 +40,7 @@ from .series import (
     heine_f_series,
     kummer_1f1_unit_top,
     kummer_1f1_value,
-    qbessel_j1,
-    qbessel_j2,
+    qbessel_j2_and_j1,
     tphis_series,
 )
 from .qcore import qpochhammer_infinite
@@ -150,9 +149,8 @@ def verify_connection_formula(alpha, y, q: QBase, order: int | None = None) -> R
     if order is None:
         order = geometric_tail_order(abs(yv) * abs(yv) / 4,
                                      FloatScalar(10, q.digits) ** (6 - q.digits), minimum=120)
-    lhs = qbessel_j2(alpha, yv, q, order)
-    factor = qpochhammer_infinite(-(yv * yv) / 4, q)
-    rhs = factor * qbessel_j1(alpha, yv, q, order)
+    lhs, j1 = qbessel_j2_and_j1(alpha, yv, q, order)
+    rhs = qpochhammer_infinite(-(yv * yv) / 4, q) * j1
     return _compare([(lhs, rhs)], q.mode, order,
                     f"connection(alpha={alpha},y={y})")
 

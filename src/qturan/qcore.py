@@ -86,10 +86,14 @@ class QBase:
 
     @classmethod
     def floating(cls, q, digits: int = DEFAULT_DIGITS) -> "QBase":
+        """A float base.  An int or Fraction q keeps its rational value as
+        ``q_frac``, which the float sign certificates run their interval
+        enclosures on; a Python float or a FloatScalar q has none."""
         qs = q if isinstance(q, FloatScalar) else FloatScalar(q, digits)
         if not (0 < qs.val < 1):
             raise DomainError(f"q={qs.val} not in (0,1)")
-        return cls(mode="float", q=qs, p=qs.sqrt(), digits=digits)
+        q_frac = as_fraction(q) if isinstance(q, (int, Fraction)) else None
+        return cls(mode="float", q=qs, p=qs.sqrt(), q_frac=q_frac, digits=digits)
 
     def held_qq_inf(self) -> Scalar:
         """(q; q)_infty at the default tolerance (float mode), formed by the

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from decimal import Decimal
+from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Union
@@ -50,6 +50,7 @@ from mpmath.libmp import (
     dps_to_prec,
     from_int,
     from_man_exp,
+    from_rational,
     fone,
     fzero,
     mpf_abs,
@@ -62,6 +63,7 @@ from mpmath.libmp import (
     mpf_pow_int,
     mpf_sqrt,
     mpf_sub,
+    round_down,
     round_nearest,
 )
 
@@ -524,6 +526,17 @@ class ExactScalar:
 
     def to_float_scalar(self, digits: int = DEFAULT_DIGITS) -> "FloatScalar":
         return FloatScalar(self.to_mpf(digits), digits)
+
+    def to_float_toward_zero(self, digits: int = DEFAULT_DIGITS) -> "FloatScalar":
+        """This rational cut toward 0 to ``digits`` significant decimal
+        digits, and that decimal held at the binary precision of ``digits``,
+        rounded toward 0 too: both the value and the text it prints at
+        ``digits`` lie between 0 and this number, so a bound on a magnitude
+        from below stays one."""
+        if self.m:
+            raise ValueError("to_float_toward_zero takes a rational value")
+        cut = Context(prec=digits, rounding=ROUND_DOWN).divide(Decimal(self.n), Decimal(self.d))
+        return _float(from_rational(*cut.as_integer_ratio(), _prec(digits), round_down), digits)
 
     def canonical(self) -> str:
         """Deterministic text form: 'num/den' or 'a+b*sqrt(r)'."""

@@ -43,7 +43,8 @@ Constructors:
   2phi1(0,0; q^mu; x) and its 1/Gamma_q(mu) normalization.
 * :func:`qbessel_j1`, :func:`qbessel_j2`, :func:`modified_qbessel_i1` --
   the two Jackson q-Bessel analogues and the first modified q-Bessel
-  function (float mode, point evaluation).
+  function (float mode, point evaluation); :func:`qbessel_j2_and_j1` gives
+  both Jackson functions at one point.
 * :func:`kummer_1f1_unit_top` -- the confluent series 1F1(1; b; x) with
   coefficients 1/(b)_n, in plain rational arithmetic.
 """
@@ -466,13 +467,15 @@ def _float_only(q: QBase, what: str):
         raise ExactModeError(f"{what} evaluates infinite products; use float mode")
 
 
-def _jackson_qbessel(name: str, alpha, y, q: QBase, order: int, d: int) -> Scalar:
-    """The body both Jackson q-Bessel functions share:
+def _jackson_qbessel(name: str, alpha, y, q: QBase, order: int, ds: tuple) -> tuple:
+    """The body the Jackson q-Bessel functions share, for each d in ``ds``:
 
         (y/2)^alpha (b; q)_infty / (q; q)_infty * sum_n c_n z^n,  b = q^(alpha+1),
 
     where c_n / c_(n-1) = q^(d(n-1)) / ((1 - q^n)(1 - b q^(n-1))) and
-    z = -y^2/4, times b when d = 2 (float mode).
+    z = -y^2/4, times b when d = 2 (float mode).  (b; q)_infty is formed
+    once, and the sums' series come from one TermRatio.series_of call, each
+    with the bits it has alone.
 
     At alpha = -k, k >= 1 an integer, (b; q)_infty vanishes where the sum's
     lower factor does; the limit is (-1)^k times the value at alpha = k
@@ -480,18 +483,18 @@ def _jackson_qbessel(name: str, alpha, y, q: QBase, order: int, d: int) -> Scala
     """
     _float_only(q, name)
     y = q.scalar(y)
-    if d == 0 and not abs(y) < FloatScalar(2, q.digits):     # J1's sum needs |z| < 1
+    if 0 in ds and not abs(y) < FloatScalar(2, q.digits):     # J1's sum needs |z| < 1
         raise DomainError(f"{name} needs |y| < 2")
     alpha_s = q.scalar(alpha)
     integer_alpha = alpha_s.val == int(alpha_s.val)
     if integer_alpha and alpha_s.val < 0:
         k = -int(alpha_s.val)
-        return _jackson_qbessel(name, k, y, q, order, d) * (-1) ** k
+        return tuple(v * (-1) ** k for v in _jackson_qbessel(name, k, y, q, order, ds))
     if y.is_zero():
         if alpha_s.is_zero():
-            return q.one
+            return (q.one,) * len(ds)
         if alpha_s > 0:
-            return q.zero
+            return (q.zero,) * len(ds)
         raise DomainError(f"{name} diverges at y=0 for alpha < 0")
     if y.val < 0 and not integer_alpha:
         raise DomainError("negative y needs integer alpha")
@@ -500,19 +503,26 @@ def _jackson_qbessel(name: str, alpha, y, q: QBase, order: int, d: int) -> Scala
     # at alpha = 0, b = q and (b; q)_inf is the held product: the same call
     b_inf = qq_inf if b == q.q else qpochhammer_infinite(b, q)
     prefactor = ((y / 2) ** alpha_s) * b_inf / qq_inf
-    terms = TermRatio(q.one, (), (b,), q, d, q.one).series(order)
-    z = -(y * y) * b / 4 if d else -(y * y) / 4
-    return prefactor * terms.eval(z)
+    sums = TermRatio.series_of([TermRatio(q.one, (), (b,), q, d, q.one) for d in ds], order)
+    return tuple(prefactor * terms.eval(-(y * y) * b / 4 if d else -(y * y) / 4)
+                 for d, terms in zip(ds, sums))
 
 
 def qbessel_j1(alpha, y, q: QBase, order: int) -> Scalar:
     """First Jackson q-Bessel function at y, for |y| < 2 (float mode)."""
-    return _jackson_qbessel("qbessel_j1", alpha, y, q, order, 0)
+    return _jackson_qbessel("qbessel_j1", alpha, y, q, order, (0,))[0]
 
 
 def qbessel_j2(alpha, y, q: QBase, order: int) -> Scalar:
     """Second Jackson q-Bessel function at y (entire in y; float mode)."""
-    return _jackson_qbessel("qbessel_j2", alpha, y, q, order, 2)
+    return _jackson_qbessel("qbessel_j2", alpha, y, q, order, (2,))[0]
+
+
+def qbessel_j2_and_j1(alpha, y, q: QBase, order: int) -> tuple:
+    """(J2_alpha(y), J1_alpha(y)) at one point, for |y| < 2 (float mode):
+    the bits of qbessel_j2 and qbessel_j1, with one (q^(alpha+1); q)_infty
+    and one chain of q-powers between them."""
+    return _jackson_qbessel("qbessel_j2_and_j1", alpha, y, q, order, (2, 0))
 
 
 def modified_qbessel_i1(nu, y, q: QBase, order: int) -> Scalar:

@@ -45,10 +45,21 @@ u_m - rho v_m is formed exactly on the integer mantissas.  Only when a coefficie
 enclosure contains 0, or cannot stay nonnegative, are the exact series
 built to the full order, and that coefficient recomputed exactly as an
 O(m) dot product; that is how exact zeros are proven.  Verdicts involve no
-tolerance.  In float mode (the tilde series with their true 1/Gamma_q
-scale) a strict verdict additionally requires every margin to exceed ten
-times a propagated rounding envelope, otherwise the verdict is
-INCONCLUSIVE.
+tolerance.
+
+In float mode the same interval certificate runs on the exact twin of the
+float base, ``QBase.exact(q=q_frac)``, and a point it decides is reported
+as in exact mode (``decided_by`` "interval"), its coeff0 and margin
+converted to the base's digits, the margin rounded toward 0 so that it
+stays a lower bound.  No exact series are built there: the float
+classifier decides a point the intervals cannot, which is one with no
+rational q, with mu, alpha, beta (or an entry of a, b) off the
+half-integer grid, a tilde point whose rho enclosure would take more than
+``_MAX_PRODUCT_TERMS`` factors, or one where an enclosure contains 0 or
+rho leaves Delta_0 undecided.  That classifier builds the four float
+series (the tilde ones with their true 1/Gamma_q scale), and a strict
+verdict there additionally requires every margin to exceed ten times a
+propagated rounding envelope, otherwise the verdict is INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -138,12 +149,18 @@ class SignReport:
     ``coeff0`` is computed exactly (tilde with both shifts non-integer: its
     bound from the rho enclosure).
 
+    In float mode, a point decided on intervals reports these two at the
+    base's digits: ``coeff0`` rounded to nearest, ``min_margin`` rounded
+    toward 0, so it stays a lower bound in value and in print.
+
     ``decided_by`` names the path that decided the signs: ``interval``
-    (every interval excluded 0), ``interval+exact`` (``exact_fallbacks``
-    coefficients were recomputed exactly), ``float`` (float mode) or
-    ``degenerate`` (a zero shift, so the series vanishes identically); it
-    is None when the rho enclosure leaves a sign undecided (INCONCLUSIVE).  Both
-    are deterministic, so exact reports stay byte-stable.
+    (every interval excluded 0, in either mode), ``interval+exact``
+    (``exact_fallbacks`` coefficients were recomputed exactly; exact mode
+    only), ``float`` (the float classifier, in float mode where the
+    intervals cannot decide) or ``degenerate`` (a zero shift, so the series
+    vanishes identically); it is None when the rho enclosure leaves a sign
+    undecided in exact mode (INCONCLUSIVE).  Both are deterministic, so
+    exact reports stay byte-stable.
 
     ``expected`` is the paper's claim that the certificate checks, always
     set: strictly negative (Heine), strictly positive (tilde), or the
@@ -459,7 +476,9 @@ def _exact_mode_bounds(heads, enclosures, build, rho):
     u = F(mu+alpha)F(mu+beta) and v = F(mu)F(mu+alpha+beta).  ``heads``
     holds them exactly to order 0 at least, ``enclosures`` as series of
     _Interval triples to the full order, and ``build()`` returns them
-    exactly to the full order.  ``rho`` is an exact enclosure (rho_lo,
+    exactly to the full order; with ``build`` None (float mode) no exact
+    series are built, and a coefficient the intervals leave undecided
+    leaves the point undecided.  ``rho`` is an exact enclosure (rho_lo,
     rho_hi) of the prefactor ratio ((1, 1) for the Heine and g families).
     Both products are formed once, by _Interval.convolve, every u_m - rho
     v_m, m >= 1, is enclosed, and the coefficients whose enclosure contains 0 or is
@@ -468,7 +487,7 @@ def _exact_mode_bounds(heads, enclosures, build, rho):
     magnitude: the endpoint of _Interval.bound_minus (a dyadic rational) or
     the exact bound of _exact_bound.  Returns (coeff0 bound, bounds for
     m >= 1, exact fallbacks), or None when the rho enclosure leaves a sign
-    undecided.
+    undecided or ``build`` is None and an enclosure contains 0.
     """
     rho_lo, rho_hi = rho
     head = _exact_bound(heads, rho_lo, rho_hi, 0)
@@ -484,6 +503,8 @@ def _exact_mode_bounds(heads, enclosures, build, rho):
     for m in range(1, len(u)):
         bound = _Interval.bound_minus(u[m], rho, v[m])
         if bound is None:
+            if build is None:
+                return None
             fallbacks += 1
             if exact is None:
                 exact = build()
@@ -534,17 +555,35 @@ def _classify_float(tail, bounds):
     return _classify_exact(tail)
 
 
-def _certify(spec: TuranianSpec, expected, norm, rho=(ex(1), ex(1)),
-             chain_case=None) -> SignReport:
+def _interval_base(spec: TuranianSpec) -> QBase | None:
+    """The exact base the interval certificate of spec runs on: spec's own
+    in exact mode; in float mode that of q's rational value, or None where
+    the intervals cannot run (no rational q, or mu, alpha, beta or an entry
+    of a or b off the half-integer grid)."""
+    q = spec.q
+    if q.is_exact:
+        return q
+    shifts = (spec.mu, spec.alpha, spec.beta, *spec.a, *spec.b)
+    if q.q_frac is None or any((2 * s).denominator != 1 for s in shifts):
+        return None
+    return QBase.exact(q=q.q_frac)
+
+
+def _certify(spec: TuranianSpec, expected, norm, base, rho=(ex(1), ex(1)),
+             chain_case=None, float_norm=None) -> SignReport:
     """The SignReport of the Turanian of spec, in every family and mode.
 
-    A zero shift makes the Turanian vanish identically.  In exact mode the
-    four shifted series are built exactly to order 0 only; their term
-    ratios, run in _Interval arithmetic over one chain of q-powers
-    (TermRatio.series_of), enclose them to the full order, and
-    exact series to the full order are built only for a coefficient whose
-    interval contains 0 (see _exact_mode_bounds for ``rho``).  In
-    float mode the coefficients are classified against a rounding envelope.
+    A zero shift makes the Turanian vanish identically.  Otherwise the
+    four shifted series are built exactly to order 0 only, on the exact
+    ``base`` (see _interval_base); their term ratios, run in _Interval
+    arithmetic over one chain of q-powers (TermRatio.series_of), enclose
+    them to the full order.  In exact mode exact series to the full order
+    are built only for a coefficient whose interval contains 0 (see
+    _exact_mode_bounds for ``rho``).  In float mode none are: where
+    ``base`` or ``rho`` is None, or the intervals leave a sign undecided,
+    the float classifier decides instead, on the float series against a
+    rounding envelope, and ``float_norm`` (default ``norm``) names their
+    normalization.
     """
     if spec.order < 1:
         raise HypothesisError(
@@ -553,25 +592,32 @@ def _certify(spec: TuranianSpec, expected, norm, rho=(ex(1), ex(1)),
         )
     verdict, viol, margin, coeff0 = SignVerdict.INCONCLUSIVE, None, None, None
     decided_by, fallbacks = None, 0
+    exact = spec.q.is_exact
     if _is_degenerate(spec):
         verdict, decided_by = SignVerdict.ZERO, "degenerate"
         margin = coeff0 = spec.q.zero
-    elif spec.q.is_exact:
-        heads = _shifted(spec, 0)
+    elif base is not None and rho is not None:
+        heads = _shifted(replace(spec, q=base), 0)
         enclosures = TermRatio.series_of([h.ratio for h in heads], spec.order,
                                          _Interval.ARITH)
-        found = _exact_mode_bounds(heads, enclosures, lambda: _shifted(spec), rho)
+        build = (lambda: _shifted(spec)) if exact else None
+        found = _exact_mode_bounds(heads, enclosures, build, rho)
         if found is not None:
             coeff0, bounds, fallbacks = found
             verdict, viol, margin = _classify_exact(bounds)
             decided_by = "interval+exact" if fallbacks else "interval"
-    else:
+            if not exact:
+                coeff0 = coeff0.to_float_scalar(spec.q.digits)
+                if margin is not None:
+                    margin = margin.to_float_toward_zero(spec.q.digits)
+    if decided_by is None and not exact:
         s_a, s_b, s_0, s_ab = _shifted(spec)
         u, v = s_a * s_b, s_0 * s_ab
         delta = u - v
         bounds = _float_error_bounds((u + v).coeffs[1:], spec.q.digits)
         verdict, viol, margin = _classify_float(delta.coeffs[1:], bounds)
         coeff0, decided_by = delta.coeffs[0], "float"
+        norm = float_norm or norm
     verdicts, head_signs = _CLAIMS[expected]
     matches = decided_by == "degenerate" or (
         decided_by is not None and verdict in verdicts and coeff0.sign() in head_signs)
@@ -600,7 +646,8 @@ def delta_sign_certificate(spec: TuranianSpec) -> SignReport:
         raise ValueError("delta_sign_certificate works on the heine-f family")
     if not _is_degenerate(spec):
         _positive_hypotheses(spec)
-    return _certify(spec, SignVerdict.ALL_STRICTLY_NEG, "x^m coefficients")
+    return _certify(spec, SignVerdict.ALL_STRICTLY_NEG, "x^m coefficients",
+                    _interval_base(spec))
 
 
 # -- tilde family: interval enclosure of the prefactor ratio -----------------
@@ -674,23 +721,30 @@ def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
 def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:
     """Sign certificate for the tilde Turanian (expected strictly positive).
 
-    Exact mode reports margins for the coefficients rescaled by the positive
-    constant Gamma_q(mu+alpha) Gamma_q(mu+beta): the m-th rescaled
-    coefficient is u_m - rho v_m, certified through one enclosure of rho
-    (_rho_interval: exact when alpha or beta is an integer, an interval
-    enclosure of its infinite products otherwise), so the verdict carries
-    no tolerance.
+    The interval certificate reports margins for the coefficients rescaled
+    by the positive constant Gamma_q(mu+alpha) Gamma_q(mu+beta): the m-th
+    rescaled coefficient is u_m - rho v_m, certified through one enclosure
+    of rho (_rho_interval: exact when alpha or beta is an integer, an
+    interval enclosure of its infinite products otherwise), so the verdict
+    carries no tolerance.  In float mode a rho enclosure past
+    _MAX_PRODUCT_TERMS factors leaves the point to the float classifier,
+    which reports absolute coefficients.
     """
     if spec.family != Family.HEINE_F_TILDE:
         raise ValueError("delta_tilde_sign_certificate works on the tilde family")
-    rho = (ex(1), ex(1))
+    base, rho = _interval_base(spec), (ex(1), ex(1))
     if not _is_degenerate(spec):
         mu, alpha, beta = _positive_hypotheses(spec)
-        if spec.q.is_exact:
-            rho = _rho_interval(mu, alpha, beta, spec.q, 0)
-    norm = ("scaled by Gamma_q(mu+alpha)*Gamma_q(mu+beta); x^m basis" if spec.q.is_exact
-            else "absolute x^m coefficients")
-    return _certify(spec, SignVerdict.ALL_STRICTLY_POS, norm, rho)
+        if base is not None:
+            try:
+                rho = _rho_interval(mu, alpha, beta, base, 0)
+            except DomainError:         # past _MAX_PRODUCT_TERMS
+                if spec.q.is_exact:
+                    raise
+                rho = None
+    return _certify(spec, SignVerdict.ALL_STRICTLY_POS,
+                    "scaled by Gamma_q(mu+alpha)*Gamma_q(mu+beta); x^m basis", base, rho,
+                    float_norm="absolute x^m coefficients")
 
 
 # The sign direction each chain case predicts for the g Turanian.
@@ -731,7 +785,7 @@ def gamma_sign_certificate(spec: TuranianSpec) -> SignReport:
         )
     return _certify(spec, _CASE_EXPECTED[chain_case],
                     "relative to (Gamma_q(a+mu)/Gamma_q(b+mu))^2; x^m basis",
-                    chain_case=chain_case)
+                    _interval_base(spec), chain_case=chain_case)
 
 
 def sign_certificate(spec: TuranianSpec) -> SignReport:

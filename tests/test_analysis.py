@@ -356,6 +356,33 @@ class TestLaplaceRepresentation:
         assert f" {calls[0]} integrand calls" in res.note
         assert res.note.endswith("estimate converged")
 
+    def test_the_note_bounds_the_truncation_tail(self):
+        # past T = 80 the integral loses e^(-80/x) times the transforms'
+        # incomplete Gamma tails: at x = 3/5 that loss is the residual, at
+        # x = 1/10 it lies far below quad's epsilon
+        work = DIGITS + 15
+        bounds, notes = {}, {}
+        for x in (F(3, 5), F(1, 10)):
+            res = laplace_representation_check(NONNEG_DENSITY, [x], digits=DIGITS,
+                                               upper_limit=80)
+            with mpmath.workdps(work):
+                coeffs = [c.to_mpf(work) for c in NONNEG_DENSITY.density_coeffs]
+                xv = mpmath.mpf(x.numerator) / x.denominator
+                series_side, xp = NONNEG_DENSITY.atom_at_zero.to_mpf(work), 1
+                for c in coeffs:
+                    xp = xp * xv
+                    series_side += c * xp
+                bounds[x] = analysis._truncation_tail(coeffs, xv, mpmath.mpf(80)) / series_side
+                epsilon = mpmath.eps / 8
+            notes[x] = res.note
+            if x == F(3, 5):
+                assert bounds[x] >= res.max_rel.val > 1e-60
+        assert bounds[F(1, 10)] < epsilon
+        for x, note in notes.items():
+            assert f"; tail past T at most {mpmath.nstr(bounds[x], 3)} of the series side;" in note
+            assert note.startswith("gauss-legendre on ")
+            assert note.endswith("estimate converged")
+
     def test_an_unconverged_estimate_is_named_in_the_note(self, monkeypatch):
         quad = mpmath.quad
 

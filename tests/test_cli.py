@@ -106,6 +106,8 @@ def test_non_contracting_rho_tail_names_q_the_terms_and_float_mode(capsys, tmp_p
     assert run([*argv[:4], "9999/10000", *argv[5:]]) == 2
     err = capsys.readouterr().err
     assert "q = 9999/10000" in err and "N = 785251" in err and "--mode float" in err
+    # a float certificate at q = 99/100 encloses rho's products on q's rational value
+    monkeypatch.undo()
     assert run([*argv, "--mode", "float", "--out", str(out)]) == 0
     assert read_json(out)["verdicts"][0]["verdict"] == "all-strictly-pos"
 
@@ -818,12 +820,23 @@ def test_fresh_process_float_outputs_meet_their_digits(tmp_path):
                           "--mode", "float"], tmp_path)
     assert [r["mu"] for r in rows] == ["2", "3"]
     for row in rows:
+        # decided on intervals: the exact certificate's lower bound, cut toward 0
         spec = turanian.TuranianSpec(turanian.Family.HEINE_F, F(row["mu"]), F(3), F(1),
                                      QBase.exact(q=F(1, 4)), 60)
+        bound = turanian.sign_certificate(spec).min_margin.to_fraction()
         exact = min(abs(c.to_fraction()) for c in turanian.turanian_series(spec).coeffs[1:])
         with mpmath.workdps(80):
-            ref = mpmath.mpf(exact.numerator) / exact.denominator
+            ref = mpmath.mpf(bound.numerator) / bound.denominator
         assert _agreeing_digits(row["min_margin"], ref) >= 45
+        assert F(row["min_margin"]) <= bound <= exact
+    # off the half-integer grid the float classifier decides on 50-digit series
+    rows = _fresh_qturan(["scan", "--family", "heine-f", "--q", "1/4", "--mu-grid", "7/3",
+                          "--alpha-grid", "3", "--beta-grid", "1", "--order", "60",
+                          "--mode", "float"], tmp_path)
+    spec = turanian.TuranianSpec(turanian.Family.HEINE_F, F(7, 3), F(3), F(1),
+                                 QBase.floating(F(1, 4), 80), 60)
+    ref = min(abs(c) for c in turanian.turanian_series(spec).coeffs[1:]).val
+    assert _agreeing_digits(rows[0]["min_margin"], ref) >= 45
     rows = _fresh_qturan(["verify", "--identity", "q-to-1", "--mu", "3/2", "--alpha", "2",
                           "--beta", "1/2", "--x", "1/4"], tmp_path)
     assert rows[0]["label"] == "q-to-1(q=0.9)"

@@ -76,16 +76,19 @@ def test_float_outputs_are_unchanged(global_dps):
             code = run(["eval", "--family", "heine-f", "--mu", "1/2", "--x", "1/2", "--q",
                         "1/2", "--mode", "float", "--order", "1200"])
 
+    # decided on intervals over q = 1/2: min_margin is the certificate's lower
+    # bound cut toward 0 at 50 digits, coeff0 the exact head (tilde: scaled
+    # by Gamma_q(mu+alpha) Gamma_q(mu+beta)) rounded to 50 digits
     assert got == {
         "heine": ("all-strictly-neg",
-                  (0, 110461685655790910084423265070823067085614101533881, -166, 167),
+                  (0, 55230842827895455042211632535009570205277075013629, -165, 166),
                   (0, 0, 0, 0)),
         "tilde": ("all-strictly-pos",
-                  (0, 90269764621936657703399657477231753747383566844893, -166, 166),
-                  (0, 213796810946692084034367609814496258875382132001061, -169, 168)),
+                  (0, 16925580866613123319387435776878003427375430238207, -163, 164),
+                  (0, 320695216420038126051551414721744388313073198001591, -169, 168)),
         "g": ("all-strictly-pos",
-              (0, 19343971181208160011934472142845494007013, -1090, 134),
-              (0, 131447531049288090468253688720569888008542217862645, -168, 167)),
+              (0, 332326894392222147403162449542936042600044144099327, -1124, 168),
+              (0, 525790124197152361873014754882279552034168871450575, -170, 169)),
     }
     assert ok and margin.val._mpf_ == (
         0, 69047904341767537801889515132712572598926767410671, -167, 166)

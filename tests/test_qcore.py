@@ -134,9 +134,10 @@ class TestQGamma:
             assert abs(lhs.val - rhs) <= 10 * rel * abs(rhs)
 
     def test_one_product_of_q_per_float_base(self, monkeypatch):
-        """A float tilde certificate's four Gamma_q share (q; q)_inf, formed
-        once on its base: five infinite products instead of eight.  An
-        explicit rel_tol still forms its own."""
+        """The float series of a tilde certificate (mu off the half-integer
+        grid, so the float classifier decides it) take four Gamma_q, which
+        share (q; q)_inf, formed once on its base: five infinite products
+        instead of eight.  An explicit rel_tol still forms its own."""
         calls = []
         product = qcore.qpochhammer_infinite
 
@@ -146,8 +147,9 @@ class TestQGamma:
 
         monkeypatch.setattr(qcore, "qpochhammer_infinite", counted)
         q = QBase.floating(F(3, 4), 50)
-        spec = TuranianSpec(Family.HEINE_F_TILDE, F(1, 2), F(1, 2), F(3, 2), q, 60)
-        assert delta_tilde_sign_certificate(spec).matches_expected
+        spec = TuranianSpec(Family.HEINE_F_TILDE, F(1, 3), F(1, 2), F(3, 2), q, 60)
+        rep = delta_tilde_sign_certificate(spec)
+        assert rep.matches_expected and rep.decided_by == "float"
         assert len(calls) == 5
         held = q.qq_inf
         assert held.val._mpf_ == product(q.q, QBase.floating(F(3, 4), 50)).val._mpf_
@@ -155,11 +157,12 @@ class TestQGamma:
         qgamma(F(3, 2), q, rel_tol=loose)
         assert calls[5:] == [loose, loose] and q.qq_inf is held
 
-    @pytest.mark.parametrize("alpha,products", [(F(0), 2), (F(1, 2), 4), (F(1), 4)])
+    @pytest.mark.parametrize("alpha,products", [(F(0), 2), (F(1, 2), 3), (F(1), 3)])
     def test_qbessel_functions_share_the_held_product(self, monkeypatch, alpha, products):
         """J1 and J2 take (q; q)_inf from the base, and at alpha = 0 their
-        (q^(alpha+1); q)_inf too: the connection check makes 2 products
-        there and 4 elsewhere (5 when each function formed its own)."""
+        (q^(alpha+1); q)_inf too; elsewhere the connection check forms that
+        product once for both: 2 products at alpha = 0 and 3 elsewhere (5
+        when each function formed its own of both)."""
         calls = []
         product = qcore.qpochhammer_infinite
 
