@@ -359,7 +359,7 @@ def cmd_turanian(args) -> _Found:
     margins = []
     if not (spec.family == Family.HEINE_F_TILDE and q.is_exact):
         margins = [{"m": m, "coefficient": scalar_text(c)}
-                   for m, c in enumerate(turanian.turanian_series(spec).coeffs)]
+                   for m, c in enumerate(turanian.reported_turanian_series(spec, rep).coeffs)]
     cfg = {"family": args.family, "mu": args.mu, "alpha": args.alpha, "beta": args.beta,
            "a": args.a, "b": args.b}
     message = f"{args.family}: {rep.verdict.value} (expected {rep.expected.value})"

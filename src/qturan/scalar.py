@@ -727,6 +727,14 @@ class FloatScalar:
         result has the bits of that operator loop.  A literal x coerces at
         acc's digits, as ``_raw`` does; a coefficient that is not a
         FloatScalar sends the whole sum through the operators.
+
+        A step whose acc * x + c rounds back to acc is a fixed point: the
+        next step with the same c tuple at the same precision is the same
+        function of the same acc, so the loop skips such steps (the
+        repeated tail of a d = 0 series, from where its working precision
+        stops changing it) and keeps the bits.  A coefficient with more
+        digits than acc raises the precision, and the fixed point is formed
+        anew at it.
         """
         acc = coeffs[-1]
         if len(coeffs) == 1 or any([type(c) is not FloatScalar for c in coeffs]):
@@ -738,14 +746,21 @@ class FloatScalar:
         if d < acc.digits:
             d = acc.digits
         prec, s = _prec(d), acc.val._mpf_
+        fixed = None            # the c tuple of the last step, when it left s as it was
         for c in reversed(coeffs[:-1]):
-            s = mpf_mul(s, t, prec, round_nearest)
+            ct = c.val._mpf_
             if c.digits > d:
+                s = mpf_mul(s, t, prec, round_nearest)
                 d = c.digits
                 prec = _prec(d)
                 if literal:
                     t = _float(fzero, d)._raw(x)[0]
-            s = mpf_add(s, c.val._mpf_, prec, round_nearest)
+                s = mpf_add(s, ct, prec, round_nearest)
+                fixed = None
+            elif ct != fixed:
+                step = mpf_add(mpf_mul(s, t, prec, round_nearest), ct, prec, round_nearest)
+                fixed = ct if step == s else None
+                s = step
         return _float(s, d)
 
     def __neg__(self):

@@ -25,9 +25,12 @@ bits, on a float base; the exact sign certificates pass the interval
 arithmetic.  ``TermRatio.series_of`` runs several ratios on one base over
 one chain of q^n and 1 - q^n, each step's factors planned once per ratio,
 and gives each series the bits it has when built alone; the certificates
-build their four enclosures so.  Each series keeps its ratio as
-``ratio``, and carries the tail note "converges for |x| < 1 only" exactly
-when d = 0, where the ratio tends to 1.  Evaluation is Horner's rule,
+build their four enclosures so.  A float series stops where its working
+precision stops changing it: a d = 0 series repeats its coefficient from
+the first step whose factors' variable parts are all below 2^-(prec+1),
+with the full loop's bits.  Each series keeps its ratio as ``ratio``, and
+carries the tail note "converges for |x| < 1 only" exactly when d = 0,
+where the ratio tends to 1.  Evaluation is Horner's rule,
 which a float series runs on raw tuples too (``FloatScalar.horner``),
 again with the operators' bits.
 
@@ -71,6 +74,7 @@ from .scalar import (
     PoleError,
     Scalar,
     _float,
+    _prec,
     as_fraction,
     ex,
     one_like,
@@ -230,16 +234,23 @@ class TermRatio:
         wrapped once per coefficient: the bits of the operators on values
         at those digits.
 
-        The chain is lift(1), lift(q), q^n = q^(n-1) q and 1 - q^n up to
-        ``order`` (and q^(2n-2) when some ratio has ``upper_sq``), formed once
-        per arithmetic (once per digits value on a float base without
-        ``arith``); every ratio's recurrence reads it, with the lifts and
-        operations in the order a ratio built alone would take them, so
-        each series has the bits it has alone.  The ratios share one
-        ``base``, else ValueError.  A vanishing lower factor raises
-        CollisionError, decided on the scalars themselves before anything
-        is built.  Parameters that are both upper and lower cancel, and a
-        repeated parameter's factor is formed once.
+        The chain (:class:`_Chain`) is lift(1), lift(q), q^n = q^(n-1) q
+        and 1 - q^n up to ``order`` (and q^(2n-2) when some ratio has
+        ``upper_sq``), formed once per arithmetic (once per digits value on
+        a float base without ``arith``); every ratio's recurrence reads it,
+        with the lifts and operations in the order a ratio built alone
+        would take them, so each series has the bits it has alone.  On a
+        float base without ``arith`` the work stops where the working
+        precision stops changing it: 1 - q^n is formed only until |q^n| <
+        2^-(prec+1), past which it rounds to 1, and a d = 0 ratio's
+        coefficients repeat from the first step whose factors' variable
+        parts are all below that bound (see ``_recurrence``), so such a
+        series costs O(min(order, prec / log2(1/q))) operations, with the
+        same bits.
+        The ratios share one ``base``, else ValueError.  A vanishing lower
+        factor raises CollisionError, decided on the scalars themselves
+        before anything is built.  Parameters that are both upper and lower
+        cancel, and a repeated parameter's factor is formed once.
         """
         q = ratios[0].base
         runs = {}               # digits to wrap at (None: none) -> ratio indices
@@ -257,20 +268,13 @@ class TermRatio:
         out = [None] * len(ratios)
         for digits, indices in runs.items():
             run = arith or (_SCALAR_ARITH if digits is None else FloatScalar.arith(digits))
-            lift, mul, _, one_minus = run
-            qq = lift(q.q)
-            powers = [lift(q.one)]          # q^n, n = 0..order
-            for _ in range(order):
-                powers.append(mul(powers[-1], qq))
-            gaps = [one_minus(qn) for qn in powers[1:]]     # 1 - q^n, n = 1..order
-            squares = None                  # q^(2n), n < order, once a ratio needs them
+            chain = _Chain(run, q, order, None if digits is None else _prec(digits))
             for i in indices:
                 r = ratios[i]
-                if r.upper_sq and squares is None:
-                    squares = [mul(qn, qn) for qn in powers[:order]]
-                coeffs = r._recurrence(run, powers, gaps, squares, order)
+                coeffs = r._recurrence(run, chain, order)
                 if digits is not None:
                     coeffs = [_float(c, digits) for c in coeffs]
+                coeffs += [coeffs[-1]] * (order + 1 - len(coeffs))
                 note = None if r.d else "converges for |x| < 1 only"
                 out[i] = TruncatedSeries(tuple(coeffs), order, note, r)
         return tuple(out)
@@ -290,23 +294,52 @@ class TermRatio:
                     break       # v q^k < 1 from here on
                 qk = qk * q.q
 
-    def _recurrence(self, arith, powers, gaps, squares, order: int) -> list:
-        """c_0..c_order on the chain of series_of: the step's factors are
-        planned once, as (parameter, multiplicity, the powers it multiplies,
-        whether the factor is 1 - x), and every step runs the same loop."""
+    def _recurrence(self, arith, chain, order: int) -> list:
+        """c_0..c_k, k <= order, on ``chain`` (a :class:`_Chain`): the
+        step's factors are planned once, as (parameter, multiplicity, the
+        powers it multiplies, whether the factor is 1 - x), and every step
+        runs the same loop.  Past c_k the coefficients repeat it.
+
+        k < order only for a d = 0 ratio on a float chain: step n (c_(n+1)
+        from c_n) is the last one run when every factor's variable part --
+        q^(n+1), each u q^n and v q^n, each w q^(2n) -- is below
+        2^-(prec+1) in magnitude.  Each factor 1 -/+ t then lies within half
+        an ulp of 1 and rounds to 1, so the step only rounds c_n, and every
+        later step sees parts no larger (they fall with n, since rounding
+        is monotone and |q| < 1) and returns c_(n+1) unchanged: the
+        repeated tail has the bits of the full loop.  The test is on the
+        magnitudes, which one bound serves whatever a part's sign, and not
+        on a rounded factor: 1 + t rounds to 1 for t up to 2^-prec, 1 - t
+        only up to 2^-(prec+1).  A parameter above 1 in magnitude extends
+        the chain's q^n past the point where 1 - q^n rounds to 1; a d >= 1
+        ratio, whose factor (s q^n)^d keeps shrinking its coefficients, runs
+        every step.
+        """
         lift, mul, div, one_minus = arith
         up, low = Counter(self.upper), Counter(self.lower)
         if up and low:
             shared = up & low
             up, low = up - shared, low - shared
+        powers, squares = chain.powers, chain.squares
         numer = [(lift(self.scale), self.d, powers, False)] if self.d else []
         numer += [(lift(u), k, powers, True) for u, k in up.items()]
         numer += [(lift(w), k, squares, True)
                   for w, k in Counter(self.upper_sq).items()]
         lower = [(lift(v), k) for v, k in low.items()]
+        steps = order
+        if chain.ones_from is not None and not self.d:
+            bound = chain.bound
+            for n in range(chain.ones_from, order):
+                chain.reach(n + 1, bool(self.upper_sq))
+                if (all(_below(mul(p, pw[n]), bound) for p, _, pw, _ in numer)
+                        and all(_below(mul(v, powers[n]), bound) for v, _ in lower)):
+                    steps = n + 1
+                    break
+        chain.reach(steps, bool(self.upper_sq))
+        gaps = chain.gaps
         c = lift(self.c0)
         coeffs = [c]
-        for n in range(order):          # c_(n+1) from c_n; powers[n] = q^n
+        for n in range(steps):          # c_(n+1) from c_n; powers[n] = q^n
             num = None                  # the empty product
             for p, k, pw, minus in numer:
                 factor = mul(p, pw[n])
@@ -322,6 +355,54 @@ class TermRatio:
             c = div(c, den) if num is None else mul(c, div(num, den))
             coeffs.append(c)
         return coeffs
+
+
+def _below(t, bound: int) -> bool:
+    """|t| < 2^bound for a raw mpf tuple t: zero, or a finite t whose
+    mantissa ends below 2^bound (inf and nan are not)."""
+    _, man, exp, bc = t
+    return exp + bc <= bound if man else not exp
+
+
+class _Chain:
+    """The q-powers a run of term-ratio recurrences reads, on one arithmetic
+    ``arith``: ``powers[n]`` = q^n, ``gaps[n]`` = 1 - q^(n+1) and
+    ``squares[n]`` = q^(2n) = q^n q^n.
+
+    q^n and 1 - q^n are formed up to ``order``; with ``prec`` (a float
+    run, bits) only until the first n with |q^n| < 2^-(prec+1), ``bound``
+    = -(prec+1) in binary exponents.  From there 1 - q^n rounds to 1, and
+    so does every later one, as |q^n| falls with n; ``ones_from`` is the
+    index of that first 1 in ``gaps``, and ``reach`` repeats it.  ``reach``
+    forms q^n and q^(2n) as far as a recurrence reads them.
+    """
+
+    def __init__(self, arith, q, order: int, prec: int | None = None):
+        lift, self.mul, _, one_minus = arith
+        self.qq = lift(q.q)
+        self.bound = None if prec is None else -prec - 1
+        self.powers, self.gaps, self.squares = [lift(q.one)], [], []
+        self.ones_from = None
+        powers = self.powers
+        while len(powers) <= order:
+            qn = self.mul(powers[-1], self.qq)
+            powers.append(qn)
+            self.gaps.append(one_minus(qn))
+            if self.bound is not None and _below(qn, self.bound):
+                self.ones_from = len(self.gaps) - 1
+                break
+
+    def reach(self, steps: int, squares: bool = False):
+        """Form what recurrence steps 0..steps-1 read: q^n, 1 - q^(n+1) and,
+        with ``squares``, q^(2n) for n < steps."""
+        powers, mul = self.powers, self.mul
+        while len(powers) < steps:
+            powers.append(mul(powers[-1], self.qq))
+        if len(self.gaps) < steps:
+            self.gaps += [self.gaps[-1]] * (steps - len(self.gaps))
+        if squares:
+            done = len(self.squares)
+            self.squares += [mul(qn, qn) for qn in powers[done:steps]]
 
 
 def tphis_series(spec: PhiSpec, order: int) -> TruncatedSeries:

@@ -70,7 +70,7 @@ from fractions import Fraction
 from math import ceil, gcd, isqrt, log
 
 from . import conditions
-from .qcore import QBase, qgamma_ratio
+from .qcore import QBase, qgamma, qgamma_ratio
 from .series import (
     TermRatio,
     TruncatedSeries,
@@ -241,6 +241,23 @@ def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
         )
     s_a, s_b, s_0, s_ab = _shifted(spec)
     return s_a * s_b - s_0 * s_ab
+
+
+# The normalization of the tilde certificate's interval verdicts.
+_TILDE_SCALED = "scaled by Gamma_q(mu+alpha)*Gamma_q(mu+beta); x^m basis"
+
+
+def reported_turanian_series(spec: TuranianSpec, rep: SignReport) -> TruncatedSeries:
+    """The Turanian of spec (float mode, or a family other than tilde) in
+    the normalization that its certificate ``rep`` names: a tilde verdict
+    decided on intervals scales the coefficients of :func:`turanian_series`
+    by Gamma_q(mu+alpha) Gamma_q(mu+beta), as its coeff0 and min_margin
+    are; every other verdict reports them as they are."""
+    series = turanian_series(spec)
+    if rep.normalization != _TILDE_SCALED or _is_degenerate(spec):
+        return series
+    q = spec.q
+    return series.scaled(qgamma(spec.mu + spec.alpha, q) * qgamma(spec.mu + spec.beta, q))
 
 
 # -- classification ----------------------------------------------------------
@@ -742,8 +759,7 @@ def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:
                 if spec.q.is_exact:
                     raise
                 rho = None
-    return _certify(spec, SignVerdict.ALL_STRICTLY_POS,
-                    "scaled by Gamma_q(mu+alpha)*Gamma_q(mu+beta); x^m basis", base, rho,
+    return _certify(spec, SignVerdict.ALL_STRICTLY_POS, _TILDE_SCALED, base, rho,
                     float_norm="absolute x^m coefficients")
 
 

@@ -112,6 +112,25 @@ def test_non_contracting_rho_tail_names_q_the_terms_and_float_mode(capsys, tmp_p
     assert read_json(out)["verdicts"][0]["verdict"] == "all-strictly-pos"
 
 
+@pytest.mark.parametrize("mu,decided_by,normalization", [
+    ("1", "interval", "scaled by Gamma_q(mu+alpha)*Gamma_q(mu+beta); x^m basis"),
+    ("1/3", "float", "absolute x^m coefficients"),
+])
+def test_float_tilde_margins_use_the_verdicts_normalization(tmp_path, mu, decided_by,
+                                                            normalization):
+    # at mu = 1 Delta_0 is 3/7 scaled by Gamma_q(2) Gamma_q(3) = 3/2, 2/7 unscaled
+    out = tmp_path / "t.json"
+    assert run(["turanian", "--family", "heine-f-tilde", "--q", "1/2", "--mu", mu,
+                "--alpha", "1", "--beta", "2", "--order", "5", "--mode", "float",
+                "--out", str(out)]) == 0
+    report = read_json(out)
+    verdict = report["verdicts"][0]
+    assert (verdict["decided_by"], verdict["normalization"]) == (decided_by, normalization)
+    assert report["margins"][0]["coefficient"] == verdict["coeff0"]
+    if mu == "1":
+        assert verdict["coeff0"] == "0.42857142857142857142857142857142857142857142857143"
+
+
 def test_rho_rounds_start_at_the_terms_the_tail_bound_needs(tmp_path):
     # q = 19/20 needs 59 terms: more than the default 48, few enough to certify exactly
     out = tmp_path / "t.json"

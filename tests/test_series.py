@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qturan.qcore import QBase, qgamma, qgamma_ratio, qpochhammer_finite, qpochhammer_infinite
 from qturan.series import (
     _SCALAR_ARITH,
+    _Chain,
     PhiSpec,
     TermRatio,
     TruncatedSeries,
@@ -36,6 +37,7 @@ from qturan.scalar import (
     ModeMismatchError,
     PoleError,
     _float,
+    _prec,
     ex,
     fl,
 )
@@ -410,11 +412,18 @@ _EXPONENTS = st.sampled_from([F(1, 3), F(1, 2), F(1), F(3, 2), F(5, 2)])
 
 @st.composite
 def _float_ratios(draw):
-    """A TermRatio over a float base: d = 0 or 1, with upper, lower and
-    upper_sq parameters drawn from a few powers of q (so repeats are
-    common), and at times one parameter both upper and lower."""
+    """A TermRatio over a float base, q from 1/100 to 99/100: d = 0 or 1,
+    with upper, lower and upper_sq parameters drawn from a few powers of q
+    (so repeats are common), their negatives, powers of 1/q and -2^40 (so
+    some stay above 2^-prec long after q^n), and at times one parameter both
+    upper and lower."""
     q = QBase.floating(F(draw(st.integers(1, 99)), 100), draw(st.sampled_from([15, 30, 50, 80])))
-    powers = st.lists(_EXPONENTS.map(q.q_power), max_size=3)
+    parameter = st.one_of(
+        _EXPONENTS.map(q.q_power),
+        _EXPONENTS.map(lambda e: -q.q_power(e)),
+        st.sampled_from([F(-1, 2), F(-5, 2)]).map(q.q_power),
+        st.just(q.scalar(-2 ** 40)))
+    powers = st.lists(parameter, max_size=3)
     upper, lower, upper_sq = draw(powers), draw(powers), draw(powers)
     if draw(st.booleans()):
         shared = q.q_power(draw(_EXPONENTS))
@@ -426,13 +435,16 @@ def _float_ratios(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_float_ratios(), st.integers(0, 40))
+@given(_float_ratios(), st.integers(0, 1500))
 def test_float_recurrence_has_the_bits_of_the_operators(ratio, order):
-    """A float base's default recurrence on raw tuples gives the bits and
-    digits of the same recurrence on the scalars' operators."""
+    """A float base's default recurrence on raw tuples, which stops where
+    the working precision stops changing a d = 0 series, gives the bits and
+    digits of the full loop, on the raw tuples and on the scalars'
+    operators alike."""
     got = ratio.series(order)
     want = ratio.series(order, _SCALAR_ARITH)
     assert _bits(got.coeffs) == _bits(want.coeffs)
+    assert _bits(got.coeffs) == _bits(_reference_series(ratio, order))
     assert got.tail_note == want.tail_note
     assert got.ratio is ratio
 
@@ -470,23 +482,27 @@ def _operator_horner(coeffs, x):
 
 @st.composite
 def _float_evaluations(draw):
-    """(a float series, a point): d = 0 series with |x| < 1 at 15, 50 or 100
-    digits against 50-digit coefficients, d = 1 series at any sign and at
-    int and Fraction points, and series whose coefficients mix digits."""
+    """(a float series, a point) to order 1500, q from 1/100 to 99/100:
+    d = 0 series with |x| < 1 at 15, 50 or 100 digits against 50-digit
+    coefficients, whose repeated tails take Horner to its fixed points;
+    d = 1 series at any sign and at int and Fraction points; and either
+    kind with coefficients whose digits change in blocks."""
     q = QBase.floating(F(draw(st.integers(1, 99)), 100), 50)
-    order = draw(st.integers(0, 60))
+    order = draw(st.integers(0, 1500))
     kind = draw(st.sampled_from(["d0", "d1", "mixed"]))
-    if kind == "d0":
+    if kind == "d0" or kind == "mixed" and draw(st.booleans()):
         series = heine_f_series(draw(_EXPONENTS), q, order)
         x = fl(F(draw(st.integers(-99, 99)), 100), draw(st.sampled_from([15, 50, 100])))
-        return series, x
-    series = g_series((2, 3), (1, 2), draw(_EXPONENTS), q, order)
+    else:
+        series = g_series((2, 3), (1, 2), draw(_EXPONENTS), q, order)
+        x = draw(st.sampled_from([fl(F(-7, 3), 30), fl(F(5, 2), 100), 2, -3, F(5, 3)]))
     if kind == "mixed":
-        digits = draw(st.lists(st.sampled_from([15, 50, 80]), min_size=order + 1,
-                               max_size=order + 1))
+        cuts = sorted(draw(st.lists(st.integers(0, order), max_size=4))) + [order + 1]
+        digits = draw(st.lists(st.sampled_from([15, 50, 80]), min_size=len(cuts),
+                               max_size=len(cuts)))
+        block = [next(d for cut, d in zip(cuts, digits) if n < cut) for n in range(order + 1)]
         series = TruncatedSeries(tuple(_float(c.val._mpf_, d)
-                                       for c, d in zip(series.coeffs, digits)), order)
-    x = draw(st.sampled_from([fl(F(-7, 3), 30), fl(F(5, 2), 100), 2, -3, F(5, 3)]))
+                                       for c, d in zip(series.coeffs, block)), order)
     return series, x
 
 
@@ -495,6 +511,81 @@ def _float_evaluations(draw):
 def test_float_eval_has_the_bits_of_the_operator_loop(case):
     series, x = case
     assert _bits([series.eval(x)]) == _bits([_operator_horner(series.coeffs, x)])
+
+
+def test_a_d1_ratio_never_fills_early():
+    """(s q^n)^d keeps shrinking a d = 1 series' coefficients after every
+    factor 1 - x has rounded to 1: all 601 differ."""
+    q = QBase.floating(F(1, 2), 50)
+    ratio = TermRatio(q.one, (q.q_power(F(1, 2)),), (q.q,), q, 1, 1 - q.q)
+    series = ratio.series(600)
+    assert _bits(series.coeffs) == _bits(_reference_series(ratio, 600))
+    assert len({c.val._mpf_ for c in series.coeffs}) == 601
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_parameter_above_one_saturates_after_one_minus_q_to_the_n(sign):
+    """At q = 1/2 and 50 digits (prec bits), 1 - q^n rounds to 1 from
+    n = prec + 1, where the chain stops forming it; 1 -/+ 2^40.5 q^n stays
+    off 1 some 40 steps longer, and the chain's q^n goes on for this ratio."""
+    q = QBase.floating(F(1, 2), 50)
+    prec = _prec(50)
+    u = sign * q.q_power(F(-81, 2))
+    ratio = TermRatio(q.one, (u,), (q.q_power(F(1, 2)),), q)
+    chain = _Chain(FloatScalar.arith(50), q, 400, prec)
+    assert chain.ones_from == prec + 1 and len(chain.powers) == prec + 3
+    head = ratio._recurrence(FloatScalar.arith(50), chain, 400)
+    assert len(head) == prec + 44 and len(chain.powers) == prec + 43
+    series = ratio.series(400)
+    assert _bits(series.coeffs) == _bits(_reference_series(ratio, 400))
+    tuples = [c.val._mpf_ for c in series.coeffs]
+    changes = [n for n in range(1, 401) if tuples[n] != tuples[n - 1]]
+    assert prec + 38 <= changes[-1] <= prec + 42
+
+
+def _saturating_order(qv):
+    """An order well past the step where q^n falls below 2^-(prec+1) at 50
+    digits."""
+    return int(400 / -mpmath.log(qv, 2)) + 50
+
+
+@pytest.mark.parametrize("qv", [F(2, 3), F(3, 4), F(9, 10)])
+@pytest.mark.parametrize("u", [F(-1), F(-1, 2), F(3)])
+def test_a_negative_or_large_parameter_keeps_the_bits_past_the_gaps(u, qv):
+    """A series with a negative parameter, or one above 1, as upper, lower
+    or upper_sq parameter saturates with the bits of the full loop, also at
+    the steps where 1 - u q^n is 1 and 1 - q^(n+1) is not."""
+    q = QBase.floating(qv, 50)
+    order = _saturating_order(qv)
+    for ratio in (TermRatio(q.one, (q.scalar(u),), (q.q_power(F(1, 2)),), q),
+                  TermRatio(q.one, (), (q.scalar(u), q.q_power(F(3, 2))), q),
+                  TermRatio(q.one, (q.q,), (), q, 0, None, (q.scalar(u),))):
+        series = ratio.series(order)
+        assert _bits(series.coeffs) == _bits(_reference_series(ratio, order))
+
+
+@pytest.mark.parametrize("qv", [F(2, 3), F(3, 4), F(9, 10)])
+def test_a_rounded_one_plus_t_does_not_stop_a_smaller_one_minus_t(qv):
+    """1 + t rounds to 1 for t up to 2^-prec, 1 - t only below 2^-(prec+1):
+    with upper parameters -2 and 19/10, 1 + 2 q^n is 1 at steps where
+    1 - (19/10) q^n is not, and the series keeps the bits of the full loop."""
+    q = QBase.floating(qv, 50)
+    order = _saturating_order(qv)
+    ratio = TermRatio(q.one, (q.scalar(-2), q.scalar(F(19, 10))), (), q)
+    assert _bits(ratio.series(order).coeffs) == _bits(_reference_series(ratio, order))
+
+
+def test_horner_forms_its_fixed_point_anew_at_more_digits():
+    """400 copies of c at 50 digits take Horner to a fixed point; the same
+    tuple at 100 digits then raises the precision, and the steps after it
+    run at 100 digits until they reach a fixed point there."""
+    c = fl(F(2, 3), 50)
+    more = _float(c.val._mpf_, 100)
+    for coeffs in ([more] * 20 + [c] * 400, [more] * 400 + [c] * 400):
+        for x in (fl(F(1, 3), 50), F(1, 3), fl(F(-7, 10), 15)):
+            got = FloatScalar.horner(coeffs, x)
+            assert got.digits == 100
+            assert _bits([got]) == _bits([_operator_horner(coeffs, x)])
 
 
 def test_eval_domain_and_exact_results_are_unchanged():
