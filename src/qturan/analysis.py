@@ -10,10 +10,10 @@ derivatives are taken anywhere.
 The Laplace side represents sum_m c_m x^m (entire, c_m >= 0) as
 c_0 + integral_0^infty e^(-t/x) rho(t) dt with density
 rho(t) = sum_{m>=1} c_m t^(m-1)/(m-1)!, validated against the closed-form
-transform integral_0^infty e^(-t/x) t^(m-1)/(m-1)! dt = x^m.  The integrand
-is entire, so it is integrated with ``mpmath.quad``'s Gauss-Legendre rule on
-geometric panels that grow by 3/2, narrow enough that each converges within
-the 48-node rule.
+transform integral_0^infty e^(-t/x) t^(m-1)/(m-1)! dt = x^m.  A truncated
+series has a polynomial density of degree order - 1, which a Gauss-Laguerre
+rule of ceil(order / 2) nodes in u = t/x integrates exactly: 2n density
+evaluations per point, on nodes built once per process.
 """
 
 from __future__ import annotations
@@ -23,17 +23,7 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
-from mpmath.libmp import (
-    from_man_exp,
-    mpf_div,
-    mpf_e,
-    mpf_exp,
-    mpf_log,
-    mpf_mul,
-    mpf_neg,
-    mpf_pow,
-    round_nearest,
-)
+from mpmath.libmp import from_man_exp
 
 from .identities import Residual, _compare
 from .scalar import (
@@ -140,8 +130,7 @@ def _density_mpf(md: MeasureDensity, digits: int):
     def rho(t):
         """Horner's rule acc * t + v on integer mantissas, each step rounded
         to nearest at the working precision in effect, as ``mpf_mul`` and
-        ``mpf_add`` round it, so the bits are those of mpf arithmetic;
-        ``mpmath.quad`` raises that precision around its integrand.  Each
+        ``mpf_add`` round it, so the bits are those of mpf arithmetic.  Each
         rounding is to nearest with ties to even; its floor shift makes it
         hold for a negative mantissa too."""
         prec = ctx._prec_rounding[0]
@@ -180,28 +169,38 @@ def _density_mpf(md: MeasureDensity, digits: int):
     return rho, [abs(v) for v in coeffs]
 
 
-def _laplace_integrand(rho):
-    """(t, x) -> e^(-t/x) rho(t) with the bits of ``mpmath.e ** (-t / x) * rho(t)``.
+# (n, working precision in bits) -> the n-point Gauss-Laguerre rule as (u_k, w_k) pairs
+_LAGUERRE_RULES = {}
 
-    For y = -t/x neither an integer nor a half-integer, ``mpf_pow`` takes
-    e^y as exp(y log e) with log e at 10 guard bits; that logarithm is
-    computed once per working precision instead of once per call.
-    """
-    ctx = mpmath.mp
-    log_e = {}
 
-    def integrand(t, x):
-        prec = ctx._prec_rounding[0]
-        y = mpf_div(mpf_neg(t._mpf_, prec, round_nearest), x._mpf_, prec, round_nearest)
-        if y[2] >= -1:
-            power = mpf_pow(mpf_e(prec, round_nearest), y, prec, round_nearest)
-        else:
-            if prec not in log_e:
-                log_e[prec] = mpf_log(mpf_e(prec, round_nearest), prec + 10, round_nearest)
-            power = mpf_exp(mpf_mul(y, log_e[prec]), prec, round_nearest)
-        return ctx.make_mpf(mpf_mul(power, rho(t)._mpf_, prec, round_nearest))
+def _laguerre_rule(n: int) -> tuple:
+    """The n-point Gauss-Laguerre rule at the working precision:
+    integral_0^infty e^(-u) p(u) du = sum_k w_k p(u_k) for every polynomial
+    p of degree <= 2n - 1.  ``mpmath.gauss_quadrature`` builds it by the
+    Golub-Welsch method (Math. Comp. 23, 1969) without caching it, so each
+    (n, precision) is built once per process here."""
+    key = n, mpmath.mp.prec
+    rule = _LAGUERRE_RULES.get(key)
+    if rule is None:
+        nodes, weights = mpmath.mp.gauss_quadrature(n, "laguerre")
+        rule = _LAGUERRE_RULES[key] = tuple(zip(nodes, weights))
+    return rule
 
-    return integrand
+
+def _window_integral(rho, rule, x, T):
+    """integral_0^T e^(-t/x) rho(t) dt through ``rule`` in u = t/x: the whole
+    line less the part past T, where t = T + x u,
+
+        x sum_k w_k rho(x u_k) - x e^(-T/x) sum_k w_k rho(T + x u_k),
+
+    both sums exact up to rounding while rho's degree is at most 2n - 1,
+    n = len(rule).  Calls rho 2n times, at the working precision."""
+    whole = past = mpmath.mpf(0)
+    for u, w in rule:
+        xu = x * u
+        whole += w * rho(xu)
+        past += w * rho(T + xu)
+    return x * (whole - mpmath.exp(-T / x) * past)
 
 
 def _default_upper_limit(abs_coeffs, x_max, tol, digits):
@@ -238,22 +237,22 @@ def _truncation_tail(coeffs, x, T):
 def laplace_representation_check(md: MeasureDensity, x_grid, *,
                                  digits: int = 50, upper_limit=None,
                                  tol=None) -> Residual:
-    """Gauss-Legendre quadrature of the Laplace side against direct series evaluation.
+    """Gauss-Laguerre quadrature of the Laplace side against direct series evaluation.
 
     For each x the integral c_0 + integral_0^T e^(-t/x) density(t) dt is
     compared to c_0 + sum_m c_m x^m; T defaults to the first window where
-    the integrand envelope falls below the tolerance.  The integrand is
-    entire, so ``mpmath.quad`` runs its Gauss-Legendre rule on geometric
-    panels of width x, 3x/2, 9x/4, ... up to T: each panel then converges
-    within the 48-node rule.  Both sides are compared at the working
-    precision, digits + 15, so the residual shows the quadrature error
-    instead of being rounded to 0.  The note states the rule, the panel
-    and integrand-call counts, the largest bound over x on the part of the
-    integral past T relative to the series side (``_truncation_tail``),
-    and the largest of quad's error estimates over x, and says whether it
-    met quad's own tolerance.  ``x_grid``
-    holds at least one positive point, as a Fraction or an int; an
-    ``upper_limit`` must be finite and positive.
+    the integrand envelope falls below the tolerance.  The density is a
+    polynomial of degree order - 1, so one n-point Gauss-Laguerre rule, n =
+    max(1, ceil(order / 2)), integrates it with no quadrature error
+    (``_window_integral``): 2n density calls per point.  The rule is built
+    once per (n, working precision) and process (``_laguerre_rule``).  Both
+    sides are compared at the working precision, digits + 15, so the
+    residual shows rounding and the part of the integral past T instead of
+    being rounded to 0.  The note states the rule, n, the density degree
+    against the degree the rule is exact for, the integrand calls, and the
+    largest bound over x on the part past T relative to the series side
+    (``_truncation_tail``).  ``x_grid`` holds at least one positive point,
+    as a Fraction or an int; an ``upper_limit`` must be finite and positive.
     """
     if not x_grid:
         raise DimensionError("the Laplace check needs at least one evaluation point")
@@ -269,36 +268,20 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
         if not (mpmath.isfinite(T) and T > 0):
             raise DomainError(f"upper_limit must be finite and positive, not {upper_limit!r}")
     rho, abs_coeffs = _density_mpf(md, work)
-    integrand = _laplace_integrand(rho)
     atom = md.atom_at_zero.to_mpf(work)
+    n = max(1, -(-md.order // 2))
     with mpmath.workdps(work):
         if tol is None:
             tol = mpmath.mpf(10) ** (10 - digits)
         xs = [mpmath.mpf(x.numerator) / x.denominator for x in x_grid]
         if upper_limit is None:
             T = _default_upper_limit(abs_coeffs, max(xs), tol, digits)
+        rule = _laguerre_rule(n)
         coeffs = [c.to_mpf(work) for c in md.density_coeffs]
-        panels = calls = 0
-        worst = tail = mpmath.mpf(0)
+        tail = mpmath.mpf(0)
         pairs = []
         for x in xs:
-            # segment geometrically so the exponential decay never spans
-            # more scales than one panel's Gauss-Legendre rule resolves
-            points = [mpmath.mpf(0)]
-            seg = x
-            while points[-1] < T:
-                points.append(min(points[-1] + seg, T))
-                seg = seg * 3 / 2
-
-            def f(t, x=x):
-                nonlocal calls
-                calls += 1
-                return integrand(t, x)
-
-            integral, err = mpmath.quad(f, points, method="gauss-legendre", error=True)
-            panels += len(points) - 1
-            worst = max(worst, err)
-            integral += atom
+            integral = atom + _window_integral(rho, rule, x, T)
             series_side = atom
             xp = mpmath.mpf(1)
             for c in coeffs:
@@ -308,12 +291,8 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
             if lost:
                 tail = max(tail, lost / abs(series_side) if series_side else mpmath.inf)
             pairs.append((FloatScalar(integral, work), FloatScalar(series_side, work)))
-        # quad's own tolerance at the working precision
-        epsilon = mpmath.eps / 8
-        verdict = "converged" if worst <= epsilon else "did not converge"
-        note = (f"gauss-legendre on {panels} panels growing by 3/2 to T = "
-                f"{mpmath.nstr(T, 6)}, {calls} integrand calls; tail past T at most "
-                f"{mpmath.nstr(tail, 3)} of the series side; largest error estimate "
-                f"{mpmath.nstr(worst, 3)} against quad epsilon {mpmath.nstr(epsilon, 3)}: "
-                f"estimate {verdict}")
+        note = (f"gauss-laguerre rule of n = {n} nodes in u = t/x on [0, T = "
+                f"{mpmath.nstr(T, 6)}]: density degree {max(md.order - 1, 0)}, exact for "
+                f"degree <= {2 * n - 1}; {2 * n * len(xs)} integrand calls, {2 * n} per "
+                f"point; tail past T at most {mpmath.nstr(tail, 3)} of the series side")
     return _compare(pairs, "float", md.order, "laplace-representation", note)

@@ -217,6 +217,22 @@ def _shift_series(family: Family, mu, shift, q: QBase, order: int, a=(),
     return heine_f_series(mu + shift, q, order)
 
 
+def _shift_series_of(family: Family, mu, shifts, q: QBase, order: int, a=(),
+                     b=()) -> tuple:
+    """``_shift_series`` for each of ``shifts``, over one chain of q-powers:
+    each series is built to order 0, and one ``TermRatio.series_of`` call
+    runs their term ratios to ``order``, so each has the bits it has when
+    built alone.  A float tilde series is Heine's times 1/Gamma_q(mu +
+    shift), as ``heine_f_tilde_series`` scales it."""
+    tilde = family == Family.HEINE_F_TILDE and not q.is_exact
+    heads = [_shift_series(Family.HEINE_F if tilde else family, mu, sh, q, 0, a, b)
+             for sh in shifts]
+    built = TermRatio.series_of([h.ratio for h in heads], order)
+    if tilde:
+        built = tuple(s.scaled(1 / qgamma(mu + sh, q)) for s, sh in zip(built, shifts))
+    return built
+
+
 def _shifted(spec: TuranianSpec, order=None) -> tuple:
     """F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta), to spec.order unless
     another order is given."""
@@ -829,7 +845,8 @@ def turan_point_inequality(family: Family, mu, x, q: QBase, direction: str, *,
     """Check F(mu+1)^2 against F(mu)F(mu+2) at the point x (float mode).
 
     ``direction='direct'`` asserts F(mu+1)^2 >= F(mu)F(mu+2);
-    ``direction='inverse'`` the reverse.  Returns (holds, margin).
+    ``direction='inverse'`` the reverse.  Returns (holds, margin).  The
+    three series share one chain of q-powers (``_shift_series_of``).
     """
     if q.is_exact:
         raise ExactModeError("point inequalities evaluate in float mode")
@@ -838,8 +855,7 @@ def turan_point_inequality(family: Family, mu, x, q: QBase, direction: str, *,
     x = q.scalar(x)
     if order is None:
         order = _auto_order(family, abs(x), q, a, b)
-    vals = [_shift_series(family, mu, shift, q, order, a, b).eval(x)
-            for shift in (0, 1, 2)]
+    vals = [s.eval(x) for s in _shift_series_of(family, mu, (0, 1, 2), q, order, a, b)]
     lhs = vals[1] * vals[1]
     rhs = vals[0] * vals[2]
     margin = (lhs - rhs) if direction == "direct" else (rhs - lhs)

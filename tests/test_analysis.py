@@ -14,7 +14,6 @@ from qturan.analysis import (
     MeasureDensity,
     _default_upper_limit,
     _density_mpf,
-    _laplace_integrand,
     complete_monotonicity_check,
     laplace_representation_check,
     measure_from_series,
@@ -48,12 +47,21 @@ def nonneg_family_turanian(order=40, mu=F(1), beta=F(2)):
     return turanian_series(spec).to_float(DIGITS)
 
 
+def _doubling_panels(x, T):
+    """0, x, 3x, 7x, ... up to T: tanh-sinh panels that double in width."""
+    points = [mpmath.mpf(0)]
+    seg = x
+    while points[-1] < T:
+        points.append(min(points[-1] + seg, T))
+        seg = seg * 2
+    return points
+
+
 def _reference_laplace(md, x_grid, *, digits=DIGITS, upper_limit=None, tol=None):
-    """The Laplace check as it ran before Gauss-Legendre panels: mpmath's
-    default tanh-sinh rule on geometric panels that double in width."""
+    """The Laplace check on mpmath's default tanh-sinh rule, on panels that
+    double in width, with the integrand e^(-t/x) rho(t)."""
     work = digits + 15
     rho, abs_coeffs = _density_mpf(md, work)
-    integrand = _laplace_integrand(rho)
     atom = md.atom_at_zero.to_mpf(work)
     with mpmath.workdps(work):
         if tol is None:
@@ -63,12 +71,8 @@ def _reference_laplace(md, x_grid, *, digits=DIGITS, upper_limit=None, tol=None)
             _default_upper_limit(abs_coeffs, max(xs), tol, digits)
         pairs = []
         for x in xs:
-            points = [mpmath.mpf(0)]
-            seg = x
-            while points[-1] < T:
-                points.append(min(points[-1] + seg, T))
-                seg = seg * 2
-            integral = atom + mpmath.quad(lambda t: integrand(t, x), points)
+            integral = atom + mpmath.quad(lambda t: mpmath.e ** (-t / x) * rho(t),
+                                          _doubling_panels(x, T))
             series_side = atom
             xp = mpmath.mpf(1)
             for c in md.density_coeffs:
@@ -244,8 +248,8 @@ class TestLaplaceRepresentation:
              t_frac=F(round(F((2 ** 110 + 1) << 60, 3))), t_shift=-160)
     def test_density_rounds_as_mpmath_horner_at_the_precision_of_each_call(
             self, terms, digits, dps, t_frac, t_shift):
-        # mpmath.quad raises the working precision around its integrand, and
-        # rho must give the bits of mpf Horner steps at that precision
+        # rho must give the bits of mpf Horner steps at the working precision
+        # of each call, whatever the digits it was built at
         coeffs = tuple(fl(c * F(2) ** k, digits) for c, k in terms)
         rho, _ = _density_mpf(MeasureDensity(fl(0, digits), coeffs, len(coeffs)), digits)
         with mpmath.workdps(digits):
@@ -257,26 +261,6 @@ class TestLaplaceRepresentation:
                 want = want * t + v
             assert rho(t)._mpf_ == want._mpf_
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=10 ** 6),
-           st.fractions(min_value=0, max_value=80, max_denominator=10 ** 9),
-           st.sampled_from([10, 15, 30, 65, 120]))
-    # -t/x = -24, -47/2 and 0: mpf_pow's integer and square-root branches,
-    # whose bits at 15 digits differ from exp(y log e) at these two y
-    @example(x_frac=F(1, 2), t_frac=F(12), dps=15)
-    @example(x_frac=F(2), t_frac=F(47), dps=15)
-    @example(x_frac=F(3, 10), t_frac=F(0), dps=65)
-    def test_laplace_integrand_has_the_bits_of_mpmath_e_power_times_rho(
-            self, x_frac, t_frac, dps):
-        rho, _ = _density_mpf(NONNEG_DENSITY, DIGITS + 15)
-        integrand = _laplace_integrand(rho)
-        # a second precision on the same integrand: log e is kept per precision
-        for work in (dps, 40):
-            with mpmath.workdps(work):
-                x = mpmath.mpf(x_frac.numerator) / x_frac.denominator
-                t = mpmath.mpf(t_frac.numerator) / t_frac.denominator
-                assert integrand(t, x)._mpf_ == (mpmath.e ** (-t / x) * rho(t))._mpf_
-
     def test_nonneg_family_agreement(self):
         md = measure_from_series(nonneg_family_turanian())
         res = laplace_representation_check(md, [F(3, 10), F(6, 10)],
@@ -284,10 +268,15 @@ class TestLaplaceRepresentation:
         assert res.max_rel.val < mpmath.mpf("1e-20")
 
     def test_residual_is_reported_at_working_precision(self):
-        # the quadrature error sits below the 50 reported digits; it must
-        # still show in the residual instead of being rounded to 0
+        # the residual is formed at digits + 15 instead of being rounded to
+        # the 50 reported digits: at x = 3/10 the exact rule leaves rounding
+        # only, while at x = 3/5 the part of the integral past T = 80 shows
         md = measure_from_series(nonneg_family_turanian())
         res = laplace_representation_check(md, [F(3, 10)], digits=DIGITS,
+                                           upper_limit=80)
+        assert res.max_rel.digits == DIGITS + 15
+        assert res.max_rel.val <= mpmath.mpf("1e-60")
+        res = laplace_representation_check(md, [F(3, 5)], digits=DIGITS,
                                            upper_limit=80)
         assert res.max_rel.digits == DIGITS + 15
         assert 0 < res.max_rel.val < mpmath.mpf("1e-50")
@@ -302,13 +291,14 @@ class TestLaplaceRepresentation:
 
     @pytest.mark.parametrize("mu", [F(1, 2), F(1), F(3, 2), F(2)])
     @pytest.mark.parametrize("beta", [F(1), F(2)])
-    def test_panels_agree_with_the_tanh_sinh_reference_on_the_benchmark_grid(self, mu, beta):
+    def test_the_rule_agrees_with_the_tanh_sinh_reference_on_the_benchmark_grid(self, mu, beta):
         md = measure_from_series(nonneg_family_turanian(mu=mu, beta=beta))
         for x in (F(1, 10), F(3, 10), F(3, 5)):
             new = laplace_representation_check(md, [x], digits=DIGITS, upper_limit=80)
             ref = _reference_laplace(md, [x], upper_limit=80)
             assert abs(new.max_rel.val - ref.max_rel.val) < mpmath.mpf("1e-60")
-            assert new.note.endswith("estimate converged")
+            assert new.note.startswith("gauss-laguerre rule of n = 20 nodes ")
+            assert ": density degree 39, exact for degree <= 39; " in new.note
 
     @pytest.mark.parametrize("md, x_grid, digits, kwargs", [
         (MeasureDensity(fl(0, DIGITS), (fl(0, DIGITS),) * 3, 3), [F(1, 2)], DIGITS, {}),
@@ -318,48 +308,110 @@ class TestLaplaceRepresentation:
         (measure_from_series(nonneg_family_turanian(order=12)), [F(3, 10)], 20,
          {"tol": mpmath.mpf("1e-12")}),
     ])
-    def test_panels_agree_with_the_tanh_sinh_reference_on_the_existing_densities(
+    def test_the_rule_agrees_with_the_tanh_sinh_reference_on_the_existing_densities(
             self, md, x_grid, digits, kwargs):
         new = laplace_representation_check(md, x_grid, digits=digits, **kwargs)
         ref = _reference_laplace(md, x_grid, digits=digits, **kwargs)
         assert abs(new.max_rel.val - ref.max_rel.val) < mpmath.mpf("1e-60")
 
-    def test_pinned_point_stays_within_the_48_node_rule(self, monkeypatch):
-        # g case (b), mu = 1, alpha = 1, beta = 2, order 40, x = 3/10: tanh-sinh
-        # took 2397 integrand calls, and panels that double need 96 nodes
-        rule = mpmath.mp._gauss_legendre
-        sizes, calls = [], [0]
-        get_nodes = rule.get_nodes
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(min_value=-10 ** 9, max_value=10 ** 9), min_size=1,
+                    max_size=40),
+           st.booleans(),
+           st.fractions(min_value=0, max_value=2, max_denominator=1000).filter(bool),
+           st.fractions(min_value=1, max_value=120, max_denominator=100))
+    # the largest degree on the widest window, and a window far inside the
+    # bulk, where both sums nearly cancel
+    @example(numerators=list(range(1, 41)), nonneg=True, x_frac=F(2), t_frac=F(120))
+    @example(numerators=[3, -7, 11, -2, 5, -13] * 6, nonneg=False, x_frac=F(2),
+             t_frac=F(1))
+    @example(numerators=[1] * 40, nonneg=True, x_frac=F(1, 1000), t_frac=F(1))
+    def test_the_window_integral_agrees_with_tanh_sinh_at_30_more_digits(
+            self, numerators, nonneg, x_frac, t_frac):
+        # random polynomial densities of degree <= 39, coefficients
+        # c_m / (m-1)! with c_m = k/7, |k| <= 10^9: the rule's sums against
+        # an independent tanh-sinh integral of e^(-t/x) rho(t) over [0, T],
+        # rho summed by mpmath.polyval, within 1e-60 of sum_m |c_m| x^m,
+        # the transform of |rho|'s coefficientwise envelope over the whole line
+        coeffs = tuple(fl(F(abs(c) if nonneg else c, 7), DIGITS) for c in numerators)
+        md = MeasureDensity(fl(0, DIGITS), coeffs, len(coeffs))
+        work = DIGITS + 15
+        rho, _ = _density_mpf(md, work)
+        with mpmath.workdps(work):
+            x = mpmath.mpf(x_frac.numerator) / x_frac.denominator
+            T = mpmath.mpf(t_frac.numerator) / t_frac.denominator
+            got = analysis._window_integral(rho, analysis._laguerre_rule(-(-len(coeffs) // 2)),
+                                            x, T)
+        with mpmath.workdps(work + 30):
+            x = mpmath.mpf(x_frac.numerator) / x_frac.denominator
+            T = mpmath.mpf(t_frac.numerator) / t_frac.denominator
+            poly = [c.val / mpmath.factorial(m) for m, c in enumerate(coeffs)][::-1]
+            want = mpmath.quad(lambda t: mpmath.exp(-t / x) * mpmath.polyval(poly, t),
+                               _doubling_panels(x, T))
+            scale = sum(abs(c.val) * x ** m for m, c in enumerate(coeffs, start=1))
+            assert abs(got - want) <= mpmath.mpf("1e-60") * scale
 
-        def spy_nodes(*args, **kwargs):
-            nodes = get_nodes(*args, **kwargs)
-            sizes.append(len(nodes))
-            return nodes
+    @pytest.mark.parametrize("order", [3, 4, 39, 40])
+    def test_the_rule_is_exact_to_degree_2n_minus_1_and_no_further(self, order):
+        # rho(t) = t^(order-1)/(order-1)! has the window integral
+        # x^order P(order, T/x), P the regularized lower incomplete Gamma
+        # function: ceil(order/2) nodes give it to rounding, one node fewer
+        # leaves a quadrature error many orders of magnitude above that
+        coeffs = (fl(0, DIGITS),) * (order - 1) + (fl(1, DIGITS),)
+        rho, _ = _density_mpf(MeasureDensity(fl(0, DIGITS), coeffs, order), DIGITS + 15)
+        n = -(-order // 2)
+        with mpmath.workdps(DIGITS + 15):
+            x, T = mpmath.mpf(3) / 5, mpmath.mpf(80)
+            want = x ** order * mpmath.gammainc(order, 0, T / x, regularized=True)
+            exact = analysis._window_integral(rho, analysis._laguerre_rule(n), x, T)
+            short = analysis._window_integral(rho, analysis._laguerre_rule(n - 1), x, T)
+            assert abs(exact - want) <= mpmath.mpf("1e-60") * want
+            assert abs(short - want) > mpmath.mpf("1e-15") * want
 
-        make = analysis._laplace_integrand
+    def test_the_rule_is_built_once_per_size_and_precision_and_rho_runs_2n_times(
+            self, monkeypatch):
+        built, calls = [], [0]
+        gauss = mpmath.mp.gauss_quadrature
 
-        def spy_integrand(rho):
-            integrand = make(rho)
+        def spy_gauss(n, qtype):
+            built.append((n, qtype, mpmath.mp.prec))
+            return gauss(n, qtype)
 
-            def counted(t, x):
+        make = analysis._density_mpf
+
+        def spy_density(md, digits):
+            rho, abs_coeffs = make(md, digits)
+
+            def counted(t):
                 calls[0] += 1
-                return integrand(t, x)
-            return counted
+                return rho(t)
+            return counted, abs_coeffs
 
-        monkeypatch.setattr(rule, "get_nodes", spy_nodes)
-        monkeypatch.setattr(analysis, "_laplace_integrand", spy_integrand)
-        res = laplace_representation_check(NONNEG_DENSITY, [F(3, 10)], digits=DIGITS,
-                                           upper_limit=80)
-        assert 0 < calls[0] <= 1000
-        assert sizes and max(sizes) <= 48
-        assert res.note.startswith("gauss-legendre on ")
-        assert f" {calls[0]} integrand calls" in res.note
-        assert res.note.endswith("estimate converged")
+        monkeypatch.setattr(analysis, "_LAGUERRE_RULES", {})
+        monkeypatch.setattr(mpmath.mp, "gauss_quadrature", spy_gauss)
+        monkeypatch.setattr(analysis, "_density_mpf", spy_density)
+        order_13 = measure_from_series(nonneg_family_turanian(order=13))
+        for _ in range(2):
+            calls[0] = 0
+            res = laplace_representation_check(NONNEG_DENSITY, [F(3, 10), F(3, 5)],
+                                               digits=DIGITS, upper_limit=80)
+            assert calls[0] == 2 * 20 * 2
+            assert "; 80 integrand calls, 40 per point; " in res.note
+            calls[0] = 0
+            res = laplace_representation_check(order_13, [F(3, 10)], digits=20,
+                                               upper_limit=80)
+            assert calls[0] == 2 * 7
+            assert ": density degree 12, exact for degree <= 13; 14 integrand calls" in res.note
+        with mpmath.workdps(DIGITS + 15):
+            prec_65 = mpmath.mp.prec
+        with mpmath.workdps(20 + 15):
+            prec_35 = mpmath.mp.prec
+        assert built == [(20, "laguerre", prec_65), (7, "laguerre", prec_35)]
 
     def test_the_note_bounds_the_truncation_tail(self):
         # past T = 80 the integral loses e^(-80/x) times the transforms'
         # incomplete Gamma tails: at x = 3/5 that loss is the residual, at
-        # x = 1/10 it lies far below quad's epsilon
+        # x = 1/10 it lies far below the working precision
         work = DIGITS + 15
         bounds, notes = {}, {}
         for x in (F(3, 5), F(1, 10)):
@@ -379,23 +431,12 @@ class TestLaplaceRepresentation:
                 assert bounds[x] >= res.max_rel.val > 1e-60
         assert bounds[F(1, 10)] < epsilon
         for x, note in notes.items():
-            assert f"; tail past T at most {mpmath.nstr(bounds[x], 3)} of the series side;" in note
-            assert note.startswith("gauss-legendre on ")
-            assert note.endswith("estimate converged")
+            assert note.startswith("gauss-laguerre rule of n = 20 nodes in u = t/x on "
+                                   "[0, T = 80.0]: density degree 39, exact for degree <= 39; ")
+            assert note.endswith(f"; tail past T at most {mpmath.nstr(bounds[x], 3)} "
+                                 "of the series side")
 
-    def test_an_unconverged_estimate_is_named_in_the_note(self, monkeypatch):
-        quad = mpmath.quad
-
-        def two_degrees(*args, **kwargs):
-            # the 3- and 6-node rules: too few for 50 digits on any panel
-            return quad(*args, maxdegree=2, **kwargs)
-
-        monkeypatch.setattr(mpmath, "quad", two_degrees)
-        res = laplace_representation_check(NONNEG_DENSITY, [F(3, 10)], digits=DIGITS,
-                                           upper_limit=80)
-        assert res.note.endswith("estimate did not converge")
-
-    # 0, -5 and nan integrate over no panel, and inf never closes the panel loop
+    # 0, -5 and nan leave no window to integrate over, and inf no finite one
     @pytest.mark.parametrize("upper_limit", [0, -5, "nan", "inf"])
     def test_an_upper_limit_that_is_not_finite_and_positive_is_refused_before_any_work(
             self, upper_limit, monkeypatch):

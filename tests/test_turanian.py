@@ -7,10 +7,10 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from qturan import turanian
+from qturan import series, turanian
 from qturan.cli import run
 from qturan.qcore import QBase, qgamma
-from qturan.series import heine_f_series
+from qturan.series import g_series, heine_f_series, heine_f_tilde_series
 from qturan.turanian import (
     Family,
     SignVerdict,
@@ -301,6 +301,49 @@ class TestPointInequality:
     def test_outside_the_unit_disc_is_refused(self, family, vectors, x, order):
         with pytest.raises(DomainError):
             turan_point_inequality(family, F(1), x, QF, "direct", order=order, **vectors)
+
+
+    @pytest.mark.parametrize("family,mu,x,vectors", [
+        (Family.HEINE_F, F(1), F(1, 2), {}),
+        (Family.HEINE_F_TILDE, F(3, 2), F(9, 10), {}),
+        (Family.G_NORMALIZED, F(1), F(1, 2), CASE_B),
+        (Family.G_NORMALIZED, F(1, 2), F(7, 10), CASE_A),
+    ], ids=["heine", "tilde", "g-case-b", "g-case-a"])
+    @pytest.mark.parametrize("direction", ["direct", "inverse"])
+    def test_one_chain_gives_the_bits_of_three_separate_builds(
+            self, family, mu, x, vectors, direction, monkeypatch):
+        # F(mu), F(mu+1), F(mu+2) built one by one by the public constructors,
+        # each over its own chain of q-powers
+        xs = QF.scalar(x)
+        order = turanian._auto_order(family, abs(xs), QF, *vectors.values())
+        if family == Family.G_NORMALIZED:
+            alone = [g_series(*vectors.values(), mu + k, QF, order, ref_mu=mu)
+                     for k in range(3)]
+        elif family == Family.HEINE_F_TILDE:
+            alone = [heine_f_tilde_series(mu + k, QF, order, absolute=True) for k in range(3)]
+        else:
+            alone = [heine_f_series(mu + k, QF, order) for k in range(3)]
+        vals = [s.eval(xs) for s in alone]
+        lhs, rhs = vals[1] * vals[1], vals[0] * vals[2]
+        want = lhs - rhs if direction == "direct" else rhs - lhs
+        shared = turanian._shift_series_of(family, mu, (0, 1, 2), QF, order,
+                                           *vectors.values())
+        assert [[c.val._mpf_ for c in s.coeffs] for s in shared] == \
+            [[c.val._mpf_ for c in s.coeffs] for s in alone]
+        orders = []
+
+        class CountedChain(series._Chain):
+            def __init__(self, arith, q, order, prec=None):
+                orders.append(order)
+                super().__init__(arith, q, order, prec)
+
+        # the three heads, built to order 0, form no q-power; one chain
+        # serves all three series to the full order
+        monkeypatch.setattr(series, "_Chain", CountedChain)
+        ok, margin = turan_point_inequality(family, mu, x, QF, direction, **vectors)
+        assert orders == [0, 0, 0, order]
+        assert margin.digits == want.digits and margin.val._mpf_ == want.val._mpf_
+        assert ok == (want.sign() >= 0)
 
 
 class TestLogConcavityScan:
