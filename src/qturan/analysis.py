@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
 
 from .identities import Residual, _compare
 from .scalar import (
@@ -38,10 +38,12 @@ from .series import TruncatedSeries
 def complete_monotonicity_check(evaluator, y_grid, max_order: int):
     """Alternating-sign test for forward differences up to max_order.
 
-    The grid must be uniform and longer than max_order.  Returns
-    (ok, margins) where margins[n] is the minimum of (-1)^n Delta^n f over
-    the grid windows of order n = 0..max_order.
+    max_order must be nonnegative and the grid uniform and longer than
+    max_order.  Returns (ok, margins) where margins[n] is the minimum of
+    (-1)^n Delta^n f over the grid windows of order n = 0..max_order.
     """
+    if max_order < 0:
+        raise DimensionError(f"max_order must be nonnegative, not {max_order}")
     if len(y_grid) <= max_order:
         raise DimensionError(
             f"grid of {len(y_grid)} points cannot support order {max_order}"
@@ -122,49 +124,18 @@ def _density_mpf(md: MeasureDensity, digits: int):
         coeffs = []
         for m, c in enumerate(md.density_coeffs, start=1):
             coeffs.append(c.to_mpf(digits) / mpmath.mpf(factorial(m - 1)))
-    ctx = mpmath.mp
-    # signed mantissa, exponent and top bit position of each v, highest degree first
-    raw = [(-man if sign else man, exp, exp + bc)
-           for sign, man, exp, bc in (v._mpf_ for v in reversed(coeffs))]
+    vals = [v._mpf_ for v in reversed(coeffs)]  # highest degree first
 
     def rho(t):
-        """Horner's rule acc * t + v on integer mantissas, each step rounded
-        to nearest at the working precision in effect, as ``mpf_mul`` and
-        ``mpf_add`` round it, so the bits are those of mpf arithmetic.  Each
-        rounding is to nearest with ties to even; its floor shift makes it
-        hold for a negative mantissa too."""
-        prec = ctx._prec_rounding[0]
-        sign, tm, te, _ = t._mpf_
-        if sign:
-            tm = -tm
-        am = ae = 0
-        for vm, ve, vtop in raw:
-            am *= tm
-            ae += te
-            n = am.bit_length() - prec
-            if n > 0:
-                r = am >> (n - 1)
-                am = (r >> 1) + 1 if r & 1 and (r & 2 or am & ((1 << (n - 1)) - 1)) else r >> 1
-                ae += n
-            if not am:
-                am, ae = vm, ve
-            else:
-                delta = am.bit_length() + ae - vtop
-                if not vm or delta > prec + 4:
-                    continue  # v is 0 or lies below the product's last place
-                if -delta > prec + 4 and ae + (am & -am).bit_length() - 1 < ve - 100:
-                    # mpf_add stands in a sticky bit for a far smaller operand
-                    am, ae = (vm << prec + 4) + (1 if am > 0 else -1), ve - prec - 4
-                elif ae > ve:
-                    am, ae = (am << ae - ve) + vm, ve
-                else:
-                    am += vm << ve - ae
-            n = am.bit_length() - prec
-            if n > 0:
-                r = am >> (n - 1)
-                am = (r >> 1) + 1 if r & 1 and (r & 2 or am & ((1 << (n - 1)) - 1)) else r >> 1
-                ae += n
-        return ctx.make_mpf(from_man_exp(am, ae))
+        """Horner's rule acc * t + v through the libmp calls that mpf's ``*``
+        and ``+`` make, rounded to nearest at the working precision in
+        effect, so the bits are those of mpf arithmetic."""
+        prec = mpmath.mp.prec
+        t = t._mpf_
+        acc = fzero
+        for v in vals:
+            acc = mpf_add(mpf_mul(acc, t, prec, round_nearest), v, prec, round_nearest)
+        return mpmath.mp.make_mpf(acc)
 
     return rho, [abs(v) for v in coeffs]
 
@@ -252,8 +223,12 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
     against the degree the rule is exact for, the integrand calls, and the
     largest bound over x on the part past T relative to the series side
     (``_truncation_tail``).  ``x_grid`` holds at least one positive point,
-    as a Fraction or an int; an ``upper_limit`` must be finite and positive.
+    as a Fraction or an int; an ``upper_limit`` must be finite and positive,
+    and a Fraction one is read as numerator over denominator at the working
+    precision.  ``digits`` must be at least 1.
     """
+    if digits < 1:
+        raise DomainError(f"the Laplace check needs digits >= 1, not {digits}")
     if not x_grid:
         raise DimensionError("the Laplace check needs at least one evaluation point")
     if not all(isinstance(x, (Fraction, int)) for x in x_grid):
@@ -264,7 +239,10 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
     work = digits + 15
     if upper_limit is not None:
         with mpmath.workdps(work):
-            T = mpmath.mpf(upper_limit)
+            if isinstance(upper_limit, Fraction):
+                T = mpmath.mpf(upper_limit.numerator) / upper_limit.denominator
+            else:
+                T = mpmath.mpf(upper_limit)
         if not (mpmath.isfinite(T) and T > 0):
             raise DomainError(f"upper_limit must be finite and positive, not {upper_limit!r}")
     rho, abs_coeffs = _density_mpf(md, work)

@@ -442,8 +442,7 @@ def heine_f_tilde_series(mu, q: QBase, order: int, *,
         return base
     if q.is_exact:
         raise ExactModeError("absolute tilde normalization needs float mode")
-    scale = 1 / qgamma(mu, q)
-    return TruncatedSeries(tuple(scale * c for c in base.coeffs), order, base.tail_note)
+    return base.scaled(1 / qgamma(mu, q))
 
 
 def _validate_g_params(a, b, mu):

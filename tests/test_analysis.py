@@ -126,6 +126,14 @@ class TestCompleteMonotonicity:
         with pytest.raises(DimensionError):
             complete_monotonicity_check(lambda y: y, uniform_grid(1, 2, 1), 4)
 
+    @pytest.mark.parametrize("max_order", [-1, -3])
+    def test_a_negative_order_is_refused_before_any_evaluation(self, max_order):
+        # order -1 once passed on the order-0 margin alone, a check of no differences
+        def never(y):
+            raise AssertionError("evaluated")
+        with pytest.raises(DimensionError, match="max_order must be nonnegative"):
+            complete_monotonicity_check(never, uniform_grid(1, 2, F(1, 10)), max_order)
+
     def test_exact_grid_stays_exact(self):
         # 1/y on y = 1, 21/20, ..., 29/20: the margins are exact rationals
         grid = [ExactScalar.from_rational(F(20 + k, 20)) for k in range(10)]
@@ -445,6 +453,27 @@ class TestLaplaceRepresentation:
         with pytest.raises(DomainError, match="upper_limit must be finite and positive"):
             laplace_representation_check(NONNEG_DENSITY, [F(3, 10)], digits=DIGITS,
                                          upper_limit=upper_limit)
+
+    # 0 once gave a residual of 0.0 at 15 digits, and -20 one "at -5 digits"
+    @pytest.mark.parametrize("digits", [0, -20])
+    def test_digits_below_one_are_refused_before_any_work(self, digits, monkeypatch):
+        monkeypatch.setattr(analysis, "_density_mpf", None)
+        with pytest.raises(DomainError, match="digits >= 1"):
+            laplace_representation_check(NONNEG_DENSITY, [F(1, 2)], digits=digits,
+                                         upper_limit=80)
+
+    def test_a_fraction_upper_limit_is_read_at_the_working_precision(self, monkeypatch):
+        # Fraction(80) once raised mpmath's TypeError; it gives the bits of 80
+        want = laplace_representation_check(NONNEG_DENSITY, [F(3, 10)], digits=DIGITS,
+                                             upper_limit=80)
+        got = laplace_representation_check(NONNEG_DENSITY, [F(3, 10)], digits=DIGITS,
+                                           upper_limit=F(80))
+        assert got.max_rel.val._mpf_ == want.max_rel.val._mpf_
+        assert got.note == want.note
+        monkeypatch.setattr(analysis, "_density_mpf", None)
+        with pytest.raises(DomainError, match="upper_limit must be finite and positive"):
+            laplace_representation_check(NONNEG_DENSITY, [F(3, 10)], digits=DIGITS,
+                                         upper_limit=F(-1, 3))
 
     @pytest.mark.parametrize("x", [0.3, mpmath.mpf("0.3"), "3/10"])
     def test_an_evaluation_point_that_is_not_rational_is_refused_before_any_work(
