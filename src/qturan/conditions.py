@@ -30,6 +30,7 @@ from typing import Sequence
 from .qcore import QBase, elementary_symmetric, weak_supermajorizes
 from .scalar import (
     DimensionError,
+    DomainError,
     FloatScalar,
     QTuranError,
     Scalar,
@@ -154,9 +155,13 @@ def rts_monotonicity_probe(c: Sequence[Scalar], d: Sequence[Scalar],
     Non-monotone needs a strict local reversal beyond the relative float
     tolerance 10^(6 - digits) (exact values compare directly).  When the
     matching chain condition holds, the direction it predicts is asserted.
+    A grid that is not strictly increasing and positive raises DomainError:
+    the chains say how R runs on (0, infinity), left to right.
     """
     if len(grid) < 2:
         raise DimensionError("grid needs at least two points")
+    if grid[0].sign() <= 0 or any((y1 - y0).sign() <= 0 for y0, y1 in zip(grid, grid[1:])):
+        raise DomainError("the probe needs a strictly increasing grid of positive points")
     values = [rts_value(c, d, y) for y in grid]
     ups = downs = 0
     for prev, cur in zip(values, values[1:]):

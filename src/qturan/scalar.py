@@ -515,14 +515,28 @@ class ExactScalar:
     # -- export ----------------------------------------------------------
 
     def to_mpf(self, digits: int = DEFAULT_DIGITS):
-        a = self.a
-        with mpmath.workdps(digits):
-            val = mpmath.mpf(a.numerator) / a.denominator
-            if self.m:
-                b, rad = self.b, self.rad
-                rt = mpmath.sqrt(mpmath.mpf(rad.numerator) / rad.denominator)
-                val += (mpmath.mpf(b.numerator) / b.denominator) * rt
-        return val
+        """The mpf nearest this value at the binary precision of ``digits``.
+
+        For m != 0, (n + m sqrt(rad)) 2^k lies in [lo, lo + 1] for integers
+        lo found by ``isqrt``, and k grows until lo / (d 2^k) and (lo + 1) /
+        (d 2^k) round to one mpf: rounding is monotone, so that is the
+        value's.  Rounding the two parts apart would lose the digits they
+        cancel."""
+        prec = _prec(digits)
+        n, m, d = self.n, self.m, self.d
+        if not m:
+            return _make_mpf(from_rational(n, d, prec, round_nearest))
+        rn, rd = m * m * self.rad.numerator, self.rad.denominator
+        k = max(prec + 10 - max(n.bit_length(), (rn.bit_length() - rd.bit_length()) // 2), 0)
+        while True:
+            y, rem = divmod(rn << 2 * k, rd)
+            root = isqrt(y)                 # floor(|m| sqrt(rad) 2^k)
+            up = int(rem != 0 or root * root != y)
+            lo = (n << k) + (root if m > 0 else -root - up)
+            ends = {from_rational(end, d << k, prec, round_nearest) for end in (lo, lo + up)}
+            if len(ends) == 1:
+                return _make_mpf(ends.pop())
+            k += max(prec + 10 - abs(lo).bit_length(), 16)
 
     def to_float_scalar(self, digits: int = DEFAULT_DIGITS) -> "FloatScalar":
         return FloatScalar(self.to_mpf(digits), digits)

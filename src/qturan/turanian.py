@@ -42,10 +42,10 @@ Cauchy kernel, where ``_Interval.convolve`` makes each one big-integer
 multiplication per endpoint and rounds each coefficient once (a ``dot`` per
 coefficient when the mantissas spread too wide to pack), and every
 u_m - rho v_m is formed exactly on the integer mantissas.  Only when a coefficient's
-enclosure contains 0, or cannot stay nonnegative, are the exact series
-built to the full order, and that coefficient recomputed exactly as an
-O(m) dot product; that is how exact zeros are proven.  Verdicts involve no
-tolerance.
+enclosure contains 0, or cannot stay nonnegative, do the heads' term ratios
+run on in exact arithmetic, over one chain of q-powers to the full order,
+and that coefficient is recomputed exactly as an O(m) dot product; that is
+how exact zeros are proven.  Verdicts involve no tolerance.
 
 In float mode the same interval certificate runs on the exact twin of the
 float base, ``QBase.exact(q=q_frac)``, and a point it decides is reported
@@ -77,7 +77,6 @@ from .series import (
     g_series,
     geometric_tail_order,
     heine_f_series,
-    heine_f_tilde_series,
     zero_series,
 )
 from .scalar import (
@@ -203,42 +202,24 @@ def verdict_satisfies(observed: SignVerdict, expected: SignVerdict) -> bool:
     return observed in _CLAIMS[expected][0]
 
 
-def _shift_series(family: Family, mu, shift, q: QBase, order: int, a=(),
-                  b=()) -> TruncatedSeries:
-    """The family series F(mu + shift): the one map from a family to its
-    series, for the certificates and the pointwise checks alike.  The g
-    series carries its Gamma_q prefactor relative to mu.  The exact tilde
-    series is its relative form (Heine's); the float one carries its
-    1/Gamma_q(mu + shift) scale."""
-    if family == Family.G_NORMALIZED:
-        return g_series(a, b, mu + shift, q, order, ref_mu=mu)
-    if family == Family.HEINE_F_TILDE and not q.is_exact:
-        return heine_f_tilde_series(mu + shift, q, order, absolute=True)
-    return heine_f_series(mu + shift, q, order)
-
-
 def _shift_series_of(family: Family, mu, shifts, q: QBase, order: int, a=(),
                      b=()) -> tuple:
-    """``_shift_series`` for each of ``shifts``, over one chain of q-powers:
-    each series is built to order 0, and one ``TermRatio.series_of`` call
-    runs their term ratios to ``order``, so each has the bits it has when
-    built alone.  A float tilde series is Heine's times 1/Gamma_q(mu +
-    shift), as ``heine_f_tilde_series`` scales it."""
-    tilde = family == Family.HEINE_F_TILDE and not q.is_exact
-    heads = [_shift_series(Family.HEINE_F if tilde else family, mu, sh, q, 0, a, b)
-             for sh in shifts]
+    """F(mu + shift) for each of ``shifts``: the one map from a family to its
+    series, for the certificates and the pointwise checks alike.  Each head
+    is built to order 0 by the family's constructor (a g series carries its
+    Gamma_q prefactor relative to mu), and one ``TermRatio.series_of`` call
+    runs their term ratios to ``order`` over one chain of q-powers, so each
+    series has the bits it has when built alone.  The exact tilde series is
+    its relative form (Heine's); a float one carries its 1/Gamma_q(mu +
+    shift) scale."""
+    if family == Family.G_NORMALIZED:
+        heads = [g_series(a, b, mu + sh, q, 0, ref_mu=mu) for sh in shifts]
+    else:
+        heads = [heine_f_series(mu + sh, q, 0) for sh in shifts]
     built = TermRatio.series_of([h.ratio for h in heads], order)
-    if tilde:
+    if family == Family.HEINE_F_TILDE and not q.is_exact:
         built = tuple(s.scaled(1 / qgamma(mu + sh, q)) for s, sh in zip(built, shifts))
     return built
-
-
-def _shifted(spec: TuranianSpec, order=None) -> tuple:
-    """F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta), to spec.order unless
-    another order is given."""
-    order = spec.order if order is None else order
-    return tuple(_shift_series(spec.family, spec.mu, sh, spec.q, order, spec.a, spec.b)
-                 for sh in (spec.alpha, spec.beta, 0, spec.alpha + spec.beta))
 
 
 def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
@@ -255,7 +236,9 @@ def turanian_series(spec: TuranianSpec) -> TruncatedSeries:
             "the tilde Turanian has no exact absolute representation; "
             "use delta_tilde_sign_certificate"
         )
-    s_a, s_b, s_0, s_ab = _shifted(spec)
+    s_a, s_b, s_0, s_ab = _shift_series_of(
+        spec.family, spec.mu, (spec.alpha, spec.beta, 0, spec.alpha + spec.beta), spec.q,
+        spec.order, spec.a, spec.b)
     return s_a * s_b - s_0 * s_ab
 
 
@@ -610,9 +593,9 @@ def _certify(spec: TuranianSpec, expected, norm, base, rho=(ex(1), ex(1)),
     four shifted series are built exactly to order 0 only, on the exact
     ``base`` (see _interval_base); their term ratios, run in _Interval
     arithmetic over one chain of q-powers (TermRatio.series_of), enclose
-    them to the full order.  In exact mode exact series to the full order
-    are built only for a coefficient whose interval contains 0 (see
-    _exact_mode_bounds for ``rho``).  In float mode none are: where
+    them to the full order.  In exact mode the same ratios run on in exact
+    arithmetic only for a coefficient whose interval contains 0 (see
+    _exact_mode_bounds for ``rho``).  In float mode they do not: where
     ``base`` or ``rho`` is None, or the intervals leave a sign undecided,
     the float classifier decides instead, on the float series against a
     rounding envelope, and ``float_norm`` (default ``norm``) names their
@@ -626,14 +609,15 @@ def _certify(spec: TuranianSpec, expected, norm, base, rho=(ex(1), ex(1)),
     verdict, viol, margin, coeff0 = SignVerdict.INCONCLUSIVE, None, None, None
     decided_by, fallbacks = None, 0
     exact = spec.q.is_exact
+    shifts = (spec.alpha, spec.beta, 0, spec.alpha + spec.beta)
     if _is_degenerate(spec):
         verdict, decided_by = SignVerdict.ZERO, "degenerate"
         margin = coeff0 = spec.q.zero
     elif base is not None and rho is not None:
-        heads = _shifted(replace(spec, q=base), 0)
-        enclosures = TermRatio.series_of([h.ratio for h in heads], spec.order,
-                                         _Interval.ARITH)
-        build = (lambda: _shifted(spec)) if exact else None
+        heads = _shift_series_of(spec.family, spec.mu, shifts, base, 0, spec.a, spec.b)
+        ratios = [h.ratio for h in heads]
+        enclosures = TermRatio.series_of(ratios, spec.order, _Interval.ARITH)
+        build = (lambda: TermRatio.series_of(ratios, spec.order)) if exact else None
         found = _exact_mode_bounds(heads, enclosures, build, rho)
         if found is not None:
             coeff0, bounds, fallbacks = found
@@ -644,7 +628,8 @@ def _certify(spec: TuranianSpec, expected, norm, base, rho=(ex(1), ex(1)),
                 if margin is not None:
                     margin = margin.to_float_toward_zero(spec.q.digits)
     if decided_by is None and not exact:
-        s_a, s_b, s_0, s_ab = _shifted(spec)
+        s_a, s_b, s_0, s_ab = _shift_series_of(spec.family, spec.mu, shifts, spec.q,
+                                               spec.order, spec.a, spec.b)
         u, v = s_a * s_b, s_0 * s_ab
         delta = u - v
         bounds = _float_error_bounds((u + v).coeffs[1:], spec.q.digits)
@@ -868,14 +853,20 @@ def logconcavity_grid_check(family: Family, mu_grid, x, q: QBase, *,
 
     Heine-f is checked for log-convexity (f(mu_i) f(mu_{i+2}) >=
     f(mu_{i+1})^2), the tilde family for log-concavity (reverse direction,
-    with the true 1/Gamma_q scale applied).  The grid needs at least three
-    points.  Returns (ok, margins).
+    with the true 1/Gamma_q scale applied).  The grid of exact rationals
+    needs at least three points and one nonzero spacing, else
+    DimensionError: the midpoint test holds only on equal steps.  Returns
+    (ok, margins).
     """
     if q.is_exact:
         raise ExactModeError("grid checks evaluate in float mode")
     if len(mu_grid) < 3:
         raise DimensionError(
             f"a midpoint scan needs at least 3 grid points, got {len(mu_grid)}")
+    grid = [as_fraction(m) for m in mu_grid]
+    steps = {hi - lo for lo, hi in zip(grid, grid[1:])}
+    if len(steps) != 1 or 0 in steps:
+        raise DimensionError("a midpoint scan needs a uniform mu grid with nonzero spacing")
     if family not in (Family.HEINE_F, Family.HEINE_F_TILDE):
         raise ValueError("log-concavity scan supports the Heine families")
     x = q.scalar(x)
@@ -883,7 +874,7 @@ def logconcavity_grid_check(family: Family, mu_grid, x, q: QBase, *,
         raise DomainError("the scan needs 0 < x < 1")
     if order is None:
         order = _auto_order(family, abs(x), q)
-    values = [_shift_series(family, m, 0, q, order).eval(x) for m in mu_grid]
+    values = [s.eval(x) for s in _shift_series_of(family, 0, grid, q, order)]
     margins = []
     for i in range(len(values) - 2):
         outer = values[i] * values[i + 2]

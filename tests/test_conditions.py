@@ -16,7 +16,7 @@ from qturan.conditions import (
     rts_value,
 )
 from qturan.qcore import QBase, elementary_symmetric
-from qturan.scalar import DimensionError, ex, fl
+from qturan.scalar import DimensionError, DomainError, ex, fl
 
 Q12 = QBase.exact(q=F(1, 2))
 
@@ -204,6 +204,20 @@ class TestRtsProbe:
     def test_case_b_vectors_decreasing(self):
         c, d = derive_cd((F(2), F(3)), (F(1), F(2)), Q12)
         assert rts_monotonicity_probe(c, d, self.GRID) == RtsDirection.DECREASING
+
+    def test_decreasing_grid_is_refused(self):
+        # read right to left, the decreasing R of chain (b) would look increasing
+        c, d = derive_cd((F(2), F(3)), (F(1), F(2)), Q12)
+        with pytest.raises(DomainError, match="strictly increasing grid of positive points"):
+            rts_monotonicity_probe(c, d, self.GRID[::-1])
+
+    @pytest.mark.parametrize("grid", [[ex(-1), ex(1)], [ex(0), ex(1)], [ex(1), ex(1), ex(2)]],
+                             ids=["pole", "zero", "repeat"])
+    def test_grid_off_the_positive_axis_or_repeated_is_refused(self, grid):
+        # d = (1, 3) here, so y = -1 is a pole of R
+        c, d = derive_cd((F(2), F(3)), (F(1), F(2)), Q12)
+        with pytest.raises(DomainError):
+            rts_monotonicity_probe(c, d, grid)
 
     def test_chain_implies_direction_on_random_suite(self):
         rng = random.Random(7)

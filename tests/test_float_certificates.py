@@ -13,6 +13,7 @@ classifier decides, and no exact series are built.
 import json
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,22 @@ def test_interval_decided_float_reports_agree_with_exact_mode(point):
         assert ex(margin) <= ref.min_margin
 
 
+def test_a_cancelling_coeff0_converts_to_the_nearest_float():
+    # coeff0 = a - b sqrt(3/4) with both parts near 4.9e3 and the value near
+    # -10: rounding the parts apart lost almost three digits (relative error
+    # 5.6e-49 at 50 digits, past half an ulp)
+    float_spec, exact_spec = specs("g-a", ("q", F(3, 4)), F(1, 2), F(3), F(2), 5)
+    rep, ref = sign_certificate(float_spec), sign_certificate(exact_spec)
+    assert rep.decided_by == ref.decided_by == "interval"
+    c = ref.coeff0
+    assert c.m and c.rad == F(3, 4)
+    with mpmath.workdps(120):
+        want = (c.n + c.m * mpmath.sqrt(mpmath.mpf(3) / 4)) / c.d
+    with mpmath.workdps(50):
+        assert rep.coeff0.val == +want
+    assert abs(ex(value(rep.coeff0)) - c) <= abs(c) * F(1, 10**50)
+
+
 def test_margins_are_cut_toward_zero():
     # 2/3, and the Heine bound below in print, round up to nearest at 50 digits
     cut = ex(F(2, 3)).to_float_toward_zero(50)
@@ -162,14 +179,14 @@ def test_tilde_past_the_product_cap_goes_to_the_float_classifier(monkeypatch):
     # take about 10^6 factors per Gamma_q, so the routing is seen where the
     # float classifier starts to build them
     formed = _spy_products(monkeypatch)
-    shifted = turanian._shifted
+    shift_series_of = turanian._shift_series_of
 
-    def spy(spec, order=None):
-        if not spec.q.is_exact and order is None:
+    def spy(family, mu, shifts, q, order, *vectors):
+        if not q.is_exact and order == 4:
             raise _FloatSeries
-        return shifted(spec, order)
+        return shift_series_of(family, mu, shifts, q, order, *vectors)
 
-    monkeypatch.setattr(turanian, "_shifted", spy)
+    monkeypatch.setattr(turanian, "_shift_series_of", spy)
     with pytest.raises(_FloatSeries):
         sign_certificate(TuranianSpec(Family.HEINE_F_TILDE, *TILDE,
                                       QBase.floating(F(9999, 10000)), 4))
@@ -190,18 +207,18 @@ def test_tilde_just_past_the_product_cap_reports_float(monkeypatch):
 def test_a_straddle_goes_to_the_float_classifier_without_exact_series(family, monkeypatch):
     monkeypatch.setattr(_Interval, "bound_minus", staticmethod(lambda *args: None))
     calls = []
-    shifted = turanian._shifted
+    shift_series_of = turanian._shift_series_of
 
-    def spy(spec, order=None):
-        calls.append((spec.q.is_exact, order))
-        return shifted(spec, order)
+    def spy(family, mu, shifts, q, order, *vectors):
+        calls.append((q.is_exact, order))
+        return shift_series_of(family, mu, shifts, q, order, *vectors)
 
-    monkeypatch.setattr(turanian, "_shifted", spy)
+    monkeypatch.setattr(turanian, "_shift_series_of", spy)
     float_spec, _ = specs(family, ("q", F(1, 2)), F(1), F(1), F(2), 30)
     rep = sign_certificate(float_spec)
     assert rep.decided_by == "float" and rep.exact_fallbacks == 0 and rep.matches_expected
     # the exact heads to order 0, then the float series to the full order
-    assert calls == [(True, 0), (False, None)]
+    assert calls == [(True, 0), (False, 30)]
 
 
 def test_an_undecided_rho_goes_to_the_float_classifier(monkeypatch):

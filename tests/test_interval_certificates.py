@@ -139,6 +139,28 @@ def test_all_zero_chain_point_is_proven_exactly():
     assert rep.min_margin.is_zero() and rep.coeff0.is_zero()
 
 
+def test_exact_fallback_continues_the_heads_without_rebuilding(monkeypatch):
+    # every enclosure of this all-zero point contains 0, so all ten
+    # coefficients fall back to exact arithmetic: the heads' term ratios run
+    # on from order 0, and no family constructor builds a longer series
+    orders = []
+
+    def counted(build):
+        def spy(*args, **kwargs):
+            orders.append(args[-1])
+            return build(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(turanian, "g_series", counted(turanian.g_series))
+    monkeypatch.setattr(turanian, "heine_f_series", counted(turanian.heine_f_series))
+    spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(1), F(1), QBase.exact(q=F(1, 2)), 10,
+                        (F(1), F(2)), (F(1), F(2)))
+    rep = sign_certificate(spec)
+    assert rep.chain_case == "a+b" and rep.verdict == SignVerdict.ZERO
+    assert rep.decided_by == "interval+exact" and rep.exact_fallbacks == 10
+    assert orders == [0] * 4
+
+
 def test_zero_straddling_interval_falls_back_to_exact_sign():
     # Delta_1 = 2 - (2 + 2^-200): its 100-bit interval reaches 0, the exact
     # recomputation finds the sign and the exact margin

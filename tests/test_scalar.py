@@ -282,12 +282,17 @@ class _Pair:
                 f"*sqrt({rational_text(self.rad)})")
 
     def to_mpf(self, digits):
-        with mpmath.workdps(digits):
+        # a + b sqrt(rad) with more guard bits than its parts can cancel,
+        # then rounded once at digits
+        bits = sum(f.numerator.bit_length() + f.denominator.bit_length()
+                   for f in (self.a, self.b, self.rad or F(1)))
+        with mpmath.workprec(dps_to_prec(digits) + 2 * bits + 64):
             val = mpmath.mpf(self.a.numerator) / self.a.denominator
             if self.b != 0:
                 rt = mpmath.sqrt(mpmath.mpf(self.rad.numerator) / self.rad.denominator)
                 val += (mpmath.mpf(self.b.numerator) / self.b.denominator) * rt
-        return val
+        with mpmath.workdps(digits):
+            return +val
 
 
 def _agrees(got, want):

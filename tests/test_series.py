@@ -41,7 +41,7 @@ from qturan.scalar import (
     ex,
     fl,
 )
-from qturan.turanian import Family, TuranianSpec, _Interval, _shifted
+from qturan.turanian import Family, TuranianSpec, _Interval, _shift_series_of
 
 mpmath.mp.dps = 60
 
@@ -725,7 +725,9 @@ def test_series_of_gives_each_ratio_the_bits_it_has_alone(case):
 ], ids=["heine", "tilde", "g-d0", "g-d1"])
 def test_certificate_heads_share_one_chain_with_their_own_bits(family, a, b, qv):
     spec = TuranianSpec(family, F(1, 2), F(1), F(2), QBase.exact(q=qv), 60, a=a, b=b)
-    ratios = [h.ratio for h in _shifted(spec, 0)]
+    heads = _shift_series_of(family, spec.mu, (spec.alpha, spec.beta, 0, spec.alpha + spec.beta),
+                             spec.q, 0, a, b)
+    ratios = [h.ratio for h in heads]
     built = TermRatio.series_of(ratios, 60, _Interval.ARITH)
     for ratio, series in zip(ratios, built):
         assert list(series.coeffs) == _reference_series(ratio, 60, _Interval.ARITH)

@@ -17,7 +17,7 @@ from qturan.turanian import (
     TuranianSpec,
     _classify_exact,
     _classify_float,
-    _shift_series,
+    _shift_series_of,
     delta_sign_certificate,
     delta_tilde_sign_certificate,
     gamma_sign_certificate,
@@ -364,6 +364,13 @@ class TestLogConcavityScan:
         with pytest.raises(DimensionError, match="at least 3 grid points, got 2"):
             logconcavity_grid_check(Family.HEINE_F, self.GRID[:2], F(1, 4), QF)
 
+    @pytest.mark.parametrize("grid", [[1, 2, 7], [1, 1, 1]], ids=["uneven", "no-spacing"])
+    def test_grid_without_one_spacing_is_refused(self, grid):
+        # the midpoint test compares f(mu_(i+1))^2 with f(mu_i) f(mu_(i+2)),
+        # which says nothing on unequal steps
+        with pytest.raises(DimensionError, match="uniform mu grid"):
+            logconcavity_grid_check(Family.HEINE_F, grid, F(1, 4), QF)
+
 
 @pytest.mark.parametrize("x", [F(1, 10), F(1, 2), F(9, 10)])
 def test_pointwise_tilde_values_are_heine_over_gamma(x):
@@ -377,8 +384,9 @@ def test_pointwise_tilde_values_are_heine_over_gamma(x):
 
     grid = [F(k, 2) for k in range(1, 8)]
     for mu in grid:
-        for shift in (0, 1, 2):
-            got = _shift_series(Family.HEINE_F_TILDE, mu, shift, QF, order).eval(xs)
+        shifted = _shift_series_of(Family.HEINE_F_TILDE, mu, (0, 1, 2), QF, order)
+        for shift, s in enumerate(shifted):
+            got = s.eval(xs)
             want = reference(mu + shift)
             assert abs((got - want).val) <= mpmath.mpf("1e-45") * abs(want.val)
     ok, margin = turan_point_inequality(Family.HEINE_F_TILDE, F(3, 2), x, QF,
