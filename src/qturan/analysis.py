@@ -39,8 +39,10 @@ def complete_monotonicity_check(evaluator, y_grid, max_order: int):
     """Alternating-sign test for forward differences up to max_order.
 
     max_order must be nonnegative and the grid uniform and longer than
-    max_order.  Returns (ok, margins) where margins[n] is the minimum of
-    (-1)^n Delta^n f over the grid windows of order n = 0..max_order.
+    max_order: exact spacings equal, float spacings within a relative
+    1e-20 of the first.  Returns (ok, margins) where margins[n] is the
+    minimum of (-1)^n Delta^n f over the grid windows of order n =
+    0..max_order.
     """
     if max_order < 0:
         raise DimensionError(f"max_order must be nonnegative, not {max_order}")
@@ -50,10 +52,12 @@ def complete_monotonicity_check(evaluator, y_grid, max_order: int):
         )
     spacings = [y_grid[i + 1] - y_grid[i] for i in range(len(y_grid) - 1)]
     h0 = spacings[0]
-    for h in spacings[1:]:
-        # a rational tolerance, so exact and float grids both compare in their own mode
-        if not abs(h - h0) <= abs(h0) * Fraction(1, 10**20):
-            raise DimensionError("grid must be uniform")
+    if isinstance(h0, FloatScalar):
+        uniform = all(abs(h - h0) <= abs(h0) * Fraction(1, 10**20) for h in spacings[1:])
+    else:
+        uniform = all(h == h0 for h in spacings[1:])
+    if not uniform:
+        raise DimensionError("grid must be uniform")
     level = [evaluator(y) for y in y_grid]
     margins = [min(level)]
     sign = 1

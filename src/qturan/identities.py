@@ -21,13 +21,15 @@ coefficients 1..M halved.
 The linearization identity of the paper and its q -> 1 (Kummer) case are
 written once, in :func:`_linearization`; the q-series, confluent series and
 the two pointwise forms of the q -> 1 study supply their own F and
-Pochhammer symbol.
+Pochhammer symbol.  A series side is one
+:meth:`~qturan.series.TruncatedSeries.weighted_sum`: in exact mode each of
+its coefficients is one ``dot``, reduced once.  A pointwise side keeps the
+scalar arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,38 +163,55 @@ def heine_phi_q0_series(c, q: QBase, order: int) -> TruncatedSeries:
     return tphis_series(spec, order)
 
 
-def _linearization(mu, alpha, beta, phi, poch, scale):
+def _linearization(mu, alpha, beta, phi, poch, side):
     """Both sides of the linearization identity, for alpha a positive integer:
 
         (mu+beta)_alpha F(mu+alpha) F(mu+beta) - (mu)_alpha F(mu) F(mu+alpha+beta)
           = sum_{j<alpha} (mu+1+j)_(alpha-1-j) (mu+alpha+beta-1-j)_(1+j) F(mu+1+j)
                           - (mu+j)_(alpha-j) (mu+alpha+beta-j)_j F(mu+alpha+beta-j),
 
-    with F = ``phi`` and (c)_n = ``poch(c, n)``; ``scale(coef, value)`` is
-    the product of a Pochhammer coefficient and a value of phi (or a product
-    of two).  The four callers differ only in phi, poch and scale.  Each
-    distinct F(c) is built once: c = mu+alpha, mu+alpha+beta and, for an
-    integer beta, the shifts mu+1+j recur among the terms.
+    with F = ``phi`` and (c)_n = ``poch(c, n)``.  Each side is a list of
+    differences of two terms, a term being (w, F, F) for the weighted
+    product w F F or (w, F, None) for w F, and ``side`` sums such a list:
+    :func:`_series_side` for series, :func:`_value_side` for values of phi.
+    The four callers differ only in phi, poch and side.  Each distinct F(c)
+    is built once: c = mu+alpha, mu+alpha+beta and, for an integer beta,
+    the shifts mu+1+j recur among the terms.
     """
     alpha = as_fraction(alpha)
     if alpha.denominator != 1 or alpha < 1:
         raise HypothesisError(f"alpha must be a positive integer, got {alpha}")
     alpha = int(alpha)
     phi = functools.cache(phi)
-    lhs = (scale(poch(mu + beta, alpha), phi(mu + alpha) * phi(mu + beta))
-           - scale(poch(mu, alpha), phi(mu) * phi(mu + alpha + beta)))
-    rhs = None
-    for j in range(alpha):
-        term = (scale(poch(mu + 1 + j, alpha - 1 - j) * poch(mu + alpha + beta - 1 - j, 1 + j),
-                      phi(mu + 1 + j))
-                - scale(poch(mu + j, alpha - j) * poch(mu + alpha + beta - j, j),
-                        phi(mu + alpha + beta - j)))
-        rhs = term if rhs is None else rhs + term
+    lhs = side([((poch(mu + beta, alpha), phi(mu + alpha), phi(mu + beta)),
+                 (poch(mu, alpha), phi(mu), phi(mu + alpha + beta)))])
+    rhs = side([((poch(mu + 1 + j, alpha - 1 - j) * poch(mu + alpha + beta - 1 - j, 1 + j),
+                  phi(mu + 1 + j), None),
+                 (poch(mu + j, alpha - j) * poch(mu + alpha + beta - j, j),
+                  phi(mu + alpha + beta - j), None))
+                for j in range(alpha)])
     return lhs, rhs
 
 
-def _scaled(coef, series: TruncatedSeries) -> TruncatedSeries:
-    return series.scaled(coef)
+def _series_side(differences) -> TruncatedSeries:
+    """The sum of the differences of series terms, in one
+    :meth:`TruncatedSeries.weighted_sum`: each subtracted term enters with
+    its weight negated."""
+    terms = []
+    for plus, (w, a, b) in differences:
+        terms += [plus, (-w, a, b)]
+    return TruncatedSeries.weighted_sum(terms)
+
+
+def _value_side(differences):
+    """The sum of the differences of value terms, in scalar arithmetic:
+    w (a b) or w a per term, each difference formed, the differences added
+    left to right."""
+    total = None
+    for (v, a, b), (w, c, d) in differences:
+        term = v * (a if b is None else a * b) - w * (c if d is None else c * d)
+        total = term if total is None else total + term
+    return total
 
 
 def _qpoch(q: QBase):
@@ -203,7 +222,7 @@ def linearization_sides(mu, alpha: int, beta, q: QBase, order: int):
     """Both sides of the finite linearization of the Heine product difference."""
     mu, beta = as_fraction(mu), as_fraction(beta)
     return _linearization(mu, alpha, beta, lambda c: heine_phi_q0_series(c, q, order),
-                          _qpoch(q), _scaled)
+                          _qpoch(q), _series_side)
 
 
 def verify_linearization(mu, alpha: int, beta, q: QBase, order: int) -> Residual:
@@ -218,7 +237,7 @@ def kummer_sides(mu, alpha: int, beta, order: int):
     """Both sides of the q -> 1 confluent limit of the linearization."""
     return _linearization(as_fraction(mu), alpha, as_fraction(beta),
                           lambda c: kummer_1f1_unit_top(c, order),
-                          lambda c, n: pochhammer_classical(ex(c), n), _scaled)
+                          lambda c, n: pochhammer_classical(ex(c), n), _series_side)
 
 
 def verify_kummer_linearization(mu, alpha: int, beta, order: int) -> Residual:
@@ -236,7 +255,7 @@ def _linearization_sides_value(mu, alpha: int, beta, x, q: QBase):
                                  minimum=60)
     lhs, rhs = _linearization(mu, alpha, beta,
                               lambda c: heine_phi_q0_series(c, q, order).eval(z),
-                              _qpoch(q), operator.mul)
+                              _qpoch(q), _value_side)
     scale = (1 - q.q) ** (-int(alpha))
     return scale * lhs, scale * rhs
 
@@ -245,7 +264,7 @@ def _kummer_sides_value(mu, alpha: int, beta, x, digits: int):
     return _linearization(mu, alpha, beta,
                           lambda c: kummer_1f1_value(c, fl(x, digits), digits),
                           lambda c, n: pochhammer_classical(ex(c), n).to_float_scalar(digits),
-                          operator.mul)
+                          _value_side)
 
 
 def q_to_1_limit_study(mu, alpha: int, beta, x, q_sequence, *,

@@ -13,7 +13,13 @@ certificates (integer triples) take all its sums from one big-integer
 multiplication (one per endpoint for enclosures) in ``scalar._cauchy_sums``,
 and a ``dot`` per coefficient when their mantissas spread too wide to pack:
 over ``_PACK_BITS`` = 1200 bits for two float sequences together, over
-2 ``_PREC`` = 200 bits for one enclosure sequence.
+2 ``_PREC`` = 200 bits for one enclosure sequence.  The product is the
+one-term case of ``TruncatedSeries.weighted_sum``, which forms sum w A B +
+sum w S over products and series at once: on exact coefficients each
+output coefficient is one ``dot`` over all the terms' pairs, each weight
+folded once into one factor of its product, so it is reduced once; on
+types with ``convolve`` each product is its ``convolve``, and the weighted
+sum one ``dot`` per coefficient.
 
 The q-hypergeometric constructors, the q-Bessel sums and the 4phi3 of
 Rahman's product share one :class:`TermRatio`: c_0 and the parameters of
@@ -28,7 +34,10 @@ and gives each series the bits it has when built alone; the certificates
 build their four enclosures so.  A float series stops where its working
 precision stops changing it: a d = 0 series repeats its coefficient from
 the first step whose factors' variable parts are all below 2^-(prec+1),
-with the full loop's bits.  Each series keeps its ratio as ``ratio``, and
+with the full loop's bits.  A literal-zero upper parameter's factor
+1 - 0 q^n is exactly 1, so the recurrence drops it: the ratio gives the
+coefficients (and, in float and enclosure arithmetic, the bits) of the
+same ratio without it.  Each series keeps its ratio as ``ratio``, and
 carries the tail note "converges for |x| < 1 only" exactly when d = 0,
 where the ratio tends to 1.  Evaluation is Horner's rule,
 which a float series runs on raw tuples too (``FloatScalar.horner``),
@@ -136,16 +145,55 @@ class TruncatedSeries:
         return self.coeffs[0].dot(self.coeffs[:n + 1], other.coeffs[n::-1])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product, truncated to the smaller order: the coefficient
-        type's ``convolve(xs, ys)`` where it has one (floats and the
-        interval enclosures), its ``dot`` per coefficient otherwise."""
-        m = min(self.order, other.order)
-        convolve = getattr(type(self.coeffs[0]), "convolve", None)
-        if convolve is not None:
-            out = tuple(convolve(self.coeffs, other.coeffs))
+        """Cauchy product, truncated to the smaller order: the one-term
+        case of :meth:`weighted_sum`."""
+        return TruncatedSeries.weighted_sum(((None, self, other),))
+
+    @staticmethod
+    def weighted_sum(terms) -> "TruncatedSeries":
+        """The sum of w A B over the terms (w, A, B) and of w S over the
+        terms (w, S, None), truncated to the smallest order, with the first
+        series' tail note; a weight None is 1 and multiplies nothing.
+
+        On a coefficient type without ``convolve`` (exact scalars) every
+        output coefficient is one ``dot`` over all the terms' pairs: a
+        product's weight is folded into its first factor once, and a
+        series' weight pairs with its coefficient.  An exact coefficient is
+        so reduced once.  A type with ``convolve`` (floats and the interval
+        enclosures) forms each product by ``convolve``, and a weighted sum
+        of the products and series by one ``dot`` per coefficient.
+        """
+        m = min(s.order for _, a, b in terms for s in (a, b) if s is not None)
+        first = terms[0][1]
+        kind = type(first.coeffs[0])
+        convolve = getattr(kind, "convolve", None)
+        if convolve is None:
+            products, singles = [], []
+            for w, a, b in terms:
+                if b is None:
+                    singles.append((1 if w is None else w, a.coeffs))
+                else:
+                    xs = a.coeffs[:m + 1]
+                    products.append((xs if w is None else [w * x for x in xs], b.coeffs))
+            out = []
+            for n in range(m + 1):
+                xs, ys = [], []
+                for a, b in products:
+                    xs += a[:n + 1]
+                    ys += b[n::-1]
+                for w, s in singles:
+                    xs.append(w)
+                    ys.append(s[n])
+                out.append(kind.dot(xs, ys))
         else:
-            out = tuple(self.product_coefficient(other, n) for n in range(m + 1))
-        return TruncatedSeries(out, m, self.tail_note)
+            columns = [(w, a.coeffs if b is None else convolve(a.coeffs, b.coeffs))
+                       for w, a, b in terms]
+            if len(columns) == 1 and columns[0][0] is None:
+                out = columns[0][1]
+            else:
+                weights = [1 if w is None else w for w, _ in columns]
+                out = [kind.dot(weights, [c[n] for _, c in columns]) for n in range(m + 1)]
+        return TruncatedSeries(tuple(out), m, first.tail_note)
 
     def scaled(self, c: Scalar) -> "TruncatedSeries":
         return TruncatedSeries(tuple(c * v for v in self.coeffs), self.order,
@@ -171,7 +219,9 @@ class PhiSpec:
     """Upper/lower parameter values of a t-phi-s series over a base q.
 
     The entries are the series parameters themselves (for instance q^(a+mu),
-    or literal 0); the convergence constraint t <= s+1 is enforced here.
+    or literal 0); the convergence constraint t <= s+1 is enforced here.  A
+    literal-zero upper entry counts in t but contributes no factor: the
+    term-ratio recurrence drops it.
     """
 
     upper: tuple
@@ -316,7 +366,9 @@ class TermRatio:
         every step.
         """
         lift, mul, div, one_minus = arith
-        up, low = Counter(self.upper), Counter(self.lower)
+        # a literal-zero upper parameter's factor 1 - 0 q^n is exactly 1
+        up = Counter(u for u in self.upper if not u.is_zero())
+        low = Counter(self.lower)
         if up and low:
             shared = up & low
             up, low = up - shared, low - shared
@@ -409,8 +461,10 @@ def tphis_series(spec: PhiSpec, order: int) -> TruncatedSeries:
     """The generalized q-hypergeometric series as a truncated series in z.
 
     Coefficient n is (a; q)_n / ((b; q)_n (q; q)_n) times
-    [(-1)^n q^binom(n,2)]^(1+s-t).  Literal-zero upper entries contribute
-    factor 1.  A vanishing lower factor raises CollisionError.
+    [(-1)^n q^binom(n,2)]^(1+s-t).  Literal-zero upper entries count in t
+    and contribute factor 1: the recurrence drops them, so 2phi1(q, 0; b; z)
+    costs the steps of one upper parameter.  A vanishing lower factor
+    raises CollisionError.
     """
     q = spec.q
     t, s = len(spec.upper), len(spec.lower)

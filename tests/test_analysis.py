@@ -144,6 +144,20 @@ class TestCompleteMonotonicity:
         with pytest.raises(DimensionError):
             complete_monotonicity_check(lambda y: 1 / y, uneven, 4)
 
+    def test_exact_grid_spacings_compare_exactly(self):
+        # a spacing 1e-25 relative off the first passed the float tolerance
+        ex = ExactScalar.from_rational
+        uneven = [ex(1), ex(2), ex(3 + F(1, 10**25))]
+        with pytest.raises(DimensionError, match="uniform"):
+            complete_monotonicity_check(lambda y: 1 / y, uneven, 2)
+        ok, _ = complete_monotonicity_check(lambda y: 1 / y, [ex(1), ex(2), ex(3)], 2)
+        assert ok
+
+    def test_float_grid_keeps_its_tolerance(self):
+        grid = [fl(1, DIGITS), fl(2, DIGITS), fl(3, DIGITS) + fl(F(1, 10**25), DIGITS)]
+        ok, _ = complete_monotonicity_check(lambda y: 1 / y, grid, 2)
+        assert ok
+
 
 class TestMultiplicativeConvexity:
     def test_equal_points_equality(self):

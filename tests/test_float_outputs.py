@@ -168,3 +168,18 @@ def test_global_precision_changes_no_float_output():
     differing = sorted(name for name in outputs[15]
                        if not outputs[15][name] == outputs[60][name] == outputs[120][name])
     assert differing == []
+
+
+def test_q_to_1_study_keeps_its_bits():
+    """The pointwise sides of the linearization keep their scalar arithmetic
+    (a term w (a b) or w a, each difference formed, the differences added
+    left to right): the q -> 1 study's residuals are pinned bit for bit."""
+    got = [_bits(r) for r in q_to_1_limit_study(F(3, 2), 2, F(1, 2), F(1, 4), ["0.9", "0.99"])]
+    assert got == [
+        ((50, (0, 100339849315315236562974926727435681697794271944161, -167, 167)),
+         (50, (0, 309035800866936376694070261208529880890147698343253, -170, 168)),
+         2, False, None),
+        ((50, (0, 668991476991644975973958510424885031096551935157, -163, 159)),
+         (50, (0, 527467735686844649408308022320467029245878404031859, -174, 169)),
+         2, False, None),
+    ]

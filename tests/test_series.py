@@ -753,3 +753,123 @@ def test_series_of_refuses_a_colliding_lower_parameter_before_building():
     with pytest.raises(CollisionError):
         TermRatio.series_of([fine, colliding], 5, (lift, *_SCALAR_ARITH[1:]))
     assert lifted == []
+
+
+# -- the weighted-sum kernel and literal-zero upper parameters -----------------
+
+@st.composite
+def _exact_terms(draw):
+    """Terms (w, A, B), (w, S, None) and signs over exact coefficients in Q
+    or Q(sqrt 3), orders 0..8 (mixed, so truncation shows), weights None or
+    exact, and the operator-form sum they should equal."""
+    rad = draw(st.sampled_from([None, F(3)]))
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+    def scalar():
+        a = draw(small)
+        return ex(a) if rad is None else ExactScalar(a, draw(small), rad)
+
+    def series():
+        order = draw(st.integers(0, 8))
+        return TruncatedSeries(tuple(scalar() for _ in range(order + 1)), order,
+                               draw(st.sampled_from([None, "converges for |x| < 1 only"])))
+
+    terms, signs = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        w = None if draw(st.booleans()) else scalar()
+        terms.append((w, series(), series() if draw(st.booleans()) else None))
+        signs.append(draw(st.sampled_from([1, -1])))
+    return terms, signs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exact_terms())
+def test_exact_weighted_sum_equals_the_operator_form(case):
+    """One ``dot`` per coefficient, weights folded into a factor, gives the
+    value (and so the integers) of the products, scalings and sums formed
+    one reduced operation at a time."""
+    terms, signs = case
+    want = None
+    kernel_terms = []
+    for (w, a, b), sign in zip(terms, signs):
+        part = a if b is None else a * b
+        if w is not None:
+            part = part.scaled(w)
+        if want is None:
+            want = part if sign > 0 else part.scaled(ex(-1))
+        else:
+            want = want + part if sign > 0 else want - part
+        weight = w if sign > 0 else (ex(-1) if w is None else -w)
+        kernel_terms.append((weight, a, b))
+    got = TruncatedSeries.weighted_sum(kernel_terms)
+    assert [_value_bits(c) for c in got.coeffs] == [_value_bits(c) for c in want.coeffs]
+    assert (got.order, got.tail_note) == (want.order, terms[0][1].tail_note)
+
+
+def test_float_weighted_sum_rounds_each_coefficient_once():
+    """Float products go through ``convolve``, and the weighted sum of the
+    products and series is one correctly rounded ``dot`` per coefficient."""
+    q = QBase.floating(F(3, 4), 50)
+    a, b = heine_f_series(F(1, 2), q, 12), heine_f_series(F(5, 2), q, 10)
+    s = heine_f_series(F(3, 2), q, 11)
+    w, v = fl(F(7, 3), 50), fl(F(-2, 9), 50)
+    got = TruncatedSeries.weighted_sum([(w, a, b), (v, s, None), (None, b, a)])
+    ab, ba = a * b, b * a
+    assert got.order == 10
+    for n in range(11):
+        want = FloatScalar.dot([w, v, 1], [ab.coeffs[n], s.coeffs[n], ba.coeffs[n]])
+        assert (got.coeffs[n].val._mpf_, got.coeffs[n].digits) == (want.val._mpf_, 50)
+
+
+def test_cauchy_product_keeps_its_coefficients_and_float_bits():
+    """``*``, the one-term weighted sum: exact coefficients are the sums of
+    the products, float coefficients keep the bits they had as a separate
+    product path (pinned), and enclosures are those of ``convolve``."""
+    rng = random.Random(7)
+    a = TruncatedSeries(tuple(ExactScalar(F(rng.randint(-9, 9), rng.randint(1, 9)),
+                                          F(rng.randint(-9, 9), 5), F(3)) for _ in range(9)), 8)
+    b = TruncatedSeries(tuple(ex(F(rng.randint(-9, 9), rng.randint(1, 9)))
+                              for _ in range(7)), 6, "converges for |x| < 1 only")
+    product = a * b
+    assert product.order == 6 and product.tail_note is None
+    for n in range(7):
+        want = a.coeffs[0] * b.coeffs[n]
+        for k in range(1, n + 1):
+            want = want + a.coeffs[k] * b.coeffs[n - k]
+        assert _value_bits(product.coeffs[n]) == _value_bits(want)
+
+    q = QBase.floating(F(3, 4), 50)
+    p = heine_f_series(F(1, 2), q, 12) * tphis_series(
+        PhiSpec((q.q, q.zero), (q.q_power(F(5, 2)),), q), 12)
+    assert p.tail_note == "converges for |x| < 1 only"
+    assert p.coeffs[5].val._mpf_ == (
+        0, 396994208216091688156846212224115149947467006411501, -155, 169)
+    assert p.coeffs[12].val._mpf_ == (
+        0, 173562318719142369071581297873982832169028965050715, -149, 167)
+    g = g_series((2, 3), (1, 2), F(1), q, 40) * g_series((2, 3), (1, 2), F(2), q, 40)
+    assert g.coeffs[7].val._mpf_ == (
+        0, 145374221850392447269225673654252446149668787577389, -172, 167)
+    assert g.coeffs[40].val._mpf_ == (
+        0, 28980561894242772028630824240729216340958317140439, -385, 165)
+
+    qe = QBase.exact(q=F(3, 4))
+    hs = [heine_f_series(mu, qe, 30).ratio.series(30, _Interval.ARITH) for mu in (F(1, 2), F(3))]
+    x, y = (TruncatedSeries(tuple(map(_Interval, h.coeffs)), 30) for h in hs)
+    assert list((x * y).coeffs) == _Interval.convolve(x.coeffs, y.coeffs)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float", "interval"])
+@pytest.mark.parametrize("d,uppers", [(0, 1), (1, 1), (0, 0), (1, 0), (0, 2)])
+def test_literal_zero_upper_parameters_are_dropped(mode, d, uppers):
+    """A ratio with literal-zero upper parameters gives the coefficients of
+    the ratio without them, with the same bits in float and enclosure
+    arithmetic: each such factor 1 - 0 q^n is exactly 1."""
+    q = QBase.floating(F(3, 4), 50) if mode == "float" else QBase.exact(q=F(3, 4))
+    arith = _Interval.ARITH if mode == "interval" else None
+    plain = (q.q,) * uppers
+    lower = (q.q_power(F(5, 2)),)
+    for zeros in ((q.zero,), (q.zero, q.zero)):
+        with_zeros = TermRatio(q.one, zeros + plain, lower, q, d, q.scalar(-1))
+        without = TermRatio(q.one, plain, lower, q, d, q.scalar(-1))
+        got, want = with_zeros.series(30, arith), without.series(30, arith)
+        assert [_value_bits(c) for c in got.coeffs] == [_value_bits(c) for c in want.coeffs]
