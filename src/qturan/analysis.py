@@ -13,7 +13,8 @@ rho(t) = sum_{m>=1} c_m t^(m-1)/(m-1)!, validated against the closed-form
 transform integral_0^infty e^(-t/x) t^(m-1)/(m-1)! dt = x^m.  A truncated
 series has a polynomial density of degree order - 1, which a Gauss-Laguerre
 rule of ceil(order / 2) nodes in u = t/x integrates exactly: 2n density
-evaluations per point, on nodes built once per process.
+evaluations per point, on nodes built once per process, on a window [0, T]
+set by a certified bound on the part past T relative to the series side.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .identities import Residual, _compare
 from .scalar import (
     DimensionError,
     DomainError,
+    ExactModeError,
     FloatScalar,
     Scalar,
 )
@@ -74,10 +76,12 @@ def multiplicative_convexity_check(evaluator, pairs):
 
     Valid for series with nonnegative coefficients; returns (ok, margins)
     with margin = sqrt(phi(x1) phi(x2)) - phi(sqrt(x1 x2)).  At least one
-    pair is needed.
+    pair is needed, of FloatScalar points: the square roots are not exact.
     """
     if not pairs:
         raise DimensionError("multiplicative convexity needs at least one pair of points")
+    if not all(isinstance(x, FloatScalar) for pair in pairs for x in pair):
+        raise ExactModeError("multiplicative convexity needs FloatScalar points")
     margins = []
     for x1, x2 in pairs:
         if not (x1.sign() > 0 and x2.sign() > 0):
@@ -125,10 +129,8 @@ def tau_density(md: MeasureDensity, t: Scalar) -> Scalar:
 
 def _density_mpf(md: MeasureDensity, digits: int):
     with mpmath.workdps(digits):
-        coeffs = []
-        for m, c in enumerate(md.density_coeffs, start=1):
-            coeffs.append(c.to_mpf(digits) / mpmath.mpf(factorial(m - 1)))
-    vals = [v._mpf_ for v in reversed(coeffs)]  # highest degree first
+        vals = [(c.to_mpf(digits) / mpmath.mpf(factorial(m)))._mpf_
+                for m, c in enumerate(md.density_coeffs)][::-1]  # highest degree first
 
     def rho(t):
         """Horner's rule acc * t + v through the libmp calls that mpf's ``*``
@@ -141,7 +143,7 @@ def _density_mpf(md: MeasureDensity, digits: int):
             acc = mpf_add(mpf_mul(acc, t, prec, round_nearest), v, prec, round_nearest)
         return mpmath.mp.make_mpf(acc)
 
-    return rho, [abs(v) for v in coeffs]
+    return rho
 
 
 # (n, working precision in bits) -> the n-point Gauss-Laguerre rule as (u_k, w_k) pairs
@@ -178,20 +180,6 @@ def _window_integral(rho, rule, x, T):
     return x * (whole - mpmath.exp(-T / x) * past)
 
 
-def _default_upper_limit(abs_coeffs, x_max, tol, digits):
-    # grow T until e^(-T/x_max) * sum |c_m| T^(m-1)/(m-1)! drops below tol
-    with mpmath.workdps(digits):
-        T = mpmath.mpf(40)
-        for _ in range(30):
-            envelope = mpmath.mpf(0)
-            for v in reversed(abs_coeffs):
-                envelope = envelope * T + v
-            if mpmath.e ** (-T / x_max) * max(envelope, 1) < tol:
-                return T
-            T = T * 2
-    raise DomainError("no finite quadrature window meets the tolerance")
-
-
 def _truncation_tail(coeffs, x, T):
     """Bound on what the Laplace integral of the density with coefficients
     ``coeffs`` (c_1, c_2, ... as mpf) loses past T at x: the transform of
@@ -215,18 +203,20 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
     """Gauss-Laguerre quadrature of the Laplace side against direct series evaluation.
 
     For each x the integral c_0 + integral_0^T e^(-t/x) density(t) dt is
-    compared to c_0 + sum_m c_m x^m; T defaults to the first window where
-    the integrand envelope falls below the tolerance.  The density is a
-    polynomial of degree order - 1, so one n-point Gauss-Laguerre rule, n =
-    max(1, ceil(order / 2)), integrates it with no quadrature error
-    (``_window_integral``): 2n density calls per point.  The rule is built
-    once per (n, working precision) and process (``_laguerre_rule``).  Both
-    sides are compared at the working precision, digits + 15, so the
-    residual shows rounding and the part of the integral past T instead of
-    being rounded to 0.  The note states the rule, n, the density degree
-    against the degree the rule is exact for, the integrand calls, and the
-    largest bound over x on the part past T relative to the series side
-    (``_truncation_tail``).  ``x_grid`` holds at least one positive point,
+    compared to c_0 + sum_m c_m x^m.  The density is a polynomial of degree
+    order - 1, so one n-point Gauss-Laguerre rule, n = max(1, ceil(order /
+    2)), integrates it with no quadrature error (``_window_integral``): 2n
+    density calls per point.  The rule is built once per (n, working
+    precision) and process (``_laguerre_rule``).  Both sides are compared
+    at the working precision, digits + 15, so the residual shows rounding
+    and the part of the integral past T instead of being rounded to 0.
+    ``tol`` (default 10^(10 - digits)) bounds that part relative to the
+    series side: T defaults to the first 40 2^k, k = 0..29, at which its
+    certified bound (``_truncation_tail``) is at most tol |series side| at
+    every x, else DomainError.  The note states the rule, n, the density
+    degree against the degree the rule is exact for, the integrand calls,
+    and the largest of those bounds over x relative to the series side.
+    ``x_grid`` holds at least one positive point,
     as a Fraction or an int; an ``upper_limit`` must be finite and positive,
     and a Fraction one is read as numerator over denominator at the working
     precision.  ``digits`` must be at least 1.
@@ -249,26 +239,34 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
                 T = mpmath.mpf(upper_limit)
         if not (mpmath.isfinite(T) and T > 0):
             raise DomainError(f"upper_limit must be finite and positive, not {upper_limit!r}")
-    rho, abs_coeffs = _density_mpf(md, work)
+    rho = _density_mpf(md, work)
     atom = md.atom_at_zero.to_mpf(work)
     n = max(1, -(-md.order // 2))
     with mpmath.workdps(work):
         if tol is None:
             tol = mpmath.mpf(10) ** (10 - digits)
         xs = [mpmath.mpf(x.numerator) / x.denominator for x in x_grid]
-        if upper_limit is None:
-            T = _default_upper_limit(abs_coeffs, max(xs), tol, digits)
-        rule = _laguerre_rule(n)
         coeffs = [c.to_mpf(work) for c in md.density_coeffs]
-        tail = mpmath.mpf(0)
-        pairs = []
+        sides = []
         for x in xs:
-            integral = atom + _window_integral(rho, rule, x, T)
-            series_side = atom
-            xp = mpmath.mpf(1)
+            series_side, xp = atom, mpmath.mpf(1)
             for c in coeffs:
                 xp = xp * x
                 series_side += c * xp
+            sides.append(series_side)
+        if upper_limit is None:
+            for k in range(30):
+                T = mpmath.mpf(40 << k)
+                if all(_truncation_tail(coeffs, x, T) <= tol * abs(side)
+                       for x, side in zip(xs, sides)):
+                    break
+            else:
+                raise DomainError("no finite quadrature window meets the tolerance")
+        rule = _laguerre_rule(n)
+        tail = mpmath.mpf(0)
+        pairs = []
+        for x, series_side in zip(xs, sides):
+            integral = atom + _window_integral(rho, rule, x, T)
             lost = _truncation_tail(coeffs, x, T)
             if lost:
                 tail = max(tail, lost / abs(series_side) if series_side else mpmath.inf)

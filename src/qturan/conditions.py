@@ -122,8 +122,10 @@ def majorization_sufficiency(c: Sequence[Scalar], d: Sequence[Scalar]) -> ChainV
     """
     t, s = len(c), len(d)
     big, small = (c, d) if t >= s else (d, c)
-    witness = next((idx for idx in combinations(range(len(big)), len(small))
-                    if weak_supermajorizes(small, [big[i] for i in idx])), None)
+    witness = None
+    if all(v.sign() > 0 for v in (*c, *d)):        # the lemma's hypothesis
+        witness = next((idx for idx in combinations(range(len(big)), len(small))
+                        if weak_supermajorizes(small, [big[i] for i in idx])), None)
     via = witness is not None
 
     case = chain_case(c, d)

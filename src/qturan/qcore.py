@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath
-from mpmath.libmp import fone, fzero, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import fone, fzero, mpf_mul, mpf_sub, round_nearest, to_rational
 
 from .scalar import (
     DEFAULT_DIGITS,
@@ -86,13 +86,13 @@ class QBase:
 
     @classmethod
     def floating(cls, q, digits: int = DEFAULT_DIGITS) -> "QBase":
-        """A float base.  An int or Fraction q keeps its rational value as
-        ``q_frac``, which the float sign certificates run their interval
-        enclosures on; a Python float or a FloatScalar q has none."""
+        """A float base.  ``q_frac``, the rational value the float sign
+        certificates run their interval enclosures on, is q itself for a
+        Fraction and the exact value of the base's binary mpf otherwise."""
         qs = q if isinstance(q, FloatScalar) else FloatScalar(q, digits)
         if not (0 < qs.val < 1):
             raise DomainError(f"q={qs.val} not in (0,1)")
-        q_frac = as_fraction(q) if isinstance(q, (int, Fraction)) else None
+        q_frac = q if isinstance(q, Fraction) else Fraction(*to_rational(qs.val._mpf_))
         return cls(mode="float", q=qs, p=qs.sqrt(), q_frac=q_frac, digits=digits)
 
     def held_qq_inf(self) -> Scalar:

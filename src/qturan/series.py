@@ -703,14 +703,12 @@ def kummer_1f1_value(b: Fraction, x: FloatScalar, digits: int) -> FloatScalar:
     limit = 10 * digits + 200
     with mpmath.workdps(digits):
         bv = mpmath.mpf(b.numerator) / b.denominator
-        total = mpmath.mpf(1)
-        term = mpmath.mpf(1)
-        n = 0
-        while n < limit:
+        stop = mpmath.mpf(10) ** (-digits - 8)
+        total = term = mpmath.mpf(1)
+        for n in range(limit):
             term = term * x.val / (bv + n)
             total += term
-            n += 1
-            if abs(term) < mpmath.mpf(10) ** (-digits - 8) * max(abs(total), 1):
+            if abs(term) < stop * max(abs(total), 1):
                 break
         else:
             raise DomainError(f"1F1(1; b; x) at b={b}, x={mpmath.nstr(x.val, 15)} "

@@ -48,13 +48,13 @@ and that coefficient is recomputed exactly as an O(m) dot product; that is
 how exact zeros are proven.  Verdicts involve no tolerance.
 
 In float mode the same interval certificate runs on the exact twin of the
-float base, ``QBase.exact(q=q_frac)``, and a point it decides is reported
-as in exact mode (``decided_by`` "interval"), its coeff0 and margin
-converted to the base's digits, the margin rounded toward 0 so that it
-stays a lower bound.  No exact series are built there: the float
-classifier decides a point the intervals cannot, which is one with no
-rational q, with mu, alpha, beta (or an entry of a, b) off the
-half-integer grid, a tilde point whose rho enclosure would take more than
+float base, ``QBase.exact(q=q_frac)`` on q's exact rational value, and a
+point it decides is reported as in exact mode (``decided_by`` "interval"),
+its coeff0 and margin converted to the base's digits, the margin rounded
+toward 0 so that it stays a lower bound.  No exact series are built
+there: the float classifier decides a point the intervals cannot, which
+is one with mu, alpha, beta (or an entry of a, b) off the half-integer
+grid, a tilde point whose rho enclosure would take more than
 ``_MAX_PRODUCT_TERMS`` factors, or one where an enclosure contains 0 or
 rho leaves Delta_0 undecided.  That classifier builds the four float
 series (the tilde ones with their true 1/Gamma_q scale), and a strict
@@ -573,14 +573,14 @@ def _classify_float(tail, bounds):
 
 def _interval_base(spec: TuranianSpec) -> QBase | None:
     """The exact base the interval certificate of spec runs on: spec's own
-    in exact mode; in float mode that of q's rational value, or None where
-    the intervals cannot run (no rational q, or mu, alpha, beta or an entry
-    of a or b off the half-integer grid)."""
+    in exact mode; in float mode that of q's exact rational value, or None
+    where the intervals cannot run (mu, alpha, beta or an entry of a or b
+    off the half-integer grid)."""
     q = spec.q
     if q.is_exact:
         return q
     shifts = (spec.mu, spec.alpha, spec.beta, *spec.a, *spec.b)
-    if q.q_frac is None or any((2 * s).denominator != 1 for s in shifts):
+    if any((2 * s).denominator != 1 for s in shifts):
         return None
     return QBase.exact(q=q.q_frac)
 

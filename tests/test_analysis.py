@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from qturan import analysis
 from qturan.analysis import (
     MeasureDensity,
-    _default_upper_limit,
     _density_mpf,
     complete_monotonicity_check,
     laplace_representation_check,
@@ -22,7 +21,14 @@ from qturan.analysis import (
 )
 from qturan.identities import _compare
 from qturan.qcore import QBase
-from qturan.scalar import DimensionError, DomainError, ExactScalar, FloatScalar, fl
+from qturan.scalar import (
+    DimensionError,
+    DomainError,
+    ExactModeError,
+    ExactScalar,
+    FloatScalar,
+    fl,
+)
 from qturan.series import TruncatedSeries
 from qturan.turanian import Family, TuranianSpec, turanian_series
 
@@ -57,32 +63,53 @@ def _doubling_panels(x, T):
     return points
 
 
+def _series_sides(md, xs, work):
+    """c_0 + sum_m c_m x^m at each x, summed in order at the working precision."""
+    sides = []
+    for x in xs:
+        series_side, xp = md.atom_at_zero.to_mpf(work), mpmath.mpf(1)
+        for c in md.density_coeffs:
+            xp = xp * x
+            series_side += c.to_mpf(work) * xp
+        sides.append(series_side)
+    return sides
+
+
+def _tail_meets_tol(md, xs, sides, tol, T, work):
+    """The default window's test: the tail bound past T is at most tol
+    times |series side| at every x."""
+    coeffs = [c.to_mpf(work) for c in md.density_coeffs]
+    return all(analysis._truncation_tail(coeffs, x, mpmath.mpf(T)) <= tol * abs(side)
+               for x, side in zip(xs, sides))
+
+
 def _reference_laplace(md, x_grid, *, digits=DIGITS, upper_limit=None, tol=None):
     """The Laplace check on mpmath's default tanh-sinh rule, on panels that
-    double in width, with the integrand e^(-t/x) rho(t)."""
+    double in width, with the integrand e^(-t/x) rho(t).  With no
+    upper_limit, T is the first 40 2^k whose tail bound is at most tol
+    times |series side| at every x: the check's own window rule, so that
+    the reference tests the quadrature, not the window."""
     work = digits + 15
-    rho, abs_coeffs = _density_mpf(md, work)
+    rho = _density_mpf(md, work)
     atom = md.atom_at_zero.to_mpf(work)
     with mpmath.workdps(work):
         if tol is None:
             tol = mpmath.mpf(10) ** (10 - digits)
         xs = [mpmath.mpf(x.numerator) / x.denominator for x in x_grid]
-        T = mpmath.mpf(upper_limit) if upper_limit is not None else \
-            _default_upper_limit(abs_coeffs, max(xs), tol, digits)
+        sides = _series_sides(md, xs, work)
+        T = mpmath.mpf(upper_limit if upper_limit is not None else next(
+            40 << k for k in range(30) if _tail_meets_tol(md, xs, sides, tol, 40 << k, work)))
         pairs = []
-        for x in xs:
+        for x, series_side in zip(xs, sides):
             integral = atom + mpmath.quad(lambda t: mpmath.e ** (-t / x) * rho(t),
                                           _doubling_panels(x, T))
-            series_side = atom
-            xp = mpmath.mpf(1)
-            for c in md.density_coeffs:
-                xp = xp * x
-                series_side += c.to_mpf(work) * xp
             pairs.append((FloatScalar(integral, work), FloatScalar(series_side, work)))
     return _compare(pairs, "float", md.order, "laplace-representation")
 
 
 NONNEG_DENSITY = measure_from_series(nonneg_family_turanian())
+ORDER_12_DENSITY = measure_from_series(nonneg_family_turanian(order=12))
+SINGLE_TERM = MeasureDensity(fl(0, DIGITS), (fl(1, DIGITS),), 1)
 # 219 bits: a 169-bit head, then 0 followed by 49 ones
 V_JUST_UNDER_HALF = (((1 << 168) + 12345) << 50) + (1 << 49) - 1
 
@@ -192,6 +219,19 @@ class TestMultiplicativeConvexity:
         with pytest.raises(DimensionError, match="at least one pair"):
             multiplicative_convexity_check(lambda v: v.exp(), [])
 
+    @pytest.mark.parametrize("pairs", [
+        [(ExactScalar(F(1, 4)), ExactScalar(F(1, 9)))],
+        [(fl(F(1, 4), DIGITS), ExactScalar(F(1, 9)))],
+        [(fl(F(1, 4), DIGITS), fl(1, DIGITS)), (F(1, 4), F(1, 4))],
+    ], ids=["exact", "mixed", "fraction-second-pair"])
+    def test_points_that_are_not_float_are_refused_before_any_evaluation(self, pairs):
+        # sqrt(x1 x2) is not exact in general, so exact points are a mode
+        # error, raised before the evaluator runs on any pair
+        def never(_):
+            raise AssertionError("the evaluator was called")
+        with pytest.raises(ExactModeError, match="FloatScalar points"):
+            multiplicative_convexity_check(never, pairs)
+
 
 class TestLaplaceRepresentation:
     def test_zero_density(self):
@@ -273,7 +313,7 @@ class TestLaplaceRepresentation:
         # rho must give the bits of mpf Horner steps at the working precision
         # of each call, whatever the digits it was built at
         coeffs = tuple(fl(c * F(2) ** k, digits) for c, k in terms)
-        rho, _ = _density_mpf(MeasureDensity(fl(0, digits), coeffs, len(coeffs)), digits)
+        rho = _density_mpf(MeasureDensity(fl(0, digits), coeffs, len(coeffs)), digits)
         with mpmath.workdps(digits):
             scaled = [c.val / mpmath.factorial(m) for m, c in enumerate(coeffs)]
         with mpmath.workdps(dps):
@@ -358,7 +398,7 @@ class TestLaplaceRepresentation:
         coeffs = tuple(fl(F(abs(c) if nonneg else c, 7), DIGITS) for c in numerators)
         md = MeasureDensity(fl(0, DIGITS), coeffs, len(coeffs))
         work = DIGITS + 15
-        rho, _ = _density_mpf(md, work)
+        rho = _density_mpf(md, work)
         with mpmath.workdps(work):
             x = mpmath.mpf(x_frac.numerator) / x_frac.denominator
             T = mpmath.mpf(t_frac.numerator) / t_frac.denominator
@@ -380,7 +420,7 @@ class TestLaplaceRepresentation:
         # function: ceil(order/2) nodes give it to rounding, one node fewer
         # leaves a quadrature error many orders of magnitude above that
         coeffs = (fl(0, DIGITS),) * (order - 1) + (fl(1, DIGITS),)
-        rho, _ = _density_mpf(MeasureDensity(fl(0, DIGITS), coeffs, order), DIGITS + 15)
+        rho = _density_mpf(MeasureDensity(fl(0, DIGITS), coeffs, order), DIGITS + 15)
         n = -(-order // 2)
         with mpmath.workdps(DIGITS + 15):
             x, T = mpmath.mpf(3) / 5, mpmath.mpf(80)
@@ -402,12 +442,12 @@ class TestLaplaceRepresentation:
         make = analysis._density_mpf
 
         def spy_density(md, digits):
-            rho, abs_coeffs = make(md, digits)
+            rho = make(md, digits)
 
             def counted(t):
                 calls[0] += 1
                 return rho(t)
-            return counted, abs_coeffs
+            return counted
 
         monkeypatch.setattr(analysis, "_LAGUERRE_RULES", {})
         monkeypatch.setattr(mpmath.mp, "gauss_quadrature", spy_gauss)
@@ -457,6 +497,49 @@ class TestLaplaceRepresentation:
                                    "[0, T = 80.0]: density degree 39, exact for degree <= 39; ")
             assert note.endswith(f"; tail past T at most {mpmath.nstr(bounds[x], 3)} "
                                  "of the series side")
+
+    @pytest.mark.parametrize("md, x_grid, digits, tol, T", [
+        (NONNEG_DENSITY, [F(3, 10)], DIGITS, None, 40),
+        (NONNEG_DENSITY, [F(3, 10), F(6, 10)], DIGITS, None, 80),
+        (ORDER_12_DENSITY, [F(3, 10)], 20, mpmath.mpf("1e-12"), 40),
+        (SINGLE_TERM, [F(1, 2), F(2)], DIGITS, None, 320),
+        (SINGLE_TERM, [F(1000)], DIGITS, None, 163840),
+    ], ids=["order-40", "order-40-two-points", "order-12", "single-term", "single-term-x1000"])
+    def test_the_default_window_is_the_first_whose_tail_bound_meets_tol(
+            self, md, x_grid, digits, tol, T):
+        res = laplace_representation_check(md, x_grid, digits=digits, tol=tol)
+        assert f"on [0, T = {mpmath.nstr(mpmath.mpf(T), 6)}]: " in res.note
+        pinned = laplace_representation_check(md, x_grid, digits=digits, upper_limit=T)
+        assert (res.max_rel.val, res.note) == (pinned.max_rel.val, pinned.note)
+        # the bound meets tol |series side| at every x at T, and misses it
+        # at some x one doubling earlier
+        work = digits + 15
+        with mpmath.workdps(work):
+            tol = mpmath.mpf(10) ** (10 - digits) if tol is None else tol
+            xs = [mpmath.mpf(x.numerator) / x.denominator for x in x_grid]
+            sides = _series_sides(md, xs, work)
+            assert _tail_meets_tol(md, xs, sides, tol, T, work)
+            assert T == 40 or not _tail_meets_tol(md, xs, sides, tol, T // 2, work)
+
+    @pytest.mark.parametrize("scale", [F(2) ** 100, F(2) ** -100])
+    @pytest.mark.parametrize("md, x_grid, T", [(SINGLE_TERM, [F(1, 2), F(2)], 320),
+                                               (NONNEG_DENSITY, [F(3, 10), F(6, 10)], 80)],
+                             ids=["single-term", "order-40"])
+    def test_the_default_window_is_relative_to_the_series_side(self, md, x_grid, T, scale):
+        # a power-of-2 scale multiplies the tail bound and the series side
+        # alike and exactly, so the window stays; a bound held against tol
+        # alone would move it (to 640 and to 80 for the single term at 2^100
+        # and 2^-100)
+        factor = fl(scale, DIGITS)
+        scaled = MeasureDensity(md.atom_at_zero * factor,
+                                tuple(c * factor for c in md.density_coeffs), md.order)
+        res = laplace_representation_check(scaled, x_grid, digits=DIGITS)
+        assert f"on [0, T = {mpmath.nstr(mpmath.mpf(T), 6)}]: " in res.note
+
+    def test_no_window_meets_the_tolerance_far_out(self):
+        # at x = 10^12 even T = 40 2^29 leaves e^(-T/x) near 1
+        with pytest.raises(DomainError, match="no finite quadrature window"):
+            laplace_representation_check(SINGLE_TERM, [F(10 ** 12)], digits=DIGITS)
 
     # 0, -5 and nan leave no window to integrate over, and inf no finite one
     @pytest.mark.parametrize("upper_limit", [0, -5, "nan", "inf"])

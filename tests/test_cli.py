@@ -164,6 +164,20 @@ def test_conditions_command(tmp_path):
     assert rec["c"] == ["3", "7"]
 
 
+def test_conditions_command_accepts_zero_parameters(tmp_path, capsys):
+    # a zero entry of b gives d_1 = 0: no majorization witness is searched
+    # for, and the chain case the g certificates use is still reported
+    out = tmp_path / "c.json"
+    code = run(["conditions", "--a", "1,2", "--b", "0,1", "--q", "1/2",
+                "--out", str(out)])
+    assert code == 0
+    assert "chain case: b; majorization witness: False" in capsys.readouterr().out
+    rec = read_json(out)["verdicts"][0]
+    assert rec["d"] == ["0", "1"]
+    assert rec["applies_case_b"] is True
+    assert rec["via_majorization"] is False and rec["witness_subvector"] is None
+
+
 def test_verify_float_tolerance_gate():
     code = run(["verify", "--identity", "connection", "--alpha", "0",
                 "--y", "1", "--q", "1/2", "--mode", "float", "--tol", "1e-30"])

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qturan import conditions
 from qturan.conditions import (
     RtsDirection,
     chain_case,
@@ -161,6 +162,21 @@ class TestMajorizationSufficiency:
         verdict = majorization_sufficiency(exv(1, 1, 1), exv(1))
         assert verdict.via_majorization
         assert not verdict.applies_case_a and not verdict.applies_case_b
+
+    @pytest.mark.parametrize("a, b, case", [((F(1), F(2)), (F(0), F(1)), "b"),
+                                            ((F(0), F(1)), (F(0), F(1)), "a+b")])
+    def test_a_zero_entry_skips_the_witness_search_and_keeps_the_chain_cases(
+            self, a, b, case, monkeypatch):
+        # the lemma needs positive entries; a zero parameter gives c_k or d_k = 0
+        def refused(*_):
+            raise AssertionError("a witness was searched for")
+        monkeypatch.setattr(conditions, "weak_supermajorizes", refused)
+        c, d = derive_cd(a, b, Q12)
+        verdict = majorization_sufficiency(c, d)
+        assert (verdict.via_majorization, verdict.witness_subvector) == (False, None)
+        assert verdict.applies_case_a == (case in ("a", "a+b"))
+        assert verdict.applies_case_b == (case in ("b", "a+b"))
+        assert chain_case(c, d) == case
 
     def test_witness_implies_chain_on_random_suite(self):
         # witness found implies the chain holds: no counterexample in 500 draws

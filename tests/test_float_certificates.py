@@ -1,13 +1,14 @@
 """Float-mode sign certificates decide on intervals over q's rational value.
 
-A float base built from an int or a Fraction keeps that rational value, and
-a float certificate runs exact mode's interval certificate on it.  Such a
-point must never disagree with exact mode: same verdict and first
-violation, and a margin that is the exact certificate's lower bound cut
-toward 0 at the float digits.  Where the intervals cannot decide (no
-rational q, a shift off the half-integer grid, a tilde rho enclosure past
-the product cap, an enclosure containing 0, an undecided rho) the float
-classifier decides, and no exact series are built.
+Every float base keeps an exact rational value of q: a Fraction's own, and
+the exact value of the base's binary mpf for any other input.  A float
+certificate runs exact mode's interval certificate on it.  Such a point
+must never disagree with exact mode: same verdict and first violation, and
+a margin that is the exact certificate's lower bound cut toward 0 at the
+float digits.  Where the intervals cannot decide (a shift off the
+half-integer grid, a tilde rho enclosure past the product cap, an
+enclosure containing 0, an undecided rho) the float classifier decides,
+and no exact series are built.
 """
 
 import json
@@ -135,8 +136,22 @@ def test_margins_are_cut_toward_zero():
 def test_a_fraction_base_keeps_its_rational_value():
     assert QBase.floating(F(1, 2)).q_frac == F(1, 2)
     assert QBase.floating(F(9, 16)).q_frac == F(9, 16)
-    assert QBase.floating(0.5).q_frac is None
-    assert QBase.floating(FloatScalar(F(1, 2))).q_frac is None
+    # as given, not the rounding held as the base's mpf
+    third = QBase.floating(F(1, 3))
+    assert third.q_frac == F(1, 3) != value(third.q)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.3, FloatScalar(1 / 3), FloatScalar(F(1, 3), 30),
+                               mpmath.mpf(0.7), "0.3"],
+                         ids=["0.5", "0.3", "FloatScalar(1/3)", "FloatScalar(F(1,3),30)",
+                              "mpf", "str"])
+def test_any_other_base_keeps_the_exact_value_of_its_mpf(q):
+    base = QBase.floating(q)
+    assert isinstance(base.q_frac, F) and base.q_frac == value(base.q)
+    if isinstance(q, float):
+        assert base.q_frac == F(q)
+    if q == "0.3":
+        assert base.q_frac != F(3, 10) and abs(base.q_frac - F(3, 10)) < F(1, 10**50)
 
 
 @pytest.mark.parametrize("family, mu", [(Family.HEINE_F, F(1, 3)),
@@ -152,10 +167,34 @@ def test_off_grid_mu_goes_to_the_float_classifier(family, mu):
 
 
 @pytest.mark.parametrize("q", [FloatScalar(F(1, 2)), 0.5], ids=["FloatScalar", "float"])
-def test_a_base_without_a_rational_value_goes_to_the_float_classifier(q):
+def test_a_base_built_from_a_float_is_decided_on_intervals(q):
     rep = sign_certificate(TuranianSpec(Family.HEINE_F, F(1), F(1), F(2),
                                         QBase.floating(q), 30))
-    assert rep.decided_by == "float" and rep.verdict == SignVerdict.ALL_STRICTLY_NEG
+    assert rep.decided_by == "interval" and rep.verdict == SignVerdict.ALL_STRICTLY_NEG
+
+
+FLOAT_BUILT = {"0.5": 0.5, "0.3": 0.3, "FloatScalar(1/3)": FloatScalar(1 / 3)}
+ON_GRID = {"heine-f": (Family.HEINE_F, (F(1), F(1), F(2)), ((), ())),
+           "tilde": (Family.HEINE_F_TILDE, TILDE, ((), ())),
+           "g-b": (Family.G_NORMALIZED, (F(1), F(1), F(2)), VECTORS["g-b"])}
+
+
+@pytest.mark.parametrize("point", ON_GRID)
+@pytest.mark.parametrize("q", FLOAT_BUILT)
+def test_float_built_bases_agree_with_exact_mode_on_their_exact_value(q, point):
+    # no float classifier and no exact series: the exact twin's intervals
+    # decide, with its verdict and its coeff0 rounded to the float digits
+    family, shifts, vectors = ON_GRID[point]
+    base = QBase.floating(FLOAT_BUILT[q])
+    rep = sign_certificate(TuranianSpec(family, *shifts, base, 60, *vectors))
+    ref = sign_certificate(TuranianSpec(family, *shifts, QBase.exact(q=base.q_frac), 60,
+                                        *vectors))
+    assert rep.decided_by == ref.decided_by == "interval"
+    assert rep.matches_expected and rep.exact_fallbacks == 0
+    assert (rep.verdict, rep.first_violation) == (ref.verdict, ref.first_violation)
+    assert rep.normalization == ref.normalization
+    assert rep.coeff0.val == ref.coeff0.to_float_scalar(50).val
+    assert 0 < value(rep.min_margin) and ex(value(rep.min_margin)) <= ref.min_margin
 
 
 class _FloatSeries(Exception):
