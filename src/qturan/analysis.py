@@ -219,7 +219,7 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
     ``x_grid`` holds at least one positive point,
     as a Fraction or an int; an ``upper_limit`` must be finite and positive,
     and a Fraction one is read as numerator over denominator at the working
-    precision.  ``digits`` must be at least 1.
+    precision.  ``digits`` must be at least 1 and every c_m >= 0.
     """
     if digits < 1:
         raise DomainError(f"the Laplace check needs digits >= 1, not {digits}")
@@ -229,6 +229,9 @@ def laplace_representation_check(md: MeasureDensity, x_grid, *,
         raise DomainError("evaluation points must be given as Fractions or ints")
     if any(x <= 0 for x in x_grid):
         raise DomainError("evaluation points must be positive")
+    for m, c in enumerate(md.density_coeffs, start=1):
+        if c.sign() < 0:
+            raise DomainError(f"density coefficient c_{m} is negative: no positive measure")
     # 15 guard digits absorb quadrature round-off below the reported digits
     work = digits + 15
     if upper_limit is not None:

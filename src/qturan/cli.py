@@ -133,7 +133,7 @@ def report_verdict(rep: turanian.SignReport, point: dict) -> dict:
         "chain_case": rep.chain_case,
         "mode": rep.mode,
         "decided_by": rep.decided_by,
-        "exact_fallbacks": rep.exact_fallbacks,
+        "interval_bits": rep.interval_bits,
     })
     return rec
 

@@ -27,8 +27,10 @@ power-series coefficients:
 The three family certificates check only their own hypotheses and choose
 the expectation, the normalization and (tilde) the rho enclosure; one
 routine, ``_certify``, turns the spec into its report in every family and
-mode.  A zero shift gives the identically zero series, and a certificate
-needs order >= 1, so a verdict always rests on some coefficient m >= 1.
+mode.  A zero shift gives the identically zero series, and so does a g
+point with a = b as multisets, whose shifted series are all one series.
+A certificate needs order >= 1, so a verdict always rests on some
+coefficient m >= 1.
 
 In exact mode the four shifted series are built exactly to order 0 only
 (their exact leading coefficients give Delta_0).  Each series' exact
@@ -41,25 +43,26 @@ coefficient; the four recurrences share one chain of enclosures of q^n and
 Cauchy kernel, where ``_Interval.convolve`` makes each one big-integer
 multiplication per endpoint and rounds each coefficient once (a ``dot`` per
 coefficient when the mantissas spread too wide to pack), and every
-u_m - rho v_m is formed exactly on the integer mantissas.  Only when a coefficient's
-enclosure contains 0, or cannot stay nonnegative, do the heads' term ratios
-run on in exact arithmetic, over one chain of q-powers to the full order,
-and that coefficient is recomputed exactly as an O(m) dot product; that is
-how exact zeros are proven.  Verdicts involve no tolerance.
+u_m - rho v_m is formed exactly on the integer mantissas.  A coefficient
+whose enclosure contains 0, or cannot stay nonnegative, is enclosed again
+at twice the precision, up to ``_MAX_PREC`` bits (2 ``_PREC`` where rho is
+a proper interval, whose width more bits cannot narrow); one still
+undecided there leaves the verdict INCONCLUSIVE.  Verdicts involve no
+tolerance, and no exact series is built past order 0.
 
 In float mode the same interval certificate runs on the exact twin of the
 float base, ``QBase.exact(q=q_frac)`` on q's exact rational value, and a
 point it decides is reported as in exact mode (``decided_by`` "interval"),
 its coeff0 and margin converted to the base's digits, the margin rounded
-toward 0 so that it stays a lower bound.  No exact series are built
-there: the float classifier decides a point the intervals cannot, which
-is one with mu, alpha, beta (or an entry of a, b) off the half-integer
-grid, a tilde point whose rho enclosure would take more than
-``_MAX_PRODUCT_TERMS`` factors, or one where an enclosure contains 0 or
-rho leaves Delta_0 undecided.  That classifier builds the four float
-series (the tilde ones with their true 1/Gamma_q scale), and a strict
-verdict there additionally requires every margin to exceed ten times a
-propagated rounding envelope, otherwise the verdict is INCONCLUSIVE.
+toward 0 so that it stays a lower bound.  The float classifier decides a
+point the intervals cannot, which is one with mu, alpha, beta (or an entry
+of a, b) off the half-integer grid, a tilde point whose rho enclosure would
+take more than ``_MAX_PRODUCT_TERMS`` factors, or one where an enclosure
+contains 0 at the widest precision or rho leaves Delta_0 undecided.  That
+classifier builds the four float series (the tilde ones with their true
+1/Gamma_q scale), and a strict verdict there additionally requires every
+margin to exceed ten times a propagated rounding envelope, otherwise the
+verdict is INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import ceil, gcd, isqrt, log
 
 from . import conditions
@@ -139,12 +143,11 @@ class SignReport:
 
     ``min_margin`` is min over m >= 1 of |Delta_m| for a one-signed verdict
     (None for MIXED and INCONCLUSIVE).  In exact mode it is a certified
-    lower bound, not the exact minimum: a coefficient decided by its
-    enclosure contributes that enclosure's endpoint nearest zero, formed
-    exactly on the integer mantissas and rounded toward zero to a _PREC-bit
-    dyadic rational; one decided exactly contributes its exact value (or,
-    for the tilde family with both shifts non-integer, the bound from the
-    rho enclosure).
+    lower bound, not the exact minimum: each coefficient contributes its
+    enclosure's endpoint nearest zero, formed exactly on the integer
+    mantissas and rounded toward zero to a dyadic rational of the
+    enclosure's bits (for the tilde family with both shifts non-integer,
+    the bound from the rho enclosure).
     ``coeff0`` is computed exactly (tilde with both shifts non-integer: its
     bound from the rho enclosure).
 
@@ -153,13 +156,14 @@ class SignReport:
     toward 0, so it stays a lower bound in value and in print.
 
     ``decided_by`` names the path that decided the signs: ``interval``
-    (every interval excluded 0, in either mode), ``interval+exact``
-    (``exact_fallbacks`` coefficients were recomputed exactly; exact mode
-    only), ``float`` (the float classifier, in float mode where the
-    intervals cannot decide) or ``degenerate`` (a zero shift, so the series
-    vanishes identically); it is None when the rho enclosure leaves a sign
-    undecided in exact mode (INCONCLUSIVE).  Both are deterministic, so
-    exact reports stay byte-stable.
+    (every enclosure excluded 0, in either mode), ``float`` (the float
+    classifier, in float mode where the intervals cannot decide) or
+    ``degenerate`` (a zero shift, or a g point with a = b, so the series
+    vanishes identically); it is None when an enclosure leaves a sign
+    undecided in exact mode (INCONCLUSIVE).  ``interval_bits`` is the
+    widest precision any coefficient's enclosure needed: ``_PREC`` unless a
+    straddle of 0 escalated it, None where no enclosure decided.  Both are
+    deterministic, so exact reports stay byte-stable.
 
     ``expected`` is the paper's claim that the certificate checks, always
     set: strictly negative (Heine), strictly positive (tilde), or the
@@ -180,7 +184,7 @@ class SignReport:
     matches_expected: bool
     chain_case: str | None = None
     decided_by: str | None = None
-    exact_fallbacks: int = 0
+    interval_bits: int | None = None
 
 
 # What each claim allows: the verdicts that fulfil it, and the signs of
@@ -265,8 +269,9 @@ def reported_turanian_series(spec: TuranianSpec, rep: SignReport) -> TruncatedSe
 # Bits of the mantissas of every outward-rounded enclosure in the exact
 # certificates.  About 30 digits: the smallest relative margin on the
 # acceptance grids is ~4e-3, and a coefficient whose enclosure still contains
-# 0 is recomputed exactly.
+# 0 is enclosed again at twice the bits, up to _MAX_PREC.
 _PREC = 100
+_MAX_PREC = 64 * _PREC
 
 
 class _Interval(tuple):
@@ -283,7 +288,7 @@ class _Interval(tuple):
 
     Every arithmetic result is rounded outward once, both ends by the one
     shift that leaves hi with ``prec`` bits (lo down, hi up; ``prec`` is
-    _PREC unless the caller guards more): ``mul``, ``div`` and
+    _PREC unless the caller guards or escalates it): ``mul``, ``div`` and
     ``one_minus``, the recurrence's operations, round their exact result
     inline, and ``dot`` and ``convolve`` sum exact dyadic products before
     rounding through ``rounded``, so no common grid is imposed on
@@ -466,17 +471,12 @@ class _Interval(tuple):
 _Interval.ARITH = (_Interval.of, _Interval.mul, _Interval.div, _Interval.one_minus)
 
 
-def _exact_bound(series, rho_lo, rho_hi, m: int):
-    """Exact bound on u_m - rho v_m with its sign, or None if undecided.
-
-    rho lies in [rho_lo, rho_hi] and v_m >= 0 (both products have positive
-    coefficients), so u_m - rho v_m lies in [u_m - rho_hi v_m, u_m - rho_lo
-    v_m].  The bound is that interval's endpoint nearest zero; None when the
-    interval contains 0 without being the point 0.
-    """
-    s_a, s_b, s_0, s_ab = series
-    u = s_a.product_coefficient(s_b, m)
-    v = s_0.product_coefficient(s_ab, m)
+def _coeff0_bound(heads, rho_lo, rho_hi):
+    """Exact bound on Delta_0 = u_0 - rho v_0 with its sign.  As v_0 > 0,
+    Delta_0 lies in [u_0 - rho_hi v_0, u_0 - rho_lo v_0]; the bound is its
+    endpoint nearest 0, None when it contains 0 without being the point 0."""
+    f_a, f_b, f_0, f_ab = (h.coeffs[0] for h in heads)
+    u, v = f_a * f_b, f_0 * f_ab
     lo, hi = u - rho_hi * v, u - rho_lo * v
     if lo.sign() > 0 or (lo.is_zero() and hi.is_zero()):
         return lo
@@ -485,50 +485,51 @@ def _exact_bound(series, rho_lo, rho_hi, m: int):
     return None
 
 
-def _exact_mode_bounds(heads, enclosures, build, rho):
+def _interval_bounds(heads, order: int, rho):
     """Certified bounds on every Delta_m = u_m - rho v_m of four shifted series.
 
-    The series are (F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta)), so
-    u = F(mu+alpha)F(mu+beta) and v = F(mu)F(mu+alpha+beta).  ``heads``
-    holds them exactly to order 0 at least, ``enclosures`` as series of
-    _Interval triples to the full order, and ``build()`` returns them
-    exactly to the full order; with ``build`` None (float mode) no exact
-    series are built, and a coefficient the intervals leave undecided
-    leaves the point undecided.  ``rho`` is an exact enclosure (rho_lo,
-    rho_hi) of the prefactor ratio ((1, 1) for the Heine and g families).
-    Both products are formed once, by _Interval.convolve, every u_m - rho
-    v_m, m >= 1, is enclosed, and the coefficients whose enclosure contains 0 or is
-    unbounded are recomputed exactly, calling ``build`` at the first of
-    them.  Each bound has the sign of its coefficient and at most its
-    magnitude: the endpoint of _Interval.bound_minus (a dyadic rational) or
-    the exact bound of _exact_bound.  Returns (coeff0 bound, bounds for
-    m >= 1, exact fallbacks), or None when the rho enclosure leaves a sign
-    undecided or ``build`` is None and an enclosure contains 0.
+    ``heads`` holds (F(mu+alpha), F(mu+beta), F(mu), F(mu+alpha+beta))
+    exactly to order 0, so u = F(mu+alpha)F(mu+beta), v = F(mu)F(mu+alpha+
+    beta), and ``rho`` is an exact enclosure (rho_lo, rho_hi) of the
+    prefactor ratio ((1, 1) for the Heine and g families).  The heads' term
+    ratios enclose the series at _PREC bits and _Interval.convolve forms
+    both products.  A coefficient whose enclosure contains 0 or is
+    unbounded is enclosed again at twice the precision, one _Interval.dot
+    per product on enclosures rebuilt from the ratios: up to _MAX_PREC
+    bits, or 2 _PREC where rho is a proper interval, whose width no
+    precision of the series narrows.  Each bound (_Interval.bound_minus)
+    has its coefficient's sign and at most its magnitude.  Returns (coeff0
+    bound, bounds for m >= 1, the widest precision used), or None when a
+    sign stays undecided.
     """
     rho_lo, rho_hi = rho
-    head = _exact_bound(heads, rho_lo, rho_hi, 0)
+    head = _coeff0_bound(heads, rho_lo, rho_hi)
     if head is None:
         return None
-    (lo, _, lo_e), (_, hi, hi_e) = _Interval.of(rho_lo), _Interval.of(rho_hi)
-    e = min(lo_e, hi_e)
-    rho = (lo << (lo_e - e), hi << (hi_e - e), e)
-    f_a, f_b, f_0, f_ab = (TruncatedSeries(tuple(map(_Interval, s.coeffs)), s.order)
-                           for s in enclosures)
-    u, v = (f_a * f_b).coeffs, (f_0 * f_ab).coeffs
-    exact, bounds, fallbacks = None, [], 0
-    for m in range(1, len(u)):
-        bound = _Interval.bound_minus(u[m], rho, v[m])
-        if bound is None:
-            if build is None:
-                return None
-            fallbacks += 1
-            if exact is None:
-                exact = build()
-            bound = _exact_bound(exact, rho_lo, rho_hi, m)
-            if bound is None:
-                return None
-        bounds.append(bound)
-    return head, bounds, fallbacks
+    ratios = [h.ratio for h in heads]
+    bounds, undecided, prec = [None] * order, range(1, order + 1), _PREC
+    cap = _MAX_PREC if rho_lo == rho_hi else 2 * _PREC
+    while undecided:
+        if prec > cap:
+            return None
+        first = prec == _PREC
+        arith = _Interval.ARITH if first else tuple(
+            partial(f, prec=prec) for f in _Interval.ARITH)
+        f_a, f_b, f_0, f_ab = (TruncatedSeries(tuple(map(_Interval, s.coeffs)), s.order) for s
+                               in TermRatio.series_of(ratios, undecided[-1], arith))
+        if first:
+            u, v = (f_a * f_b).coeffs, (f_0 * f_ab).coeffs
+        else:
+            u, v = ({m: _Interval.dot(x.coeffs[:m + 1], y.coeffs[m::-1], prec)
+                     for m in undecided} for x, y in ((f_a, f_b), (f_0, f_ab)))
+        (lo, _, lo_e), (_, hi, hi_e) = _Interval.of(rho_lo, prec), _Interval.of(rho_hi, prec)
+        e = min(lo_e, hi_e)
+        rho_iv = lo << (lo_e - e), hi << (hi_e - e), e
+        for m in undecided:
+            bounds[m - 1] = _Interval.bound_minus(u[m], rho_iv, v[m], prec)
+        undecided = [m for m in undecided if bounds[m - 1] is None]
+        prec *= 2
+    return head, bounds, prec // 2
 
 
 def _classify_exact(bounds):
@@ -591,14 +592,13 @@ def _certify(spec: TuranianSpec, expected, norm, base, rho=(ex(1), ex(1)),
 
     A zero shift makes the Turanian vanish identically.  Otherwise the
     four shifted series are built exactly to order 0 only, on the exact
-    ``base`` (see _interval_base); their term ratios, run in _Interval
-    arithmetic over one chain of q-powers (TermRatio.series_of), enclose
-    them to the full order.  In exact mode the same ratios run on in exact
-    arithmetic only for a coefficient whose interval contains 0 (see
-    _exact_mode_bounds for ``rho``).  In float mode they do not: where
-    ``base`` or ``rho`` is None, or the intervals leave a sign undecided,
-    the float classifier decides instead, on the float series against a
-    rounding envelope, and ``float_norm`` (default ``norm``) names their
+    ``base`` (see _interval_base); a g point with a = b as multisets then
+    vanishes identically too, once its heads have raised any pole.  Else
+    the heads' term ratios enclose the series (_interval_bounds, which
+    takes ``rho``).  Where ``base`` or ``rho`` is None, or the intervals
+    leave a sign undecided, exact mode reports INCONCLUSIVE and float mode
+    has the float classifier decide, on the float series against a
+    rounding envelope, with ``float_norm`` (default ``norm``) naming their
     normalization.
     """
     if spec.order < 1:
@@ -607,26 +607,24 @@ def _certify(spec: TuranianSpec, expected, norm, base, rho=(ex(1), ex(1)),
             f"got {spec.order}"
         )
     verdict, viol, margin, coeff0 = SignVerdict.INCONCLUSIVE, None, None, None
-    decided_by, fallbacks = None, 0
+    decided_by, bits = None, None
     exact = spec.q.is_exact
     shifts = (spec.alpha, spec.beta, 0, spec.alpha + spec.beta)
-    if _is_degenerate(spec):
-        verdict, decided_by = SignVerdict.ZERO, "degenerate"
-        margin = coeff0 = spec.q.zero
-    elif base is not None and rho is not None:
-        heads = _shift_series_of(spec.family, spec.mu, shifts, base, 0, spec.a, spec.b)
-        ratios = [h.ratio for h in heads]
-        enclosures = TermRatio.series_of(ratios, spec.order, _Interval.ARITH)
-        build = (lambda: TermRatio.series_of(ratios, spec.order)) if exact else None
-        found = _exact_mode_bounds(heads, enclosures, build, rho)
+    cancels = spec.family == Family.G_NORMALIZED and sorted(spec.a) == sorted(spec.b)
+    if not _is_degenerate(spec) and (cancels or base is not None and rho is not None):
+        heads = _shift_series_of(spec.family, spec.mu, shifts, base or spec.q, 0, spec.a, spec.b)
+        found = None if cancels else _interval_bounds(heads, spec.order, rho)
         if found is not None:
-            coeff0, bounds, fallbacks = found
+            coeff0, bounds, bits = found
             verdict, viol, margin = _classify_exact(bounds)
-            decided_by = "interval+exact" if fallbacks else "interval"
+            decided_by = "interval"
             if not exact:
                 coeff0 = coeff0.to_float_scalar(spec.q.digits)
                 if margin is not None:
                     margin = margin.to_float_toward_zero(spec.q.digits)
+    if cancels or _is_degenerate(spec):
+        verdict, decided_by = SignVerdict.ZERO, "degenerate"
+        margin = coeff0 = spec.q.zero
     if decided_by is None and not exact:
         s_a, s_b, s_0, s_ab = _shift_series_of(spec.family, spec.mu, shifts, spec.q,
                                                spec.order, spec.a, spec.b)
@@ -642,14 +640,14 @@ def _certify(spec: TuranianSpec, expected, norm, base, rho=(ex(1), ex(1)),
     return SignReport(verdict, viol, margin, spec.order, coeff0, spec.family.value,
                       spec.q.mode, norm, chain_case=chain_case, expected=expected,
                       matches_expected=matches, decided_by=decided_by,
-                      exact_fallbacks=fallbacks)
+                      interval_bits=bits)
 
 
 def _positive_hypotheses(spec: TuranianSpec):
     mu, alpha, beta = spec.mu, spec.alpha, spec.beta
-    if not (mu > 0 and alpha > 0 and beta > 0):
+    if not (mu > 0 and alpha >= 0 and beta >= 0):
         raise HypothesisError(
-            f"mu, alpha, beta must be positive, got ({mu}, {alpha}, {beta})"
+            f"mu must be positive and alpha, beta nonnegative, got ({mu}, {alpha}, {beta})"
         )
     return mu, alpha, beta
 
@@ -662,8 +660,7 @@ def delta_sign_certificate(spec: TuranianSpec) -> SignReport:
     """Sign certificate for the Heine-f Turanian (expected strictly negative)."""
     if spec.family != Family.HEINE_F:
         raise ValueError("delta_sign_certificate works on the heine-f family")
-    if not _is_degenerate(spec):
-        _positive_hypotheses(spec)
+    _positive_hypotheses(spec)
     return _certify(spec, SignVerdict.ALL_STRICTLY_NEG, "x^m coefficients",
                     _interval_base(spec))
 
@@ -700,7 +697,7 @@ def _qpoch_inf_interval(a: tuple, q: tuple, gap: tuple, nterms: int) -> tuple:
 
 def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
     """Exact bounds (rho_lo, rho_hi) on Gamma_q(mu+a)Gamma_q(mu+b) /
-    (Gamma_q(mu)Gamma_q(mu+a+b)) for positive mu, alpha, beta in exact mode.
+    (Gamma_q(mu)Gamma_q(mu+a+b)) for mu > 0 and alpha, beta >= 0 in exact mode.
 
     rho is symmetric in alpha and beta, and exact (zero-width) when either
     one is an integer, say alpha: then it is the finite ratio
@@ -750,16 +747,14 @@ def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:
     """
     if spec.family != Family.HEINE_F_TILDE:
         raise ValueError("delta_tilde_sign_certificate works on the tilde family")
-    base, rho = _interval_base(spec), (ex(1), ex(1))
-    if not _is_degenerate(spec):
-        mu, alpha, beta = _positive_hypotheses(spec)
-        if base is not None:
-            try:
-                rho = _rho_interval(mu, alpha, beta, base, 0)
-            except DomainError:         # past _MAX_PRODUCT_TERMS
-                if spec.q.is_exact:
-                    raise
-                rho = None
+    mu, alpha, beta = _positive_hypotheses(spec)
+    base, rho = _interval_base(spec), None
+    if base is not None:
+        try:
+            rho = _rho_interval(mu, alpha, beta, base, 0)
+        except DomainError:         # past _MAX_PRODUCT_TERMS
+            if spec.q.is_exact:
+                raise
     return _certify(spec, SignVerdict.ALL_STRICTLY_POS, _TILDE_SCALED, base, rho,
                     float_norm="absolute x^m coefficients")
 

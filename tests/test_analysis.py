@@ -239,6 +239,15 @@ class TestLaplaceRepresentation:
         res = laplace_representation_check(md, [F(1, 2)], digits=DIGITS)
         assert res.max_abs.val < mpmath.mpf("1e-45")
 
+    @pytest.mark.parametrize("upper_limit", [None, 80])
+    def test_negative_density_coefficient_is_refused(self, upper_limit):
+        # x - 2x^2 vanishes at x = 1/2: no window bounds a tail
+        # relative to it, and a fixed window compared it with +inf
+        md = MeasureDensity(fl(0, DIGITS), (fl(1, DIGITS), fl(-2, DIGITS)), 2)
+        with pytest.raises(DomainError, match="c_2 is negative"):
+            laplace_representation_check(md, [F(1, 2)], digits=DIGITS,
+                                         upper_limit=upper_limit)
+
     def test_no_evaluation_point_is_refused(self):
         md = MeasureDensity(fl(0, DIGITS), (fl(1, DIGITS),), 1)
         with pytest.raises(DimensionError, match="at least one evaluation point"):

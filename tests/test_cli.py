@@ -66,7 +66,7 @@ def test_scan_caseb_suite(tmp_path):
     report = read_json(out)
     assert len(report["verdicts"]) == 6
     assert all(v["matches_expected"] for v in report["verdicts"])
-    assert all(v["decided_by"] == "interval" and v["exact_fallbacks"] == 0
+    assert all(v["decided_by"] == "interval" and v["interval_bits"] == 100
                for v in report["verdicts"])
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("family,mu,alpha,beta,q,verdict")

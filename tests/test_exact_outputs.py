@@ -43,11 +43,11 @@ EXPECTED = {
     "turanian_series": "856bceaefe6af13c14d6dc14f9c909f0a0835ab2658854692db8c6282e4e7c50",
     "turanian": (0,
         "fe45f0c0a5fa264a969df11f9d786cb4b67a6725bc2601af4b64b5bcbf58355b",
-        "56f0b53e8315df435bcce4c2baeab362507f09eeb27065a33768ab59303c35b9",
+        "a301e4ee00771f57e5fc3714f28356978fa353d4077f4ac7ec27c3f3329dbff1",
         "443ea7a71844f756ddd5c774f16ea45a501bccdbeb526fab71db8770ebd30ed2"),
     "scan": (0,
         "273baa9748eaddd47cafd0de87b4f53e9c3843a3e71cdd36bc92f7b794f86827",
-        "701b16e5487c7a868a9c4ea4eedcf644a3885a318a115e1ede6cbf7a46603c80",
+        "b49d47642f1cf82880f68e6eeb3d6082e7e86bcbbcc65ec3074a684c77c6b469",
         "a89137b90efe77f0a95615740184c3e24fbd9453c384207384951193801ec175"),
     "linearization": (0,
         "c62c2e9de8e4246db536d21e241e8285c8c237bb9b2f08d7f35410f54417506a",

@@ -78,12 +78,12 @@ def test_interval_decided_float_reports_agree_with_exact_mode(point):
     float_spec, exact_spec = specs(*point)
     rep, ref = sign_certificate(float_spec), sign_certificate(exact_spec)
     event(f"decided by {rep.decided_by}")
-    assert rep.mode == "float" and rep.exact_fallbacks == 0
+    assert rep.mode == "float" and rep.interval_bits == ref.interval_bits
     if ref.decided_by == "degenerate":
         assert rep.decided_by == "degenerate"
         return
     # the float path leaves to its classifier exactly the points where exact
-    # mode needed exact series or stayed undecided
+    # mode stayed undecided
     assert (rep.decided_by == "interval") == (ref.decided_by == "interval")
     if rep.decided_by != "interval":
         assert rep.decided_by == "float"
@@ -190,7 +190,7 @@ def test_float_built_bases_agree_with_exact_mode_on_their_exact_value(q, point):
     ref = sign_certificate(TuranianSpec(family, *shifts, QBase.exact(q=base.q_frac), 60,
                                         *vectors))
     assert rep.decided_by == ref.decided_by == "interval"
-    assert rep.matches_expected and rep.exact_fallbacks == 0
+    assert rep.matches_expected and rep.interval_bits == 100
     assert (rep.verdict, rep.first_violation) == (ref.verdict, ref.first_violation)
     assert rep.normalization == ref.normalization
     assert rep.coeff0.val == ref.coeff0.to_float_scalar(50).val
@@ -255,7 +255,7 @@ def test_a_straddle_goes_to_the_float_classifier_without_exact_series(family, mo
     monkeypatch.setattr(turanian, "_shift_series_of", spy)
     float_spec, _ = specs(family, ("q", F(1, 2)), F(1), F(1), F(2), 30)
     rep = sign_certificate(float_spec)
-    assert rep.decided_by == "float" and rep.exact_fallbacks == 0 and rep.matches_expected
+    assert rep.decided_by == "float" and rep.interval_bits is None and rep.matches_expected
     # the exact heads to order 0, then the float series to the full order
     assert calls == [(True, 0), (False, 30)]
 
@@ -277,7 +277,7 @@ def test_float_scan_reports_the_interval_certificate(tmp_path):
     assert run([*argv, "--out", str(out)]) == 0
     exacts = json.loads(out.read_text(encoding="utf-8"))["verdicts"]
     for got, ref in zip(floats, exacts):
-        assert (got["decided_by"], got["exact_fallbacks"], got["mode"]) == ("interval", 0, "float")
+        assert (got["decided_by"], got["interval_bits"], got["mode"]) == ("interval", 100, "float")
         for key in ("verdict", "first_violation", "normalization", "matches_expected"):
             assert got[key] == ref[key]
         margin, bound = F(got["min_margin"]), F(ref["min_margin"])

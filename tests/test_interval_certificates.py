@@ -1,9 +1,9 @@
 """The interval path of exact sign certificates never disagrees with exact signs.
 
 Each certificate decides the sign of every Turanian coefficient from an
-outward-rounded interval and recomputes exactly only the coefficients whose
-interval contains 0.  The reference here classifies the exact coefficients
-of the full exact Cauchy products instead.
+outward-rounded interval, enclosing again at more bits only the
+coefficients whose interval contains 0.  The reference here classifies the
+exact coefficients of the full exact Cauchy products instead.
 """
 
 import operator
@@ -17,14 +17,15 @@ from hypothesis import strategies as st
 
 from qturan import turanian
 from qturan.qcore import QBase, qgamma_ratio, qpochhammer_finite
-from qturan.scalar import CollisionError, ExactScalar, ex
-from qturan.series import TruncatedSeries, g_series, heine_f_series
+from qturan.scalar import CollisionError, ExactScalar, PoleError, ex
+from qturan.series import TermRatio, TruncatedSeries, g_series, heine_f_series
 from qturan.turanian import (
     Family,
     SignVerdict,
+    _MAX_PREC,
     _PREC,
     TuranianSpec,
-    _exact_mode_bounds,
+    _interval_bounds,
     _Interval,
     _rho_interval,
     sign_certificate,
@@ -118,7 +119,7 @@ def test_interval_verdicts_equal_exact_signs(point):
     verdict, viol, min_margin = reference(coeffs)
     assert (rep.verdict, rep.first_violation) == (verdict, viol)
     assert rep.coeff0 == coeffs[0]
-    assert rep.decided_by in ("interval", "interval+exact")
+    assert rep.decided_by == "interval"
     if min_margin is None:
         assert rep.min_margin is None
     else:
@@ -127,7 +128,7 @@ def test_interval_verdicts_equal_exact_signs(point):
         assert rep.min_margin.sign() >= 0
 
 
-def test_all_zero_chain_point_is_proven_exactly():
+def test_all_zero_chain_point_is_zero_by_structure():
     # a = b satisfies both chains; the Turanian vanishes identically
     q = QBase.exact(q=F(3, 4))
     spec = TuranianSpec(Family.G_NORMALIZED, F(1, 2), F(1), F(2), q, 12,
@@ -135,52 +136,77 @@ def test_all_zero_chain_point_is_proven_exactly():
     rep = sign_certificate(spec)
     assert rep.chain_case == "a+b" and rep.verdict == SignVerdict.ZERO
     assert rep.matches_expected
-    assert rep.decided_by == "interval+exact" and rep.exact_fallbacks == 12
+    assert rep.decided_by == "degenerate" and rep.interval_bits is None
     assert rep.min_margin.is_zero() and rep.coeff0.is_zero()
 
 
-def test_exact_fallback_continues_the_heads_without_rebuilding(monkeypatch):
-    # every enclosure of this all-zero point contains 0, so all ten
-    # coefficients fall back to exact arithmetic: the heads' term ratios run
-    # on from order 0, and no family constructor builds a longer series
+@pytest.mark.parametrize("q", [QBase.exact(q=F(1, 2)), QBase.floating(0.5)],
+                         ids=["exact", "float"])
+def test_a_equals_b_builds_no_series_past_order_0(monkeypatch, q):
+    # with a = b as multisets every shifted series is one series, so the
+    # point is decided once the four order-0 heads are built (b lists the
+    # entries of a in another order)
     orders = []
+    series_of = TermRatio.series_of
 
-    def counted(build):
-        def spy(*args, **kwargs):
-            orders.append(args[-1])
-            return build(*args, **kwargs)
-        return spy
+    def spy(ratios, order, arith=None):
+        orders.append(order)
+        return series_of(ratios, order, arith)
 
-    monkeypatch.setattr(turanian, "g_series", counted(turanian.g_series))
-    monkeypatch.setattr(turanian, "heine_f_series", counted(turanian.heine_f_series))
-    spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(1), F(1), QBase.exact(q=F(1, 2)), 10,
-                        (F(1), F(2)), (F(1), F(2)))
+    monkeypatch.setattr(TermRatio, "series_of", staticmethod(spy))
+    spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(1), F(1), q, 10,
+                        (F(1), F(2)), (F(2), F(1)))
     rep = sign_certificate(spec)
     assert rep.chain_case == "a+b" and rep.verdict == SignVerdict.ZERO
-    assert rep.decided_by == "interval+exact" and rep.exact_fallbacks == 10
-    assert orders == [0] * 4
+    assert rep.decided_by == "degenerate" and rep.matches_expected
+    assert orders and set(orders) == {0}
 
 
-def test_zero_straddling_interval_falls_back_to_exact_sign():
-    # Delta_1 = 2 - (2 + 2^-200): its 100-bit interval reaches 0, the exact
-    # recomputation finds the sign and the exact margin
-    tiny = F(1, 2 ** 200)
-    one = TruncatedSeries((ex(1), ex(1)), 1)
-    bumped = TruncatedSeries((ex(1), ex(1 + tiny)), 1)
-    series = (one, one, one, bumped)
-    enclosures = tuple(TruncatedSeries(tuple(map(_Interval.of, s.coeffs)), 1)
-                       for s in series)
-    coeff0, bounds, fallbacks = _exact_mode_bounds(series, enclosures, lambda: series,
-                                                   (ex(1), ex(1)))
-    assert coeff0.is_zero() and fallbacks == 1
-    assert bounds == [ex(-tiny)]
+def test_equal_sets_that_differ_as_multisets_are_not_zero():
+    # {1, 2} twice over, but a holds 1 twice and b holds 2 twice
+    q = QBase.exact(q=F(1, 2))
+    spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(1), F(1), q, 10,
+                        (F(1), F(1), F(2)), (F(1), F(2), F(2)))
+    rep = sign_certificate(spec)
+    assert rep.verdict == SignVerdict.ALL_STRICTLY_NEG
+    assert rep.verdict == reference(turanian_series(spec).coeffs)[0]
+    assert rep.decided_by == "interval" and rep.interval_bits == _PREC
+
+
+def test_a_equals_b_keeps_the_pole_of_its_heads():
+    # a_1 + mu = 0: Gamma_q(a_1 + mu + alpha) / Gamma_q(a_1 + mu) has a pole
+    q = QBase.exact(q=F(1, 2))
+    spec = TuranianSpec(Family.G_NORMALIZED, F(0), F(1), F(1), q, 10,
+                        (F(0), F(2)), (F(0), F(2)))
+    with pytest.raises(PoleError):
+        sign_certificate(spec)
+
+
+@pytest.mark.parametrize("k, bits", [(150, 2 * _PREC), (1000, 16 * _PREC), (7000, None)])
+def test_zero_straddling_interval_is_enclosed_at_more_bits(k, bits):
+    # F(mu+alpha+beta) = 1 + 2x/(1 - 2^-k) + ... against 1 + 2x + ... in the
+    # other three slots: Delta_1 = 2 - 2/(1 - 2^-k), near -2^(1-k), whose
+    # 100-bit enclosure reaches 0; the bits double until it excludes 0, or
+    # leave the sign undecided past _MAX_PREC
+    q = QBase.exact(q=F(1, 2))
+    one = TermRatio(ex(1), (), (), q).series(0)
+    bumped = TermRatio(ex(1), (), (ex(F(1, 2 ** k)),), q).series(0)
+    found = _interval_bounds((one, one, one, bumped), 1, (ex(1), ex(1)))
+    if bits is None:
+        assert k > _MAX_PREC and found is None
+        return
+    coeff0, bounds, used = found
+    exact = 2 - ex(2) / (1 - ex(F(1, 2 ** k)))
+    assert coeff0.is_zero() and used == bits
+    assert exact < bounds[0] < 0
+    assert bounds[0] - exact < F(1, 2 ** (bits - 10))
 
 
 def test_interval_decided_margin_is_a_dyadic_lower_bound():
     q = QBase.exact(q=F(1, 2))
     spec = TuranianSpec(Family.HEINE_F, F(1), F(1), F(1), q, 10)
     rep = sign_certificate(spec)
-    assert rep.decided_by == "interval" and rep.exact_fallbacks == 0
+    assert rep.decided_by == "interval" and rep.interval_bits == _PREC
     exact_min = min(-c for c in turanian_series(spec).coeffs[1:])
     margin = rep.min_margin.to_fraction()
     assert 0 < margin <= exact_min.to_fraction()
@@ -201,7 +227,7 @@ def test_tilde_half_integer_shifts_agree_with_rho_enclosure(qv, mu, alpha, beta,
     rep = sign_certificate(TuranianSpec(Family.HEINE_F_TILDE, mu, alpha, beta, q, order))
     verdict, viol, bound = reference(far)
     assert (rep.verdict, rep.first_violation) == (verdict, viol)
-    assert rep.decided_by in ("interval", "interval+exact")
+    assert rep.decided_by == "interval"
     assert rep.coeff0.sign() == far[0].sign() and abs(rep.coeff0) <= abs(far[0])
     if bound is None:
         assert rep.min_margin is None
@@ -324,33 +350,35 @@ def test_lower_collision_is_an_error_in_the_interval_path():
 
 @pytest.mark.parametrize("qv", [1 - F(1, 2 ** 101), F(10 ** 40 - 1, 10 ** 40)],
                          ids=["1-2^-101", "1-10^-40"])
-def test_enclosure_reaching_zero_sends_every_coefficient_to_exact(qv):
+def test_enclosure_reaching_zero_is_decided_at_more_bits(qv):
     # at _PREC bits q rounds up to 1, so 1 - q^n reaches 0 and the enclosures
-    # cannot stay nonnegative: every coefficient m >= 1 is recomputed exactly
+    # cannot stay nonnegative: every coefficient m >= 1 is enclosed again at
+    # 2 _PREC bits, where 1 - q^n stays apart from 0
     spec = TuranianSpec(Family.HEINE_F, F(1, 2), F(1), F(1), QBase.exact(q=qv), 4)
     rep = sign_certificate(spec)
     coeffs = turanian_series(spec).coeffs
-    assert rep == turanian.SignReport(
-        SignVerdict.ALL_STRICTLY_NEG, None, min(-c for c in coeffs[1:]), 4, coeffs[0],
-        "heine-f", "exact", "x^m coefficients", expected=SignVerdict.ALL_STRICTLY_NEG,
-        matches_expected=True, decided_by="interval+exact", exact_fallbacks=4)
+    assert (rep.verdict, rep.first_violation, rep.coeff0) == (
+        SignVerdict.ALL_STRICTLY_NEG, None, coeffs[0])
+    assert rep.matches_expected
+    assert (rep.decided_by, rep.interval_bits) == ("interval", 2 * _PREC)
+    assert 0 < rep.min_margin <= min(-c for c in coeffs[1:])
     head = heine_f_series(F(1, 2), QBase.exact(q=qv), 0)
     assert head.ratio.series(4, _Interval.ARITH).coeffs[1] is _Interval.UNBOUNDED
 
 
-@pytest.mark.parametrize("family, k, decided_by, fallbacks", [
-    (Family.HEINE_F, 96, "interval", 0),
-    (Family.HEINE_F_TILDE, 96, "interval", 0),
-    (Family.HEINE_F, 98, "interval+exact", 2),
-    (Family.HEINE_F_TILDE, 98, "interval+exact", 2),
-    (Family.HEINE_F, 100, "interval+exact", 4),
-    (Family.HEINE_F_TILDE, 100, "interval+exact", 3),
+@pytest.mark.parametrize("family, k, bits", [
+    (Family.HEINE_F, 96, _PREC),
+    (Family.HEINE_F_TILDE, 96, _PREC),
+    (Family.HEINE_F, 98, 2 * _PREC),
+    (Family.HEINE_F_TILDE, 98, 2 * _PREC),
+    (Family.HEINE_F, 100, 2 * _PREC),
+    (Family.HEINE_F_TILDE, 100, 2 * _PREC),
 ])
-def test_divisors_with_short_mantissas_near_q_1(family, k, decided_by, fallbacks):
+def test_divisors_with_short_mantissas_near_q_1(family, k, bits):
     # for 1 - q = 2^-k near 2^-_PREC the enclosure of 1 - q^n has a mantissa
     # of a few bits, so a dividend can outgrow its divisor by more than
     # _PREC bits; the expected paths are those of an mpmath interval
-    # certificate at the same precision
+    # certificate at the same precision, and twice it decides the rest
     q = QBase.exact(q=1 - F(1, 2 ** k))
     spec = TuranianSpec(family, F(1), F(1), F(1), q, 4)
     rep = sign_certificate(spec)
@@ -361,8 +389,21 @@ def test_divisors_with_short_mantissas_near_q_1(family, k, decided_by, fallbacks
     verdict, viol, min_margin = reference(coeffs)
     assert (rep.verdict, rep.first_violation) == (verdict, viol)
     assert rep.matches_expected and rep.coeff0 == coeffs[0]
-    assert (rep.decided_by, rep.exact_fallbacks) == (decided_by, fallbacks)
+    assert (rep.decided_by, rep.interval_bits) == ("interval", bits)
     assert 0 < rep.min_margin <= min_margin
+
+
+@pytest.mark.parametrize("q", [QBase.exact(q=F(1, 2)), QBase.floating(0.5)],
+                         ids=["exact", "float"])
+def test_order_200_d1_point_is_decided_on_intervals(q):
+    # the d = 1 g series decay like q^(n^2/2): at order 200 some coefficients
+    # straddle 0 at _PREC bits and are decided at twice that
+    spec = TuranianSpec(Family.G_NORMALIZED, F(1), F(3), F(4), q, 200,
+                        *VECTORS["g-b"])
+    rep = sign_certificate(spec)
+    assert (rep.verdict, rep.chain_case) == (SignVerdict.ALL_STRICTLY_POS, "b")
+    assert rep.matches_expected
+    assert (rep.decided_by, rep.interval_bits) == ("interval", 2 * _PREC)
 
 
 def view_enclosure(x):

@@ -139,6 +139,16 @@ class TestDeltaCertificate:
         with pytest.raises(HypothesisError):
             delta_sign_certificate(heine_spec(F(-1), F(1), F(1)))
 
+    @pytest.mark.parametrize("family, mu", [(Family.HEINE_F, F(-1)),
+                                            (Family.HEINE_F_TILDE, F(0))])
+    @pytest.mark.parametrize("q", [Q12, QF], ids=["exact", "float"])
+    def test_zero_shift_still_needs_positive_mu(self, family, mu, q):
+        # the series vanishes at a zero shift, but mu lies outside the claim
+        with pytest.raises(HypothesisError, match="mu must be positive"):
+            sign_certificate(TuranianSpec(family, mu, F(0), F(1), q, 10))
+        assert run(["turanian", "--family", family.value, "--q", "1/2", "--mu", str(mu),
+                    "--alpha", "0", "--beta", "1"]) == 2
+
     def test_float_mode_certificate(self):
         rep = delta_sign_certificate(
             TuranianSpec(Family.HEINE_F, F(1), F(1), F(1), QF, 30))
@@ -181,7 +191,8 @@ class TestDeltaTildeCertificate:
 
     def test_undecided_rho_past_a_decided_delta0(self, monkeypatch):
         # rho_lo < u_1/v_1 < rho_hi < 1: Delta_0 = 1 - rho > 0 is decided,
-        # Delta_1 = u_1 - rho v_1 is not, even exactly
+        # Delta_1 = u_1 - rho v_1 is not, at any precision; more bits cannot
+        # narrow rho, so the enclosures stop at 2 _PREC
         mu, alpha, beta = self.TILDE
         s_a, s_b, s_0, s_ab = (heine_f_series(mu + s, Q12, 1)
                                for s in (alpha, beta, 0, alpha + beta))
@@ -190,19 +201,25 @@ class TestDeltaTildeCertificate:
         assert ratio < 1 - F(1, 10**6)
         monkeypatch.setattr(turanian, "_rho_interval", lambda *args: (
             ex(ratio - F(1, 10**6)), ex(ratio + F(1, 10**6))))
-        decided = {}
-        exact_bound = turanian._exact_bound
+        heads, precs = [], set()
+        coeff0_bound, bound_minus = turanian._coeff0_bound, turanian._Interval.bound_minus
 
-        def spy(series, rho_lo, rho_hi, m):
-            bound = exact_bound(series, rho_lo, rho_hi, m)
-            decided[m] = bound is not None
-            return bound
+        def head_spy(*args):
+            heads.append(coeff0_bound(*args))
+            return heads[-1]
 
-        monkeypatch.setattr(turanian, "_exact_bound", spy)
+        def bound_spy(u, rho, v, prec):
+            precs.add(prec)
+            return bound_minus(u, rho, v, prec)
+
+        monkeypatch.setattr(turanian, "_coeff0_bound", head_spy)
+        monkeypatch.setattr(turanian._Interval, "bound_minus", staticmethod(bound_spy))
         rep = delta_tilde_sign_certificate(
             TuranianSpec(Family.HEINE_F_TILDE, mu, alpha, beta, Q12, 12))
-        assert decided == {0: True, 1: False}
+        assert len(heads) == 1 and heads[0].sign() > 0
+        assert precs == {turanian._PREC, 2 * turanian._PREC}
         assert rep.verdict == SignVerdict.INCONCLUSIVE and rep.decided_by is None
+        assert rep.interval_bits is None
 
     def test_float_cross_check_against_gamma_scaling(self):
         # tilde coefficients relate to plain-f coefficients through the
