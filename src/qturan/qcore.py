@@ -9,11 +9,12 @@ q^(k/2) with integer k is exactly representable and exactly comparable.
 This module provides the q-shifted factorial (finite and infinite), the
 q-Gamma function and its finite ratio, the q-exponential, elementary
 symmetric polynomials, weak supermajorization, and the classical Pochhammer
-symbol.  Infinite products are float-mode only and come with an explicit
-geometric tail bound.  A finite Gamma ratio Gamma_q(x+k)/Gamma_q(x) is the
-finite product of :func:`qgamma_ratio` in either mode: the relative
-prefactor of the g family and the tilde family's rho at integer shifts are
-built from it, so exact mode never touches an infinite product.
+symbol.  Infinite products are float-mode only and meet their base's digits:
+each sizes its geometric tail to those bits and rounds once.  A finite Gamma
+ratio Gamma_q(x+k)/Gamma_q(x) is the finite product of :func:`qgamma_ratio`
+in either mode: the relative prefactor of the g family and the tilde
+family's rho at integer shifts are built from it, so exact mode never
+touches an infinite product.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath
-from mpmath.libmp import fone, fzero, mpf_mul, mpf_sub, round_nearest, to_rational
+from mpmath.libmp import fone, fzero, mpf_mul, mpf_pos, mpf_sub, round_nearest, to_rational
 
 from .scalar import (
     DEFAULT_DIGITS,
@@ -50,7 +51,7 @@ class QBase:
     rational half power) or :meth:`floating`.  ``qpow(k)`` returns p**k,
     i.e. q**(k/2); ``q_power(e)`` returns q**e and, in exact mode, insists
     that 2e is an integer so the result stays on the half-power grid.
-    A float base holds (q; q)_infty at the default tolerance in ``qq_inf``
+    A float base holds (q; q)_infty, rounded to its digits, in ``qq_inf``
     once :meth:`held_qq_inf` has formed it.
     """
 
@@ -96,7 +97,7 @@ class QBase:
         return cls(mode="float", q=qs, p=qs.sqrt(), q_frac=q_frac, digits=digits)
 
     def held_qq_inf(self) -> Scalar:
-        """(q; q)_infty at the default tolerance (float mode), formed by the
+        """(q; q)_infty to the base's digits (float mode), formed by the
         first call and held as ``qq_inf``: Gamma_q and the Jackson q-Bessel
         functions on one base share it."""
         if self.qq_inf is None:
@@ -178,57 +179,51 @@ def qpochhammer_finite(a, q: QBase, n: int) -> Scalar:
     return shifted_factorial(q.scalar(a), q.q, n)
 
 
-def _infinite_tail_terms(abs_a, q: QBase, rel_tol) -> int:
-    """Smallest N with |a| q^N / ((1-q)(1-|a| q^N)) <= rel_tol/2.
+def _infinite_tail_terms(abs_a, q: QBase) -> int:
+    """Smallest N with |a| q^N / ((1-q)(1-|a| q^N)) <= 2^-(prec+4), prec the
+    base's bits.
 
     The left side bounds |log prod_{k>=N} (1 - a q^k)| through the geometric
     tail sum_{k>=N} |a| q^k / (1 - |a| q^k).
     """
+    if abs_a == 0:
+        return 0
     with mpmath.workdps(q.digits):
         qa = q.q.val
-        target = mpmath.mpf(rel_tol) / 2
-        if abs_a == 0:
-            return 0
+        target = mpmath.ldexp(1, -_prec(q.digits) - 4)
         # require g = |a| q^N <= target(1-q)/(1 + target(1-q))
         bound = target * (1 - qa) / (1 + target * (1 - qa))
-        n = mpmath.log(bound / abs_a) / mpmath.log(qa)
-        n = int(mpmath.ceil(n))
+        n = int(mpmath.ceil(mpmath.log(bound / abs_a) / mpmath.log(qa)))
     return max(n, 0)
 
 
-def qpochhammer_infinite(a, q: QBase, rel_tol=None) -> Scalar:
-    """(a; q)_infty within a relative tolerance (float mode only).
+def qpochhammer_infinite(a, q: QBase) -> Scalar:
+    """(a; q)_infty to the base's digits (float mode only).
 
-    Default rel_tol is 10**(8 - digits), leaving an eight-digit guard under
-    the working precision.  Returns exact 0 when some factor 1 - a q^k
-    vanishes.
+    The N factors of :func:`_infinite_tail_terms` run on raw libmp tuples at
+    log2(N) + 8 guard bits over the base's bits, and the product is rounded
+    once to those bits.  Returns exact 0 when some factor 1 - a q^k vanishes.
     """
     if q.is_exact:
         raise ExactModeError("(a; q)_infty is not exact; use a float QBase")
     a = q.scalar(a)
-    with mpmath.workdps(q.digits):
-        if rel_tol is None:
-            rel_tol = mpmath.mpf(10) ** (8 - q.digits)
-        nterms = _infinite_tail_terms(abs(a.val), q, rel_tol)
-    # the loop on raw libmp tuples: the bits of the same loop in mpmath's
-    # context arithmetic under workdps(q.digits)
+    nterms = _infinite_tail_terms(abs(a.val), q)
     prec = _prec(q.digits)
+    wp = prec + nterms.bit_length() + 8
     result, t, qv = fone, a.val._mpf_, q.q.val._mpf_
     for _ in range(nterms):
-        factor = mpf_sub(fone, t, prec, round_nearest)
+        factor = mpf_sub(fone, t, wp, round_nearest)
         if factor == fzero:
             return FloatScalar(0, q.digits)
-        result = mpf_mul(result, factor, prec, round_nearest)
-        t = mpf_mul(t, qv, prec, round_nearest)
-    return _float(result, q.digits)
+        result = mpf_mul(result, factor, wp, round_nearest)
+        t = mpf_mul(t, qv, wp, round_nearest)
+    return _float(mpf_pos(result, prec, round_nearest), q.digits)
 
 
-def qgamma(z, q: QBase, rel_tol=None) -> Scalar:
-    """Gamma_q(z) = (1-q)^(1-z) (q; q)_infty / (q^z; q)_infty (float mode).
-
-    At the default tolerance (q; q)_infty is the base's
-    :meth:`QBase.held_qq_inf`; an explicit ``rel_tol`` forms its own.  Raises
-    PoleError at z in {0, -1, -2, ...}.
+def qgamma(z, q: QBase) -> Scalar:
+    """Gamma_q(z) = (1-q)^(1-z) (q; q)_infty / (q^z; q)_infty (float mode),
+    with the base's :meth:`QBase.held_qq_inf`.  Raises PoleError at z in
+    {0, -1, -2, ...}.
     """
     if q.is_exact:
         raise ExactModeError(
@@ -237,18 +232,14 @@ def qgamma(z, q: QBase, rel_tol=None) -> Scalar:
     if isinstance(z, Fraction):
         if z.denominator == 1 and z <= 0:
             raise PoleError(f"Gamma_q pole at z={z}")
-        z = FloatScalar(z, q.digits)
     else:
         z = q.scalar(z)
         if z.val <= 0 and z.val == int(z.val):
             raise PoleError(f"Gamma_q pole at z={z.val}")
-    if rel_tol is not None:
-        num = qpochhammer_infinite(q.q, q, rel_tol)
-    else:
-        num = q.held_qq_inf()
-    den = qpochhammer_infinite(q.q ** z, q, rel_tol)
-    one_minus_q = 1 - q.q
-    return (one_minus_q ** (1 - z)) * num / den
+    # q^z at 10 more digits: (q^z; q)_inf magnifies the rounding of q^z up
+    # to about log(1/(1-q^z)) / (1-q) times
+    den = qpochhammer_infinite(FloatScalar(q.q.val, q.digits + 10) ** z, q)
+    return ((1 - q.q) ** (1 - z)) * q.held_qq_inf() / den
 
 
 def qgamma_ratio(x, k: int, q: QBase) -> Scalar:

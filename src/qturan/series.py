@@ -582,9 +582,12 @@ def g_series(a: Sequence, b: Sequence, mu, q: QBase, order: int, *,
     return TermRatio(prefactor, upper, lower, q, d, 1 - q.q).series(order)
 
 
-def geometric_tail_order(x_abs: FloatScalar, tol: FloatScalar, *, minimum: int = 40,
-                         cap: int = 200_000) -> int:
-    """Order N with x^N / (1-x) below tol, for series with bounded coefficients."""
+_MAX_TAIL_ORDER = 200_000
+
+
+def geometric_tail_order(x_abs: FloatScalar, tol: FloatScalar, *, minimum: int = 40) -> int:
+    """Order N >= minimum with x^N / (1-x) below tol, for series with bounded
+    coefficients; DomainError, naming N, where N passes _MAX_TAIL_ORDER."""
     with mpmath.workdps(30):
         xv = mpmath.mpf(x_abs.val)
         if xv <= 0:
@@ -593,7 +596,10 @@ def geometric_tail_order(x_abs: FloatScalar, tol: FloatScalar, *, minimum: int =
             raise DomainError("geometric tail needs |x| < 1")
         n = mpmath.log(mpmath.mpf(tol.val) * (1 - xv)) / mpmath.log(xv)
         n = int(mpmath.ceil(n)) + 4
-    return min(max(n, minimum), cap)
+    if n > _MAX_TAIL_ORDER:
+        raise DomainError(f"|x| = {mpmath.nstr(xv, 12)} needs order {n} for a tail below "
+                          f"{mpmath.nstr(tol.val, 3)}; at most {_MAX_TAIL_ORDER} is taken")
+    return max(n, minimum)
 
 
 def _float_only(q: QBase, what: str):

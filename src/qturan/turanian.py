@@ -679,23 +679,23 @@ _GUARDED_PREC = _PREC + 32
 _MAX_PRODUCT_TERMS = 1 << 17
 
 
-def _qpoch_inf_interval(a: tuple, q: tuple, gap: tuple, nterms: int) -> tuple:
+def _qpoch_inf_interval(a: tuple, q: tuple, gap: tuple) -> tuple:
     """Enclosure of (a; q)_infty, 0 < a < 1, given a, q and gap = 1 - q: the
     product of 1 - a q^k over k < N times the tail factor in
-    [1 - a q^N / (1-q), 1] (Gasper & Rahman, ch. 1), N >= nterms the first
-    count whose tail deficit is below 2^-_PREC.  Every enclosure here is
-    rounded to _GUARDED_PREC bits."""
+    [1 - a q^N / (1-q), 1] (Gasper & Rahman, ch. 1), N the first count whose
+    tail deficit is below 2^-_PREC.  Every enclosure here is rounded to
+    _GUARDED_PREC bits."""
     mul, prec = _Interval.mul, _GUARDED_PREC
     # 2^stop <= (1-q) 2^-_PREC, so a q^N below 2^stop bounds the deficit
     stop = gap[0].bit_length() - 1 + gap[2] - _PREC
-    prod, t, n = (1, 1, 0), a, 0
-    while n < nterms or t[1].bit_length() + t[2] > stop:
-        prod, t, n = mul(prod, _Interval.one_minus(t, prec), prec), mul(t, q, prec), n + 1
+    prod, t = (1, 1, 0), a
+    while t[1].bit_length() + t[2] > stop:
+        prod, t = mul(prod, _Interval.one_minus(t, prec), prec), mul(t, q, prec)
     tail_lo, _, tail_e = _Interval.one_minus(_Interval.div(t, gap, prec), prec)
     return mul(prod, (tail_lo, 1 << -tail_e, tail_e), prec)
 
 
-def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
+def _rho_interval(mu, alpha, beta, q: QBase, *_):
     """Exact bounds (rho_lo, rho_hi) on Gamma_q(mu+a)Gamma_q(mu+b) /
     (Gamma_q(mu)Gamma_q(mu+a+b)) for mu > 0 and alpha, beta >= 0 in exact mode.
 
@@ -705,9 +705,10 @@ def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
     For alpha and beta both non-integer, Gamma_q(x) = (q;q)_inf (1-q)^(1-x)
     / (q^x;q)_inf makes rho
     (q^mu;q)_inf (q^(mu+a+b);q)_inf / ((q^(mu+a);q)_inf (q^(mu+b);q)_inf),
-    whose interval enclosure (at least nterms factors per product) gives
-    the bounds.  A q whose products would take more than _MAX_PRODUCT_TERMS
-    factors raises DomainError before any is formed.
+    whose interval enclosure gives the bounds.  A q whose products would
+    take more than _MAX_PRODUCT_TERMS factors raises DomainError before any
+    is formed.  Further positional arguments (the benchmark's stage timing
+    passes one) are ignored.
     """
     if beta.denominator == 1:
         alpha, beta = beta, alpha
@@ -727,7 +728,7 @@ def _rho_interval(mu, alpha, beta, q: QBase, nterms: int):
     iv, prec = _Interval, _GUARDED_PREC
     qq = iv.of(q.q, prec)
     n1, n2, d1, d2 = (_qpoch_inf_interval(iv.of(q.q_power(mu + s), prec), qq,
-                                          iv.one_minus(qq, prec), nterms)
+                                          iv.one_minus(qq, prec))
                       for s in (0, alpha + beta, alpha, beta))
     lo, hi, e = iv.div(iv.mul(n1, n2, prec), iv.mul(d1, d2, prec), prec)
     return iv.exact(lo, e), iv.exact(hi, e)
@@ -751,7 +752,7 @@ def delta_tilde_sign_certificate(spec: TuranianSpec) -> SignReport:
     base, rho = _interval_base(spec), None
     if base is not None:
         try:
-            rho = _rho_interval(mu, alpha, beta, base, 0)
+            rho = _rho_interval(mu, alpha, beta, base)
         except DomainError:         # past _MAX_PRODUCT_TERMS
             if spec.q.is_exact:
                 raise

@@ -179,12 +179,21 @@ def test_conditions_command_accepts_zero_parameters(tmp_path, capsys):
 
 
 def test_verify_float_tolerance_gate():
-    code = run(["verify", "--identity", "connection", "--alpha", "0",
+    # at alpha = 1/2 the residual is rounding only, about 1.7e-51
+    code = run(["verify", "--identity", "connection", "--alpha", "1/2",
                 "--y", "1", "--q", "1/2", "--mode", "float", "--tol", "1e-30"])
     assert code == 0
-    code = run(["verify", "--identity", "connection", "--alpha", "0",
+    code = run(["verify", "--identity", "connection", "--alpha", "1/2",
                 "--y", "1", "--q", "1/2", "--mode", "float", "--tol", "1e-60"])
     assert code == 1
+
+
+def test_verify_refuses_a_series_past_the_order_cap(capsys):
+    # a cut series read 1.025 here, a failed identity from a truncation
+    code = run(["verify", "--identity", "connection", "--alpha", "0",
+                "--y", "1999999/1000000", "--q", "1/2", "--mode", "float"])
+    assert code == 2
+    assert "at most 200000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["-1e-30", "0", "0/7"])

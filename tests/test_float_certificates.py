@@ -18,7 +18,7 @@ import mpmath
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import to_rational
+from mpmath.libmp import dps_to_prec, to_rational
 
 from qturan import turanian
 from qturan.cli import run, scalar_text
@@ -29,6 +29,7 @@ from qturan.turanian import (
     SignVerdict,
     TuranianSpec,
     _Interval,
+    reported_turanian_series,
     sign_certificate,
 )
 
@@ -115,6 +116,21 @@ def test_a_cancelling_coeff0_converts_to_the_nearest_float():
     with mpmath.workdps(50):
         assert rep.coeff0.val == +want
     assert abs(ex(value(rep.coeff0)) - c) <= abs(c) * F(1, 10**50)
+
+
+@pytest.mark.parametrize("qv", [F(1, 4), F(1, 2), F(3, 4)])
+@pytest.mark.parametrize("mu, alpha, beta", [(F(1, 2), F(1), F(2)), (F(1), F(1), F(2)),
+                                             (F(3, 2), F(1, 2), F(1)), (F(2), F(2), F(3))])
+def test_float_tilde_coeff0_meets_its_reported_series(qv, mu, alpha, beta):
+    # an integer shift makes rho exact, so the intervals decide; the reported
+    # series scales the float Turanian by two Gamma_q, and its coeff0 is
+    # within 32 ulps of the certificate's
+    spec = TuranianSpec(Family.HEINE_F_TILDE, mu, alpha, beta, QBase.floating(qv, 50), 20)
+    rep = sign_certificate(spec)
+    assert rep.decided_by == "interval"
+    got = reported_turanian_series(spec, rep).coeffs[0].val
+    ulp = mpmath.ldexp(1, mpmath.frexp(rep.coeff0.val)[1] - dps_to_prec(50))
+    assert abs(got - rep.coeff0.val) <= 32 * ulp
 
 
 def test_margins_are_cut_toward_zero():

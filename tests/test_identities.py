@@ -148,9 +148,21 @@ class TestConnectionFormula:
         res = verify_connection_formula(F(1, 2), F(3, 2), QBase.floating("0.8", 50))
         assert res.max_rel.val < mpmath.mpf("1e-30")
 
+    @pytest.mark.parametrize("alpha, y", [(F(0), F(1, 2)), (F(0), F(1)),
+                                          (F(1), F(1, 2)), (F(1), F(1))])
+    def test_measures_the_identity_not_the_product(self, alpha, y):
+        # (q; q)_inf and (-y^2/4; q)_inf meet their 50 digits, so only the
+        # rounding of the two sides is left
+        assert verify_connection_formula(alpha, y, QF).max_rel.val < mpmath.mpf("1e-49")
+
     def test_domain(self):
         with pytest.raises(DomainError):
             verify_connection_formula(F(0), F(5, 2), QF)
+
+    def test_a_series_past_the_order_cap_is_refused(self):
+        # y^2/4 = 0.999999 needs an order near 1.2e8 for a 1e-44 tail
+        with pytest.raises(DomainError, match=r"order \d+ .*at most 200000"):
+            verify_connection_formula(F(0), F(1999999, 1000000), QF)
 
 
 class TestLinearization:

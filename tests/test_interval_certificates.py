@@ -14,6 +14,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import to_rational
 
 from qturan import turanian
 from qturan.qcore import QBase, qgamma_ratio, qpochhammer_finite
@@ -66,14 +67,27 @@ def exact_tilde_coeffs(mu, alpha, beta, q, order):
     return [a - rho * b for a, b in zip(u.coeffs, v.coeffs)]
 
 
+def mp_rational(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
 def tilde_far_bounds(mu, alpha, beta, q, order):
     """Per coefficient, the endpoint farthest from 0 of the exact bounds on
-    u_m - rho v_m that the exact products u, v give against both ends of
-    _rho_interval at 4x the certificate's first number of terms; None where
-    those bounds do not decide the sign."""
+    u_m - rho v_m that the exact products u, v give against both ends of a
+    bracket of rho: mpmath's q-Gamma ratio at 80 digits, +-10^-70 relative,
+    a reference that does not run the code under test; None where those
+    bounds do not decide the sign."""
     f = [heine_f_series(mu + s, q, order) for s in (alpha, beta, 0, alpha + beta)]
     u, v = f[0] * f[1], f[2] * f[3]
-    rho_lo, rho_hi = _rho_interval(mu, alpha, beta, q, 4 * max(order, 48))
+    with mpmath.workdps(80):
+        qm = mp_rational(q.q_frac)
+
+        def gamma(x):
+            return mpmath.qgamma(mp_rational(x), qm, maxterms=10 ** 6)
+
+        rho = gamma(mu + alpha) * gamma(mu + beta) / (gamma(mu) * gamma(mu + alpha + beta))
+    rho = F(*to_rational(rho._mpf_))
+    rho_lo, rho_hi = ex(rho * (1 - F(1, 10 ** 70))), ex(rho * (1 + F(1, 10 ** 70)))
     far = []
     for a, b in zip(u.coeffs, v.coeffs):
         lo, hi = a - rho_hi * b, a - rho_lo * b
@@ -235,10 +249,6 @@ def test_tilde_half_integer_shifts_agree_with_rho_enclosure(qv, mu, alpha, beta,
         assert 0 < rep.min_margin <= bound
 
 
-def mp_rational(x):
-    return mpmath.mpf(x.numerator) / x.denominator
-
-
 @pytest.mark.parametrize("qv", [F(1, 4), F(1, 2), F(3, 4), F(19, 20), F(99, 100)])
 @pytest.mark.parametrize("mu, alpha, beta", [(F(1, 2), F(1, 2), F(3, 2)),
                                              (F(1), F(3, 2), F(1, 2)),
@@ -246,7 +256,7 @@ def mp_rational(x):
 def test_rho_enclosure_contains_the_gamma_ratio_and_is_narrow(qv, mu, alpha, beta):
     # reference: mpmath's own q-Gamma function at 60 digits
     lo, hi = (x.to_fraction() for x in
-              _rho_interval(mu, alpha, beta, QBase.exact(q=qv), 0))
+              _rho_interval(mu, alpha, beta, QBase.exact(q=qv)))
     with mpmath.workdps(60):
         qm = mp_rational(qv)
 
@@ -269,7 +279,7 @@ def test_one_integer_shift_makes_rho_the_exact_finite_ratio(monkeypatch, qv, alp
     monkeypatch.setattr(turanian, "_qpoch_inf_interval", no_product)
     q, mu = QBase.exact(q=qv), F(1, 2)
     (k, s) = (alpha, beta) if alpha.denominator == 1 else (beta, alpha)
-    lo, hi = _rho_interval(mu, alpha, beta, q, 0)
+    lo, hi = _rho_interval(mu, alpha, beta, q)
     assert lo == hi == qgamma_ratio(mu, int(k), q) / qgamma_ratio(mu + s, int(k), q)
     with mpmath.workdps(60):
         qm = mp_rational(qv)

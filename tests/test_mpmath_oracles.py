@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from mpmath.libmp import dps_to_prec
 
 from qturan.qcore import QBase, qgamma, qpochhammer_finite, qpochhammer_infinite
 from qturan.series import PhiSpec, g_series, heine_f_series, qbessel_j1, qbessel_j2, tphis_series
-from qturan.scalar import ex, fl
+from qturan.scalar import FloatScalar, ex, fl
 
 DIGITS = 50
 QF = QBase.floating(F(1, 2), DIGITS)
@@ -39,6 +40,31 @@ def test_qgamma_against_mpmath():
         want = mpmath.qgamma(mpmath.mpf(z.numerator) / z.denominator,
                              mpmath.mpf("0.5"))
         assert abs(got.val - want) < mpmath.mpf("1e-40") * abs(want)
+
+
+def ulps(got, want, digits):
+    """|got - want| in units of the spacing of the binary floats with the
+    bits of ``digits`` digits at want."""
+    return abs(got - want) / mpmath.ldexp(1, mpmath.frexp(want)[1] - dps_to_prec(digits))
+
+
+@pytest.mark.parametrize("digits", [20, 50, 80])
+@pytest.mark.parametrize("qv", [F(1, 10), F(3, 10), F(1, 2), F(4, 5), F(19, 20)])
+def test_products_and_gamma_meet_their_digits(digits, qv):
+    """(a; q)_inf is within 1 ulp and Gamma_q within 8 (about six roundings)
+    of mpmath at digits + 60, on the base's own binary q and a."""
+    base = QBase.floating(qv, digits)
+    qm = base.q.val
+    with mpmath.workdps(digits + 60):
+        for a in (base.q, FloatScalar(F(1, 3), digits), FloatScalar(F(-1, 4), digits)):
+            got = qpochhammer_infinite(a, base)
+            assert got.digits == digits
+            assert ulps(got.val, mpmath.qp(a.val, qm), digits) <= 1
+        for z in (F(1, 2), F(3, 2), F(5, 2), F(7, 3), F(4)):
+            got = qgamma(z, base)
+            assert got.digits == digits
+            want = mpmath.qgamma(mpmath.mpf(z.numerator) / z.denominator, qm)
+            assert ulps(got.val, want, digits) <= 8
 
 
 @pytest.mark.parametrize("upper,lower,z", [

@@ -310,6 +310,12 @@ class TestPointInequality:
             Family.HEINE_F, F(1), F(0), QF, "inverse")
         assert ok and margin.val == 0
 
+    def test_a_series_past_the_order_cap_is_refused(self):
+        # x = 0.99999 needs an order near 1.1e7 for its automatic tail
+        with pytest.raises(DomainError, match=r"order \d+ .*at most 200000"):
+            turan_point_inequality(Family.HEINE_F, F(1), F(99999, 100000),
+                                   QBase.floating(F(1, 2)), "inverse")
+
     @pytest.mark.parametrize("order", [None, 30])
     @pytest.mark.parametrize("x", [F(1), F(3, 2)])
     @pytest.mark.parametrize("family,vectors", [(Family.HEINE_F, {}),
