@@ -207,11 +207,11 @@ def qpochhammer_infinite(a, q: QBase) -> Scalar:
     if q.is_exact:
         raise ExactModeError("(a; q)_infty is not exact; use a float QBase")
     a = q.scalar(a)
-    nterms = _infinite_tail_terms(abs(a.val), q)
+    n = _infinite_tail_terms(abs(a.val), q)
     prec = _prec(q.digits)
-    wp = prec + nterms.bit_length() + 8
+    wp = prec + n.bit_length() + 8
     result, t, qv = fone, a.val._mpf_, q.q.val._mpf_
-    for _ in range(nterms):
+    for _ in range(n):
         factor = mpf_sub(fone, t, wp, round_nearest)
         if factor == fzero:
             return FloatScalar(0, q.digits)
